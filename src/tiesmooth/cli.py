@@ -119,7 +119,12 @@ def cmd_train(args) -> int:
         return EXIT_IO
 
     houses = _population(cfg)
-    samples = run_training_simulation(cfg, houses, day_traces)
+    try:
+        samples = run_training_simulation(cfg, houses, day_traces)
+    except NumericAbortError as exc:
+        print(f"error: numeric abort in training at control cycle {exc.cycle}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     try:
         model = fit_baseline_model(samples)
     except RankDeficientError as exc:
@@ -155,8 +160,6 @@ def cmd_run(args) -> int:
             overrides["soa_feedback_enabled"] = False
         if args.baseline_bias is not None:
             overrides["baseline_bias"] = args.baseline_bias
-        if args.workers is not None:
-            overrides["n_workers"] = args.workers
         if overrides:
             cfg = with_overrides(cfg, **overrides)
 
@@ -263,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-soa-feedback", action="store_true")
     p.add_argument("--baseline-bias", type=float)
     p.add_argument("--uncontrolled", action="store_true")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("metrics", help="compare a controlled and a free run")

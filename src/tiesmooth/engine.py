@@ -3,9 +3,8 @@
 Houses advance on the simulation step, records land on the record
 cadence, and the market runs once per control cycle with bids collected
 a fixed lead before the cycle boundary.  House state lives in flat
-arrays; every per-house update is elementwise, so stepping the fleet in
-parallel chunks is bit-identical to stepping it serially (aggregates are
-always reduced over the canonical full arrays, never per chunk).
+arrays and every per-house update is elementwise, so houses step
+independently of one another.
 
 The tie-line power at any instant is fleet electrical power plus
 uncontrollable load minus wind (lossless balance).  Device ratings and
@@ -16,8 +15,7 @@ point, not just close.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -118,33 +116,23 @@ def seed_fleet_states(fleet: Fleet, seed: int) -> None:
 
 def fleet_soa(fleet: Fleet) -> np.ndarray:
     dev = fleet.t_air - fleet.t_set
-    raw = np.where(dev >= 0.0, dev / fleet.t_high, dev / fleet.t_low)
-    return np.clip(raw, -1.0, 1.0)
+    raw = dev / np.where(dev >= 0.0, fleet.t_high, fleet.t_low)
+    return np.minimum(np.maximum(raw, -1.0), 1.0)
 
 
-def _thermostat_slice(fleet: Fleet, lo: int, hi: int) -> None:
-    sl = slice(lo, hi)
-    t_air = fleet.t_air[sl]
-    on = fleet.on[sl]
-    setp = fleet.active_setpoint[sl]
-    half = fleet.half_deadband[sl]
-    on = np.where(t_air > setp + half, True, on)
-    on = np.where(t_air < setp - half, False, on)
-    on = np.where(t_air >= fleet.t_max[sl], True, on)
-    on = np.where(t_air <= fleet.t_min[sl], False, on)
-    fleet.on[sl] = on
+def _thermostat_slice(fleet: Fleet) -> None:
+    t, sp, h = fleet.t_air, fleet.active_setpoint, fleet.half_deadband
+    fleet.on = (((fleet.on | (t > sp + h)) & ~(t < sp - h) | (t >= fleet.t_max))
+                & ~(t <= fleet.t_min))
 
 
-def _advance_slice(fleet: Fleet, lo: int, hi: int, t_out: float, solar: float) -> None:
-    sl = slice(lo, hi)
-    b0 = (fleet.ua[sl] * t_out + fleet.aperture[sl] * solar
-          - fleet.cap_w[sl] * fleet.on[sl]) / fleet.c_air[sl]
-    t_air = fleet.ad11[sl] * fleet.t_air[sl] + fleet.ad12[sl] * fleet.t_mass[sl] \
-        + fleet.m1[sl] * b0
-    t_mass = fleet.ad21[sl] * fleet.t_air[sl] + fleet.ad22[sl] * fleet.t_mass[sl] \
-        + fleet.m2[sl] * b0
-    fleet.t_air[sl] = t_air
-    fleet.t_mass[sl] = t_mass
+def _advance_slice(fleet: Fleet, t_out: float, solar: float) -> None:
+    b0 = (fleet.ua * t_out + fleet.aperture * solar
+          - fleet.cap_w * fleet.on) / fleet.c_air
+    t_air = fleet.ad11 * fleet.t_air + fleet.ad12 * fleet.t_mass + fleet.m1 * b0
+    t_mass = fleet.ad21 * fleet.t_air + fleet.ad22 * fleet.t_mass + fleet.m2 * b0
+    fleet.t_air = t_air
+    fleet.t_mass = t_mass
 
 
 @dataclass
@@ -188,41 +176,15 @@ def write_results(fh: TextIO, r: RunResult) -> None:
                  f"{float(r.s_aggregate[i])!r},{int(r.n_on[i])}\n")
 
 
-class _Stepper:
-    """Runs the per-step fleet kernels, optionally over parallel chunks.
+def _check_finite(fleet: Fleet, cycle: int) -> None:
+    if not (np.all(np.isfinite(fleet.t_air)) and np.all(np.isfinite(fleet.t_mass))):
+        raise NumericAbortError(cycle)
 
-    Chunked execution is bit-identical to serial execution because both
-    kernels are purely elementwise over disjoint index ranges.
-    """
 
-    def __init__(self, fleet: Fleet, n_workers: int):
-        self.fleet = fleet
-        self.bounds = None
-        self.pool = None
-        if n_workers > 1 and fleet.n > 1:
-            edges = np.linspace(0, fleet.n, n_workers + 1).astype(int)
-            self.bounds = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])
-                           if b > a]
-            self.pool = ThreadPoolExecutor(max_workers=len(self.bounds))
-
-    def thermostat(self) -> None:
-        if self.pool is None:
-            _thermostat_slice(self.fleet, 0, self.fleet.n)
-        else:
-            list(self.pool.map(lambda b: _thermostat_slice(self.fleet, *b),
-                               self.bounds))
-
-    def advance(self, t_out: float, solar: float) -> None:
-        if self.pool is None:
-            _advance_slice(self.fleet, 0, self.fleet.n, t_out, solar)
-        else:
-            list(self.pool.map(
-                lambda b: _advance_slice(self.fleet, b[0], b[1], t_out, solar),
-                self.bounds))
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
+def _tie_line_kw(fleet: Fleet, traces: TraceSet, idx: int) -> tuple[float, float]:
+    """Metered fleet power and the tie-line power it implies at trace row idx."""
+    fleet_kw = float(np.sum(fleet.rated_kw * fleet.on))
+    return fleet_kw, fleet_kw + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx])
 
 
 def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
@@ -242,7 +204,6 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
 
     fleet = build_fleet(houses, cfg.sim_step_s)
     seed_fleet_states(fleet, cfg.seed)
-    stepper = _Stepper(fleet, cfg.n_workers)
     mgcc_cfg = cfg.mgcc_config()
     total_rated = float(np.sum(fleet.rated_kw))
     baseline_scale = 1.0 + cfg.baseline_bias
@@ -271,77 +232,66 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
     total_acl_min = 0.0
     step_minutes = cfg.sim_step_s / 60.0
 
-    try:
-        for t in range(0, cfg.total_s, cfg.sim_step_s):
-            idx = t // traces.cadence_s
-            t_out = float(traces.t_out_c[idx])
-            solar = float(traces.solar_wm2[idx])
+    for t in range(0, cfg.total_s, cfg.sim_step_s):
+        idx = t // traces.cadence_s
+        t_out = float(traces.t_out_c[idx])
+        solar = float(traces.solar_wm2[idx])
 
-            if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
-                if not (np.all(np.isfinite(fleet.t_air))
-                        and np.all(np.isfinite(fleet.t_mass))):
-                    raise NumericAbortError((t + cfg.bid_lead_s) // cfg.control_cycle_s)
-                soa = fleet_soa(fleet)
-                fleet.soa_bid = soa
-                bids = [Bid(price=float(soa[i]), quantity=float(fleet.rated_kw[i]),
-                            on_state=bool(fleet.on[i]), agent_id=i)
-                        for i in range(fleet.n)]
-                fleet_kw = float(np.sum(fleet.rated_kw * fleet.on))
-                p_g_meas = fleet_kw + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx])
-                pending = (bids, p_g_meas, t_out, solar)
+        if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
+            _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
+            soa = fleet_soa(fleet)
+            fleet.soa_bid = soa
+            bids = [Bid(price=float(soa[i]), quantity=float(fleet.rated_kw[i]),
+                        on_state=bool(fleet.on[i]), agent_id=i)
+                    for i in range(fleet.n)]
+            _, p_g_meas = _tie_line_kw(fleet, traces, idx)
+            pending = (bids, p_g_meas, t_out, solar)
 
-            if controlled and t > 0 and t % cfg.control_cycle_s == 0 and pending:
-                k = t // cfg.control_cycle_s
-                bids, p_g_meas, bid_t_out, bid_solar = pending
-                pending = None
-                p_star, rec, corr, lpf = run_control_cycle(
-                    k, bids, p_g_meas, bid_t_out, bid_solar, total_rated,
-                    model, corr, lpf, mgcc_cfg, baseline_scale)
-                if rec is None:
-                    gaps.append(k)
-                else:
-                    records.append(rec)
-                    latest_p_g0 = rec.p_g0
-                    latest_lpf = rec.p_g_lpf
-                    latest_target = rec.p_ac_target
-                    if bid_audit is not None:
-                        bid_audit.append((k, bids, p_star, rec.committed_power))
-                if p_star is not None:
-                    fleet.active_setpoint = np.where(
-                        fleet.soa_bid > p_star,
-                        fleet.t_min + fleet.epsilon,
-                        fleet.t_max - fleet.epsilon)
-                if not (np.all(np.isfinite(fleet.t_air))
-                        and np.all(np.isfinite(fleet.t_mass))):
-                    raise NumericAbortError(k)
+        if controlled and t > 0 and t % cfg.control_cycle_s == 0 and pending:
+            k = t // cfg.control_cycle_s
+            bids, p_g_meas, bid_t_out, bid_solar = pending
+            pending = None
+            p_star, rec, corr, lpf = run_control_cycle(
+                k, bids, p_g_meas, bid_t_out, bid_solar, total_rated,
+                model, corr, lpf, mgcc_cfg, baseline_scale)
+            if rec is None:
+                gaps.append(k)
+            else:
+                records.append(rec)
+                latest_p_g0 = rec.p_g0
+                latest_lpf = rec.p_g_lpf
+                latest_target = rec.p_ac_target
+                if bid_audit is not None:
+                    bid_audit.append((k, bids, p_star, rec.committed_power))
+            if p_star is not None:
+                fleet.active_setpoint = np.where(
+                    fleet.soa_bid > p_star,
+                    fleet.t_min + fleet.epsilon,
+                    fleet.t_max - fleet.epsilon)
+            _check_finite(fleet, k)
 
-            # thermostat acts on the state at t before power is metered
-            stepper.thermostat()
+        # thermostat acts on the state at t before power is metered
+        _thermostat_slice(fleet)
 
-            if t % cfg.record_cycle_s == 0:
-                row = t // cfg.record_cycle_s
-                fleet_kw = float(np.sum(fleet.rated_kw * fleet.on))
-                p_ac_actual[row] = fleet_kw
-                p_g[row] = fleet_kw + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx])
-                p_g0_ref[row] = p_g[row] if not controlled else latest_p_g0
-                p_g_lpf[row] = latest_lpf
-                p_ac_target[row] = latest_target
-                s_agg[row] = float(np.mean(fleet_soa(fleet))) if fleet.n else 0.0
-                n_on[row] = int(np.count_nonzero(fleet.on))
+        if t % cfg.record_cycle_s == 0:
+            row = t // cfg.record_cycle_s
+            p_ac_actual[row], p_g[row] = _tie_line_kw(fleet, traces, idx)
+            p_g0_ref[row] = p_g[row] if not controlled else latest_p_g0
+            p_g_lpf[row] = latest_lpf
+            p_ac_target[row] = latest_target
+            s_agg[row] = float(np.mean(fleet_soa(fleet))) if fleet.n else 0.0
+            n_on[row] = int(np.count_nonzero(fleet.on))
 
-            stepper.advance(t_out, solar)
+        _advance_slice(fleet, t_out, solar)
 
-            if t >= cfg.warmup_s:
-                outside = np.count_nonzero(
-                    (fleet.t_air > fleet.t_max + 0.1)
-                    | (fleet.t_air < fleet.t_min - 0.1))
-                comfort_viol_min += outside * step_minutes
-                total_acl_min += fleet.n * step_minutes
-    finally:
-        stepper.close()
+        if t >= cfg.warmup_s:
+            outside = int(np.count_nonzero(
+                (fleet.t_air > fleet.t_max + 0.1)
+                | (fleet.t_air < fleet.t_min - 0.1)))
+            comfort_viol_min += outside * step_minutes
+            total_acl_min += fleet.n * step_minutes
 
-    if not (np.all(np.isfinite(fleet.t_air)) and np.all(np.isfinite(fleet.t_mass))):
-        raise NumericAbortError(cfg.total_s // cfg.control_cycle_s)
+    _check_finite(fleet, cfg.total_s // cfg.control_cycle_s)
 
     return RunResult(
         controlled=controlled,
@@ -451,12 +401,15 @@ def load_run_dir(rundir) -> RunResult:
 
 def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],
                             day_traces: Sequence[TraceSet]) -> list[TrainingSample]:
-    """Free-running fleet over the training days, sampled per record cycle.
+    """Free runs over the training days, sampled per record cycle after warm-up.
 
     All devices hold their customer setpoints (no market).  Day d meters
-    a deterministic enrollment subset (day 0 is the full fleet, later
-    days a drawn fraction of it) so the rated-power regressors vary
-    across the training set and the regression basis stays identifiable.
+    a deterministic enrollment prefix of the fleet (day 0 is the full
+    fleet, later days a drawn fraction of it) so the rated-power
+    regressors vary across the training set and the regression basis
+    stays identifiable.  Houses step independently and initial states
+    come from one stream, so a prefix run equals metering that prefix of
+    a full-fleet run.
     """
     if not houses:
         raise ValueError("cannot train on an empty population")
@@ -469,28 +422,16 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],
         fraction = 1.0
         if cfg.vary_training_enrollment and day > 0:
             fraction = float(enroll_gen.uniform(0.7, 1.0))
+        duration_s = len(traces) * traces.cadence_s - cfg.warmup_s
+        if duration_s <= 0:
+            continue
         n_enrolled = max(1, int(round(fraction * len(houses))))
-
-        fleet = build_fleet(houses, cfg.sim_step_s)
-        seed_fleet_states(fleet, cfg.seed)
-        stepper = _Stepper(fleet, cfg.n_workers)
-        enrolled = np.zeros(fleet.n, dtype=bool)
-        enrolled[:n_enrolled] = True
-        total_enrolled = float(np.sum(fleet.rated_kw * enrolled))
-
-        total_s = len(traces) * traces.cadence_s
-        try:
-            for t in range(0, total_s, cfg.sim_step_s):
-                idx = t // traces.cadence_s
-                stepper.thermostat()
-                if t % cfg.record_cycle_s == 0 and t >= cfg.warmup_s:
-                    p_free = float(np.sum(fleet.rated_kw * (fleet.on & enrolled)))
-                    samples.append(TrainingSample(
-                        t_out=float(traces.t_out_c[idx]),
-                        solar=float(traces.solar_wm2[idx]),
-                        total_rated=total_enrolled,
-                        p_ac_free=p_free))
-                stepper.advance(float(traces.t_out_c[idx]), float(traces.solar_wm2[idx]))
-        finally:
-            stepper.close()
+        run = run_scenario(replace(cfg, duration_s=duration_s),
+                           houses[:n_enrolled], traces, None, controlled=False)
+        for row in range(run.metric_slice().start, len(run.time_s)):
+            samples.append(TrainingSample(
+                t_out=float(traces.t_out_c[row]),
+                solar=float(traces.solar_wm2[row]),
+                total_rated=run.total_rated_kw,
+                p_ac_free=float(run.p_ac_actual[row])))
     return samples

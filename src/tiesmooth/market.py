@@ -129,6 +129,8 @@ def clear_market(curve: DemandCurve, target: float) -> ClearingOutcome:
     p_hi = prices[j - 1] if j > 0 else SENTINEL_ALL_OFF
     p_lo = prices[j] if j < n_groups else SENTINEL_ALL_ON
     p_star = 0.5 * (p_hi + p_lo)
+    if p_star >= p_hi:  # adjacent doubles: the midpoint rounded onto p_hi
+        p_star = p_lo
     return ClearingOutcome(p_star, committed, ClearingKind.NORMAL)
 
 

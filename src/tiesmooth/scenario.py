@@ -111,7 +111,6 @@ class ScenarioConfig:
     soa_feedback_enabled: bool = True
     training_days: int = 3
     vary_training_enrollment: bool = True
-    n_workers: int = 1
     epsilon_margin_c: float = 0.05
     tau_s: float = 3000.0
     correction: CorrectionParams = field(default_factory=CorrectionParams)
@@ -133,8 +132,6 @@ class ScenarioConfig:
             raise ValueError("duration_s must be positive and warmup_s >= 0")
         if self.training_days < 1:
             raise ValueError("training_days must be >= 1")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
 
     @property
     def total_s(self) -> int:
@@ -153,9 +150,9 @@ _SCALAR_SECTION = ("n_acl", "seed", "sim_step_s", "record_cycle_s",
                    "control_cycle_s", "bid_lead_s", "duration_s", "warmup_s",
                    "wind_capacity_ratio", "acl_peak_share", "baseline_bias",
                    "soa_feedback_enabled", "training_days",
-                   "vary_training_enrollment", "n_workers", "epsilon_margin_c")
+                   "vary_training_enrollment", "epsilon_margin_c")
 _INT_KEYS = {"n_acl", "seed", "sim_step_s", "record_cycle_s", "control_cycle_s",
-             "bid_lead_s", "duration_s", "warmup_s", "training_days", "n_workers"}
+             "bid_lead_s", "duration_s", "warmup_s", "training_days"}
 _BOOL_KEYS = {"soa_feedback_enabled", "vary_training_enrollment"}
 
 

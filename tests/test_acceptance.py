@@ -293,14 +293,8 @@ def test_criterion_9_determinism(bundle, paired):
     write_results(reference, controlled)
     repeat = io.StringIO()
     write_results(repeat, run_scenario(cfg, houses, traces, model))
-    parallel = io.StringIO()
-    write_results(parallel, run_scenario(replace(cfg, n_workers=4),
-                                         houses, traces, model))
     same = repeat.getvalue() == reference.getvalue()
-    same_par = parallel.getvalue() == reference.getvalue()
-    report(9, same and same_par,
-           f"repeat identical={same}, 4-worker stepping identical={same_par} "
-           f"({len(reference.getvalue())} bytes)")
+    report(9, same, f"repeat identical={same} ({len(reference.getvalue())} bytes)")
 
 
 def test_criterion_10_baseline_fit(bundle):

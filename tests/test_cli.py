@@ -87,6 +87,20 @@ class TestTrain:
         assert main(["train", "--scenario", str(scen / "scenario.txt"),
                      "--out", str(scen / "model.txt")]) == 3
 
+    def test_nan_training_weather_is_numeric_abort(self, tmp_path):
+        scen = tmp_path / "scen"
+        assert main(["gen-scenario", "--out", str(scen), "--seed", "3",
+                     "--n-acl", "8"]) == 0
+        day0 = scen / "train_day0.csv"
+        lines = day0.read_text().splitlines()
+        for i in range(1000, len(lines)):
+            cols = lines[i].split(",")
+            cols[1] = "nan"
+            lines[i] = ",".join(cols)
+        day0.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--scenario", str(scen / "scenario.txt"),
+                     "--out", str(scen / "model.txt")]) == 4
+
     def test_model_reload_identical_predictions(self, workspace):
         from tiesmooth.baseline import BaselineModel, predict_baseline
         path = workspace / "scen" / "model.txt"
@@ -131,15 +145,6 @@ class TestRun:
         assert "baseline_bias = 0.1" in manifest
         assert "soa_feedback_enabled = false" in manifest
 
-    def test_workers_flag_keeps_outputs_identical(self, workspace):
-        scen = workspace / "scen"
-        out = workspace / "run_par"
-        assert main(["run", "--scenario", str(scen / "scenario.txt"),
-                     "--model", str(scen / "model.txt"), "--workers", "3",
-                     "--out", str(out)]) == 0
-        assert (out / "results.csv").read_bytes() \
-            == (workspace / "run_c" / "results.csv").read_bytes()
-
 
 class TestMetrics:
     def test_compare_paired_runs(self, workspace):
@@ -150,7 +155,11 @@ class TestMetrics:
         for name in ("metrics.txt", "smoothing.csv", "fluctuation.csv",
                      "s_trajectory.csv"):
             assert (out / name).exists()
-        assert "max_fluct_reduction_pct" in (out / "metrics.txt").read_text()
+        text = (out / "metrics.txt").read_text()
+        assert "max_fluct_reduction_pct" in text
+        for line in text.splitlines():
+            if " = " in line:
+                float(line.split(" = ", 1)[1])  # builtin floats, no np.float64(...)
 
     def test_self_comparison_zero_reduction(self, workspace):
         out = workspace / "metrics_self"

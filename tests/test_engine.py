@@ -1,7 +1,6 @@
 """Simulation harness: scheduling, balance, determinism, training runs."""
 
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from tiesmooth.agents import (AclAgentState, apply_clearing_price, compute_soa,
                               thermostat_step)
 from tiesmooth.baseline import BaselineModel
-from tiesmooth.engine import (NumericAbortError, _thermostat_slice,
+from tiesmooth.engine import (NumericAbortError, _advance_slice, _thermostat_slice,
                               build_fleet, fleet_soa, load_run_dir,
                               run_scenario, run_training_simulation,
                               seed_fleet_states, write_results, write_run_dir)
@@ -37,6 +36,12 @@ def constant_traces(total_s, t_out=33.0, solar=400.0, load=800.0, wind=200.0):
                     t_out_c=np.full(n, t_out), solar_wm2=np.full(n, solar),
                     p_load_kw=quantize_kw(np.full(n, load)),
                     p_wind_kw=quantize_kw(np.full(n, wind)), cadence_s=10)
+
+
+def head(traces, rows):
+    return TraceSet(time_s=traces.time_s[:rows], t_out_c=traces.t_out_c[:rows],
+                    solar_wm2=traces.solar_wm2[:rows], p_load_kw=traces.p_load_kw[:rows],
+                    p_wind_kw=traces.p_wind_kw[:rows], cadence_s=traces.cadence_s)
 
 
 def flat_model(level_kw):
@@ -67,7 +72,7 @@ class TestVectorKernelsMatchScalarOps:
             expected_on.append(stepped.compressor_on)
             expected_soa.append(compute_soa(float(fleet.t_air[i]), house.agent))
         soa = fleet_soa(fleet)
-        _thermostat_slice(fleet, 0, fleet.n)
+        _thermostat_slice(fleet)
         assert list(fleet.on) == expected_on
         assert np.allclose(soa, expected_soa, rtol=0, atol=0)
 
@@ -95,8 +100,7 @@ class TestVectorKernelsMatchScalarOps:
         t_air0 = result_fleet.t_air.copy()
         t_mass0 = result_fleet.t_mass.copy()
         on = result_fleet.on.copy()
-        from tiesmooth.engine import _advance_slice
-        _advance_slice(result_fleet, 0, result_fleet.n, 33.0, 400.0)
+        _advance_slice(result_fleet, 33.0, 400.0)
         w = WeatherSample(33.0, 400.0)
         for i, house in enumerate(population):
             expected = etp_step(ThermalState(float(t_air0[i]), float(t_mass0[i])),
@@ -178,16 +182,23 @@ class TestDeterminism:
         write_results(out2, run_scenario(cfg, population, traces, flat_model(20.0)))
         assert out1.getvalue() == out2.getvalue()
 
-    def test_parallel_stepping_identical(self, population):
-        cfg = small_cfg()
-        traces = make_traces(cfg)
-        serial = io.StringIO()
-        write_results(serial, run_scenario(cfg, population, traces, flat_model(20.0)))
-        for workers in (2, 3, 5):
-            parallel = io.StringIO()
-            write_results(parallel, run_scenario(
-                replace(cfg, n_workers=workers), population, traces, flat_model(20.0)))
-            assert parallel.getvalue() == serial.getvalue()
+    def test_fleet_prefix_steps_like_full_fleet(self, population):
+        # houses step independently and seed from one stream, so a prefix
+        # of the fleet evolves bit-for-bit like the same houses in the full
+        # fleet; training's enrollment subsets rely on this
+        k = 7
+        full = build_fleet(population, 5.0)
+        part = build_fleet(population[:k], 5.0)
+        seed_fleet_states(full, 9)
+        seed_fleet_states(part, 9)
+        for step in range(100):
+            t_out = 30.0 + 4.0 * np.sin(step / 10.0)
+            for fleet in (full, part):
+                _thermostat_slice(fleet)
+                _advance_slice(fleet, t_out, 500.0)
+            assert np.array_equal(part.t_air, full.t_air[:k])
+            assert np.array_equal(part.t_mass, full.t_mass[:k])
+            assert np.array_equal(part.on, full.on[:k])
 
 
 class TestDegenerateAndFixedPoints:
@@ -277,6 +288,19 @@ class TestTrainingSimulation:
         days = [make_traces(cfg, seed=100 + d) for d in range(2)]
         samples = run_training_simulation(cfg, population, days)
         assert len({s.total_rated for s in samples}) == 1
+
+    def test_too_short_day_keeps_later_draws(self, population):
+        # a day no longer than the warm-up yields no samples but still
+        # consumes its enrollment draw, so day 2 meters the same houses
+        cfg = small_cfg(duration_s=1800, warmup_s=1800, training_days=3)
+        days = [head(make_traces(cfg, seed=100 + d), cfg.total_s // 10)
+                for d in range(3)]
+        short = head(days[1], cfg.warmup_s // 10)
+        full = run_training_simulation(cfg, population, days)
+        skipped = run_training_simulation(cfg, population, [days[0], short, days[2]])
+        per_day = len(full) // 3
+        assert len({s.total_rated for s in full}) == 3
+        assert skipped == full[:per_day] + full[2 * per_day:]
 
 
 class TestRunDirRoundTrip:

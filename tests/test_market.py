@@ -19,7 +19,7 @@ def brute_force_clear(bids, target):
     the candidate commitments are the group-boundary prefixes, scored by
     |power - target| with ties toward committing more.  The price is the
     midpoint across the boundary, with virtual prices +2 / -2 beyond the
-    ends.
+    ends, or the lower price when the midpoint rounds onto the upper one.
     """
     ordered = sorted(bids, key=lambda b: (-b.price, b.agent_id))
     total = sum(b.quantity for b in ordered)
@@ -47,7 +47,8 @@ def brute_force_clear(bids, target):
     committed = candidates[best_j]
     hi = group_prices[best_j - 1] if best_j > 0 else 2.0
     lo = group_prices[best_j] if best_j < len(group_prices) else -2.0
-    return (hi + lo) / 2.0, committed, "normal"
+    mid = (hi + lo) / 2.0
+    return (mid if mid < hi else lo), committed, "normal"
 
 
 def bid(price, quantity, on=False, agent_id=0):
@@ -126,6 +127,18 @@ class TestClearMarket:
         out = clear_market(curve, 2.0)  # inside the first (grouped) block
         assert out.committed_power in (0.0, 4.0)
         assert committed_power_at_price(curve, out.p_star) == out.committed_power
+
+    @pytest.mark.parametrize("p_hi", [0.0, 1.0, -0.5])
+    def test_adjacent_prices_keep_broadcast_contract(self, p_hi):
+        # the midpoint of two adjacent doubles rounds onto one of them; the
+        # broadcast price must still turn on exactly the committed bids
+        p_lo = float(np.nextafter(p_hi, -np.inf))
+        curve = build_demand_curve([bid(p_hi, 1.0, agent_id=0),
+                                    bid(p_lo, 1.0, agent_id=1)])
+        out = clear_market(curve, 1.0)
+        assert out.committed_power == 1.0
+        assert committed_power_at_price(curve, out.p_star) == 1.0
+        assert out.p_star == brute_force_clear(curve.steps, 1.0)[0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
