@@ -14,11 +14,12 @@ from .baseline import (BaselineModel, CorrectionParams, CorrectionState,
                        TrainingSample, build_features, correct_baseline,
                        delta_p_adj, fit_baseline_model, predict_baseline)
 from .engine import (RunResult, run_scenario, run_training_simulation)
-from .market import (Bid, ClearingKind, ClearingOutcome, DemandCurve,
+from .market import (Bid, BidBatch, ClearingKind, ClearingOutcome, DemandCurve,
                      build_demand_curve, clear_market, estimate_net_load)
 from .metrics import MetricsReport, compute_metrics, fluctuation_rate
-from .mgcc import (CycleRecord, LpfState, MgccConfig, compute_aggregate_soa,
-                   compute_target_power, lpf_step, run_control_cycle)
+from .mgcc import (ContractError, CycleRecord, LpfState, MgccConfig,
+                   compute_aggregate_soa, compute_target_power, lpf_step,
+                   run_control_cycle)
 from .population import House, generate_population
 from .scenario import PopulationSpec, ScenarioConfig, load_scenario, save_scenario
 from .thermal import (EtpParameters, HouseGeometry, ThermalState, WeatherSample,

@@ -1,7 +1,8 @@
 """Command-line pipeline: scenario generation, training, runs, metrics.
 
-Exit codes are a stable contract: 0 success, 2 I/O problems, 3 baseline
-fit failure, 4 numeric abort inside a run, 5 incomparable run pair.
+Exit codes are a stable contract: 0 success, 2 unreadable or malformed
+input (I/O problems), 3 baseline fit failure, 4 numeric abort inside a
+run, 5 incomparable run pair.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def cmd_train(args) -> int:
         for day in range(cfg.training_days):
             with open(base / f"train_day{day}.csv") as fh:
                 day_traces.append(read_traces(fh, cfg.record_cycle_s))
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -172,7 +173,7 @@ def cmd_run(args) -> int:
             model_path = Path(args.model) if args.model else scenario_path.parent / "model.txt"
             model = BaselineModel.load(model_path)
         out.mkdir(parents=True, exist_ok=True)
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .baseline import BaselineModel, CorrectionState, TrainingSample
-from .market import Bid
+from .market import BidBatch
 from .mgcc import CycleRecord, LpfState, run_control_cycle
 from .population import House
 from .scenario import ScenarioConfig
@@ -193,7 +193,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
     """Execute one full run (controlled or free) over the given traces.
 
     When `bid_audit` is a list, every cleared cycle appends
-    (k, bids, p_star, committed_power) so callers can audit the market.
+    (k, bid batch, p_star, committed_power) so callers can audit the market.
     """
     if controlled and model is None:
         raise ValueError("a controlled run needs a baseline model")
@@ -212,7 +212,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
     corr = CorrectionState()
     records: list[CycleRecord] = []
     gaps: list[int] = []
-    pending: Optional[tuple[list[Bid], float, float, float]] = None
+    pending: Optional[tuple[BidBatch, float, float, float]] = None
     latest_p_g0 = float("nan")
     latest_lpf = float("nan")
     latest_target = float("nan")
@@ -241,9 +241,9 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
             _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
             soa = fleet_soa(fleet)
             fleet.soa_bid = soa
-            bids = [Bid(price=float(soa[i]), quantity=float(fleet.rated_kw[i]),
-                        on_state=bool(fleet.on[i]), agent_id=i)
-                    for i in range(fleet.n)]
+            # the batch outlives the bid lead (and the run, when audited), so
+            # it holds its own copy of the bid-time on states
+            bids = BidBatch(soa, fleet.rated_kw, fleet.on.copy(), np.arange(fleet.n))
             _, p_g_meas = _tie_line_kw(fleet, traces, idx)
             pending = (bids, p_g_meas, t_out, solar)
 

@@ -21,12 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, TextIO
 
 from .baseline import (BaselineModel, CorrectionParams, CorrectionState,
                        correct_baseline, predict_baseline)
-from .market import (Bid, ClearingKind, build_demand_curve, clear_market,
-                     committed_power_at_price, estimate_net_load)
+from .market import (Bid, BidBatch, ClearingKind, build_demand_curve, clear_market,
+                     committed_power_at_price, estimate_net_load, sequential_sum)
+
+
+class ContractError(AssertionError):
+    """An exact identity of the control cycle does not hold.
+
+    Raised explicitly rather than by `assert`, so `python -O` keeps the
+    checks.
+    """
 
 
 @dataclass(frozen=True)
@@ -65,11 +73,15 @@ def lpf_step(state: LpfState, p_g0: float, cfg: MgccConfig) -> tuple[float, LpfS
 
 
 def compute_aggregate_soa(bids: Iterable[Bid]) -> float:
-    """Mean bid price = mean normalized temperature state of the fleet."""
-    prices = [b.price for b in bids]
-    if not prices:
+    """Mean bid price = mean normalized temperature state of the fleet.
+
+    The prices are added left to right, so S is the same bits on every
+    Python and NumPy version.
+    """
+    batch = BidBatch.of(bids)
+    if not batch:
         raise ValueError("cannot aggregate zero bids")
-    return sum(prices) / len(prices)
+    return sequential_sum(batch.price) / len(batch)
 
 
 def compute_target_power(p_base: float, net_load: float, lpf: LpfState,
@@ -107,14 +119,20 @@ class CycleRecord:
     committed_power: float
 
     def __post_init__(self):
-        assert self.p_g0 == self.p_base + self.net_load
-        assert self.p_ac_target == max(0.0, self.p_base + self.delta_p_ac)
-        assert -1.0 <= self.s_aggregate <= 1.0
+        if self.p_g0 != self.p_base + self.net_load:
+            raise ContractError(f"cycle {self.k}: p_g0 {self.p_g0!r} is not "
+                                f"p_base + net_load")
+        if self.p_ac_target != max(0.0, self.p_base + self.delta_p_ac):
+            raise ContractError(f"cycle {self.k}: p_ac_target {self.p_ac_target!r} "
+                                f"is not max(0, p_base + delta_p_ac)")
+        if not -1.0 <= self.s_aggregate <= 1.0:
+            raise ContractError(f"cycle {self.k}: s_aggregate {self.s_aggregate!r} "
+                                f"outside [-1, 1]")
 
 
 def run_control_cycle(
     k: int,
-    bids: Sequence[Bid],
+    bids: Iterable[Bid],
     p_g_measured: float,
     t_out: float,
     solar: float,
@@ -133,6 +151,7 @@ def run_control_cycle(
     `baseline_scale` multiplies the raw prediction (deliberate error
     injection for robustness experiments).
     """
+    bids = BidBatch.of(bids)
     if not bids:
         return None, None, corr_state, lpf_state
 
@@ -153,8 +172,11 @@ def run_control_cycle(
     outcome = clear_market(curve, p_ac_target)
     if outcome.kind is ClearingKind.NORMAL:
         # the broadcast price alone must reproduce the committed power
-        assert committed_power_at_price(curve, outcome.p_star) \
-            == outcome.committed_power
+        verified = committed_power_at_price(curve, outcome.p_star)
+        if verified != outcome.committed_power:
+            raise ContractError(
+                f"cycle {k}: broadcast price {outcome.p_star!r} turns on "
+                f"{verified!r} kW, the clearing committed {outcome.committed_power!r} kW")
 
     record = CycleRecord(
         k=k,

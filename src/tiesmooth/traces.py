@@ -209,6 +209,11 @@ def read_traces(fh: TextIO, cadence_s: int | None = None) -> TraceSet:
         raise ValueError(f"trace cadence {cad}s does not match expected {cadence_s}s")
     if np.any(np.diff(time_s) != cad):
         raise ValueError("trace time grid is not uniform")
+    width = TRACE_CSV_HEADER.count(",") + 1
+    if any(len(r) != width for r in rows):
+        raise ValueError(f"trace rows need {width} comma-separated values")
     cols = np.array([[float(v) for v in r[1:]] for r in rows])
+    if not np.all(np.isfinite(cols)):
+        raise ValueError("trace file holds non-finite values")
     return TraceSet(time_s=time_s, t_out_c=cols[:, 0], solar_wm2=cols[:, 1],
                     p_load_kw=cols[:, 2], p_wind_kw=cols[:, 3], cadence_s=cad)

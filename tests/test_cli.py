@@ -18,6 +18,16 @@ def edit_scenario(path, **replacements):
     path.write_text(text)
 
 
+def set_trace_column(path, column, value, start=1):
+    """Overwrite one column of a trace CSV from data row `start` on."""
+    lines = path.read_text().splitlines()
+    for i in range(start, len(lines)):
+        cols = lines[i].split(",")
+        cols[column] = value
+        lines[i] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Generated scenario shrunk to a 2-hour run, trained model, two runs."""
@@ -87,19 +97,22 @@ class TestTrain:
         assert main(["train", "--scenario", str(scen / "scenario.txt"),
                      "--out", str(scen / "model.txt")]) == 3
 
-    def test_nan_training_weather_is_numeric_abort(self, tmp_path):
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_training_weather_is_numeric_abort(self, tmp_path):
         scen = tmp_path / "scen"
         assert main(["gen-scenario", "--out", str(scen), "--seed", "3",
                      "--n-acl", "8"]) == 0
-        day0 = scen / "train_day0.csv"
-        lines = day0.read_text().splitlines()
-        for i in range(1000, len(lines)):
-            cols = lines[i].split(",")
-            cols[1] = "nan"
-            lines[i] = ",".join(cols)
-        day0.write_text("\n".join(lines) + "\n")
+        set_trace_column(scen / "train_day0.csv", 1, "1e308", start=1000)
         assert main(["train", "--scenario", str(scen / "scenario.txt"),
                      "--out", str(scen / "model.txt")]) == 4
+
+    def test_nan_training_trace_is_io_error(self, tmp_path):
+        scen = tmp_path / "scen"
+        assert main(["gen-scenario", "--out", str(scen), "--seed", "3",
+                     "--n-acl", "8"]) == 0
+        set_trace_column(scen / "train_day0.csv", 1, "nan", start=1000)
+        assert main(["train", "--scenario", str(scen / "scenario.txt"),
+                     "--out", str(scen / "model.txt")]) == 2
 
     def test_model_reload_identical_predictions(self, workspace):
         from tiesmooth.baseline import BaselineModel, predict_baseline
@@ -119,6 +132,22 @@ class TestRun:
 
     def test_missing_scenario_is_io_error(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.txt"),
+                     "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_trace_is_io_error(self, workspace, tmp_path, value):
+        scen = workspace / "scen"
+        traces = tmp_path / "traces.csv"
+        traces.write_text((scen / "traces.csv").read_text())
+        set_trace_column(traces, 3, value, start=500)
+        assert main(["run", "--scenario", str(scen / "scenario.txt"),
+                     "--model", str(scen / "model.txt"), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_malformed_scenario_is_io_error(self, tmp_path):
+        scen = tmp_path / "scenario.txt"
+        scen.write_text("[scenario]\nthis line is not a setting\n")
+        assert main(["run", "--scenario", str(scen), "--uncontrolled",
                      "--out", str(tmp_path / "out")]) == 2
 
     def test_idempotent_rerun(self, workspace):

@@ -12,6 +12,7 @@ from tiesmooth.engine import (NumericAbortError, _advance_slice, _thermostat_sli
                               build_fleet, fleet_soa, load_run_dir,
                               run_scenario, run_training_simulation,
                               seed_fleet_states, write_results, write_run_dir)
+from tiesmooth.market import sequential_sum
 from tiesmooth.population import generate_population, total_rated_power_kw
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
 from tiesmooth.thermal import ThermalState, WeatherSample, etp_step
@@ -171,6 +172,19 @@ class TestPowerBalance:
                     break
                 running += b.quantity
             assert running == committed
+
+    def test_audited_bids_keep_bid_time_state(self, population):
+        # a batch lives through the bid lead and, audited, the whole run;
+        # its on states must stay those the tie line was metered with
+        cfg = small_cfg(duration_s=4 * 3600)
+        traces = make_traces(cfg)
+        audit = []
+        result = run_scenario(cfg, population, traces, flat_model(25.0), bid_audit=audit)
+        records = {rec.k: rec for rec in result.cycle_records}
+        assert len(audit) == len(records)
+        for k, bids, _, _ in audit:
+            on_kw = sequential_sum(bids.quantity[bids.on_state])
+            assert records[k].p_g_measured - on_kw == records[k].net_load
 
 
 class TestDeterminism:

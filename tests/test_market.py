@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiesmooth.market import (Bid, ClearingKind, EmptyMarketError,
+from tiesmooth.market import (Bid, BidBatch, ClearingKind, EmptyMarketError,
                               bids_from_csv, bids_to_csv, build_demand_curve,
                               clear_market, committed_power_at_price,
                               estimate_net_load)
@@ -192,6 +192,77 @@ class TestClearMarket:
         gen.shuffle(shuffled)
         out3 = clear_market(build_demand_curve(shuffled), 20.0)
         assert out1 == out2 == out3
+
+
+# Fleet-like price pool: signed zeros, the bounds and adjacent-double pairs,
+# so equal-price groups are large and midpoints can round onto a price.
+_ADJACENT = [0.5, float(np.nextafter(0.5, -np.inf)), 5e-324, -5e-324,
+             float(np.nextafter(1.0, -np.inf)), float(np.nextafter(-1.0, np.inf))]
+PRICE_POOL = [0.0, -0.0, 1.0, -1.0, 0.25, -0.75] + _ADJACENT
+
+
+@st.composite
+def fleet_batches(draw):
+    n = draw(st.integers(1, 300))
+    price = draw(st.lists(st.sampled_from(PRICE_POOL), min_size=n, max_size=n))
+    # multiples of 2**-10 kW, like device ratings: prefix sums are exact
+    quantity = [q / 1024.0 for q in draw(st.lists(
+        st.integers(1, 6 * 1024), min_size=n, max_size=n))]
+    on_state = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    agent_id = draw(st.permutations(range(n)))
+    return BidBatch(price, quantity, on_state, agent_id)
+
+
+class TestBidBatch:
+    @pytest.mark.parametrize("price, quantity", [
+        (0.5, 0.0), (0.5, -1.0), (1.5, 1.0), (-1.0000001, 1.0), (float("nan"), 1.0)])
+    def test_rejects_invalid_bids(self, price, quantity):
+        with pytest.raises(ValueError):
+            BidBatch([0.1, price], [1.0, quantity], [False, True], [0, 1])
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            BidBatch([0.1, 0.2], [1.0], [False, True], [0, 1])
+
+    def test_rows_and_length(self):
+        batch = BidBatch([0.25, -0.5], [2.5, 1.0], [True, False], [4, 9])
+        assert len(batch) == 2
+        assert list(batch) == [bid(0.25, 2.5, on=True, agent_id=4),
+                               bid(-0.5, 1.0, on=False, agent_id=9)]
+        assert BidBatch.of(batch) is batch
+
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_batches(), st.data())
+    def test_fleet_shapes_match_oracle(self, batch, data):
+        curve = build_demand_curve(batch)
+        ordered = sorted(batch, key=lambda b: (-b.price, b.agent_id))
+        assert [b.agent_id for b in curve.steps] == [b.agent_id for b in ordered]
+        total = curve.total_quantity
+        # a target on a step end, halfway between two group ends (exact:
+        # dyadic sums, so the nearer-prefix rule ties) or anywhere
+        ends = [0.0] + curve.group_end.tolist()
+        target = data.draw(st.one_of(
+            st.sampled_from([0.0] + curve.cumulative.tolist()),
+            st.sampled_from([(a + b) / 2.0 for a, b in zip(ends, ends[1:])]),
+            st.floats(-1.0, total + 1.0, allow_nan=False)))
+        out = clear_market(curve, target)
+        assert (out.p_star, out.committed_power, out.kind.value) \
+            == brute_force_clear(list(batch), target)
+        if out.kind is ClearingKind.NORMAL:
+            running = 0.0
+            for b in batch:
+                if b.price > out.p_star:
+                    running += b.quantity
+            assert running == out.committed_power
+            assert committed_power_at_price(curve, out.p_star) == out.committed_power
+
+    @settings(max_examples=50, deadline=None)
+    @given(fleet_batches())
+    def test_round_trips_through_rows(self, batch):
+        again = BidBatch.of(list(batch))
+        for name in ("price", "quantity", "on_state", "agent_id"):
+            # byte equality also tells -0.0 from 0.0
+            assert getattr(again, name).tobytes() == getattr(batch, name).tobytes()
 
 
 class TestEstimateNetLoad:

@@ -2,14 +2,19 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tiesmooth import mgcc
 from tiesmooth.baseline import BaselineModel, CorrectionState
 from tiesmooth.market import Bid
-from tiesmooth.mgcc import (CYCLE_CSV_HEADER, CycleRecord, LpfState, MgccConfig,
-                            compute_aggregate_soa, compute_target_power,
+from tiesmooth.mgcc import (CYCLE_CSV_HEADER, ContractError, CycleRecord, LpfState,
+                            MgccConfig, compute_aggregate_soa, compute_target_power,
                             lpf_sinusoid_gain, lpf_step, run_control_cycle,
                             write_cycle_records)
 
@@ -81,6 +86,21 @@ class TestAggregateSoa:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compute_aggregate_soa([])
+
+    def test_sums_left_to_right(self):
+        # sequential, pairwise and compensated summation all disagree here;
+        # S must be the plain running sum on every Python and NumPy
+        prices = [1.0] + [1e-16] * 10 + [-1.0]
+        acc = 0.0
+        for p in prices:
+            acc += p
+        assert acc != math.fsum(prices) and acc != float(np.sum(prices))
+        bids = [Bid(p, 1.0, False, i) for i, p in enumerate(prices)]
+        assert compute_aggregate_soa(bids) == acc / len(prices)
+
+    def test_negative_zero_sums_like_a_loop(self):
+        bids = [Bid(-0.0, 1.0, False, i) for i in range(3)]
+        assert math.copysign(1.0, compute_aggregate_soa(bids)) == 1.0
 
 
 class TestComputeTargetPower:
@@ -208,8 +228,32 @@ class TestCycleRecordCsv:
         assert float(values[10]) == rec.committed_power
 
     def test_record_identities_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ContractError):
             CycleRecord(k=0, p_g_measured=1.0, net_load=1.0, p_base0=1.0,
                         p_base=1.0, p_g0=99.0, p_g_lpf=1.0, delta_p_ac=0.0,
                         p_ac_target=1.0, s_aggregate=0.0, p_star=0.0,
                         committed_power=0.0)
+
+    def test_record_identities_survive_optimize_flag(self):
+        # python -O strips assert statements; the identities must still raise
+        src = Path(mgcc.__file__).resolve().parents[1]
+        code = ("from tiesmooth.mgcc import ContractError, CycleRecord\n"
+                "try:\n"
+                "    CycleRecord(k=0, p_g_measured=1.0, net_load=1.0, p_base0=1.0,\n"
+                "                p_base=1.0, p_g0=99.0, p_g_lpf=1.0, delta_p_ac=0.0,\n"
+                "                p_ac_target=1.0, s_aggregate=0.0, p_star=0.0,\n"
+                "                committed_power=0.0)\n"
+                "except ContractError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_broadcast_contract_breach_raises(cfg, monkeypatch):
+    bids, model, corr, lpf = golden_inputs()
+    monkeypatch.setattr(mgcc, "committed_power_at_price", lambda curve, p: -1.0)
+    with pytest.raises(ContractError):
+        run_control_cycle(3, bids, 500.0, 33.0, 600.0, 9.0, model, corr, lpf, cfg)

@@ -140,3 +140,14 @@ class TestTraceCsv:
     def test_header_check(self):
         with pytest.raises(ValueError):
             read_traces(io.StringIO("wrong,header\n1,2,3,4,5\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, value):
+        text = f"{TRACE_CSV_HEADER}\n0,30.0,0.0,100.0,5.0\n10,30.0,{value},100.0,5.0\n"
+        with pytest.raises(ValueError, match="non-finite"):
+            read_traces(io.StringIO(text))
+
+    def test_short_rows_rejected(self):
+        text = f"{TRACE_CSV_HEADER}\n0,30.0,0.0,100.0\n10,30.0,0.0,100.0\n"
+        with pytest.raises(ValueError):
+            read_traces(io.StringIO(text))
