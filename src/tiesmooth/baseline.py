@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .textio import fmt, parse
+
 FEATURE_NAMES = ("1", "t_out", "solar", "total_rated",
                  "t_out^2", "solar^2", "t_out*solar", "t_out*total_rated")
 
@@ -66,21 +68,16 @@ class BaselineModel:
             raise ValueError("coefficients must be finite")
 
     def save(self, path) -> None:
-        lines = ["# baseline regression coefficients, one per feature term"]
-        for coef, name in zip(self.coefficients, FEATURE_NAMES):
-            lines.append(f"{coef!r}  # {name}")
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("# baseline regression coefficients, one per feature term\n")
+            for coef, name in zip(self.coefficients, FEATURE_NAMES):
+                fh.write(f"{fmt(coef)}  # {name}\n")
 
     @classmethod
     def load(cls, path) -> "BaselineModel":
-        coefs = []
         with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    coefs.append(float(line))
-        return cls(coefficients=tuple(coefs))
+            values = [line.split("#", 1)[0].strip() for line in fh]
+        return cls(coefficients=tuple(parse(v, float) for v in values if v))
 
 
 def fit_baseline_model(samples: Iterable[TrainingSample]) -> BaselineModel:

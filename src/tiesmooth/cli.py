@@ -1,8 +1,9 @@
 """Command-line pipeline: scenario generation, training, runs, metrics.
 
 Exit codes are a stable contract: 0 success, 2 unreadable or malformed
-input (I/O problems), 3 baseline fit failure, 4 numeric abort inside a
-run, 5 incomparable run pair.
+input (I/O problems, a malformed run directory, an unknown scenario
+key), 3 baseline fit failure, 4 numeric abort inside a run, 5
+incomparable run pair.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .metrics import (compute_metrics, write_fluctuation_csv, write_report,
                       write_s_trajectory_csv, write_smoothing_csv)
 from .population import estimate_free_peak_kw, generate_population
 from .scenario import ScenarioConfig, load_scenario, save_scenario, with_overrides
+from .textio import read_keyvals, write_keyvals
 from .traces import (generate_traces, generate_training_traces, peak_weather,
                      read_traces, write_traces)
 
@@ -41,28 +43,24 @@ def _sha256_files(paths) -> str:
 def _write_manifest(outdir: Path, scenario_path, trace_path, model_path,
                     cfg: ScenarioConfig, extra: dict) -> None:
     inputs = [scenario_path, trace_path] + ([model_path] if model_path else [])
-    lines = [
-        f"version = {__version__}",
-        f"scenario = {scenario_path}",
-        f"traces = {trace_path}",
-        f"model = {model_path if model_path else 'none'}",
-        f"seed = {cfg.seed}",
-        f"out = {outdir}",
-        f"inputs_sha256 = {_sha256_files(inputs)}",
-        f"traces_sha256 = {_sha256_files([trace_path])}",
-        f"created_utc = {datetime.now(timezone.utc).isoformat()}",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
-    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    with open(outdir / "manifest.txt", "w") as fh:
+        write_keyvals(fh, {
+            "version": __version__,
+            "scenario": str(scenario_path),
+            "traces": str(trace_path),
+            "model": str(model_path) if model_path else "none",
+            "seed": cfg.seed,
+            "out": str(outdir),
+            "inputs_sha256": _sha256_files(inputs),
+            "traces_sha256": _sha256_files([trace_path]),
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            **extra,
+        })
 
 
 def _read_manifest(rundir: Path) -> dict[str, str]:
-    out = {}
-    for line in (rundir / "manifest.txt").read_text().splitlines():
-        if "=" in line:
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
-    return out
+    with open(rundir / "manifest.txt") as fh:
+        return read_keyvals(fh)
 
 
 def _population(cfg: ScenarioConfig):
@@ -187,9 +185,9 @@ def cmd_run(args) -> int:
 
     write_run_dir(out, result)
     _write_manifest(out, scenario_path, trace_path, model_path, cfg, {
-        "uncontrolled": str(args.uncontrolled).lower(),
-        "baseline_bias": repr(cfg.baseline_bias),
-        "soa_feedback_enabled": str(cfg.soa_feedback_enabled).lower(),
+        "uncontrolled": args.uncontrolled,
+        "baseline_bias": cfg.baseline_bias,
+        "soa_feedback_enabled": cfg.soa_feedback_enabled,
         "results_sha256": _sha256_files([out / "results.csv"]),
     })
     kind = "uncontrolled" if args.uncontrolled else "controlled"
@@ -202,26 +200,21 @@ def cmd_metrics(args) -> int:
     cdir, udir = Path(args.controlled), Path(args.uncontrolled)
     out = Path(args.out)
     try:
-        man_c = _read_manifest(cdir)
-        man_u = _read_manifest(udir)
-    except (FileNotFoundError, OSError) as exc:
+        man_c, man_u = _read_manifest(cdir), _read_manifest(udir)
+        controlled, uncontrolled = load_run_dir(cdir), load_run_dir(udir)
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    if man_c.get("traces_sha256") != man_u.get("traces_sha256"):
-        print("error: runs were produced from different traces and cannot "
-              "be compared", file=sys.stderr)
-        return EXIT_INCOMPARABLE
 
     try:
-        controlled = load_run_dir(cdir)
-        uncontrolled = load_run_dir(udir)
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if man_c.get("traces_sha256") != man_u.get("traces_sha256"):
+            raise ValueError("they were produced from different traces")
+        report = compute_metrics(controlled, uncontrolled)
+    except ValueError as exc:
+        print(f"error: runs cannot be compared: {exc}", file=sys.stderr)
+        return EXIT_INCOMPARABLE
 
-    report = compute_metrics(controlled, uncontrolled)
     with open(out / "metrics.txt", "w") as fh:
         write_report(fh, report)
     with open(out / "smoothing.csv", "w") as fh:

@@ -16,6 +16,7 @@ point, not just close.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -23,9 +24,11 @@ import numpy as np
 from . import rng
 from .baseline import BaselineModel, CorrectionState, TrainingSample
 from .market import BidBatch
-from .mgcc import CycleRecord, LpfState, run_control_cycle
+from .mgcc import (CycleRecord, LpfState, read_cycle_records, run_control_cycle,
+                   write_cycle_records)
 from .population import House
 from .scenario import ScenarioConfig
+from .textio import fmt, parse, read_keyvals, read_table, write_keyvals, write_table
 from .thermal import discretize
 from .traces import TraceSet
 
@@ -166,14 +169,15 @@ class RunResult:
 RESULTS_CSV_HEADER = ("time_s,p_g,p_g0_reference,p_g_lpf,p_ac_actual,"
                       "p_ac_target,s_aggregate,n_on")
 
+# summary.txt: these RunResult scalars by type, then the gap cycles
+_SUMMARY_TYPES = {"controlled": bool, "record_cycle_s": int, "control_cycle_s": int,
+                 "warmup_s": int, "total_rated_kw": float,
+                 "comfort_violation_acl_min": float, "total_acl_min": float}
+
 
 def write_results(fh: TextIO, r: RunResult) -> None:
-    fh.write(RESULTS_CSV_HEADER + "\n")
-    for i in range(len(r.time_s)):
-        fh.write(f"{int(r.time_s[i])},{float(r.p_g[i])!r},"
-                 f"{float(r.p_g0_reference[i])!r},{float(r.p_g_lpf[i])!r},"
-                 f"{float(r.p_ac_actual[i])!r},{float(r.p_ac_target[i])!r},"
-                 f"{float(r.s_aggregate[i])!r},{int(r.n_on[i])}\n")
+    write_table(fh, RESULTS_CSV_HEADER,
+                [getattr(r, name) for name in RESULTS_CSV_HEADER.split(",")])
 
 
 def _check_finite(fleet: Fleet, cycle: int) -> None:
@@ -308,27 +312,8 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
     )
 
 
-def read_results(fh: TextIO) -> dict[str, np.ndarray]:
-    header = fh.readline().strip()
-    if header != RESULTS_CSV_HEADER:
-        raise ValueError(f"unexpected results CSV header: {header!r}")
-    names = RESULTS_CSV_HEADER.split(",")
-    rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {}
-    for j, name in enumerate(names):
-        if name in ("time_s", "n_on"):
-            cols[name] = np.array([int(r[j]) for r in rows], dtype=np.int64)
-        else:
-            cols[name] = np.array([float(r[j]) for r in rows])
-    return cols
-
-
 def write_run_dir(outdir, result: RunResult) -> None:
     """Persist one run: record rows, cycle ledger and a scalar summary."""
-    from pathlib import Path
-
-    from .mgcc import write_cycle_records
-
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.csv", "w") as fh:
@@ -336,67 +321,30 @@ def write_run_dir(outdir, result: RunResult) -> None:
     with open(out / "cycles.csv", "w") as fh:
         write_cycle_records(fh, result.cycle_records)
     with open(out / "summary.txt", "w") as fh:
-        fh.write(f"controlled = {str(result.controlled).lower()}\n")
-        fh.write(f"record_cycle_s = {result.record_cycle_s}\n")
-        fh.write(f"control_cycle_s = {result.control_cycle_s}\n")
-        fh.write(f"warmup_s = {result.warmup_s}\n")
-        fh.write(f"total_rated_kw = {result.total_rated_kw!r}\n")
-        fh.write(f"comfort_violation_acl_min = {result.comfort_violation_acl_min!r}\n")
-        fh.write(f"total_acl_min = {result.total_acl_min!r}\n")
-        fh.write(f"gaps = {','.join(str(g) for g in result.gaps)}\n")
+        write_keyvals(fh, {**{key: getattr(result, key) for key in _SUMMARY_TYPES},
+                           "gaps": ",".join(map(fmt, result.gaps))})
 
 
 def load_run_dir(rundir) -> RunResult:
-    """Rebuild a RunResult from a run directory written by write_run_dir."""
-    from pathlib import Path
+    """Rebuild a RunResult from a run directory written by write_run_dir.
 
-    from .mgcc import CYCLE_CSV_HEADER
-
+    Raises ValueError when a file is malformed, including a cycle row
+    that breaks a `CycleRecord` identity.
+    """
     run = Path(rundir)
     with open(run / "results.csv") as fh:
-        cols = read_results(fh)
-
-    summary = {}
-    with open(run / "summary.txt") as fh:
-        for line in fh:
-            if "=" in line:
-                key, value = (part.strip() for part in line.split("=", 1))
-                summary[key] = value
-
-    records = []
+        cols = read_table(fh, RESULTS_CSV_HEADER, ints=("time_s", "n_on"))
     with open(run / "cycles.csv") as fh:
-        header = fh.readline().strip()
-        if header != CYCLE_CSV_HEADER:
-            raise ValueError(f"unexpected cycle CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            v = line.split(",")
-            records.append(CycleRecord(
-                k=int(v[0]), p_g_measured=float(v[1]), net_load=float(v[2]),
-                p_base0=float(v[3]), p_base=float(v[4]), p_g0=float(v[5]),
-                p_g_lpf=float(v[6]),
-                delta_p_ac=float(v[6]) - float(v[5]),
-                p_ac_target=float(v[7]), s_aggregate=float(v[8]),
-                p_star=float(v[9]), committed_power=float(v[10])))
-
-    gaps_text = summary.get("gaps", "")
+        records = read_cycle_records(fh)
+    with open(run / "summary.txt") as fh:
+        summary = read_keyvals(fh)
+    if summary.keys() != {*_SUMMARY_TYPES, "gaps"}:
+        raise ValueError(f"summary.txt holds the keys {sorted(summary)}, expected "
+                         f"{sorted({*_SUMMARY_TYPES, 'gaps'})}")
     return RunResult(
-        controlled=summary["controlled"] == "true",
-        record_cycle_s=int(summary["record_cycle_s"]),
-        control_cycle_s=int(summary["control_cycle_s"]),
-        warmup_s=int(summary["warmup_s"]),
-        total_rated_kw=float(summary["total_rated_kw"]),
-        time_s=cols["time_s"], p_g=cols["p_g"],
-        p_g0_reference=cols["p_g0_reference"], p_g_lpf=cols["p_g_lpf"],
-        p_ac_actual=cols["p_ac_actual"], p_ac_target=cols["p_ac_target"],
-        s_aggregate=cols["s_aggregate"], n_on=cols["n_on"],
-        cycle_records=records,
-        gaps=[int(g) for g in gaps_text.split(",") if g],
-        comfort_violation_acl_min=float(summary["comfort_violation_acl_min"]),
-        total_acl_min=float(summary["total_acl_min"]),
-    )
+        **{key: parse(summary[key], kind) for key, kind in _SUMMARY_TYPES.items()},
+        **cols, cycle_records=records,
+        gaps=[parse(g, int) for g in summary["gaps"].split(",") if g])
 
 
 def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],

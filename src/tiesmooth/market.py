@@ -20,8 +20,8 @@ bits on any Python and NumPy; device ratings are multiples of
 
 Bid prices are normalized temperature states in [-1, 1]; the sentinel
 prices +2 / -2 sit outside that range and encode "everyone off" /
-"everyone on".  `Bid` is the row type of a batch, used by the audit CSV
-and wherever single messages are handled.
+"everyone on".  `Bid` is the row type of a batch, used wherever single
+messages are handled; the bid audit CSV is an ordinary `textio` table.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
+
+from .textio import read_table, write_table
 
 SENTINEL_ALL_OFF = 2.0
 SENTINEL_ALL_ON = -2.0
@@ -206,24 +208,15 @@ def estimate_net_load(p_g_measured: float, bids: Iterable[Bid]) -> float:
 BID_CSV_HEADER = "agent_id,price,quantity,on_state"
 
 
-def bids_to_csv(bids: Sequence[Bid]) -> str:
-    lines = [BID_CSV_HEADER]
-    for b in bids:
-        lines.append(f"{b.agent_id},{b.price!r},{b.quantity!r},{int(b.on_state)}")
-    return "\n".join(lines) + "\n"
+def bids_to_csv(bids: Iterable[Bid]) -> str:
+    batch = BidBatch.of(bids)
+    buf = io.StringIO()
+    write_table(buf, BID_CSV_HEADER, [batch.agent_id, batch.price, batch.quantity,
+                                      batch.on_state.astype(np.int64)])
+    return buf.getvalue()
 
 
 def bids_from_csv(text: str) -> list[Bid]:
-    buf = io.StringIO(text)
-    header = buf.readline().strip()
-    if header != BID_CSV_HEADER:
-        raise ValueError(f"unexpected bid CSV header: {header!r}")
-    out = []
-    for line in buf:
-        line = line.strip()
-        if not line:
-            continue
-        agent_id, price, quantity, on_state = line.split(",")
-        out.append(Bid(price=float(price), quantity=float(quantity),
-                       on_state=bool(int(on_state)), agent_id=int(agent_id)))
-    return out
+    cols = read_table(io.StringIO(text), BID_CSV_HEADER, ints=("agent_id", "on_state"))
+    return list(BidBatch(cols["price"], cols["quantity"], cols["on_state"] != 0,
+                         cols["agent_id"]))

@@ -8,12 +8,13 @@ traces and seed) so differences isolate the coordinator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
 
 from .engine import RunResult
+from .textio import write_keyvals, write_table
 
 WINDOW_S = 600
 
@@ -135,43 +136,42 @@ def compute_metrics(controlled: RunResult, uncontrolled: RunResult,
 def write_report(fh: TextIO, report: MetricsReport) -> None:
     fh.write("tie-line smoothing metrics\n")
     fh.write("==========================\n")
-    for name in report.__dataclass_fields__:
-        fh.write(f"{name} = {getattr(report, name)!r}\n")
+    write_keyvals(fh, asdict(report))
+
+
+def _write_interleaved(fh: TextIO, header: str, time_s: np.ndarray,
+                       series: dict[str, np.ndarray]) -> None:
+    """Long format: at each time, one row per named series in dict order."""
+    write_table(fh, header, [np.repeat(time_s, len(series)), list(series) * len(time_s),
+                             np.stack(list(series.values()), axis=1).ravel()])
 
 
 def write_smoothing_csv(fh: TextIO, controlled: RunResult,
                         uncontrolled: RunResult) -> None:
     """Tidy long-format data behind the smoothing comparison plot."""
-    fh.write("time_s,series,value_kw\n")
     sl = controlled.metric_slice()
-    for i in range(sl.start, len(controlled.time_s)):
-        t = int(controlled.time_s[i])
-        fh.write(f"{t},p_g_controlled,{float(controlled.p_g[i])!r}\n")
-        fh.write(f"{t},p_g_uncontrolled,{float(uncontrolled.p_g[i])!r}\n")
-        fh.write(f"{t},p_g_lpf,{float(controlled.p_g_lpf[i])!r}\n")
+    _write_interleaved(fh, "time_s,series,value_kw", controlled.time_s[sl], {
+        "p_g_controlled": controlled.p_g[sl],
+        "p_g_uncontrolled": uncontrolled.p_g[sl],
+        "p_g_lpf": controlled.p_g_lpf[sl]})
 
 
 def write_fluctuation_csv(fh: TextIO, controlled: RunResult,
                           uncontrolled: RunResult,
                           window_s: int = WINDOW_S) -> None:
-    fh.write("time_s,series,value_kw\n")
     sl = controlled.metric_slice()
     rc = controlled.record_cycle_s
     w = window_s // rc
-    fluct_c = fluctuation_series(controlled.p_g[sl], rc, window_s)
-    fluct_u = fluctuation_series(uncontrolled.p_g[sl], rc, window_s)
-    times = controlled.time_s[sl][w - 1:]
-    for t, fc, fu in zip(times, fluct_c, fluct_u):
-        fh.write(f"{int(t)},fluct10_controlled,{float(fc)!r}\n")
-        fh.write(f"{int(t)},fluct10_uncontrolled,{float(fu)!r}\n")
+    _write_interleaved(fh, "time_s,series,value_kw", controlled.time_s[sl][w - 1:], {
+        "fluct10_controlled": fluctuation_series(controlled.p_g[sl], rc, window_s),
+        "fluct10_uncontrolled": fluctuation_series(uncontrolled.p_g[sl], rc, window_s)})
 
 
 def write_s_trajectory_csv(fh: TextIO, controlled: RunResult,
                            uncontrolled: RunResult) -> None:
-    fh.write("time_s,series,value\n")
-    for r in controlled.cycle_records:
-        fh.write(f"{r.k * controlled.control_cycle_s},s_controlled,{r.s_aggregate!r}\n")
+    records = controlled.cycle_records
     sl = uncontrolled.metric_slice()
-    for i in range(sl.start, len(uncontrolled.time_s)):
-        fh.write(f"{int(uncontrolled.time_s[i])},s_uncontrolled,"
-                 f"{float(uncontrolled.s_aggregate[i])!r}\n")
+    write_table(fh, "time_s,series,value", [
+        [r.k * controlled.control_cycle_s for r in records] + uncontrolled.time_s[sl].tolist(),
+        ["s_controlled"] * len(records) + ["s_uncontrolled"] * (sl.stop - sl.start),
+        [r.s_aggregate for r in records] + uncontrolled.s_aggregate[sl].tolist()])

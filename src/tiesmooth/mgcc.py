@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 from .baseline import (BaselineModel, CorrectionParams, CorrectionState,
                        correct_baseline, predict_baseline)
 from .market import (Bid, BidBatch, ClearingKind, build_demand_curve, clear_market,
                      committed_power_at_price, estimate_net_load, sequential_sum)
+from .textio import read_table, write_table
 
 
 class ContractError(AssertionError):
@@ -199,12 +200,19 @@ CYCLE_CSV_HEADER = ("k,p_g_measured,net_load,p_base0,p_base,p_g0,p_g_lpf,"
                     "p_ac_target,s_aggregate,p_star,committed_power")
 
 
-def write_cycle_records(fh: TextIO, records: Iterable[CycleRecord]) -> None:
-    fh.write(CYCLE_CSV_HEADER + "\n")
-    for r in records:
-        fh.write(f"{r.k},{r.p_g_measured!r},{r.net_load!r},{r.p_base0!r},"
-                 f"{r.p_base!r},{r.p_g0!r},{r.p_g_lpf!r},{r.p_ac_target!r},"
-                 f"{r.s_aggregate!r},{r.p_star!r},{r.committed_power!r}\n")
+def write_cycle_records(fh: TextIO, records: Sequence[CycleRecord]) -> None:
+    write_table(fh, CYCLE_CSV_HEADER,
+                [[getattr(r, name) for r in records] for name in CYCLE_CSV_HEADER.split(",")])
+
+
+def read_cycle_records(fh: TextIO) -> list[CycleRecord]:
+    """Rebuild the ledger; a row that breaks a record identity is a ValueError."""
+    cols = read_table(fh, CYCLE_CSV_HEADER, ints=("k",))
+    rows = (dict(zip(cols, values)) for values in zip(*(c.tolist() for c in cols.values())))
+    try:
+        return [CycleRecord(**row, delta_p_ac=row["p_g_lpf"] - row["p_g0"]) for row in rows]
+    except ContractError as exc:
+        raise ValueError(f"malformed cycle ledger: {exc}") from None
 
 
 def lpf_sinusoid_gain(cfg: MgccConfig, period_s: float) -> float:

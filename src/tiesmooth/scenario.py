@@ -1,9 +1,11 @@
 """Scenario configuration: population distributions, timing, file format.
 
 A scenario file is a small sectioned text format (`[section]` headers,
-`key = value` lines, `#` comments) so every knob — including the full
-population distribution tables — is visible and diffable.  Distributions
-are written as `uniform a b` or `normal mean std`.
+`key = value` lines, whole-line `#` comments, read and written by
+`textio`) so every knob — including the full population distribution
+tables — is visible and diffable.  Distributions are written as
+`uniform a b` or `normal mean std`.  A section or key the configuration
+does not have is an error, not a silent default.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .baseline import CorrectionParams
 from .mgcc import MgccConfig
+from .textio import fmt, parse, read_keyvals, write_keyvals
 from .thermal import DerivationConstants
 
 
@@ -46,14 +49,14 @@ class Dist:
         return 0.5 * (self.a + self.b) if self.kind == "uniform" else self.a
 
     def format(self) -> str:
-        return f"{self.kind} {self.a!r} {self.b!r}"
+        return f"{self.kind} {fmt(self.a)} {fmt(self.b)}"
 
     @classmethod
     def parse(cls, text: str) -> "Dist":
         parts = text.split()
         if len(parts) != 3:
             raise ValueError(f"cannot parse distribution {text!r}")
-        return cls(kind=parts[0], a=float(parts[1]), b=float(parts[2]))
+        return cls(kind=parts[0], a=parse(parts[1], float), b=parse(parts[2], float))
 
 
 # House fields in canonical draw order; every house consumes its random
@@ -146,98 +149,54 @@ class ScenarioConfig:
         return PopulationSpec(n=self.n_acl, distributions=dict(self.population))
 
 
-_SCALAR_SECTION = ("n_acl", "seed", "sim_step_s", "record_cycle_s",
-                   "control_cycle_s", "bid_lead_s", "duration_s", "warmup_s",
-                   "wind_capacity_ratio", "acl_peak_share", "baseline_bias",
-                   "soa_feedback_enabled", "training_days",
-                   "vary_training_enrollment", "epsilon_margin_c")
-_INT_KEYS = {"n_acl", "seed", "sim_step_s", "record_cycle_s", "control_cycle_s",
-             "bid_lead_s", "duration_s", "warmup_s", "training_days"}
-_BOOL_KEYS = {"soa_feedback_enabled", "vary_training_enrollment"}
-
-
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _sections(cfg: ScenarioConfig) -> dict[str, dict[str, object]]:
+    """The values of each file section, in file order."""
+    nested = ("tau_s", "correction", "thermal", "population")
+    return {
+        "scenario": {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                     if f.name not in nested},
+        "mgcc": {"tau_s": cfg.tau_s, **{f.name: getattr(cfg.correction, f.name)
+                                        for f in fields(CorrectionParams)}},
+        "thermal": {f.name: getattr(cfg.thermal, f.name)
+                    for f in fields(DerivationConstants)},
+        "population": {name: cfg.population[name]
+                       for name in HOUSE_FIELDS + CONTROLLER_FIELDS},
+    }
 
 
 def save_scenario(cfg: ScenarioConfig, fh: TextIO) -> None:
     fh.write("# tiesmooth scenario configuration\n")
-    fh.write("# powers in kW, temperatures in degC, times in seconds\n\n")
-    fh.write("[scenario]\n")
-    for key in _SCALAR_SECTION:
-        fh.write(f"{key} = {_format_value(getattr(cfg, key))}\n")
-
-    fh.write("\n[mgcc]\n")
-    fh.write(f"tau_s = {_format_value(cfg.tau_s)}\n")
-    c = cfg.correction
-    for key in ("s1", "s2", "s3", "dp1", "dp2", "dp3", "gamma"):
-        fh.write(f"{key} = {_format_value(getattr(c, key))}\n")
-
-    fh.write("\n[thermal]\n")
-    for f in fields(DerivationConstants):
-        fh.write(f"{f.name} = {_format_value(getattr(cfg.thermal, f.name))}\n")
-
-    fh.write("\n[population]\n")
-    fh.write("# uniform <low> <high> | normal <mean> <std>, normals truncated at 3 sigma\n")
-    for name in HOUSE_FIELDS + CONTROLLER_FIELDS:
-        fh.write(f"{name} = {cfg.population[name].format()}\n")
+    fh.write("# powers in kW, temperatures in degC, times in seconds\n")
+    for section, values in _sections(cfg).items():
+        fh.write(f"\n[{section}]\n")
+        if section == "population":
+            fh.write("# uniform <low> <high> | normal <mean> <std>, "
+                     "normals truncated at 3 sigma\n")
+            values = {name: dist.format() for name, dist in values.items()}
+        write_keyvals(fh, values)
 
 
 def load_scenario(fh: TextIO) -> ScenarioConfig:
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
-    for raw in fh:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = sections.setdefault(line[1:-1], {})
-            continue
-        if current is None or "=" not in line:
-            raise ValueError(f"malformed scenario line: {raw.rstrip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        current[key] = value
+    """Read a scenario file; unknown sections and keys are a ValueError.
 
-    def scalar(section: str, key: str, default):
-        text = sections.get(section, {}).get(key)
-        if text is None:
-            return default
-        if key in _BOOL_KEYS:
-            return text.lower() in ("true", "1", "yes")
-        if key in _INT_KEYS:
-            return int(text)
-        return float(text)
-
-    kwargs = {key: scalar("scenario", key, getattr(ScenarioConfig, key))
-              for key in _SCALAR_SECTION}
-
-    mgcc = sections.get("mgcc", {})
-    correction = CorrectionParams(
-        s1=float(mgcc.get("s1", 0.5)), s2=float(mgcc.get("s2", 0.8)),
-        s3=float(mgcc.get("s3", 1.0)), dp1=float(mgcc.get("dp1", 1.0)),
-        dp2=float(mgcc.get("dp2", 2.0)), dp3=float(mgcc.get("dp3", 3.0)),
-        gamma=float(mgcc.get("gamma", 0.02)))
-    tau_s = float(mgcc.get("tau_s", 3000.0))
-
-    thermal_kwargs = {}
-    thermal_section = sections.get("thermal", {})
-    for f in fields(DerivationConstants):
-        if f.name in thermal_section:
-            thermal_kwargs[f.name] = float(thermal_section[f.name])
-    thermal = DerivationConstants(**thermal_kwargs)
-
-    population = default_population_distributions()
-    for name, text in sections.get("population", {}).items():
-        if name not in population:
-            raise ValueError(f"unknown population field {name!r}")
-        population[name] = Dist.parse(text)
-
-    return ScenarioConfig(tau_s=tau_s, correction=correction, thermal=thermal,
-                          population=population, **kwargs)
+    Keys left out keep their defaults, and each value is parsed as the
+    type of its default.
+    """
+    sections = _sections(ScenarioConfig())
+    for name, text in read_keyvals(fh).items():
+        section, _, key = name.rpartition(".")
+        if section not in sections:
+            raise ValueError(f"scenario key {name!r} is outside the sections "
+                             f"{', '.join(sections)}")
+        if key not in sections[section]:
+            raise ValueError(f"unknown key {key!r} in scenario section [{section}]")
+        default = sections[section][key]
+        sections[section][key] = (Dist.parse(text) if isinstance(default, Dist)
+                                  else parse(text, type(default)))
+    mgcc = sections["mgcc"]
+    return ScenarioConfig(tau_s=mgcc.pop("tau_s"), correction=CorrectionParams(**mgcc),
+                          thermal=DerivationConstants(**sections["thermal"]),
+                          population=sections["population"], **sections["scenario"])
 
 
 def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:

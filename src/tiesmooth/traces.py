@@ -25,6 +25,7 @@ from typing import TextIO
 import numpy as np
 
 from . import rng
+from .textio import read_table, write_table
 from .thermal import POWER_QUANTUM_KW
 
 DAY_S = 86400
@@ -189,31 +190,20 @@ def generate_training_traces(seed: int, acl_free_peak_kw: float, days: int,
 
 
 def write_traces(fh: TextIO, traces: TraceSet) -> None:
-    fh.write(TRACE_CSV_HEADER + "\n")
-    for i in range(len(traces)):
-        fh.write(f"{int(traces.time_s[i])},{float(traces.t_out_c[i])!r},"
-                 f"{float(traces.solar_wm2[i])!r},{float(traces.p_load_kw[i])!r},"
-                 f"{float(traces.p_wind_kw[i])!r}\n")
+    write_table(fh, TRACE_CSV_HEADER, [traces.time_s, traces.t_out_c, traces.solar_wm2,
+                                       traces.p_load_kw, traces.p_wind_kw])
 
 
 def read_traces(fh: TextIO, cadence_s: int | None = None) -> TraceSet:
-    header = fh.readline().strip()
-    if header != TRACE_CSV_HEADER:
-        raise ValueError(f"unexpected trace CSV header: {header!r}")
-    rows = [line.strip().split(",") for line in fh if line.strip()]
-    if len(rows) < 2:
+    cols = read_table(fh, TRACE_CSV_HEADER, ints=("time_s",))
+    time_s = cols.pop("time_s")
+    if len(time_s) < 2:
         raise ValueError("trace file needs at least two rows")
-    time_s = np.array([int(r[0]) for r in rows], dtype=np.int64)
     cad = int(time_s[1] - time_s[0])
     if cadence_s is not None and cad != cadence_s:
         raise ValueError(f"trace cadence {cad}s does not match expected {cadence_s}s")
     if np.any(np.diff(time_s) != cad):
         raise ValueError("trace time grid is not uniform")
-    width = TRACE_CSV_HEADER.count(",") + 1
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"trace rows need {width} comma-separated values")
-    cols = np.array([[float(v) for v in r[1:]] for r in rows])
-    if not np.all(np.isfinite(cols)):
+    if not all(np.all(np.isfinite(c)) for c in cols.values()):
         raise ValueError("trace file holds non-finite values")
-    return TraceSet(time_s=time_s, t_out_c=cols[:, 0], solar_wm2=cols[:, 1],
-                    p_load_kw=cols[:, 2], p_wind_kw=cols[:, 3], cadence_s=cad)
+    return TraceSet(time_s=time_s, cadence_s=cad, **cols)

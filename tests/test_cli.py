@@ -1,6 +1,7 @@
 """Command-line pipeline: file emission, exit codes, idempotence."""
 
 import re
+import shutil
 import subprocess
 import sys
 
@@ -26,6 +27,18 @@ def set_trace_column(path, column, value, start=1):
         cols[column] = value
         lines[i] = ",".join(cols)
     path.write_text("\n".join(lines) + "\n")
+
+
+def edit_line(path, index, edit):
+    """Replace line `index` of a file by `edit(line)`."""
+    lines = path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def add_scenario_key(path, section, line):
+    text = path.read_text()
+    path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +127,14 @@ class TestTrain:
         assert main(["train", "--scenario", str(scen / "scenario.txt"),
                      "--out", str(scen / "model.txt")]) == 2
 
+    def test_unknown_scenario_key_is_io_error(self, tmp_path):
+        scen = tmp_path / "scen"
+        assert main(["gen-scenario", "--out", str(scen), "--seed", "3",
+                     "--n-acl", "8"]) == 0
+        add_scenario_key(scen / "scenario.txt", "mgcc", "gama = 0.5")
+        assert main(["train", "--scenario", str(scen / "scenario.txt"),
+                     "--out", str(scen / "model.txt")]) == 2
+
     def test_model_reload_identical_predictions(self, workspace):
         from tiesmooth.baseline import BaselineModel, predict_baseline
         path = workspace / "scen" / "model.txt"
@@ -149,6 +170,18 @@ class TestRun:
         scen.write_text("[scenario]\nthis line is not a setting\n")
         assert main(["run", "--scenario", str(scen), "--uncontrolled",
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("section, line", [("scenario", "n_acls = 5"),
+                                               ("scenario", "n_workers = 1"),
+                                               ("thermal", "oversize = 2.0")])
+    def test_unknown_scenario_key_is_io_error(self, workspace, tmp_path, section, line):
+        scen = tmp_path / "scenario.txt"
+        shutil.copy(workspace / "scen" / "scenario.txt", scen)
+        add_scenario_key(scen, section, line)
+        assert main(["run", "--scenario", str(scen), "--uncontrolled",
+                     "--traces", str(workspace / "scen" / "traces.csv"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_idempotent_rerun(self, workspace):
         scen = workspace / "scen"
@@ -210,6 +243,43 @@ class TestMetrics:
         assert main(["metrics", "--controlled", str(workspace / "run_c"),
                      "--uncontrolled", str(other_run),
                      "--out", str(tmp_path / "m")]) == 5
+
+    @pytest.mark.parametrize("name, index, edit", [
+        ("results.csv", 0, lambda line: line.replace("p_g,", "p_grid,")),
+        ("results.csv", 5, lambda line: line.rsplit(",", 1)[0]),
+        ("results.csv", 5, lambda line: line + ",7"),
+        ("results.csv", 5, lambda line: "x" + line),
+        ("results.csv", 5, lambda line: line.replace(",", ",np.float64(", 1)),
+        ("cycles.csv", 0, lambda line: line.replace("k,", "cycle,", 1)),
+        ("cycles.csv", 3, lambda line: line.rsplit(",", 1)[0]),
+        ("cycles.csv", 3, lambda line: line.replace(",", ",,", 1)),
+        # p_g0 no longer equals p_base + net_load
+        ("cycles.csv", 3, lambda line: ",".join(
+            v if j != 5 else repr(float(v) + 1.0) for j, v in enumerate(line.split(",")))),
+        ("summary.txt", 0, lambda line: "controlled = yes"),
+        ("summary.txt", 1, lambda line: "record_cycle = 10"),
+        ("summary.txt", 7, lambda line: "gaps = 1,x"),
+        ("manifest.txt", 0, lambda line: "not a pair"),
+    ])
+    def test_malformed_run_dir_is_io_error(self, workspace, tmp_path, name, index, edit):
+        bad = tmp_path / "bad"
+        shutil.copytree(workspace / "run_c", bad)
+        edit_line(bad / name, index, edit)
+        assert main(["metrics", "--controlled", str(bad),
+                     "--uncontrolled", str(workspace / "run_u"),
+                     "--out", str(tmp_path / "m")]) == 2
+
+    @pytest.mark.parametrize("name, index, edit", [
+        ("results.csv", -1, lambda line: ""),           # one record shorter
+        ("summary.txt", 1, lambda line: "record_cycle_s = 20"),
+    ])
+    def test_different_lengths_or_cadences_incomparable(self, workspace, tmp_path,
+                                                        name, index, edit):
+        other = tmp_path / "other"
+        shutil.copytree(workspace / "run_u", other)
+        edit_line(other / name, index, edit)
+        assert main(["metrics", "--controlled", str(workspace / "run_c"),
+                     "--uncontrolled", str(other), "--out", str(tmp_path / "m")]) == 5
 
     def test_missing_run_dir_is_io_error(self, workspace, tmp_path):
         assert main(["metrics", "--controlled", str(tmp_path / "absent"),

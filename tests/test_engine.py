@@ -1,18 +1,23 @@
 """Simulation harness: scheduling, balance, determinism, training runs."""
 
+import dataclasses
 import io
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiesmooth.agents import (AclAgentState, apply_clearing_price, compute_soa,
                               thermostat_step)
 from tiesmooth.baseline import BaselineModel
-from tiesmooth.engine import (NumericAbortError, _advance_slice, _thermostat_slice,
-                              build_fleet, fleet_soa, load_run_dir,
+from tiesmooth.engine import (NumericAbortError, RunResult, _advance_slice,
+                              _thermostat_slice, build_fleet, fleet_soa, load_run_dir,
                               run_scenario, run_training_simulation,
                               seed_fleet_states, write_results, write_run_dir)
 from tiesmooth.market import sequential_sum
+from tiesmooth.mgcc import CycleRecord
 from tiesmooth.population import generate_population, total_rated_power_kw
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
 from tiesmooth.thermal import ThermalState, WeatherSample, etp_step
@@ -318,6 +323,27 @@ class TestTrainingSimulation:
 
 
 class TestRunDirRoundTrip:
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32), controlled=st.booleans(),
+           bias=st.sampled_from([0.0, -0.1, 0.25]), level=st.floats(0.0, 40.0),
+           load=st.floats(0.0, 2000.0), wind=st.floats(0.0, 500.0))
+    def test_load_reproduces_drawn_runs(self, population, n, seed, controlled, bias,
+                                        level, load, wind):
+        cfg = small_cfg(n_acl=n, seed=seed, duration_s=1200, warmup_s=600,
+                        baseline_bias=bias)
+        traces = constant_traces(cfg.total_s, load=load, wind=wind)
+        result = run_scenario(cfg, population[:n], traces, flat_model(level),
+                              controlled=controlled)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_run_dir(tmp, result)
+            loaded = load_run_dir(tmp)
+        for f in dataclasses.fields(RunResult):
+            want, got = getattr(result, f.name), getattr(loaded, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want and type(got) is type(want), f.name
+
     def test_load_reproduces_run(self, population, tmp_path):
         cfg = small_cfg()
         traces = make_traces(cfg)
@@ -331,6 +357,75 @@ class TestRunDirRoundTrip:
         assert loaded.cycle_records == result.cycle_records
         assert loaded.total_acl_min == result.total_acl_min
         assert loaded.comfort_violation_acl_min == result.comfort_violation_acl_min
+
+
+def hand_built_run(**overrides) -> RunResult:
+    """Three records and two cycles holding every awkward value, no simulation."""
+    big = 9007199254740993  # 2**53 + 1, not a float
+    fields = dict(
+        controlled=True, record_cycle_s=10, control_cycle_s=60, warmup_s=0,
+        total_rated_kw=1240.1005859375,
+        time_s=np.array([0, 10, big], dtype=np.int64),
+        p_g=np.array([np.nan, -0.0, 1e-05]),
+        p_g0_reference=np.array([5e-324, 1e300, -1.5]),
+        p_g_lpf=np.array([np.nan, np.nan, 0.1]),
+        p_ac_actual=np.array([0.0, 2.5, 1e22]),
+        p_ac_target=np.array([np.inf, -np.inf, 123.456]),
+        s_aggregate=np.array([-1.0, 0.0, 1.0]),
+        n_on=np.array([0, 450, 2**62], dtype=np.int64),
+        cycle_records=[
+            CycleRecord(k=2**40, p_g_measured=1e-05, net_load=-0.0, p_base0=1e300,
+                        p_base=0.5, p_g0=0.5, p_g_lpf=0.25, delta_p_ac=-0.25,
+                        p_ac_target=0.25, s_aggregate=-0.0, p_star=np.nan,
+                        committed_power=5e-324),
+            CycleRecord(k=2, p_g_measured=np.nan, net_load=1.5, p_base0=-np.inf,
+                        p_base=3.0, p_g0=4.5, p_g_lpf=np.inf, delta_p_ac=np.inf,
+                        p_ac_target=np.inf, s_aggregate=1.0, p_star=-2.0,
+                        committed_power=0.0)],
+        gaps=[3, big], comfort_violation_acl_min=0.0, total_acl_min=648000.0)
+    fields.update(overrides)
+    return RunResult(**fields)
+
+
+class TestRunDirFormat:
+    FILES = {
+        "results.csv": (
+            "time_s,p_g,p_g0_reference,p_g_lpf,p_ac_actual,p_ac_target,s_aggregate,n_on\n"
+            "0,nan,5e-324,nan,0.0,inf,-1.0,0\n"
+            "10,-0.0,1e+300,nan,2.5,-inf,0.0,450\n"
+            "9007199254740993,1e-05,-1.5,0.1,1e+22,123.456,1.0,4611686018427387904\n"),
+        "cycles.csv": (
+            "k,p_g_measured,net_load,p_base0,p_base,p_g0,p_g_lpf,p_ac_target,"
+            "s_aggregate,p_star,committed_power\n"
+            "1099511627776,1e-05,-0.0,1e+300,0.5,0.5,0.25,0.25,-0.0,nan,5e-324\n"
+            "2,nan,1.5,-inf,3.0,4.5,inf,inf,1.0,-2.0,0.0\n"),
+        "summary.txt": (
+            "controlled = true\n"
+            "record_cycle_s = 10\n"
+            "control_cycle_s = 60\n"
+            "warmup_s = 0\n"
+            "total_rated_kw = 1240.1005859375\n"
+            "comfort_violation_acl_min = 0.0\n"
+            "total_acl_min = 648000.0\n"
+            "gaps = 3,9007199254740993\n"),
+    }
+
+    def test_exact_text(self, tmp_path):
+        write_run_dir(tmp_path / "run", hand_built_run())
+        for name, text in self.FILES.items():
+            assert (tmp_path / "run" / name).read_text() == text
+
+    def test_load_then_write_keeps_bytes(self, tmp_path):
+        write_run_dir(tmp_path / "a", hand_built_run())
+        write_run_dir(tmp_path / "b", load_run_dir(tmp_path / "a"))
+        for name in self.FILES:
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+    def test_numpy_scalar_is_refused(self, tmp_path):
+        # under NumPy 2 its repr is "np.float64(0.0)", which no reader parses
+        with pytest.raises(TypeError):
+            write_run_dir(tmp_path / "run",
+                          hand_built_run(comfort_violation_acl_min=np.float64(0.0)))
 
 
 class TestScenarioRatios:
