@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .agents import (AclAgentConfig, AclAgentState, apply_clearing_price,
                      compute_soa, make_bid, thermostat_step)
 from .baseline import (BaselineModel, CorrectionParams, CorrectionState,
-                       TrainingSample, build_features, correct_baseline,
+                       TrainingColumns, build_features, correct_baseline,
                        delta_p_adj, fit_baseline_model, predict_baseline)
 from .engine import (RunResult, run_scenario, run_training_simulation)
 from .market import (Bid, BidBatch, ClearingKind, ClearingOutcome, DemandCurve,

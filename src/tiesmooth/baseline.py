@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,25 +35,23 @@ class RankDeficientError(ValueError):
                          f"{', '.join(columns)}")
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    t_out: float        # degC
-    solar: float        # W/m^2
-    total_rated: float  # kW enrolled rated power
-    p_ac_free: float    # kW measured uncontrolled aggregate
+class TrainingColumns(NamedTuple):
+    """Training samples as four equal-length float columns, one row per sample."""
 
-    def __post_init__(self):
-        if self.total_rated <= 0:
-            raise ValueError("total_rated must be positive")
-        if not 0.0 <= self.p_ac_free <= self.total_rated:
-            raise ValueError(
-                f"p_ac_free {self.p_ac_free} outside [0, {self.total_rated}]")
+    t_out: np.ndarray        # degC
+    solar: np.ndarray        # W/m^2
+    total_rated: np.ndarray  # kW enrolled rated power
+    p_ac_free: np.ndarray    # kW measured uncontrolled aggregate
 
 
-def build_features(t_out: float, solar: float, total_rated: float) -> np.ndarray:
-    """Quadratic basis in weather, linear scaling terms in fleet size."""
+def build_features(t_out, solar, total_rated) -> np.ndarray:
+    """Quadratic basis in weather, linear scaling terms in fleet size.
+
+    Scalars give one row of 8 terms; columns give one row per sample,
+    with the same bits as the scalars row by row.
+    """
     t, q, r = t_out, solar, total_rated
-    return np.array([1.0, t, q, r, t * t, q * q, t * q, t * r])
+    return np.array([np.ones_like(t, dtype=float), t, q, r, t * t, q * q, t * q, t * r]).T
 
 
 @dataclass(frozen=True)
@@ -80,18 +78,28 @@ class BaselineModel:
         return cls(coefficients=tuple(parse(v, float) for v in values if v))
 
 
-def fit_baseline_model(samples: Iterable[TrainingSample]) -> BaselineModel:
+def fit_baseline_model(samples: TrainingColumns) -> BaselineModel:
     """Ordinary least squares over the 8-term basis.
 
-    Columns are scaled to unit peak before solving; near-zero singular
-    values (relative pivot below 1e-10) abort the fit and name the
-    columns involved in the degenerate directions.
+    Every sample needs a positive `total_rated` and a `p_ac_free` inside
+    [0, total_rated] (ValueError otherwise).  Columns are scaled to unit
+    peak before solving; near-zero singular values (relative pivot below
+    1e-10) abort the fit and name the columns involved in the degenerate
+    directions.
     """
-    rows = list(samples)
-    if len(rows) < len(FEATURE_NAMES):
+    t_out, solar, total_rated, y = (np.asarray(c, dtype=float) for c in samples)
+    if not len(t_out) == len(solar) == len(total_rated) == len(y):
+        raise ValueError("training columns differ in length")
+    bad = ~(total_rated > 0)
+    if bad.any():
+        raise ValueError(f"total_rated must be positive, got {total_rated[bad][0]}")
+    bad = ~((y >= 0.0) & (y <= total_rated))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"p_ac_free {y[i]} outside [0, {total_rated[i]}]")
+    if len(y) < len(FEATURE_NAMES):
         raise RankDeficientError(FEATURE_NAMES)
-    x = np.array([build_features(s.t_out, s.solar, s.total_rated) for s in rows])
-    y = np.array([s.p_ac_free for s in rows])
+    x = build_features(t_out, solar, total_rated)
 
     scale = np.max(np.abs(x), axis=0)
     dead = scale == 0.0

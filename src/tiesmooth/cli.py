@@ -14,9 +14,12 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .baseline import BaselineModel, RankDeficientError, fit_baseline_model
-from .engine import (NumericAbortError, load_run_dir, run_scenario,
+from .baseline import (BaselineModel, RankDeficientError, build_features,
+                       fit_baseline_model)
+from .engine import (NumericAbortError, check_run_cadence, load_run_dir, run_scenario,
                      run_training_simulation, write_run_dir)
 from .metrics import (compute_metrics, write_fluctuation_csv, write_report,
                       write_s_trajectory_csv, write_smoothing_csv)
@@ -136,12 +139,11 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    from .baseline import predict_baseline
-    errs = [predict_baseline(model, s.t_out, s.solar, s.total_rated) - s.p_ac_free
-            for s in samples]
-    rmse = (sum(e * e for e in errs) / len(errs)) ** 0.5
-    peak = max(s.p_ac_free for s in samples)
-    print(f"fitted on {len(samples)} samples; in-sample RMSE {rmse:.2f} kW "
+    predicted = np.clip(build_features(samples.t_out, samples.solar, samples.total_rated)
+                        @ np.array(model.coefficients), 0.0, samples.total_rated)
+    rmse = float(np.sqrt(np.mean((predicted - samples.p_ac_free) ** 2)))
+    peak = float(np.max(samples.p_ac_free))
+    print(f"fitted on {len(samples.p_ac_free)} samples; in-sample RMSE {rmse:.2f} kW "
           f"({100.0 * rmse / peak:.1f}% of free-power peak {peak:.1f} kW)")
     return EXIT_OK
 
@@ -202,6 +204,8 @@ def cmd_metrics(args) -> int:
     try:
         man_c, man_u = _read_manifest(cdir), _read_manifest(udir)
         controlled, uncontrolled = load_run_dir(cdir), load_run_dir(udir)
+        check_run_cadence(controlled)
+        check_run_cadence(uncontrolled)
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

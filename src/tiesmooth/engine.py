@@ -6,11 +6,20 @@ a fixed lead before the cycle boundary.  House state lives in flat
 arrays and every per-house update is elementwise, so houses step
 independently of one another.
 
+One step loop serves every run, and it allocates nothing per step: the
+kernels write into a `Workspace` of n-sized buffers made once per run,
+the thermostat thresholds are refreshed only when the market moves the
+setpoints, and the comfort bounds are fixed per run.  Training reuses
+that loop: its days are segments of one fleet laid end to end along the
+house axis, each house stepping under its own day's weather and each
+record metering every segment on its own.
+
 The tie-line power at any instant is fleet electrical power plus
 uncontrollable load minus wind (lossless balance).  Device ratings and
 trace powers are dyadic multiples of the power quantum, which makes that
 identity — and the coordinator's net-load estimate — exact in floating
-point, not just close.
+point, not just close.  The same exactness lets a segment's power be
+summed in any order.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import rng
-from .baseline import BaselineModel, CorrectionState, TrainingSample
+from .baseline import BaselineModel, CorrectionState, TrainingColumns
 from .market import BidBatch
 from .mgcc import (CycleRecord, LpfState, read_cycle_records, run_control_cycle,
                    write_cycle_records)
@@ -106,10 +115,17 @@ def build_fleet(houses: Sequence[House], sim_step_s: float) -> Fleet:
     return fleet
 
 
-def seed_fleet_states(fleet: Fleet, seed: int) -> None:
-    """Scatter initial air temperatures across the hysteresis bands."""
+def seed_fleet_states(fleet: Fleet, seed: int,
+                      segments: Optional[Sequence[int]] = None) -> None:
+    """Scatter initial air temperatures across the hysteresis bands.
+
+    A fleet of `segments` (sizes laid end to end) seeds each segment with
+    the first draws of one stream, as if each were a fleet of its own.
+    """
+    sizes = [fleet.n] if segments is None else segments
     gen = rng.substream(seed, rng.INITIAL_STATE_STREAM)
-    offsets = gen.uniform(-1.0, 1.0, fleet.n) * fleet.half_deadband
+    draws = gen.uniform(-1.0, 1.0, max(sizes, default=0))
+    offsets = np.concatenate([draws[:size] for size in sizes]) * fleet.half_deadband
     fleet.t_air = fleet.t_set + offsets
     fleet.t_mass = fleet.t_air.copy()
     fleet.on = fleet.t_air > fleet.t_set
@@ -117,25 +133,64 @@ def seed_fleet_states(fleet: Fleet, seed: int) -> None:
     fleet.soa_bid = np.zeros(fleet.n)
 
 
-def fleet_soa(fleet: Fleet) -> np.ndarray:
-    dev = fleet.t_air - fleet.t_set
-    raw = dev / np.where(dev >= 0.0, fleet.t_high, fleet.t_low)
-    return np.minimum(np.maximum(raw, -1.0), 1.0)
+class Workspace:
+    """The n-sized buffers one run steps in, so a step allocates nothing.
+
+    `on_above` and `off_below` are the thermostat thresholds sp + h and
+    sp - h: call `set_thresholds` whenever `fleet.active_setpoint`
+    changes.  `x`, `y`, `b0` and `mask` are scratch for the kernels.
+    """
+
+    def __init__(self, fleet: Fleet):
+        n = fleet.n
+        self.on_above, self.off_below, self.b0, self.x, self.y = (np.empty(n) for _ in range(5))
+        self.mask = np.empty(n, dtype=bool)
+        self.comfort_high = fleet.t_max + 0.1
+        self.comfort_low = fleet.t_min - 0.1
+        self.set_thresholds(fleet)
+
+    def set_thresholds(self, fleet: Fleet) -> None:
+        np.add(fleet.active_setpoint, fleet.half_deadband, out=self.on_above)
+        np.subtract(fleet.active_setpoint, fleet.half_deadband, out=self.off_below)
 
 
-def _thermostat_slice(fleet: Fleet) -> None:
-    t, sp, h = fleet.t_air, fleet.active_setpoint, fleet.half_deadband
-    fleet.on = (((fleet.on | (t > sp + h)) & ~(t < sp - h) | (t >= fleet.t_max))
-                & ~(t <= fleet.t_min))
+def fleet_soa(fleet: Fleet, ws: Workspace) -> np.ndarray:
+    """Normalized temperature states, clipped to [-1, 1], in `ws.x`."""
+    dev = np.subtract(fleet.t_air, fleet.t_set, out=ws.x)
+    above = np.greater_equal(dev, 0.0, out=ws.mask)
+    np.copyto(ws.y, fleet.t_low)
+    np.copyto(ws.y, fleet.t_high, where=above)
+    np.divide(dev, ws.y, out=dev)
+    np.maximum(dev, -1.0, out=dev)
+    return np.minimum(dev, 1.0, out=dev)
 
 
-def _advance_slice(fleet: Fleet, t_out: float, solar: float) -> None:
-    b0 = (fleet.ua * t_out + fleet.aperture * solar
-          - fleet.cap_w * fleet.on) / fleet.c_air
-    t_air = fleet.ad11 * fleet.t_air + fleet.ad12 * fleet.t_mass + fleet.m1 * b0
-    t_mass = fleet.ad21 * fleet.t_air + fleet.ad22 * fleet.t_mass + fleet.m2 * b0
-    fleet.t_air = t_air
-    fleet.t_mass = t_mass
+def _thermostat_slice(fleet: Fleet, ws: Workspace) -> None:
+    """Hysteresis around the active setpoint, then the comfort guards, in place."""
+    t, on, m = fleet.t_air, fleet.on, ws.mask
+    np.logical_or(on, np.greater(t, ws.on_above, out=m), out=on)
+    np.logical_and(on, np.logical_not(np.less(t, ws.off_below, out=m), out=m), out=on)
+    np.logical_or(on, np.greater_equal(t, fleet.t_max, out=m), out=on)
+    np.logical_and(on, np.logical_not(np.less_equal(t, fleet.t_min, out=m), out=m), out=on)
+
+
+def _advance_slice(fleet: Fleet, ws: Workspace, t_out, solar) -> None:
+    """One exact-discretization step of both thermal nodes, in place.
+
+    `t_out` and `solar` are scalars or one value per house.
+    """
+    b0, x, y = ws.b0, ws.x, ws.y
+    np.multiply(fleet.ua, t_out, out=b0)
+    np.add(b0, np.multiply(fleet.aperture, solar, out=y), out=b0)
+    np.subtract(b0, np.multiply(fleet.cap_w, fleet.on, out=y), out=b0)
+    np.divide(b0, fleet.c_air, out=b0)
+    np.multiply(fleet.ad12, fleet.t_mass, out=x)  # t_air's mass term, before t_mass moves
+    t_mass = np.multiply(fleet.ad22, fleet.t_mass, out=fleet.t_mass)
+    np.add(t_mass, np.multiply(fleet.ad21, fleet.t_air, out=y), out=t_mass)
+    np.add(t_mass, np.multiply(fleet.m2, b0, out=y), out=t_mass)
+    t_air = np.multiply(fleet.ad11, fleet.t_air, out=fleet.t_air)
+    np.add(t_air, x, out=t_air)
+    np.add(t_air, np.multiply(fleet.m1, b0, out=y), out=t_air)
 
 
 @dataclass
@@ -185,19 +240,27 @@ def _check_finite(fleet: Fleet, cycle: int) -> None:
         raise NumericAbortError(cycle)
 
 
-def _tie_line_kw(fleet: Fleet, traces: TraceSet, idx: int) -> tuple[float, float]:
+def _tie_line_kw(fleet: Fleet, ws: Workspace, traces: TraceSet,
+                 idx: int) -> tuple[float, float]:
     """Metered fleet power and the tie-line power it implies at trace row idx."""
-    fleet_kw = float(np.sum(fleet.rated_kw * fleet.on))
+    kw = np.multiply(fleet.rated_kw, fleet.on, out=ws.y)
+    fleet_kw = float(np.add.reduce(kw))  # np.sum without its wrapper
     return fleet_kw, fleet_kw + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx])
 
 
 def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
                  model: Optional[BaselineModel], controlled: bool = True,
-                 bid_audit: Optional[list] = None) -> RunResult:
+                 bid_audit: Optional[list] = None, *,
+                 _segments: Optional[Sequence[int]] = None) -> RunResult:
     """Execute one full run (controlled or free) over the given traces.
 
     When `bid_audit` is a list, every cleared cycle appends
     (k, bid batch, p_star, committed_power) so callers can audit the market.
+
+    `_segments` runs training's free fleets at once: the houses are
+    segments of these sizes laid end to end, every `traces` series holds
+    one column per segment, and each record meters every segment into a
+    row of `p_ac_actual`.  Nothing else is recorded.
     """
     if controlled and model is None:
         raise ValueError("a controlled run needs a baseline model")
@@ -207,10 +270,16 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
         raise ValueError("traces shorter than the requested run")
 
     fleet = build_fleet(houses, cfg.sim_step_s)
-    seed_fleet_states(fleet, cfg.seed)
+    seed_fleet_states(fleet, cfg.seed, _segments)
+    ws = Workspace(fleet)
     mgcc_cfg = cfg.mgcc_config()
     total_rated = float(np.sum(fleet.rated_kw))
     baseline_scale = 1.0 + cfg.baseline_bias
+    agent_ids = np.arange(fleet.n)
+    if _segments is not None:
+        starts = np.cumsum([0, *_segments[:-1]])
+        segment_of_house = np.repeat(np.arange(len(_segments)), _segments)
+        house_t_out, house_solar = np.empty(fleet.n), np.empty(fleet.n)
 
     lpf = LpfState()
     corr = CorrectionState()
@@ -227,7 +296,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
     p_g = col()
     p_g0_ref = col()
     p_g_lpf = col()
-    p_ac_actual = col()
+    p_ac_actual = np.full((n_rows, *traces.t_out_c.shape[1:]), np.nan)
     p_ac_target = col()
     s_agg = col()
     n_on = np.zeros(n_rows, dtype=np.int64)
@@ -235,20 +304,26 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
     comfort_viol_min = 0.0
     total_acl_min = 0.0
     step_minutes = cfg.sim_step_s / 60.0
+    weather_idx = -1
 
     for t in range(0, cfg.total_s, cfg.sim_step_s):
         idx = t // traces.cadence_s
-        t_out = float(traces.t_out_c[idx])
-        solar = float(traces.solar_wm2[idx])
+        if idx != weather_idx:
+            weather_idx = idx
+            if _segments is None:
+                t_out = float(traces.t_out_c[idx])
+                solar = float(traces.solar_wm2[idx])
+            else:  # each house takes its segment's weather
+                t_out = np.take(traces.t_out_c[idx], segment_of_house, out=house_t_out)
+                solar = np.take(traces.solar_wm2[idx], segment_of_house, out=house_solar)
 
         if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
             _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
-            soa = fleet_soa(fleet)
-            fleet.soa_bid = soa
             # the batch outlives the bid lead (and the run, when audited), so
-            # it holds its own copy of the bid-time on states
-            bids = BidBatch(soa, fleet.rated_kw, fleet.on.copy(), np.arange(fleet.n))
-            _, p_g_meas = _tie_line_kw(fleet, traces, idx)
+            # it holds its own copies of the bid-time states
+            fleet.soa_bid = fleet_soa(fleet, ws).copy()
+            bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy(), agent_ids)
+            _, p_g_meas = _tie_line_kw(fleet, ws, traces, idx)
             pending = (bids, p_g_meas, t_out, solar)
 
         if controlled and t > 0 and t % cfg.control_cycle_s == 0 and pending:
@@ -272,27 +347,33 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
                     fleet.soa_bid > p_star,
                     fleet.t_min + fleet.epsilon,
                     fleet.t_max - fleet.epsilon)
+                ws.set_thresholds(fleet)
             _check_finite(fleet, k)
 
         # thermostat acts on the state at t before power is metered
-        _thermostat_slice(fleet)
+        _thermostat_slice(fleet, ws)
 
         if t % cfg.record_cycle_s == 0:
             row = t // cfg.record_cycle_s
-            p_ac_actual[row], p_g[row] = _tie_line_kw(fleet, traces, idx)
-            p_g0_ref[row] = p_g[row] if not controlled else latest_p_g0
-            p_g_lpf[row] = latest_lpf
-            p_ac_target[row] = latest_target
-            s_agg[row] = float(np.mean(fleet_soa(fleet))) if fleet.n else 0.0
-            n_on[row] = int(np.count_nonzero(fleet.on))
+            if _segments is not None:
+                kw = np.multiply(fleet.rated_kw, fleet.on, out=ws.y)
+                p_ac_actual[row] = np.add.reduceat(kw, starts)
+            else:
+                p_ac_actual[row], p_g[row] = _tie_line_kw(fleet, ws, traces, idx)
+                p_g0_ref[row] = p_g[row] if not controlled else latest_p_g0
+                p_g_lpf[row] = latest_lpf
+                p_ac_target[row] = latest_target
+                # np.mean's bits without its per-call overhead
+                s_sum = float(np.add.reduce(fleet_soa(fleet, ws)))
+                s_agg[row] = s_sum / fleet.n if fleet.n else 0.0
+                n_on[row] = int(np.count_nonzero(fleet.on))
 
-        _advance_slice(fleet, t_out, solar)
+        _advance_slice(fleet, ws, t_out, solar)
 
-        if t >= cfg.warmup_s:
-            outside = int(np.count_nonzero(
-                (fleet.t_air > fleet.t_max + 0.1)
-                | (fleet.t_air < fleet.t_min - 0.1)))
-            comfort_viol_min += outside * step_minutes
+        if t >= cfg.warmup_s and _segments is None:
+            outside = (np.count_nonzero(np.greater(fleet.t_air, ws.comfort_high, out=ws.mask))
+                       + np.count_nonzero(np.less(fleet.t_air, ws.comfort_low, out=ws.mask)))
+            comfort_viol_min += int(outside) * step_minutes
             total_acl_min += fleet.n * step_minutes
 
     _check_finite(fleet, cfg.total_s // cfg.control_cycle_s)
@@ -347,8 +428,24 @@ def load_run_dir(rundir) -> RunResult:
         gaps=[parse(g, int) for g in summary["gaps"].split(",") if g])
 
 
+def check_run_cadence(run: RunResult) -> None:
+    """Raise ValueError unless the records lie on the record grid from 0
+    and the cycles k increase from 1 with k * control_cycle_s inside the
+    run, so that windowed metrics span the time they claim."""
+    step = run.record_cycle_s
+    end_s = len(run.time_s) * step
+    if not np.array_equal(run.time_s, np.arange(len(run.time_s)) * step):
+        raise ValueError(f"record times are not the {step} s grid from 0 that the "
+                         f"summary gives")
+    ks = np.array([rec.k for rec in run.cycle_records], dtype=np.int64)
+    if len(ks) and not (ks[0] >= 1 and np.all(np.diff(ks) > 0)
+                        and ks[-1] * run.control_cycle_s < end_s):
+        raise ValueError(f"cycles do not increase from 1 inside the {end_s} s run "
+                         f"at {run.control_cycle_s} s a cycle")
+
+
 def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],
-                            day_traces: Sequence[TraceSet]) -> list[TrainingSample]:
+                            day_traces: Sequence[TraceSet]) -> TrainingColumns:
     """Free runs over the training days, sampled per record cycle after warm-up.
 
     All devices hold their customer setpoints (no market).  Day d meters
@@ -356,30 +453,43 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],
     fleet, later days a drawn fraction of it) so the rated-power
     regressors vary across the training set and the regression basis
     stays identifiable.  Houses step independently and initial states
-    come from one stream, so a prefix run equals metering that prefix of
-    a full-fleet run.
+    come from one stream, so the days of one trace length run as one
+    fleet of prefixes, each segment under its own day's weather, and
+    each segment steps bit for bit like a run of its own.  Samples come
+    back in day order.
     """
     if not houses:
         raise ValueError("cannot train on an empty population")
-    samples: list[TrainingSample] = []
     enroll_gen = rng.substream(cfg.seed, rng.ENROLLMENT_STREAM)
-
+    days: list[tuple[TraceSet, int]] = []
     for day, traces in enumerate(day_traces):
         if traces.cadence_s != cfg.record_cycle_s:
             raise ValueError("trace cadence must equal the record cycle")
         fraction = 1.0
         if cfg.vary_training_enrollment and day > 0:
             fraction = float(enroll_gen.uniform(0.7, 1.0))
-        duration_s = len(traces) * traces.cadence_s - cfg.warmup_s
-        if duration_s <= 0:
+        if len(traces) * traces.cadence_s <= cfg.warmup_s:
             continue
-        n_enrolled = max(1, int(round(fraction * len(houses))))
-        run = run_scenario(replace(cfg, duration_s=duration_s),
-                           houses[:n_enrolled], traces, None, controlled=False)
-        for row in range(run.metric_slice().start, len(run.time_s)):
-            samples.append(TrainingSample(
-                t_out=float(traces.t_out_c[row]),
-                solar=float(traces.solar_wm2[row]),
-                total_rated=run.total_rated_kw,
-                p_ac_free=float(run.p_ac_actual[row])))
-    return samples
+        days.append((traces, max(1, int(round(fraction * len(houses))))))
+
+    rated = np.array([h.agent.rated_power for h in houses], dtype=float)
+    columns: list = [None] * len(days)
+    for length in dict.fromkeys(len(traces) for traces, _ in days):
+        group = [i for i, (traces, _) in enumerate(days) if len(traces) == length]
+        sizes = [days[i][1] for i in group]
+        stacked = TraceSet(
+            time_s=days[group[0]][0].time_s, cadence_s=cfg.record_cycle_s,
+            **{name: np.stack([getattr(days[i][0], name) for i in group], axis=1)
+               for name in ("t_out_c", "solar_wm2", "p_load_kw", "p_wind_kw")})
+        run = run_scenario(replace(cfg, duration_s=length * cfg.record_cycle_s - cfg.warmup_s),
+                           [h for n in sizes for h in houses[:n]], stacked, None,
+                           controlled=False, _segments=sizes)
+        rows = run.metric_slice()
+        for segment, i in enumerate(group):
+            traces, n = days[i]
+            p_ac = run.p_ac_actual[rows, segment]
+            columns[i] = (traces.t_out_c[rows], traces.solar_wm2[rows],
+                          np.full(len(p_ac), float(np.sum(rated[:n]))), p_ac)
+    # the empty tail keeps the columns well-typed when every day was too short
+    return TrainingColumns(*(np.concatenate([c[k] for c in columns] + [np.empty(0)])
+                             for k in range(4)))

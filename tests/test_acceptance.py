@@ -299,22 +299,22 @@ def test_criterion_9_determinism(bundle, paired):
 
 def test_criterion_10_baseline_fit(bundle):
     cfg, houses, traces, model, samples = bundle
-    errs = [predict_baseline(model, s.t_out, s.solar, s.total_rated) - s.p_ac_free
-            for s in samples]
+    errs = [predict_baseline(model, t, q, r) - p for t, q, r, p in zip(*samples)]
     rmse = math.sqrt(sum(e * e for e in errs) / len(errs))
-    peak = max(s.p_ac_free for s in samples)
+    peak = float(np.max(samples.p_ac_free))
     rmse_ok = rmse <= 0.15 * peak
     # exact recovery when targets come from the model's own basis
     gen = substream(10, 10)
     coefs = np.array([40.0, -4.0, 0.02, 0.05, 0.11, 1e-5, 4e-4, 8e-4])
-    from tiesmooth.baseline import TrainingSample
+    from tiesmooth.baseline import TrainingColumns
     synth = []
     for _ in range(300):
         t = float(gen.uniform(24, 38))
         q = float(gen.uniform(0, 900))
         r = float(gen.uniform(800, 1500))
         y = float(np.dot(coefs, build_features(t, q, r)))
-        synth.append(TrainingSample(t, q, r, min(max(y, 0.0), r)))
+        synth.append((t, q, r, min(max(y, 0.0), r)))
+    synth = TrainingColumns(*(np.array(column) for column in zip(*synth)))
     recovered = np.array(fit_baseline_model(synth).coefficients)
     recovery_ok = np.allclose(recovered, coefs, rtol=1e-8, atol=1e-10)
     report(10, rmse_ok and recovery_ok,

@@ -7,7 +7,7 @@ import pytest
 
 from tiesmooth.baseline import (FEATURE_NAMES, BaselineModel, CorrectionParams,
                                 CorrectionState, RankDeficientError,
-                                TrainingSample, build_features, correct_baseline,
+                                TrainingColumns, build_features, correct_baseline,
                                 delta_p_adj, fit_baseline_model, predict_baseline)
 from tiesmooth.rng import substream
 
@@ -22,9 +22,8 @@ def synth_samples(coefs, n=200, noise=0.0, seed=1, rated=(800.0, 1400.0)):
         r = float(gen.uniform(*rated))
         y = float(np.dot(coefs, build_features(t, q, r)))
         y += float(gen.normal(0.0, noise)) if noise else 0.0
-        out.append(TrainingSample(t_out=t, solar=q, total_rated=r,
-                                  p_ac_free=min(max(y, 0.0), r)))
-    return out
+        out.append((t, q, r, min(max(y, 0.0), r)))
+    return TrainingColumns(*(np.array(column) for column in zip(*out)))
 
 
 TRUE_COEFS = np.array([40.0, -4.0, 0.02, 0.05, 0.11, 1e-5, 4e-4, 8e-4])
@@ -43,6 +42,13 @@ class TestFeatures:
         for args in ((1, 2, 3), (-5, 0, 1), (100, 900, 2000)):
             assert len(build_features(*args)) == len(FEATURE_NAMES) == 8
 
+    def test_columns_give_the_rows_of_scalars(self):
+        t, q, r, _ = synth_samples(TRUE_COEFS, n=50)
+        x = build_features(t, q, r)
+        assert x.shape == (50, len(FEATURE_NAMES))
+        for row, args in zip(x, zip(t, q, r)):
+            assert row.tobytes() == build_features(*map(float, args)).tobytes()
+
 
 class TestFit:
     def test_exact_recovery(self):
@@ -57,23 +63,21 @@ class TestFit:
         for seed in (1, 2, 3, 4, 5):
             samples = synth_samples(TRUE_COEFS, n=400, noise=sigma, seed=seed)
             model = fit_baseline_model(samples)
-            errs = [predict_baseline(model, s.t_out, s.solar, s.total_rated)
-                    - s.p_ac_free for s in samples]
+            errs = [predict_baseline(model, t, q, r) - p for t, q, r, p in zip(*samples)]
             rmse = math.sqrt(sum(e * e for e in errs) / len(errs))
             assert rmse <= sigma * 1.1
 
     def test_duplicate_sample_no_change(self):
         samples = synth_samples(TRUE_COEFS, n=120)
         m1 = fit_baseline_model(samples)
-        m2 = fit_baseline_model(samples + [samples[0]])
+        m2 = fit_baseline_model(TrainingColumns(*(np.append(c, c[0]) for c in samples)))
         assert np.allclose(m1.coefficients, m2.coefficients, rtol=1e-8)
 
     def test_refit_on_own_predictions_idempotent(self):
         samples = synth_samples(TRUE_COEFS, n=150)
         m1 = fit_baseline_model(samples)
-        refit = [TrainingSample(s.t_out, s.solar, s.total_rated,
-                                predict_baseline(m1, s.t_out, s.solar, s.total_rated))
-                 for s in samples]
+        refit = samples._replace(p_ac_free=np.array(
+            [predict_baseline(m1, t, q, r) for t, q, r, _ in zip(*samples)]))
         m2 = fit_baseline_model(refit)
         assert np.allclose(m1.coefficients, m2.coefficients, rtol=1e-7, atol=1e-9)
 
@@ -88,14 +92,27 @@ class TestFit:
         with pytest.raises(RankDeficientError):
             fit_baseline_model(synth_samples(TRUE_COEFS, n=5))
 
+    @pytest.mark.parametrize("column, value", [
+        ("total_rated", 0.0), ("total_rated", np.nan),
+        ("p_ac_free", -1.0), ("p_ac_free", 5000.0), ("p_ac_free", np.nan)])
+    def test_out_of_range_sample_rejected(self, column, value):
+        samples = synth_samples(TRUE_COEFS, n=30)
+        getattr(samples, column)[7] = value
+        with pytest.raises(ValueError, match=column):
+            fit_baseline_model(samples)
+
+    def test_unequal_columns_rejected(self):
+        samples = synth_samples(TRUE_COEFS, n=30)
+        with pytest.raises(ValueError, match="length"):
+            fit_baseline_model(samples._replace(solar=samples.solar[:-1]))
+
 
 class TestPredict:
     def test_training_point_reproduced(self):
         samples = synth_samples(TRUE_COEFS, n=100)
         model = fit_baseline_model(samples)
-        s = samples[3]
-        assert predict_baseline(model, s.t_out, s.solar, s.total_rated) \
-            == pytest.approx(s.p_ac_free, rel=1e-8)
+        t, q, r, p = (float(column[3]) for column in samples)
+        assert predict_baseline(model, t, q, r) == pytest.approx(p, rel=1e-8)
 
     def test_clamps_negative_to_zero(self):
         model = BaselineModel(coefficients=(-500.0, 0, 0, 0, 0, 0, 0, 0))

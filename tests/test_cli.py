@@ -271,7 +271,6 @@ class TestMetrics:
 
     @pytest.mark.parametrize("name, index, edit", [
         ("results.csv", -1, lambda line: ""),           # one record shorter
-        ("summary.txt", 1, lambda line: "record_cycle_s = 20"),
     ])
     def test_different_lengths_or_cadences_incomparable(self, workspace, tmp_path,
                                                         name, index, edit):
@@ -280,6 +279,41 @@ class TestMetrics:
         edit_line(other / name, index, edit)
         assert main(["metrics", "--controlled", str(workspace / "run_c"),
                      "--uncontrolled", str(other), "--out", str(tmp_path / "m")]) == 5
+
+    def test_different_cadences_incomparable(self, workspace, tmp_path):
+        # a well-formed run on a 20 s record grid, as long as the 10 s one
+        other = tmp_path / "other"
+        shutil.copytree(workspace / "run_u", other)
+        edit_line(other / "summary.txt", 1, lambda line: "record_cycle_s = 20")
+        lines = (other / "results.csv").read_text().splitlines()
+        for i in range(1, len(lines)):
+            time_s, rest = lines[i].split(",", 1)
+            lines[i] = f"{2 * int(time_s)},{rest}"
+        (other / "results.csv").write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--controlled", str(workspace / "run_c"),
+                     "--uncontrolled", str(other), "--out", str(tmp_path / "m")]) == 5
+
+    def test_summary_cadence_off_record_grid_is_io_error(self, workspace, tmp_path):
+        # both summaries claim 20 s records over 10 s rows: comparable, but
+        # a 10-minute window would span only 5 minutes of records
+        runs = []
+        for run in ("run_c", "run_u"):
+            runs.append(tmp_path / run)
+            shutil.copytree(workspace / run, runs[-1])
+            edit_line(runs[-1] / "summary.txt", 1, lambda line: "record_cycle_s = 20")
+        assert main(["metrics", "--controlled", str(runs[0]), "--uncontrolled",
+                     str(runs[1]), "--out", str(tmp_path / "m")]) == 2
+
+    @pytest.mark.parametrize("index, k", [(1, "0"),         # before the first cycle
+                                          (3, "1"),         # not increasing
+                                          (-1, "1000000")])  # after the run ends
+    def test_cycle_off_the_run_is_io_error(self, workspace, tmp_path, index, k):
+        bad = tmp_path / "bad"
+        shutil.copytree(workspace / "run_c", bad)
+        edit_line(bad / "cycles.csv", index, lambda line: k + line[line.index(","):])
+        assert main(["metrics", "--controlled", str(bad),
+                     "--uncontrolled", str(workspace / "run_u"),
+                     "--out", str(tmp_path / "m")]) == 2
 
     def test_missing_run_dir_is_io_error(self, workspace, tmp_path):
         assert main(["metrics", "--controlled", str(tmp_path / "absent"),

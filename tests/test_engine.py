@@ -1,6 +1,7 @@
 """Simulation harness: scheduling, balance, determinism, training runs."""
 
 import dataclasses
+import hashlib
 import io
 import tempfile
 
@@ -9,19 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tiesmooth.engine as engine
 from tiesmooth.agents import (AclAgentState, apply_clearing_price, compute_soa,
                               thermostat_step)
 from tiesmooth.baseline import BaselineModel
-from tiesmooth.engine import (NumericAbortError, RunResult, _advance_slice,
+from tiesmooth.engine import (NumericAbortError, RunResult, Workspace, _advance_slice,
                               _thermostat_slice, build_fleet, fleet_soa, load_run_dir,
                               run_scenario, run_training_simulation,
                               seed_fleet_states, write_results, write_run_dir)
 from tiesmooth.market import sequential_sum
 from tiesmooth.mgcc import CycleRecord
-from tiesmooth.population import generate_population, total_rated_power_kw
+from tiesmooth.population import (estimate_free_peak_kw, generate_population,
+                                  total_rated_power_kw)
+from tiesmooth.rng import ENROLLMENT_STREAM, substream
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
 from tiesmooth.thermal import ThermalState, WeatherSample, etp_step
-from tiesmooth.traces import TraceSet, generate_traces, quantize_kw
+from tiesmooth.traces import (TraceSet, generate_traces, generate_training_traces,
+                              peak_weather, quantize_kw)
 
 
 def small_cfg(**overrides):
@@ -77,8 +82,9 @@ class TestVectorKernelsMatchScalarOps:
             stepped = thermostat_step(float(fleet.t_air[i]), state, house.agent)
             expected_on.append(stepped.compressor_on)
             expected_soa.append(compute_soa(float(fleet.t_air[i]), house.agent))
-        soa = fleet_soa(fleet)
-        _thermostat_slice(fleet)
+        ws = Workspace(fleet)
+        soa = fleet_soa(fleet, ws).copy()
+        _thermostat_slice(fleet, ws)
         assert list(fleet.on) == expected_on
         assert np.allclose(soa, expected_soa, rtol=0, atol=0)
 
@@ -106,13 +112,79 @@ class TestVectorKernelsMatchScalarOps:
         t_air0 = result_fleet.t_air.copy()
         t_mass0 = result_fleet.t_mass.copy()
         on = result_fleet.on.copy()
-        _advance_slice(result_fleet, 33.0, 400.0)
+        _advance_slice(result_fleet, Workspace(result_fleet), 33.0, 400.0)
         w = WeatherSample(33.0, 400.0)
         for i, house in enumerate(population):
             expected = etp_step(ThermalState(float(t_air0[i]), float(t_mass0[i])),
                                 house.etp, w, bool(on[i]), float(cfg.sim_step_s))
             assert result_fleet.t_air[i] == expected.t_air
             assert result_fleet.t_mass[i] == expected.t_mass
+
+
+def one_line_thermostat(fleet):
+    """The thermostat as a single boolean expression over fresh arrays."""
+    t, sp, h = fleet.t_air, fleet.active_setpoint, fleet.half_deadband
+    return (((fleet.on | (t > sp + h)) & ~(t < sp - h) | (t >= fleet.t_max))
+            & ~(t <= fleet.t_min))
+
+
+class TestThermostatKernel:
+    """The in-place thermostat with cached thresholds against one expression."""
+
+    @staticmethod
+    def edge_states(fleet, gen):
+        sp, h = fleet.active_setpoint, fleet.half_deadband
+        choices = np.stack([sp + h, sp - h, fleet.t_max, fleet.t_min,
+                            np.full(fleet.n, np.nan),
+                            fleet.t_set + gen.uniform(-4.0, 4.0, fleet.n)])
+        pick = gen.integers(0, len(choices), fleet.n)
+        fleet.t_air = choices[pick, np.arange(fleet.n)]
+        fleet.on = gen.uniform(size=fleet.n) < 0.5
+
+    def test_edges_match_one_line_expression(self, population):
+        fleet = build_fleet(population * 20, 5.0)
+        seed_fleet_states(fleet, 9)
+        gen = np.random.Generator(np.random.Philox(key=np.array([5, 6], dtype=np.uint64)))
+        ws = Workspace(fleet)
+        for _ in range(30):
+            self.edge_states(fleet, gen)
+            expected = one_line_thermostat(fleet)
+            _thermostat_slice(fleet, ws)
+            assert np.array_equal(fleet.on, expected)
+
+    def test_setpoint_change_refreshes_thresholds(self, population):
+        fleet = build_fleet(population * 20, 5.0)
+        seed_fleet_states(fleet, 9)
+        gen = np.random.Generator(np.random.Philox(key=np.array([7, 8], dtype=np.uint64)))
+        ws = Workspace(fleet)
+        for _ in range(10):
+            fleet.active_setpoint = np.where(gen.uniform(size=fleet.n) < 0.5,
+                                             fleet.t_min + fleet.epsilon,
+                                             fleet.t_max - fleet.epsilon)
+            ws.set_thresholds(fleet)
+            assert np.array_equal(ws.on_above, fleet.active_setpoint + fleet.half_deadband)
+            assert np.array_equal(ws.off_below, fleet.active_setpoint - fleet.half_deadband)
+            self.edge_states(fleet, gen)
+            expected = one_line_thermostat(fleet)
+            _thermostat_slice(fleet, ws)
+            assert np.array_equal(fleet.on, expected)
+
+    def test_controlled_run_keeps_thresholds_fresh(self, population, monkeypatch):
+        thermostat = engine._thermostat_slice
+        fresh, moved = [], []
+
+        def checked(fleet, ws):
+            sp, h = fleet.active_setpoint, fleet.half_deadband
+            fresh.append(np.array_equal(ws.on_above, sp + h)
+                         and np.array_equal(ws.off_below, sp - h))
+            moved.append(not np.array_equal(sp, fleet.t_set))
+            thermostat(fleet, ws)
+
+        monkeypatch.setattr(engine, "_thermostat_slice", checked)
+        cfg = small_cfg(duration_s=3600, warmup_s=0)
+        run_scenario(cfg, population, make_traces(cfg), flat_model(20.0))
+        assert len(fresh) == cfg.total_s // cfg.sim_step_s
+        assert all(fresh) and any(moved)
 
 
 class TestScheduling:
@@ -210,11 +282,12 @@ class TestDeterminism:
         part = build_fleet(population[:k], 5.0)
         seed_fleet_states(full, 9)
         seed_fleet_states(part, 9)
+        stepped = [(full, Workspace(full)), (part, Workspace(part))]
         for step in range(100):
             t_out = 30.0 + 4.0 * np.sin(step / 10.0)
-            for fleet in (full, part):
-                _thermostat_slice(fleet)
-                _advance_slice(fleet, t_out, 500.0)
+            for fleet, ws in stepped:
+                _thermostat_slice(fleet, ws)
+                _advance_slice(fleet, ws, t_out, 500.0)
             assert np.array_equal(part.t_air, full.t_air[:k])
             assert np.array_equal(part.t_mass, full.t_mass[:k])
             assert np.array_equal(part.on, full.on[:k])
@@ -272,33 +345,54 @@ def estimate_natural_draw(population, t_out, solar):
     return total
 
 
+def per_day_training_columns(cfg, houses, day_traces):
+    """Training columns built from one free run per day over its enrolled prefix."""
+    enroll_gen = substream(cfg.seed, ENROLLMENT_STREAM)
+    columns = []
+    for day, traces in enumerate(day_traces):
+        fraction = 1.0
+        if cfg.vary_training_enrollment and day > 0:
+            fraction = float(enroll_gen.uniform(0.7, 1.0))
+        duration_s = len(traces) * traces.cadence_s - cfg.warmup_s
+        if duration_s <= 0:
+            continue
+        n_enrolled = max(1, int(round(fraction * len(houses))))
+        run = run_scenario(dataclasses.replace(cfg, duration_s=duration_s),
+                           houses[:n_enrolled], traces, None, controlled=False)
+        rows = run.metric_slice()
+        p_ac = run.p_ac_actual[rows]
+        columns.append((traces.t_out_c[rows], traces.solar_wm2[rows],
+                        np.full(len(p_ac), run.total_rated_kw), p_ac))
+    return [np.concatenate(c) for c in zip(*columns)]
+
+
 class TestTrainingSimulation:
     def test_cold_weather_draws_nothing(self, population):
         cfg = small_cfg(duration_s=7200, warmup_s=1800)
         cold = constant_traces(cfg.total_s, t_out=18.0, solar=0.0)
         samples = run_training_simulation(cfg, population, [cold])
-        assert all(s.p_ac_free == 0.0 for s in samples[20:])
+        assert all(p == 0.0 for p in samples.p_ac_free[20:])
 
     def test_free_power_bounded_by_rating(self, population):
         cfg = small_cfg(duration_s=7200, warmup_s=1800)
         traces = make_traces(cfg)
         samples = run_training_simulation(cfg, population, [traces])
         total = total_rated_power_kw(population)
-        assert all(0.0 <= s.p_ac_free <= total for s in samples)
+        assert all(0.0 <= p <= total for p in samples.p_ac_free)
 
     def test_hotter_day_uses_at_least_as_much_energy(self, population):
         cfg = small_cfg(duration_s=6 * 3600, warmup_s=1800)
         mild = constant_traces(cfg.total_s, t_out=30.0, solar=300.0)
         hot = constant_traces(cfg.total_s, t_out=35.0, solar=700.0)
-        e_mild = sum(s.p_ac_free for s in run_training_simulation(cfg, population, [mild]))
-        e_hot = sum(s.p_ac_free for s in run_training_simulation(cfg, population, [hot]))
+        e_mild = sum(run_training_simulation(cfg, population, [mild]).p_ac_free)
+        e_hot = sum(run_training_simulation(cfg, population, [hot]).p_ac_free)
         assert e_hot >= e_mild
 
     def test_enrollment_variation_varies_rated_power(self, population):
         cfg = small_cfg(duration_s=3600, warmup_s=0, training_days=3)
         days = [make_traces(cfg, seed=100 + d) for d in range(3)]
         samples = run_training_simulation(cfg, population, days)
-        rated_values = {s.total_rated for s in samples}
+        rated_values = set(samples.total_rated)
         assert len(rated_values) == 3  # day 0 full fleet, later days drawn
 
     def test_enrollment_variation_off_is_constant(self, population):
@@ -306,7 +400,7 @@ class TestTrainingSimulation:
                         vary_training_enrollment=False)
         days = [make_traces(cfg, seed=100 + d) for d in range(2)]
         samples = run_training_simulation(cfg, population, days)
-        assert len({s.total_rated for s in samples}) == 1
+        assert len(set(samples.total_rated)) == 1
 
     def test_too_short_day_keeps_later_draws(self, population):
         # a day no longer than the warm-up yields no samples but still
@@ -317,9 +411,31 @@ class TestTrainingSimulation:
         short = head(days[1], cfg.warmup_s // 10)
         full = run_training_simulation(cfg, population, days)
         skipped = run_training_simulation(cfg, population, [days[0], short, days[2]])
-        per_day = len(full) // 3
-        assert len({s.total_rated for s in full}) == 3
-        assert skipped == full[:per_day] + full[2 * per_day:]
+        per_day = len(full.p_ac_free) // 3
+        assert len(set(full.total_rated)) == 3
+        for got, column in zip(skipped, full):
+            assert np.array_equal(got, np.concatenate([column[:per_day],
+                                                       column[2 * per_day:]]))
+
+
+    @pytest.mark.parametrize("case", ["equal days", "short day skipped",
+                                      "two lengths", "one house"])
+    def test_columns_match_per_day_runs_bit_for_bit(self, population, case):
+        cfg = small_cfg(duration_s=3600, warmup_s=1200, training_days=3)
+        rows = cfg.total_s // 10
+        days = [head(make_traces(cfg, seed=100 + d), rows) for d in range(3)]
+        houses = population
+        if case == "short day skipped":
+            days[1] = head(days[1], cfg.warmup_s // 10)
+        elif case == "two lengths":
+            days[1] = head(days[1], rows - 90)
+        elif case == "one house":
+            houses = population[:1]
+        fused = run_training_simulation(cfg, houses, days)
+        expected = per_day_training_columns(cfg, houses, days)
+        assert len(fused.p_ac_free) > 0
+        for got, want in zip(fused, expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestRunDirRoundTrip:
@@ -426,6 +542,40 @@ class TestRunDirFormat:
         with pytest.raises(TypeError):
             write_run_dir(tmp_path / "run",
                           hand_built_run(comfort_violation_acl_min=np.float64(0.0)))
+
+
+class TestGoldenHashes:
+    """Pinned bytes of a small free run and training set.
+
+    Free runs and training make no BLAS call, so these bytes hold on any
+    CPU.  Controlled runs are left out: the baseline fit and prediction
+    still go through BLAS.
+    """
+
+    def test_training_columns_and_free_run_bytes(self, tmp_path):
+        cfg = ScenarioConfig(n_acl=30, seed=11, duration_s=2 * 3600, warmup_s=1800)
+        houses = generate_population(cfg.population_spec(), cfg.seed, cfg.thermal,
+                                     cfg.epsilon_margin_c)
+        free_peak = estimate_free_peak_kw(houses, *peak_weather())
+        days = [head(d, (cfg.warmup_s + 4 * 3600) // 10)
+                for d in generate_training_traces(cfg.seed, free_peak, 3,
+                                                  warmup_s=cfg.warmup_s)]
+        samples = run_training_simulation(cfg, houses, days)
+        # columns, or the rows of a sample list, so older commits can be checked too
+        columns = samples if isinstance(samples, tuple) else \
+            list(zip(*(dataclasses.astuple(s) for s in samples)))
+        table = np.column_stack(columns).astype(float)
+        assert table.shape == (4320, 4)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == \
+            "21e558f8222479affad7ee7b5aab7761bd1a006283cd329ee12c3de0220e4759"
+
+        traces = generate_traces(cfg.seed, free_peak, warmup_s=cfg.warmup_s)
+        write_run_dir(tmp_path, run_scenario(cfg, houses, traces, None, controlled=False))
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("results.csv", "cycles.csv")}
+        assert digest == {
+            "results.csv": "51653f51303bc10b554869e7f869d0d808585ee2411f2515392aa42cfab76031",
+            "cycles.csv": "4ba663fa54a353befa747e08159761884e7d748246efe5207ab21e3bb4d9ded3"}
 
 
 class TestScenarioRatios:
