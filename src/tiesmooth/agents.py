@@ -1,20 +1,15 @@
-"""Local controller for one air-conditioning load.
+"""Comfort settings of one air-conditioning load.
 
-The agent never reveals its comfort preferences: its bid carries only a
-normalized temperature state (the price), its rated power and its on/off
-state.  After the market broadcasts a clearing price, the agent responds
-by swapping its working setpoint to the edge of its comfort band
-(drift-off when outbid, drive-on otherwise) and lets its own thermostat
-hysteresis do the switching.  Hard guards at the comfort limits keep the
-customer protected regardless of what the market asks for.
+The settings never leave the device: a bid carries only its temperature
+state (the price), its rated power and its on/off state.  The rules that
+read them (bid price, setpoint response to the broadcast price,
+thermostat with comfort guards) run fleet-wide as array kernels in
+`engine`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-
-from .market import Bid
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -47,82 +42,6 @@ class AclAgentConfig:
     @property
     def t_min(self) -> float:
         return self.t_set - self.t_low
-
-
-@dataclass(frozen=True)
-class AclAgentState:
-    compressor_on: bool
-    soa: float              # normalized temperature state last bid, in [-1, 1]
-    active_setpoint: float  # degC override currently steering the thermostat
-
-    def __post_init__(self):
-        if not -1.0 <= self.soa <= 1.0:
-            raise ValueError(f"soa must be in [-1, 1], got {self.soa}")
-
-
-def initial_state(cfg: AclAgentConfig, compressor_on: bool = False) -> AclAgentState:
-    return AclAgentState(compressor_on=compressor_on, soa=0.0, active_setpoint=cfg.t_set)
-
-
-def compute_soa(t_air: float, cfg: AclAgentConfig) -> float:
-    """Normalized indoor-temperature state.
-
-    0 at the customer setpoint, +1 at the upper comfort limit, -1 at the
-    lower one, linear in between (each side scaled by its own half-band).
-    Always computed against the customer setpoint, never the market
-    override, so the price signal stays honest.  Clamped to [-1, 1] for
-    transient excursions past the limits.
-    """
-    if t_air >= cfg.t_set:
-        value = (t_air - cfg.t_set) / cfg.t_high
-    else:
-        value = (t_air - cfg.t_set) / cfg.t_low
-    return max(-1.0, min(1.0, value))
-
-
-def make_bid(state: AclAgentState, cfg: AclAgentConfig, agent_id: int = 0) -> Bid:
-    """Bid price = last computed temperature state, quantity = rated power."""
-    return Bid(price=state.soa, quantity=cfg.rated_power,
-               on_state=state.compressor_on, agent_id=agent_id)
-
-
-def apply_clearing_price(p_star: float, state: AclAgentState,
-                         cfg: AclAgentConfig) -> AclAgentState:
-    """Setpoint response to the broadcast price.
-
-    Outbid devices (p_star >= own bid price, ties included) drift off
-    toward the upper limit; the rest are driven on toward the lower
-    limit.  epsilon keeps the override strictly inside the band.  The
-    override persists until the next broadcast.
-    """
-    if not math.isfinite(p_star):
-        raise ValueError(f"clearing price must be finite, got {p_star}")
-    if p_star >= state.soa:
-        setpoint = cfg.t_max - cfg.epsilon
-    else:
-        setpoint = cfg.t_min + cfg.epsilon
-    return replace(state, active_setpoint=setpoint)
-
-
-def thermostat_step(t_air: float, state: AclAgentState,
-                    cfg: AclAgentConfig) -> AclAgentState:
-    """Hysteresis switching around the active setpoint, with hard guards.
-
-    The compressor turns on above setpoint + deadband/2, off below
-    setpoint - deadband/2, and holds inside the band.  Comfort wins over
-    everything: at or beyond the upper limit the compressor is forced
-    on, at or beyond the lower limit forced off.
-    """
-    on = state.compressor_on
-    if t_air > state.active_setpoint + cfg.deadband / 2.0:
-        on = True
-    elif t_air < state.active_setpoint - cfg.deadband / 2.0:
-        on = False
-    if t_air >= cfg.t_max:
-        on = True
-    if t_air <= cfg.t_min:
-        on = False
-    return replace(state, compressor_on=on)
 
 
 def default_epsilon(deadband: float, margin: float = 0.05) -> float:

@@ -1,10 +1,14 @@
-"""Discrete-time simulation harness.
+"""Discrete-time simulation harness and the fleet's control kernels.
 
 Houses advance on the simulation step, records land on the record
 cadence, and the market runs once per control cycle with bids collected
 a fixed lead before the cycle boundary.  House state lives in flat
 arrays and every per-house update is elementwise, so houses step
 independently of one another.
+
+The device controller and the thermal stepper exist only here, as
+kernels over the whole fleet: `fleet_soa`, `_respond_to_price`,
+`_thermostat_slice` and `_advance_slice`.
 
 One step loop serves every run, and it allocates nothing per step: the
 kernels write into a `Workspace` of n-sized buffers made once per run,
@@ -155,7 +159,12 @@ class Workspace:
 
 
 def fleet_soa(fleet: Fleet, ws: Workspace) -> np.ndarray:
-    """Normalized temperature states, clipped to [-1, 1], in `ws.x`."""
+    """Normalized temperature states, the bid prices, in `ws.x`.
+
+    0 at the customer setpoint, +1 / -1 at the upper / lower comfort
+    limit, linear on each side and clipped to [-1, 1].  Measured against
+    the customer setpoint, never the override, so the price stays honest.
+    """
     dev = np.subtract(fleet.t_air, fleet.t_set, out=ws.x)
     above = np.greater_equal(dev, 0.0, out=ws.mask)
     np.copyto(ws.y, fleet.t_low)
@@ -165,8 +174,27 @@ def fleet_soa(fleet: Fleet, ws: Workspace) -> np.ndarray:
     return np.minimum(dev, 1.0, out=dev)
 
 
+def _respond_to_price(fleet: Fleet, ws: Workspace, p_star: float) -> None:
+    """Setpoint response to the broadcast price, then fresh thresholds.
+
+    Outbid devices (bid price <= p_star; ties too, as clearing commits
+    only prices above p_star) drift off toward the upper limit, the rest
+    are driven on toward the lower one.  epsilon keeps the override band
+    inside the comfort limits until the next broadcast.
+    """
+    fleet.active_setpoint = np.where(fleet.soa_bid > p_star,
+                                     fleet.t_min + fleet.epsilon,
+                                     fleet.t_max - fleet.epsilon)
+    ws.set_thresholds(fleet)
+
+
 def _thermostat_slice(fleet: Fleet, ws: Workspace) -> None:
-    """Hysteresis around the active setpoint, then the comfort guards, in place."""
+    """Hysteresis around the active setpoint, then the comfort guards, in place.
+
+    On above setpoint + deadband/2, off below setpoint - deadband/2.  The
+    guards come last so comfort beats the market: at or past the upper
+    limit a compressor is forced on, at or past the lower limit off.
+    """
     t, on, m = fleet.t_air, fleet.on, ws.mask
     np.logical_or(on, np.greater(t, ws.on_above, out=m), out=on)
     np.logical_and(on, np.logical_not(np.less(t, ws.off_below, out=m), out=m), out=on)
@@ -343,11 +371,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
                 if bid_audit is not None:
                     bid_audit.append((k, bids, p_star, rec.committed_power))
             if p_star is not None:
-                fleet.active_setpoint = np.where(
-                    fleet.soa_bid > p_star,
-                    fleet.t_min + fleet.epsilon,
-                    fleet.t_max - fleet.epsilon)
-                ws.set_thresholds(fleet)
+                _respond_to_price(fleet, ws, p_star)
             _check_finite(fleet, k)
 
         # thermostat acts on the state at t before power is metered

@@ -18,22 +18,17 @@ exactly as a running `acc += q` loop does, so every sum is the same
 bits on any Python and NumPy; device ratings are multiples of
 2**-10 kW, which makes those sums exact besides.
 
-Bid prices are normalized temperature states in [-1, 1]; the sentinel
+Prices are normalized temperature states in [-1, 1]; the sentinel
 prices +2 / -2 sit outside that range and encode "everyone off" /
-"everyone on".  `Bid` is the row type of a batch, used wherever single
-messages are handled; the bid audit CSV is an ordinary `textio` table.
+"everyone on".
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
 
 import numpy as np
-
-from .textio import read_table, write_table
 
 SENTINEL_ALL_OFF = 2.0
 SENTINEL_ALL_ON = -2.0
@@ -49,25 +44,10 @@ class ClearingKind(Enum):
     ALL_OFF = "all_off"
 
 
-@dataclass(frozen=True)
-class Bid:
-    """One device's market message: three scalars plus an opaque id."""
-
-    price: float      # normalized temperature state in [-1, 1]
-    quantity: float   # kW, the device's rated electrical power
-    on_state: bool    # running at the time of bidding
-    agent_id: int = 0
-
-    def __post_init__(self):
-        if self.quantity <= 0:
-            raise ValueError(f"bid quantity must be positive, got {self.quantity}")
-        if not -1.0 <= self.price <= 1.0:
-            raise ValueError(f"bid price must be in [-1, 1], got {self.price}")
-
-
 @dataclass(frozen=True, eq=False)
 class BidBatch:
-    """One cycle's bids as four parallel arrays; iterates as `Bid` rows."""
+    """One cycle's bids as four parallel arrays, one row per device: all a
+    device tells the coordinator, and no comfort setting."""
 
     price: np.ndarray     # float, normalized temperature states in [-1, 1]
     quantity: np.ndarray  # float, kW
@@ -88,22 +68,8 @@ class BidBatch:
         if bad.any():
             raise ValueError(f"bid price must be in [-1, 1], got {self.price[bad][0]}")
 
-    @classmethod
-    def of(cls, bids: Iterable[Bid]) -> "BidBatch":
-        """The batch itself, or the columns of a sequence of `Bid` rows."""
-        if isinstance(bids, cls):
-            return bids
-        rows = list(bids)
-        return cls(price=[b.price for b in rows], quantity=[b.quantity for b in rows],
-                   on_state=[b.on_state for b in rows], agent_id=[b.agent_id for b in rows])
-
     def __len__(self) -> int:
         return len(self.price)
-
-    def __iter__(self) -> Iterator[Bid]:
-        for p, q, on, a in zip(self.price.tolist(), self.quantity.tolist(),
-                               self.on_state.tolist(), self.agent_id.tolist()):
-            yield Bid(price=p, quantity=q, on_state=on, agent_id=a)
 
 
 def sequential_sum(values: np.ndarray) -> float:
@@ -140,9 +106,8 @@ class ClearingOutcome:
     kind: ClearingKind
 
 
-def build_demand_curve(bids: Iterable[Bid]) -> DemandCurve:
+def build_demand_curve(batch: BidBatch) -> DemandCurve:
     """Sort bids price-descending (ties by agent id) and accumulate quantity."""
-    batch = BidBatch.of(bids)
     if not batch:
         raise EmptyMarketError("cannot build a demand curve from zero bids")
     order = np.lexsort((batch.agent_id, -batch.price))
@@ -192,31 +157,12 @@ def committed_power_at_price(curve: DemandCurve, p_star: float) -> float:
     return float(curve.cumulative[count - 1]) if count else 0.0
 
 
-def estimate_net_load(p_g_measured: float, bids: Iterable[Bid]) -> float:
+def estimate_net_load(p_g_measured: float, batch: BidBatch) -> float:
     """Non-device net load seen on the tie line.
 
     Subtracting the running devices' bid quantities from the one metered
     tie-line reading leaves uncontrollable load minus generation; no
     other feeder metering is required.  May be negative; passed through.
     """
-    batch = BidBatch.of(bids)
     return p_g_measured - sequential_sum(batch.quantity[batch.on_state])
 
-
-# --- audit-log serialization -------------------------------------------------
-
-BID_CSV_HEADER = "agent_id,price,quantity,on_state"
-
-
-def bids_to_csv(bids: Iterable[Bid]) -> str:
-    batch = BidBatch.of(bids)
-    buf = io.StringIO()
-    write_table(buf, BID_CSV_HEADER, [batch.agent_id, batch.price, batch.quantity,
-                                      batch.on_state.astype(np.int64)])
-    return buf.getvalue()
-
-
-def bids_from_csv(text: str) -> list[Bid]:
-    cols = read_table(io.StringIO(text), BID_CSV_HEADER, ints=("agent_id", "on_state"))
-    return list(BidBatch(cols["price"], cols["quantity"], cols["on_state"] != 0,
-                         cols["agent_id"]))

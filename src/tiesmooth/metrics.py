@@ -23,17 +23,6 @@ class WindowError(ValueError):
     """Requested fluctuation window reaches before the series start."""
 
 
-def fluctuation_rate(p_g: np.ndarray, t_s: float, record_cycle_s: int,
-                     start_time_s: int = 0, window_s: int = WINDOW_S) -> float:
-    """Max minus min of the series over the trailing window (t-w, t]."""
-    last = int((t_s - start_time_s) // record_cycle_s)
-    first = int(np.floor((t_s - window_s - start_time_s) / record_cycle_s)) + 1
-    if first < 0 or last >= len(p_g) or last < first:
-        raise WindowError(f"window ({t_s - window_s}, {t_s}] not covered by series")
-    chunk = p_g[first:last + 1]
-    return float(np.max(chunk) - np.min(chunk))
-
-
 def fluctuation_series(p_g: np.ndarray, record_cycle_s: int,
                        window_s: int = WINDOW_S) -> np.ndarray:
     """Fluctuation rate at every sample with a full trailing window."""

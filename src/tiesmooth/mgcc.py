@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .baseline import (BaselineModel, CorrectionParams, CorrectionState,
                        correct_baseline, predict_baseline)
-from .market import (Bid, BidBatch, ClearingKind, build_demand_curve, clear_market,
+from .market import (BidBatch, ClearingKind, build_demand_curve, clear_market,
                      committed_power_at_price, estimate_net_load, sequential_sum)
 from .textio import read_table, write_table
 
@@ -73,16 +73,15 @@ def lpf_step(state: LpfState, p_g0: float, cfg: MgccConfig) -> tuple[float, LpfS
     return out, LpfState(p_g_lpf_prev=out, initialized=True)
 
 
-def compute_aggregate_soa(bids: Iterable[Bid]) -> float:
+def compute_aggregate_soa(bids: BidBatch) -> float:
     """Mean bid price = mean normalized temperature state of the fleet.
 
     The prices are added left to right, so S is the same bits on every
     Python and NumPy version.
     """
-    batch = BidBatch.of(bids)
-    if not batch:
+    if not bids:
         raise ValueError("cannot aggregate zero bids")
-    return sequential_sum(batch.price) / len(batch)
+    return sequential_sum(bids.price) / len(bids)
 
 
 def compute_target_power(p_base: float, net_load: float, lpf: LpfState,
@@ -133,7 +132,7 @@ class CycleRecord:
 
 def run_control_cycle(
     k: int,
-    bids: Iterable[Bid],
+    bids: BidBatch,
     p_g_measured: float,
     t_out: float,
     solar: float,
@@ -152,7 +151,6 @@ def run_control_cycle(
     `baseline_scale` multiplies the raw prediction (deliberate error
     injection for robustness experiments).
     """
-    bids = BidBatch.of(bids)
     if not bids:
         return None, None, corr_state, lpf_state
 

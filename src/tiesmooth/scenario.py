@@ -123,7 +123,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_acl < 1:
             raise ValueError("n_acl must be >= 1")
-        if self.sim_step_s <= 0 or self.record_cycle_s % self.sim_step_s != 0:
+        # the stepper is checked against half-steps up to 60 s (criterion 8)
+        if not 0 < self.sim_step_s <= 60:
+            raise ValueError(f"sim_step_s must be in (0, 60] s, got {self.sim_step_s}")
+        if self.record_cycle_s % self.sim_step_s != 0:
             raise ValueError("sim_step_s must divide record_cycle_s")
         if self.control_cycle_s % self.record_cycle_s != 0:
             raise ValueError("record_cycle_s must divide control_cycle_s")

@@ -13,6 +13,8 @@ with the air.  The system is linear, so each step is advanced with the
 exact matrix exponential of the 2x2 state matrix (inputs held constant
 over the step).  That keeps the integrator unconditionally stable and
 makes trajectories independent of step size whenever the inputs are.
+`discretize` gives one house's update matrices; the fleet steps with
+them in `engine._advance_slice`.
 
 Geometry-to-parameter derivation rules live in `DerivationConstants`;
 they are conventional residential defaults, surfaced so they can be
@@ -84,26 +86,6 @@ class EtpParameters:
         # be exercised; equilibrium_temperature rejects it explicitly.
         if self.ua_envelope < 0:
             raise GeometryError(f"ua_envelope must be >= 0, got {self.ua_envelope}")
-
-
-@dataclass(frozen=True)
-class ThermalState:
-    t_air: float   # degC indoor air temperature
-    t_mass: float  # degC building mass temperature
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_air) and math.isfinite(self.t_mass)):
-            raise ValueError(f"non-finite thermal state ({self.t_air}, {self.t_mass})")
-
-
-@dataclass(frozen=True)
-class WeatherSample:
-    t_out: float  # degC
-    solar: float  # W/m^2 global radiation
-
-    def __post_init__(self):
-        if self.solar < 0:
-            raise ValueError(f"solar must be >= 0, got {self.solar}")
 
 
 @dataclass(frozen=True)
@@ -229,24 +211,8 @@ def discretize(p: EtpParameters, dt: float):
     return transform(e1, e2), transform(f1, f2)
 
 
-def _forcing(p: EtpParameters, w: WeatherSample, cooling_on: bool) -> float:
-    q_cool = p.cooling_capacity if cooling_on else 0.0
-    return (p.ua_envelope * w.t_out + p.solar_aperture * w.solar - q_cool) / p.c_air
-
-
-def etp_step(s: ThermalState, p: EtpParameters, w: WeatherSample,
-             cooling_on: bool, dt: float) -> ThermalState:
-    """Advance the thermal state dt seconds with inputs held constant."""
-    if not 0 < dt <= 60.0:
-        raise ValueError(f"dt must be in (0, 60] s, got {dt}")
-    ad, m = discretize(p, dt)
-    b0 = _forcing(p, w, cooling_on)
-    t_air = ad[0][0] * s.t_air + ad[0][1] * s.t_mass + m[0][0] * b0
-    t_mass = ad[1][0] * s.t_air + ad[1][1] * s.t_mass + m[1][0] * b0
-    return ThermalState(t_air=t_air, t_mass=t_mass)
-
-
-def equilibrium_temperature(p: EtpParameters, w: WeatherSample, cooling_on: bool) -> float:
+def equilibrium_temperature(p: EtpParameters, t_out: float, solar: float,
+                            cooling_on: bool) -> float:
     """Steady-state indoor air temperature for fixed inputs.
 
     At equilibrium the mass node matches the air node, so the air
@@ -255,4 +221,4 @@ def equilibrium_temperature(p: EtpParameters, w: WeatherSample, cooling_on: bool
     if p.ua_envelope == 0:
         raise SingularEquilibriumError("ua_envelope = 0 has no finite equilibrium")
     q_cool = p.cooling_capacity if cooling_on else 0.0
-    return w.t_out + (p.solar_aperture * w.solar - q_cool) / p.ua_envelope
+    return t_out + (p.solar_aperture * solar - q_cool) / p.ua_envelope

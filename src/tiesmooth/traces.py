@@ -199,6 +199,8 @@ def read_traces(fh: TextIO, cadence_s: int | None = None) -> TraceSet:
     time_s = cols.pop("time_s")
     if len(time_s) < 2:
         raise ValueError("trace file needs at least two rows")
+    if time_s[0] != 0:  # runs read row i as time i * cadence
+        raise ValueError(f"trace time must start at 0 s, got {time_s[0]} s")
     cad = int(time_s[1] - time_s[0])
     if cadence_s is not None and cad != cadence_s:
         raise ValueError(f"trace cadence {cad}s does not match expected {cadence_s}s")

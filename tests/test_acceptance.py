@@ -15,21 +15,20 @@ import pytest
 from tiesmooth.baseline import (build_features, fit_baseline_model,
                                 predict_baseline)
 from tiesmooth.engine import run_scenario, run_training_simulation, write_results
-from tiesmooth.market import (Bid, build_demand_curve, clear_market,
+from tiesmooth.market import (BidBatch, build_demand_curve, clear_market,
                               estimate_net_load)
 from tiesmooth.metrics import compute_metrics
 from tiesmooth.mgcc import LpfState, MgccConfig, lpf_sinusoid_gain, lpf_step
 from tiesmooth.population import estimate_free_peak_kw, generate_population
 from tiesmooth.rng import substream
 from tiesmooth.scenario import ScenarioConfig
-from tiesmooth.thermal import (ThermalState, WeatherSample, derive_etp_params,
-                               equilibrium_temperature, etp_step)
+from tiesmooth.thermal import derive_etp_params, equilibrium_temperature
 from tiesmooth.traces import generate_traces, generate_training_traces, peak_weather
 
 import io
 
-from test_market import brute_force_clear
-from test_thermal import random_table_geometry
+from test_market import brute_force_clear, price_order, rows_of
+from test_thermal import advance, random_table_geometry, thermal_fleet
 
 
 def report(criterion, ok, detail):
@@ -117,29 +116,44 @@ def test_criterion_1_lpf_correctness():
            f"analytic {analytic:.5f}")
 
 
+class BidDraws:
+    """Bids whose price and quantity are drawn bid by bid, price first.
+
+    One array draw with per-element bounds takes the same doubles in the
+    same order as scalar `gen.uniform` calls, so the cases match them.
+    """
+
+    def __init__(self, gen, max_n, price_range, quantity_range):
+        self.gen = gen
+        self.low, self.high = (np.tile([price_range[i], quantity_range[i]], max_n)
+                               for i in (0, 1))
+
+    def __call__(self, n):
+        draws = self.gen.uniform(self.low[:2 * n], self.high[:2 * n])
+        return BidBatch(draws[0::2], draws[1::2], np.zeros(n, dtype=bool), np.arange(n))
+
+
 def test_criterion_2_clearing_oracle_and_conservation():
     gen = substream(2025, 2)
     start = time.perf_counter()
     mismatches = 0
+    draw_bids = BidDraws(gen, 12, (-1, 1), (0.5, 5.0))
     for _ in range(100000):
-        n = int(gen.integers(1, 13))
-        bids = [Bid(price=float(gen.uniform(-1, 1)),
-                    quantity=float(gen.uniform(0.5, 5.0)),
-                    on_state=False, agent_id=i) for i in range(n)]
-        total = sum(b.quantity for b in bids)
+        bids = draw_bids(int(gen.integers(1, 13)))
+        rows = rows_of(bids)
+        total = sum(quantity for _, quantity, _, _ in rows)
         target = float(gen.uniform(-0.5, total + 0.5))
         outcome = clear_market(build_demand_curve(bids), target)
-        expected = brute_force_clear(bids, target)
+        expected = brute_force_clear(rows, target)
         if (outcome.p_star, outcome.committed_power, outcome.kind.value) != expected:
             mismatches += 1
     # fleet-scale granularity bound
     granularity_ok = True
+    draw_bids = BidDraws(gen, 450, (-1, 1), (1.5, 4.0))
     for _ in range(20):
-        bids = [Bid(price=float(gen.uniform(-1, 1)),
-                    quantity=float(gen.uniform(1.5, 4.0)),
-                    on_state=False, agent_id=i) for i in range(450)]
+        bids = draw_bids(450)
         curve = build_demand_curve(bids)
-        max_q = max(b.quantity for b in bids)
+        max_q = float(np.max(bids.quantity))
         for target in np.linspace(0.0, curve.total_quantity, 200):
             out = clear_market(curve, float(target))
             granularity_ok &= abs(out.committed_power - target) <= max_q
@@ -156,11 +170,10 @@ def test_criterion_3_disaggregation_contract(paired):
     for k, bids, p_star, committed in audit:
         if abs(p_star) > 1.0:
             continue  # sentinel
-        ordered = sorted(bids, key=lambda b: (-b.price, b.agent_id))
         running = 0.0
-        for b in ordered:
-            if b.price > p_star:
-                running += b.quantity
+        for price, quantity, _, _ in sorted(rows_of(bids), key=price_order):
+            if price > p_star:
+                running += quantity
             else:
                 break
         exact &= running == committed
@@ -249,8 +262,8 @@ def test_criterion_7_power_balance(bundle, paired):
         truth = float(traces.p_load_kw[j]) - float(traces.p_wind_kw[j])
         est_ok &= rec.net_load - truth == 0.0
     # and on a constructed batch
-    bids = [Bid(0.5, 2.5, True, 0), Bid(-0.25, 3.125, True, 1),
-            Bid(0.0, 1.0078125, False, 2)]
+    bids = BidBatch([0.5, -0.25, 0.0], [2.5, 3.125, 1.0078125], [True, True, False],
+                    [0, 1, 2])
     est_ok &= estimate_net_load(400.25 + 2.5 + 3.125, bids) - 400.25 == 0.0
     report(7, balance_ok and est_ok,
            f"balance exact={balance_ok}, net-load estimate exact={est_ok} "
@@ -258,29 +271,25 @@ def test_criterion_7_power_balance(bundle, paired):
 
 
 def test_criterion_8_etp_oracle():
+    # 1000 drawn houses, stepped as one fleet
     gen = substream(88, 8)
-    worst_eq = 0.0
-    worst_dt = 0.0
-    for _ in range(1000):
-        p = derive_etp_params(random_table_geometry(gen))
-        w = WeatherSample(t_out=float(gen.uniform(26, 38)),
-                          solar=float(gen.uniform(0, 900)))
-        cooling = bool(gen.integers(0, 2))
-        target = equilibrium_temperature(p, w, cooling)
-        s = ThermalState(target + 0.5, target + 0.5)
-        for _ in range(2500):
-            s = etp_step(s, p, w, cooling, 60.0)
-        worst_eq = max(worst_eq, abs(s.t_air - target))
-        # dt halving over a one-hour varying trajectory
-        coarse = ThermalState(26.0, 26.0)
-        fine = ThermalState(26.0, 26.0)
-        for i in range(60):
-            wi = WeatherSample(t_out=30.0 + 4.0 * math.sin(i / 4.0),
-                               solar=max(0.0, 600.0 * math.cos(i / 9.0)))
-            on = i % 4 < 2
-            coarse = etp_step(coarse, p, wi, on, 60.0)
-            fine = etp_step(etp_step(fine, p, wi, on, 30.0), p, wi, on, 30.0)
-        worst_dt = max(worst_dt, abs(coarse.t_air - fine.t_air))
+    cases = [(derive_etp_params(random_table_geometry(gen)), float(gen.uniform(26, 38)),
+              float(gen.uniform(0, 900)), bool(gen.integers(0, 2))) for _ in range(1000)]
+    params, t_out, solar, cooling = (list(column) for column in zip(*cases))
+    targets = np.array([equilibrium_temperature(*case) for case in cases])
+    fleet, ws = thermal_fleet(params, 60.0, targets + 0.5)
+    advance(fleet, ws, np.array(t_out), np.array(solar), cooling, steps=2500)
+    worst_eq = float(np.max(np.abs(fleet.t_air - targets)))
+    # dt halving over a one-hour varying trajectory
+    coarse = thermal_fleet(params, 60.0, 26.0)
+    fine = thermal_fleet(params, 30.0, 26.0)
+    for i in range(60):
+        t_out_i = 30.0 + 4.0 * math.sin(i / 4.0)
+        solar_i = max(0.0, 600.0 * math.cos(i / 9.0))
+        on = i % 4 < 2
+        advance(*coarse, t_out_i, solar_i, on)
+        advance(*fine, t_out_i, solar_i, on, steps=2)
+    worst_dt = float(np.max(np.abs(coarse[0].t_air - fine[0].t_air)))
     report(8, worst_eq < 1e-4 and worst_dt < 0.01,
            f"equilibrium max error {worst_eq:.2e} degC (tol 1e-4), "
            f"dt-halving max change {worst_dt:.2e} degC (tol 0.01)")

@@ -1,13 +1,28 @@
-"""Local controller: temperature state, bidding, price response, hysteresis."""
+"""Local controller: temperature state, bidding, price response, hysteresis.
+
+Every rule runs on the engine's fleet kernels, through a fleet of houses
+that share one controller configuration.
+"""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from tiesmooth.agents import (AclAgentConfig, AclAgentState, apply_clearing_price,
-                              compute_soa, default_epsilon, initial_state,
-                              make_bid, thermostat_step)
-from tiesmooth.market import Bid
+from tiesmooth.agents import AclAgentConfig, default_epsilon
+from tiesmooth.baseline import BaselineModel
+from tiesmooth.engine import (Workspace, _respond_to_price, _thermostat_slice, build_fleet,
+                              fleet_soa, run_scenario)
+from tiesmooth.market import BidBatch
+from tiesmooth.population import House, generate_population
+from tiesmooth.scenario import PopulationSpec, ScenarioConfig
+from tiesmooth.thermal import EtpParameters
+from tiesmooth.traces import generate_traces
+
+# any valid house: the controller kernels never read the thermal parameters
+ETP = EtpParameters(c_air=1e6, c_mass=4e5, ua_envelope=200.0, h_mass=600.0,
+                    solar_aperture=5.0, cooling_capacity=5000.0,
+                    rated_electrical_power=1500.0)
 
 
 @pytest.fixture
@@ -16,113 +31,154 @@ def cfg():
                           rated_power=2.5, epsilon=default_epsilon(0.3))
 
 
+def fleet_of(cfg, t_air, on=False, setpoint=None):
+    """Houses of controller `cfg`, one per air temperature, as one fleet."""
+    t_air = np.atleast_1d(np.asarray(t_air, dtype=float))
+    fleet = build_fleet([House(i, None, ETP, cfg) for i in range(len(t_air))], 5.0)
+    fleet.t_air = t_air.copy()
+    fleet.on = np.full(fleet.n, on)
+    if setpoint is not None:
+        fleet.active_setpoint = np.full(fleet.n, float(setpoint))
+    return fleet, Workspace(fleet)
+
+
+def soa(cfg, t_air):
+    fleet, ws = fleet_of(cfg, t_air)
+    values = fleet_soa(fleet, ws).tolist()
+    return values[0] if np.ndim(t_air) == 0 else values
+
+
+def respond(cfg, bid_price, p_star):
+    """The setpoint a device that bid `bid_price` takes for the broadcast p_star."""
+    fleet, ws = fleet_of(cfg, cfg.t_set)
+    fleet.soa_bid = np.array([bid_price])
+    _respond_to_price(fleet, ws, p_star)
+    sp, h = fleet.active_setpoint, fleet.half_deadband
+    assert np.array_equal(ws.on_above, sp + h) and np.array_equal(ws.off_below, sp - h)
+    return float(sp[0])
+
+
+def thermostat(cfg, t_air, on, setpoint):
+    fleet, ws = fleet_of(cfg, t_air, on, setpoint)
+    _thermostat_slice(fleet, ws)
+    return bool(fleet.on[0])
+
+
 class TestComputeSoa:
     def test_zero_at_setpoint(self, cfg):
-        assert compute_soa(26.0, cfg) == 0.0
+        assert soa(cfg, 26.0) == 0.0
 
     def test_one_at_upper_limit(self, cfg):
-        assert compute_soa(cfg.t_max, cfg) == 1.0
+        assert soa(cfg, cfg.t_max) == 1.0
 
     def test_direct_substitution(self):
         cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
                              rated_power=2.5, epsilon=0.2)
-        assert compute_soa(24.75, cfg) == pytest.approx(-0.5)
+        assert soa(cfg, 24.75) == pytest.approx(-0.5)
 
     def test_clamped_outside_limits(self, cfg):
-        assert compute_soa(cfg.t_max + 3.0, cfg) == 1.0
-        assert compute_soa(cfg.t_min - 3.0, cfg) == -1.0
+        assert soa(cfg, [cfg.t_max + 3.0, cfg.t_min - 3.0]) == [1.0, -1.0]
 
     def test_monotone_and_continuous_at_setpoint(self, cfg):
         temps = [cfg.t_min - 1 + 0.05 * i for i in range(140)]
-        values = [compute_soa(t, cfg) for t in temps]
+        values = soa(cfg, temps)
         assert all(b >= a for a, b in zip(values, values[1:]))
         eps = 1e-9
-        assert abs(compute_soa(26.0 + eps, cfg) - compute_soa(26.0 - eps, cfg)) < 1e-8
+        above, below = soa(cfg, [26.0 + eps, 26.0 - eps])
+        assert abs(above - below) < 1e-8
 
     def test_asymmetric_bands(self):
         cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.0, t_low=3.0,
                              rated_power=2.5, epsilon=0.2)
-        assert compute_soa(27.0, cfg) == pytest.approx(0.5)
-        assert compute_soa(24.5, cfg) == pytest.approx(-0.5)
+        assert soa(cfg, [27.0, 24.5]) == pytest.approx([0.5, -0.5])
+
+
+@pytest.fixture(scope="module")
+def audited_run():
+    """The houses of a short controlled run, every batch it bid, and a
+    function that repeats the run and returns its batches."""
+    cfg = ScenarioConfig(n_acl=12, seed=9, duration_s=3600, warmup_s=0)
+    houses = generate_population(PopulationSpec(n=12), 9)
+    traces = generate_traces(cfg.seed, 30.0, warmup_s=cfg.warmup_s)
+    model = BaselineModel(coefficients=(20.0, 0, 0, 0, 0, 0, 0, 0))
+
+    def bid_batches():
+        audit = []
+        run_scenario(cfg, houses, traces, model, bid_audit=audit)
+        return [bids for _, bids, _, _ in audit]
+    return houses, bid_batches(), bid_batches
 
 
 class TestMakeBid:
-    def test_field_copy(self, cfg):
-        state = AclAgentState(compressor_on=True, soa=0.4, active_setpoint=26.0)
-        bid = make_bid(state, cfg, agent_id=7)
-        assert bid == Bid(price=0.4, quantity=2.5, on_state=True, agent_id=7)
+    """The message each device sends, read off the batches a run clears."""
 
-    def test_off_device(self):
-        cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
-                             rated_power=3.0, epsilon=0.2)
-        state = AclAgentState(compressor_on=False, soa=-1.0, active_setpoint=26.0)
-        bid = make_bid(state, cfg)
-        assert (bid.price, bid.quantity, bid.on_state) == (-1.0, 3.0, False)
+    def test_field_copy(self, audited_run):
+        houses, batches, _ = audited_run
+        rated = [h.agent.rated_power for h in houses]
+        assert batches
+        for batch in batches:
+            assert batch.quantity.tolist() == rated
+            assert batch.agent_id.tolist() == list(range(len(houses)))
 
-    def test_identical_state_identical_bid(self, cfg):
-        s1 = AclAgentState(compressor_on=True, soa=0.25, active_setpoint=26.0)
-        s2 = AclAgentState(compressor_on=True, soa=0.25, active_setpoint=26.0)
-        assert make_bid(s1, cfg, 3) == make_bid(s2, cfg, 3)
+    def test_off_device(self, audited_run):
+        # an off device still offers its full rating and says it is off
+        houses, batches, _ = audited_run
+        rated = np.array([h.agent.rated_power for h in houses])
+        on_states = np.array([batch.on_state for batch in batches])
+        assert on_states.any() and not on_states.all()
+        for batch in batches:
+            assert np.array_equal(batch.quantity[~batch.on_state], rated[~batch.on_state])
 
-    def test_privacy_boundary(self, cfg):
-        # the serialized message carries exactly the three scalars plus the
-        # opaque id; no comfort preference can be reconstructed from it
-        state = AclAgentState(compressor_on=True, soa=0.4, active_setpoint=24.0)
-        bid = make_bid(state, cfg, agent_id=1)
-        payload = dataclasses.asdict(bid)
-        assert set(payload) == {"price", "quantity", "on_state", "agent_id"}
-        assert payload["quantity"] == cfg.rated_power
-        for secret in (cfg.t_set, cfg.deadband, cfg.t_high, cfg.t_low, cfg.epsilon,
-                       state.active_setpoint):
-            assert secret not in (payload["price"], payload["on_state"])
+    def test_identical_state_identical_bid(self, audited_run):
+        _, batches, rerun = audited_run
+        for a, b in zip(batches, rerun(), strict=True):
+            for name in ("price", "quantity", "on_state", "agent_id"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_privacy_boundary(self, audited_run):
+        # the message carries exactly the three scalars plus the opaque id;
+        # no comfort preference travels with it
+        _, batches, _ = audited_run
+        fields = {"price", "quantity", "on_state", "agent_id"}
+        assert {f.name for f in dataclasses.fields(BidBatch)} == fields
+        for batch in batches:
+            assert set(vars(batch)) == fields
+            assert np.all((batch.price >= -1.0) & (batch.price <= 1.0))
 
 
 class TestApplyClearingPrice:
     def test_outbid_drifts_off(self, cfg):
-        state = AclAgentState(compressor_on=True, soa=0.5, active_setpoint=26.0)
-        new = apply_clearing_price(0.5, state, cfg)  # tie goes to the off branch
-        assert new.active_setpoint == cfg.t_max - cfg.epsilon
+        # tie goes to the off branch
+        assert respond(cfg, 0.5, 0.5) == cfg.t_max - cfg.epsilon
 
     def test_winning_bid_drives_on(self, cfg):
-        state = AclAgentState(compressor_on=False, soa=0.5, active_setpoint=26.0)
-        new = apply_clearing_price(0.3, state, cfg)
-        assert new.active_setpoint == cfg.t_min + cfg.epsilon
+        assert respond(cfg, 0.5, 0.3) == cfg.t_min + cfg.epsilon
 
     def test_all_off_sentinel(self, cfg):
-        for soa in (-1.0, 0.0, 1.0):
-            state = AclAgentState(compressor_on=True, soa=soa, active_setpoint=26.0)
-            assert apply_clearing_price(2.0, state, cfg).active_setpoint \
-                == cfg.t_max - cfg.epsilon
+        for bid_price in (-1.0, 0.0, 1.0):
+            assert respond(cfg, bid_price, 2.0) == cfg.t_max - cfg.epsilon
 
     def test_all_on_sentinel(self, cfg):
-        for soa in (-1.0, 0.0, 1.0):
-            state = AclAgentState(compressor_on=False, soa=soa, active_setpoint=26.0)
-            assert apply_clearing_price(-2.0, state, cfg).active_setpoint \
-                == cfg.t_min + cfg.epsilon
+        for bid_price in (-1.0, 0.0, 1.0):
+            assert respond(cfg, bid_price, -2.0) == cfg.t_min + cfg.epsilon
 
     def test_override_band_inside_limits(self, cfg):
         # after any broadcast the steady hysteresis band stays inside the
         # comfort range (epsilon invariant)
         for p_star in (-2.0, -0.4, 0.0, 0.4, 2.0):
-            state = AclAgentState(compressor_on=False, soa=0.1, active_setpoint=26.0)
-            new = apply_clearing_price(p_star, state, cfg)
-            assert new.active_setpoint - cfg.deadband / 2 >= cfg.t_min
-            assert new.active_setpoint + cfg.deadband / 2 <= cfg.t_max
+            setpoint = respond(cfg, 0.1, p_star)
+            assert setpoint - cfg.deadband / 2 >= cfg.t_min
+            assert setpoint + cfg.deadband / 2 <= cfg.t_max
 
 
 class TestThermostat:
     def test_holds_inside_band(self, cfg):
         for on in (False, True):
-            state = AclAgentState(compressor_on=on, soa=0.0, active_setpoint=26.0)
-            assert thermostat_step(26.0, state, cfg).compressor_on is on
+            assert thermostat(cfg, 26.0, on, 26.0) is on
 
     def test_guard_dominates_override(self, cfg):
-        state = AclAgentState(compressor_on=False, soa=0.0,
-                              active_setpoint=cfg.t_max - cfg.epsilon)
-        assert thermostat_step(cfg.t_max, state, cfg).compressor_on is True
-        state = AclAgentState(compressor_on=True, soa=0.0,
-                              active_setpoint=cfg.t_min + cfg.epsilon)
-        assert thermostat_step(cfg.t_min, state, cfg).compressor_on is False
+        assert thermostat(cfg, cfg.t_max, False, cfg.t_max - cfg.epsilon) is True
+        assert thermostat(cfg, cfg.t_min, True, cfg.t_min + cfg.epsilon) is False
 
     def test_square_wave_transition_sequence(self, cfg):
         # hand-enumerated hysteresis transitions for a temperature sweep
@@ -130,11 +186,12 @@ class TestThermostat:
         sweep = [26.0, 26.0 + half + 0.01, 26.0, 26.0 - half - 0.01, 26.0,
                  26.0 + half + 0.01, 26.0 + half + 0.01, 26.0 - half - 0.01]
         expected = [False, True, True, False, False, True, True, False]
-        state = initial_state(cfg)
+        fleet, ws = fleet_of(cfg, 26.0)
         seen = []
         for t_air in sweep:
-            state = thermostat_step(t_air, state, cfg)
-            seen.append(state.compressor_on)
+            fleet.t_air[0] = t_air
+            _thermostat_slice(fleet, ws)
+            seen.append(bool(fleet.on[0]))
         assert seen == expected
 
     def test_invariants_rejected(self):
@@ -147,5 +204,3 @@ class TestThermostat:
         with pytest.raises(ValueError):  # epsilon band leaves the limits
             AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
                            rated_power=2.5, epsilon=2.4)
-        with pytest.raises(ValueError):
-            AclAgentState(compressor_on=False, soa=1.5, active_setpoint=26.0)

@@ -183,6 +183,19 @@ class TestRun:
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_step_over_60_s_is_io_error(self, workspace, tmp_path, capsys):
+        scen = tmp_path / "scenario.txt"
+        shutil.copy(workspace / "scen" / "scenario.txt", scen)
+        edit_scenario(scen, sim_step_s=120, record_cycle_s=120, control_cycle_s=240,
+                      bid_lead_s=120)
+        assert main(["run", "--scenario", str(scen), "--uncontrolled",
+                     "--traces", str(workspace / "scen" / "traces.csv"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert main(["train", "--scenario", str(scen),
+                     "--out", str(tmp_path / "model.txt")]) == 2
+        assert capsys.readouterr().err.count("sim_step_s must be in (0, 60] s") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_idempotent_rerun(self, workspace):
         scen = workspace / "scen"
         out2 = workspace / "run_c2"

@@ -11,11 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiesmooth.engine as engine
-from tiesmooth.agents import (AclAgentState, apply_clearing_price, compute_soa,
-                              thermostat_step)
 from tiesmooth.baseline import BaselineModel
 from tiesmooth.engine import (NumericAbortError, RunResult, Workspace, _advance_slice,
-                              _thermostat_slice, build_fleet, fleet_soa, load_run_dir,
+                              _thermostat_slice, build_fleet, load_run_dir,
                               run_scenario, run_training_simulation,
                               seed_fleet_states, write_results, write_run_dir)
 from tiesmooth.market import sequential_sum
@@ -24,9 +22,10 @@ from tiesmooth.population import (estimate_free_peak_kw, generate_population,
                                   total_rated_power_kw)
 from tiesmooth.rng import ENROLLMENT_STREAM, substream
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
-from tiesmooth.thermal import ThermalState, WeatherSample, etp_step
 from tiesmooth.traces import (TraceSet, generate_traces, generate_training_traces,
                               peak_weather, quantize_kw)
+
+from test_market import price_order, rows_of
 
 
 def small_cfg(**overrides):
@@ -62,63 +61,6 @@ def flat_model(level_kw):
 @pytest.fixture(scope="module")
 def population():
     return generate_population(PopulationSpec(n=12), 9)
-
-
-class TestVectorKernelsMatchScalarOps:
-    def test_thermostat_and_soa_match_agent_module(self, population):
-        fleet = build_fleet(population, 5.0)
-        seed_fleet_states(fleet, 9)
-        gen = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
-        fleet.t_air = fleet.t_set + gen.uniform(-4.0, 4.0, fleet.n)
-        fleet.on = gen.uniform(size=fleet.n) < 0.5
-        fleet.active_setpoint = np.where(gen.uniform(size=fleet.n) < 0.5,
-                                         fleet.t_min + fleet.epsilon,
-                                         fleet.t_max - fleet.epsilon)
-        expected_on, expected_soa = [], []
-        for i, house in enumerate(population):
-            state = AclAgentState(compressor_on=bool(fleet.on[i]),
-                                  soa=0.0,
-                                  active_setpoint=float(fleet.active_setpoint[i]))
-            stepped = thermostat_step(float(fleet.t_air[i]), state, house.agent)
-            expected_on.append(stepped.compressor_on)
-            expected_soa.append(compute_soa(float(fleet.t_air[i]), house.agent))
-        ws = Workspace(fleet)
-        soa = fleet_soa(fleet, ws).copy()
-        _thermostat_slice(fleet, ws)
-        assert list(fleet.on) == expected_on
-        assert np.allclose(soa, expected_soa, rtol=0, atol=0)
-
-    def test_price_response_matches_agent_module(self, population):
-        fleet = build_fleet(population, 5.0)
-        seed_fleet_states(fleet, 9)
-        gen = np.random.Generator(np.random.Philox(key=np.array([3, 4], dtype=np.uint64)))
-        fleet.soa_bid = gen.uniform(-1.0, 1.0, fleet.n)
-        for p_star in (-2.0, -0.35, 0.0, float(fleet.soa_bid[0]), 0.6, 2.0):
-            vector = np.where(fleet.soa_bid > p_star,
-                              fleet.t_min + fleet.epsilon,
-                              fleet.t_max - fleet.epsilon)
-            for i, house in enumerate(population):
-                state = AclAgentState(compressor_on=False,
-                                      soa=float(fleet.soa_bid[i]),
-                                      active_setpoint=house.agent.t_set)
-                expected = apply_clearing_price(p_star, state, house.agent)
-                assert vector[i] == expected.active_setpoint
-
-    def test_thermal_advance_matches_etp_step(self, population):
-        cfg = small_cfg()
-        traces = constant_traces(600)
-        result_fleet = build_fleet(population, cfg.sim_step_s)
-        seed_fleet_states(result_fleet, cfg.seed)
-        t_air0 = result_fleet.t_air.copy()
-        t_mass0 = result_fleet.t_mass.copy()
-        on = result_fleet.on.copy()
-        _advance_slice(result_fleet, Workspace(result_fleet), 33.0, 400.0)
-        w = WeatherSample(33.0, 400.0)
-        for i, house in enumerate(population):
-            expected = etp_step(ThermalState(float(t_air0[i]), float(t_mass0[i])),
-                                house.etp, w, bool(on[i]), float(cfg.sim_step_s))
-            assert result_fleet.t_air[i] == expected.t_air
-            assert result_fleet.t_mass[i] == expected.t_mass
 
 
 def one_line_thermostat(fleet):
@@ -242,12 +184,11 @@ class TestPowerBalance:
                   if abs(p_star) <= 1.0]
         assert normal, "expected at least one non-sentinel clearing"
         for bids, p_star, committed in normal:
-            ordered = sorted(bids, key=lambda b: (-b.price, b.agent_id))
             running = 0.0
-            for b in ordered:
-                if b.price <= p_star:
+            for price, quantity, _, _ in sorted(rows_of(bids), key=price_order):
+                if price <= p_star:
                     break
-                running += b.quantity
+                running += quantity
             assert running == committed
 
     def test_audited_bids_keep_bid_time_state(self, population):
@@ -545,18 +486,41 @@ class TestRunDirFormat:
 
 
 class TestGoldenHashes:
-    """Pinned bytes of a small free run and training set.
+    """Pinned bytes of a small free run, training set and controlled run.
 
     Free runs and training make no BLAS call, so these bytes hold on any
-    CPU.  Controlled runs are left out: the baseline fit and prediction
-    still go through BLAS.
+    CPU.  The controlled run uses a constant-only baseline model: the
+    prediction's `np.dot` then adds exact zeros, so its bytes hold on any
+    BLAS kernel too.  A fitted model is left out until the fit and the
+    prediction stop going through BLAS.
     """
 
-    def test_training_columns_and_free_run_bytes(self, tmp_path):
+    @staticmethod
+    def small_scenario():
         cfg = ScenarioConfig(n_acl=30, seed=11, duration_s=2 * 3600, warmup_s=1800)
         houses = generate_population(cfg.population_spec(), cfg.seed, cfg.thermal,
                                      cfg.epsilon_margin_c)
-        free_peak = estimate_free_peak_kw(houses, *peak_weather())
+        return cfg, houses, estimate_free_peak_kw(houses, *peak_weather())
+
+    @staticmethod
+    def run_digests(run_dir):
+        return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                for name in ("results.csv", "cycles.csv")}
+
+    def test_controlled_run_bytes(self, tmp_path):
+        cfg, houses, free_peak = self.small_scenario()
+        traces = generate_traces(cfg.seed, free_peak, warmup_s=cfg.warmup_s)
+        model = BaselineModel((0.5 * free_peak, 0, 0, 0, 0, 0, 0, 0))
+        result = run_scenario(cfg, houses, traces, model)
+        normal = sum(abs(rec.p_star) <= 1.0 for rec in result.cycle_records)
+        assert normal / len(result.cycle_records) > 0.9  # the market really clears
+        write_run_dir(tmp_path, result)
+        assert self.run_digests(tmp_path) == {
+            "results.csv": "98d8d10aa5e3abcb1614b1bbc3db992e69eb532ce18e6b7e2fbf643fcff07a5e",
+            "cycles.csv": "6252207f63dffef578adeffd1a0a41db9f6545d47dbb0376eca5fe7735527c61"}
+
+    def test_training_columns_and_free_run_bytes(self, tmp_path):
+        cfg, houses, free_peak = self.small_scenario()
         days = [head(d, (cfg.warmup_s + 4 * 3600) // 10)
                 for d in generate_training_traces(cfg.seed, free_peak, 3,
                                                   warmup_s=cfg.warmup_s)]
@@ -571,9 +535,7 @@ class TestGoldenHashes:
 
         traces = generate_traces(cfg.seed, free_peak, warmup_s=cfg.warmup_s)
         write_run_dir(tmp_path, run_scenario(cfg, houses, traces, None, controlled=False))
-        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                  for name in ("results.csv", "cycles.csv")}
-        assert digest == {
+        assert self.run_digests(tmp_path) == {
             "results.csv": "51653f51303bc10b554869e7f869d0d808585ee2411f2515392aa42cfab76031",
             "cycles.csv": "4ba663fa54a353befa747e08159761884e7d748246efe5207ab21e3bb4d9ded3"}
 

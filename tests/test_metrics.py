@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tiesmooth.engine import run_scenario
-from tiesmooth.metrics import (WindowError, compute_metrics, fluctuation_rate,
+from tiesmooth.metrics import (WINDOW_S, WindowError, compute_metrics,
                                fluctuation_series, write_fluctuation_csv,
                                write_report, write_s_trajectory_csv,
                                write_smoothing_csv)
@@ -14,6 +14,17 @@ from tiesmooth.population import generate_population
 from tiesmooth.rng import substream
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
 from tiesmooth.traces import generate_traces
+
+
+def fluctuation_rate(p_g, t_s, record_cycle_s, start_time_s=0, window_s=WINDOW_S):
+    """Oracle for one point of `fluctuation_series`: max minus min of the
+    series over the trailing window (t-w, t]."""
+    last = int((t_s - start_time_s) // record_cycle_s)
+    first = int(np.floor((t_s - window_s - start_time_s) / record_cycle_s)) + 1
+    if first < 0 or last >= len(p_g) or last < first:
+        raise WindowError(f"window ({t_s - window_s}, {t_s}] not covered by series")
+    chunk = p_g[first:last + 1]
+    return float(np.max(chunk) - np.min(chunk))
 
 
 class TestFluctuationRate:

@@ -12,7 +12,7 @@ import pytest
 
 from tiesmooth import mgcc
 from tiesmooth.baseline import BaselineModel, CorrectionState
-from tiesmooth.market import Bid
+from tiesmooth.market import BidBatch
 from tiesmooth.mgcc import (CYCLE_CSV_HEADER, ContractError, CycleRecord, LpfState,
                             MgccConfig, compute_aggregate_soa, compute_target_power,
                             lpf_sinusoid_gain, lpf_step, run_control_cycle,
@@ -22,6 +22,12 @@ from tiesmooth.mgcc import (CYCLE_CSV_HEADER, ContractError, CycleRecord, LpfSta
 @pytest.fixture
 def cfg():
     return MgccConfig(tau_s=3000.0, control_cycle_s=60.0)
+
+
+def priced(prices, quantity=1.0):
+    """Off devices of one rating bidding these prices, ids in order."""
+    n = len(prices)
+    return BidBatch(prices, [quantity] * n, [False] * n, range(n))
 
 
 class TestLpf:
@@ -72,20 +78,17 @@ class TestLpf:
 
 class TestAggregateSoa:
     def test_all_zero(self):
-        bids = [Bid(0.0, 1.0, False, i) for i in range(5)]
-        assert compute_aggregate_soa(bids) == 0.0
+        assert compute_aggregate_soa(priced([0.0] * 5)) == 0.0
 
     def test_symmetry(self):
-        bids = [Bid(1.0, 1.0, False, 0), Bid(-1.0, 1.0, False, 1)]
-        assert compute_aggregate_soa(bids) == 0.0
+        assert compute_aggregate_soa(priced([1.0, -1.0])) == 0.0
 
     def test_mean(self):
-        bids = [Bid(p, 1.0, False, i) for i, p in enumerate((0.2, 0.4, 0.9))]
-        assert compute_aggregate_soa(bids) == pytest.approx(0.5)
+        assert compute_aggregate_soa(priced([0.2, 0.4, 0.9])) == pytest.approx(0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_aggregate_soa([])
+            compute_aggregate_soa(priced([]))
 
     def test_sums_left_to_right(self):
         # sequential, pairwise and compensated summation all disagree here;
@@ -95,12 +98,10 @@ class TestAggregateSoa:
         for p in prices:
             acc += p
         assert acc != math.fsum(prices) and acc != float(np.sum(prices))
-        bids = [Bid(p, 1.0, False, i) for i, p in enumerate(prices)]
-        assert compute_aggregate_soa(bids) == acc / len(prices)
+        assert compute_aggregate_soa(priced(prices)) == acc / len(prices)
 
     def test_negative_zero_sums_like_a_loop(self):
-        bids = [Bid(-0.0, 1.0, False, i) for i in range(3)]
-        assert math.copysign(1.0, compute_aggregate_soa(bids)) == 1.0
+        assert math.copysign(1.0, compute_aggregate_soa(priced([-0.0] * 3))) == 1.0
 
 
 class TestComputeTargetPower:
@@ -130,8 +131,8 @@ class TestComputeTargetPower:
 
 
 def golden_inputs():
-    bids = [Bid(0.6, 2.0, True, 0), Bid(0.2, 3.0, False, 1),
-            Bid(-0.3, 2.5, False, 2), Bid(0.8, 1.5, True, 3)]
+    bids = BidBatch([0.6, 0.2, -0.3, 0.8], [2.0, 3.0, 2.5, 1.5],
+                    [True, False, False, True], [0, 1, 2, 3])
     model = BaselineModel(coefficients=(6.0, 0, 0, 0, 0, 0, 0, 0))
     corr = CorrectionState(p_adj_prev=0.5)
     lpf = LpfState(p_g_lpf_prev=505.0, initialized=True)
@@ -190,14 +191,14 @@ class TestRunControlCycle:
     def test_empty_bids_skip_cycle(self, cfg):
         _, model, corr, lpf = golden_inputs()
         p_star, rec, corr2, lpf2 = run_control_cycle(
-            1, [], 500.0, 33.0, 600.0, 9.0, model, corr, lpf, cfg)
+            1, priced([]), 500.0, 33.0, 600.0, 9.0, model, corr, lpf, cfg)
         assert p_star is None and rec is None
         assert corr2 is corr and lpf2 is lpf
 
     def test_quiescent_fixed_point(self, cfg):
         # fleet at zero temperature state, filter already settled: the
         # target equals the baseline and clearing commits nearest power
-        bids = [Bid(0.0, 2.0, False, i) for i in range(5)]
+        bids = priced([0.0] * 5, quantity=2.0)
         model = BaselineModel(coefficients=(6.0, 0, 0, 0, 0, 0, 0, 0))
         lpf = LpfState(506.0, True)
         p_star, rec, _, _ = run_control_cycle(

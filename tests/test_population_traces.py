@@ -151,3 +151,10 @@ class TestTraceCsv:
         text = f"{TRACE_CSV_HEADER}\n0,30.0,0.0,100.0\n10,30.0,0.0,100.0\n"
         with pytest.raises(ValueError):
             read_traces(io.StringIO(text))
+
+    def test_time_origin_rejected(self):
+        # runs read row i as time i * cadence, so a file starting later
+        # would shift every weather and load value
+        text = f"{TRACE_CSV_HEADER}\n3600,30.0,0.0,100.0,5.0\n3610,30.0,0.0,100.0,5.0\n"
+        with pytest.raises(ValueError, match="start at 0"):
+            read_traces(io.StringIO(text))

@@ -1,4 +1,8 @@
-"""House thermal model: derivation rules, exact stepping, equilibria."""
+"""House thermal model: derivation rules, exact stepping, equilibria.
+
+Stepping runs on the engine's fleet stepper, with every house of a case
+in one fleet and the compressors held as each case sets them.
+"""
 
 import math
 
@@ -7,11 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiesmooth.agents import AclAgentConfig
+from tiesmooth.engine import Workspace, _advance_slice, build_fleet
+from tiesmooth.population import House
 from tiesmooth.rng import substream
+from tiesmooth.scenario import ScenarioConfig
 from tiesmooth.thermal import (EtpParameters, GeometryError,
                                HouseGeometry, SingularEquilibriumError,
-                               ThermalState, WeatherSample, derive_etp_params,
-                               discretize, equilibrium_temperature, etp_step)
+                               derive_etp_params, discretize, equilibrium_temperature)
+
+# any valid controller: the thermal stepper never reads it
+COMFORT = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
+                         rated_power=2.5, epsilon=0.2)
 
 
 def nominal_geometry(**overrides):
@@ -36,6 +47,23 @@ def random_table_geometry(gen):
         r_window=gen.uniform(0.29, 0.47),
         r_door=gen.uniform(0.67, 1.09),
     )
+
+
+def thermal_fleet(params, dt, t_air, t_mass=None):
+    """Houses of these parameters as one fleet stepping dt seconds, from the
+    given air and mass temperatures (scalars or one per house)."""
+    fleet = build_fleet([House(i, None, p, COMFORT) for i, p in enumerate(params)], dt)
+    fleet.t_air = np.broadcast_to(np.asarray(t_air, dtype=float), (fleet.n,)).copy()
+    fleet.t_mass = np.broadcast_to(np.asarray(t_air if t_mass is None else t_mass,
+                                              dtype=float), (fleet.n,)).copy()
+    return fleet, Workspace(fleet)
+
+
+def advance(fleet, ws, t_out, solar, cooling_on, steps=1):
+    """`steps` steps under fixed weather with the compressors held as given."""
+    fleet.on[:] = cooling_on
+    for _ in range(steps):
+        _advance_slice(fleet, ws, t_out, solar)
 
 
 class TestDeriveEtpParams:
@@ -95,26 +123,23 @@ class TestDeriveEtpParams:
 class TestEtpStep:
     def test_converges_to_outdoor_without_gains(self):
         p = derive_etp_params(nominal_geometry())
-        w = WeatherSample(t_out=30.0, solar=0.0)
-        s = ThermalState(20.0, 20.0)
-        for _ in range(20000):
-            s = etp_step(s, p, w, cooling_on=False, dt=60.0)
-        assert s.t_air == pytest.approx(30.0, abs=1e-9)
-        assert s.t_mass == pytest.approx(30.0, abs=1e-9)
+        fleet, ws = thermal_fleet([p], 60.0, 20.0)
+        advance(fleet, ws, 30.0, 0.0, False, steps=20000)
+        assert fleet.t_air[0] == pytest.approx(30.0, abs=1e-9)
+        assert fleet.t_mass[0] == pytest.approx(30.0, abs=1e-9)
 
     def test_solar_steady_state_matches_linear_solve(self):
         # independent oracle: solve the 2x2 steady state directly
         p = derive_etp_params(nominal_geometry())
-        w = WeatherSample(t_out=32.0, solar=600.0)
+        t_out, solar = 32.0, 600.0
         a = np.array([[-(p.ua_envelope + p.h_mass), p.h_mass],
                       [p.h_mass, -p.h_mass]])
-        b = np.array([-(p.ua_envelope * w.t_out + p.solar_aperture * w.solar), 0.0])
+        b = np.array([-(p.ua_envelope * t_out + p.solar_aperture * solar), 0.0])
         fixed = np.linalg.solve(a, b)
-        s = ThermalState(25.0, 25.0)
-        for _ in range(30000):
-            s = etp_step(s, p, w, cooling_on=False, dt=60.0)
-        assert s.t_air == pytest.approx(fixed[0], abs=1e-6)
-        assert s.t_mass == pytest.approx(s.t_air, abs=1e-6)
+        fleet, ws = thermal_fleet([p], 60.0, 25.0)
+        advance(fleet, ws, t_out, solar, False, steps=30000)
+        assert fleet.t_air[0] == pytest.approx(fixed[0], abs=1e-6)
+        assert fleet.t_mass[0] == pytest.approx(fleet.t_air[0], abs=1e-6)
 
     def test_matches_scipy_expm_oracle(self):
         sla = pytest.importorskip("scipy.linalg")
@@ -132,11 +157,15 @@ class TestEtpStep:
             assert np.allclose(np.array(m), integral, rtol=1e-9, atol=1e-9)
 
     def test_dt_bounds_enforced(self):
-        p = derive_etp_params(nominal_geometry())
-        with pytest.raises(ValueError):
-            etp_step(ThermalState(25, 25), p, WeatherSample(30, 0), False, 0.0)
-        with pytest.raises(ValueError):
-            etp_step(ThermalState(25, 25), p, WeatherSample(30, 0), False, 61.0)
+        # a run's step is bounded to (0, 60] s where the scenario is built
+        for step in (0, -5):
+            with pytest.raises(ValueError, match="sim_step_s must be in"):
+                ScenarioConfig(sim_step_s=step)
+        with pytest.raises(ValueError, match="sim_step_s must be in"):
+            ScenarioConfig(sim_step_s=120, record_cycle_s=120, control_cycle_s=240,
+                           bid_lead_s=120)
+        ScenarioConfig(sim_step_s=60, record_cycle_s=60, control_cycle_s=120,
+                       bid_lead_s=60)
 
     @settings(max_examples=40, deadline=None)
     @given(c_air=st.floats(1e5, 5e6), c_mass=st.floats(1e5, 5e7),
@@ -145,17 +174,16 @@ class TestEtpStep:
         p = EtpParameters(c_air=c_air, c_mass=c_mass, ua_envelope=0.0, h_mass=h,
                           solar_aperture=1.0, cooling_capacity=1000.0,
                           rated_electrical_power=300.0)
-        w = WeatherSample(t_out=50.0, solar=0.0)  # irrelevant: ua = 0
-        s = ThermalState(30.0, 18.0)
-        energy0 = c_air * s.t_air + c_mass * s.t_mass
-        for _ in range(2000):
-            s = etp_step(s, p, w, cooling_on=False, dt=30.0)
-        energy = c_air * s.t_air + c_mass * s.t_mass
+        fleet, ws = thermal_fleet([p], 30.0, 30.0, 18.0)
+        energy0 = c_air * 30.0 + c_mass * 18.0
+        advance(fleet, ws, 50.0, 0.0, False, steps=2000)  # t_out irrelevant: ua = 0
+        t_air, t_mass = float(fleet.t_air[0]), float(fleet.t_mass[0])
+        energy = c_air * t_air + c_mass * t_mass
         assert energy == pytest.approx(energy0, rel=1e-9)
         # node gap decays at the nonzero eigenvalue rate
         lam = -h * (1.0 / c_air + 1.0 / c_mass)
         bound = abs(30.0 - 18.0) * math.exp(lam * 2000 * 30.0) + 1e-9
-        assert abs(s.t_air - s.t_mass) <= bound * (1.0 + 1e-6)
+        assert abs(t_air - t_mass) <= bound * (1.0 + 1e-6)
 
     def test_eigenvalues_negative_for_positive_parameters(self):
         gen = substream(7, 11)
@@ -172,25 +200,21 @@ class TestEtpStep:
     def test_dt_halving_changes_trajectory_little(self):
         # varying weather resolved at two step sizes over one hour
         gen = substream(3, 5)
-        for _ in range(20):
-            p = derive_etp_params(random_table_geometry(gen))
-            weather = [WeatherSample(t_out=30 + 5 * math.sin(i / 5.0),
-                                     solar=max(0.0, 500 * math.cos(i / 7.0)))
-                       for i in range(60)]
-            coarse = ThermalState(26.0, 26.0)
-            fine = ThermalState(26.0, 26.0)
-            for i, w in enumerate(weather):
-                cooling = i % 3 == 0
-                coarse = etp_step(coarse, p, w, cooling, 60.0)
-                fine = etp_step(fine, p, w, cooling, 30.0)
-                fine = etp_step(fine, p, w, cooling, 30.0)
-            assert abs(coarse.t_air - fine.t_air) < 0.01
+        params = [derive_etp_params(random_table_geometry(gen)) for _ in range(20)]
+        coarse = thermal_fleet(params, 60.0, 26.0)
+        fine = thermal_fleet(params, 30.0, 26.0)
+        for i in range(60):
+            t_out, solar = 30 + 5 * math.sin(i / 5.0), max(0.0, 500 * math.cos(i / 7.0))
+            cooling = i % 3 == 0
+            advance(*coarse, t_out, solar, cooling)
+            advance(*fine, t_out, solar, cooling, steps=2)
+        assert np.all(np.abs(coarse[0].t_air - fine[0].t_air) < 0.01)
 
 
 class TestEquilibrium:
     def test_no_gains_equilibrium_is_outdoor(self):
         p = derive_etp_params(nominal_geometry())
-        assert equilibrium_temperature(p, WeatherSample(28.0, 0.0), False) == 28.0
+        assert equilibrium_temperature(p, 28.0, 0.0, False) == 28.0
 
     def test_constructed_inverse(self):
         # capacity chosen so the cooled steady state lands on 26
@@ -198,7 +222,7 @@ class TestEquilibrium:
         p = EtpParameters(c_air=1e6, c_mass=4e5, ua_envelope=ua, h_mass=600.0,
                           solar_aperture=5.0, cooling_capacity=ua * (35.0 - 26.0),
                           rated_electrical_power=500.0)
-        t = equilibrium_temperature(p, WeatherSample(35.0, 0.0), cooling_on=True)
+        t = equilibrium_temperature(p, 35.0, 0.0, cooling_on=True)
         assert t == pytest.approx(26.0, abs=1e-12)
 
     def test_singular_when_no_envelope(self):
@@ -206,24 +230,20 @@ class TestEquilibrium:
                           solar_aperture=5.0, cooling_capacity=1000.0,
                           rated_electrical_power=300.0)
         with pytest.raises(SingularEquilibriumError):
-            equilibrium_temperature(p, WeatherSample(30.0, 0.0), False)
+            equilibrium_temperature(p, 30.0, 0.0, False)
 
     def test_long_horizon_integration_agrees(self):
         gen = substream(11, 13)
-        for _ in range(30):
-            p = derive_etp_params(random_table_geometry(gen))
-            w = WeatherSample(t_out=float(gen.uniform(26, 38)),
-                              solar=float(gen.uniform(0, 900)))
-            cooling = bool(gen.integers(0, 2))
-            target = equilibrium_temperature(p, w, cooling)
-            s = ThermalState(27.0, 27.0)
-            for _ in range(4000):
-                s = etp_step(s, p, w, cooling, 60.0)
-            assert abs(s.t_air - target) < 1e-4
+        cases = [(derive_etp_params(random_table_geometry(gen)), float(gen.uniform(26, 38)),
+                  float(gen.uniform(0, 900)), bool(gen.integers(0, 2))) for _ in range(30)]
+        params, t_out, solar, cooling = (list(column) for column in zip(*cases))
+        targets = [equilibrium_temperature(*case) for case in cases]
+        fleet, ws = thermal_fleet(params, 60.0, 27.0)
+        advance(fleet, ws, np.array(t_out), np.array(solar), cooling, steps=4000)
+        assert np.all(np.abs(fleet.t_air - targets) < 1e-4)
 
     def test_more_capacity_never_raises_steady_state(self):
         p = derive_etp_params(nominal_geometry())
-        w = WeatherSample(34.0, 700.0)
         temps = []
         for scale in (1.0, 1.2, 1.5, 2.0):
             bigger = EtpParameters(
@@ -231,5 +251,5 @@ class TestEquilibrium:
                 h_mass=p.h_mass, solar_aperture=p.solar_aperture,
                 cooling_capacity=p.cooling_capacity * scale,
                 rated_electrical_power=p.rated_electrical_power)
-            temps.append(equilibrium_temperature(bigger, w, True))
+            temps.append(equilibrium_temperature(bigger, 34.0, 700.0, True))
         assert all(t2 < t1 for t1, t2 in zip(temps, temps[1:]))
