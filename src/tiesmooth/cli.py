@@ -1,9 +1,9 @@
 """Command-line pipeline: scenario generation, training, runs, metrics.
 
 Exit codes are a stable contract: 0 success, 2 unreadable or malformed
-input (I/O problems, a malformed run directory, an unknown scenario
-key), 3 baseline fit failure, 4 numeric abort inside a run, 5
-incomparable run pair.
+input (I/O problems, a malformed run directory, an unknown scenario key
+or a bad scenario value, traces shorter than the run), 3 baseline fit
+failure, 4 numeric abort inside a run, 5 incomparable run pair.
 """
 
 from __future__ import annotations
@@ -75,9 +75,11 @@ def _population(cfg: ScenarioConfig):
 def cmd_gen_scenario(args) -> int:
     out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        cfg = ScenarioConfig(n_acl=args.n_acl, seed=args.seed,
+        if args.days < 1:
+            raise ValueError(f"--days must be >= 1, got {args.days}")
+        cfg = ScenarioConfig(n_acl=args.n_acl, seed=args.seed, duration_s=args.days * 86400,
                              training_days=args.training_days)
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "scenario.txt", "w") as fh:
             save_scenario(cfg, fh)
 
@@ -98,7 +100,7 @@ def cmd_gen_scenario(args) -> int:
                 acl_peak_share=cfg.acl_peak_share, warmup_s=cfg.warmup_s)):
             with open(out / f"train_day{day}.csv", "w") as fh:
                 write_traces(fh, day_traces)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"scenario written to {out} (n_acl={cfg.n_acl}, seed={cfg.seed}, "
@@ -111,6 +113,9 @@ def cmd_train(args) -> int:
     try:
         with open(scenario_path) as fh:
             cfg = load_scenario(fh)
+        if cfg.training_days < 2:
+            raise ValueError("training_days must be >= 2: day 0 enrolls the whole fleet, "
+                             "so one day leaves the rated-power regressor constant")
         base = scenario_path.parent
         day_traces = []
         for day in range(cfg.training_days):
@@ -172,7 +177,6 @@ def cmd_run(args) -> int:
         if not args.uncontrolled:
             model_path = Path(args.model) if args.model else scenario_path.parent / "model.txt"
             model = BaselineModel.load(model_path)
-        out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -184,17 +188,24 @@ def cmd_run(args) -> int:
     except NumericAbortError as exc:
         print(f"error: numeric abort at control cycle {exc.cycle}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # traces that do not cover the run
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
-    write_run_dir(out, result)
-    _write_manifest(out, scenario_path, trace_path, model_path, cfg, {
-        "uncontrolled": args.uncontrolled,
-        "baseline_bias": cfg.baseline_bias,
-        "soa_feedback_enabled": cfg.soa_feedback_enabled,
-        "results_sha256": _sha256_files([out / "results.csv"]),
-    })
+    try:
+        write_run_dir(out, result)
+        _write_manifest(out, scenario_path, trace_path, model_path, cfg, {
+            "uncontrolled": args.uncontrolled,
+            "baseline_bias": cfg.baseline_bias,
+            "soa_feedback_enabled": cfg.soa_feedback_enabled,
+            "results_sha256": _sha256_files([out / "results.csv"]),
+        })
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     kind = "uncontrolled" if args.uncontrolled else "controlled"
     print(f"{kind} run complete: {len(result.time_s)} records, "
-          f"{len(result.cycle_records)} cycles, gaps={len(result.gaps)}")
+          f"{len(result.cycle_records)} cycles")
     return EXIT_OK
 
 
@@ -246,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n-acl", type=int, default=450)
-    p.add_argument("--days", type=int, default=1, help="evaluation trace days")
+    p.add_argument("--days", type=int, default=1,
+                   help="evaluation days: the traces and the run's duration_s")
     p.add_argument("--training-days", type=int, default=3)
     p.set_defaults(func=cmd_gen_scenario)
 

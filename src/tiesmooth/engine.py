@@ -41,7 +41,7 @@ from .mgcc import (CycleRecord, LpfState, read_cycle_records, run_control_cycle,
                    write_cycle_records)
 from .population import House
 from .scenario import ScenarioConfig
-from .textio import fmt, parse, read_keyvals, read_table, write_keyvals, write_table
+from .textio import parse, read_keyvals, read_table, write_keyvals, write_table
 from .thermal import discretize
 from .traces import TraceSet
 
@@ -128,7 +128,7 @@ def seed_fleet_states(fleet: Fleet, seed: int,
     """
     sizes = [fleet.n] if segments is None else segments
     gen = rng.substream(seed, rng.INITIAL_STATE_STREAM)
-    draws = gen.uniform(-1.0, 1.0, max(sizes, default=0))
+    draws = gen.uniform(-1.0, 1.0, max(sizes))
     offsets = np.concatenate([draws[:size] for size in sizes]) * fleet.half_deadband
     fleet.t_air = fleet.t_set + offsets
     fleet.t_mass = fleet.t_air.copy()
@@ -239,7 +239,6 @@ class RunResult:
     s_aggregate: np.ndarray
     n_on: np.ndarray
     cycle_records: list[CycleRecord]
-    gaps: list[int]
     comfort_violation_acl_min: float
     total_acl_min: float
 
@@ -252,7 +251,7 @@ class RunResult:
 RESULTS_CSV_HEADER = ("time_s,p_g,p_g0_reference,p_g_lpf,p_ac_actual,"
                       "p_ac_target,s_aggregate,n_on")
 
-# summary.txt: these RunResult scalars by type, then the gap cycles
+# summary.txt: these RunResult scalars by type
 _SUMMARY_TYPES = {"controlled": bool, "record_cycle_s": int, "control_cycle_s": int,
                  "warmup_s": int, "total_rated_kw": float,
                  "comfort_violation_acl_min": float, "total_acl_min": float}
@@ -277,19 +276,20 @@ def _tie_line_kw(fleet: Fleet, ws: Workspace, traces: TraceSet,
 
 
 def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
-                 model: Optional[BaselineModel], controlled: bool = True,
-                 bid_audit: Optional[list] = None, *,
+                 model: Optional[BaselineModel], controlled: bool = True, *,
                  _segments: Optional[Sequence[int]] = None) -> RunResult:
     """Execute one full run (controlled or free) over the given traces.
 
-    When `bid_audit` is a list, every cleared cycle appends
-    (k, bid batch, p_star, committed_power) so callers can audit the market.
+    A controlled run clears the market every control cycle after the
+    first, on the bids collected `bid_lead_s` before it.
 
     `_segments` runs training's free fleets at once: the houses are
     segments of these sizes laid end to end, every `traces` series holds
     one column per segment, and each record meters every segment into a
     row of `p_ac_actual`.  Nothing else is recorded.
     """
+    if not houses:
+        raise ValueError("cannot run an empty population")
     if controlled and model is None:
         raise ValueError("a controlled run needs a baseline model")
     if traces.cadence_s != cfg.record_cycle_s:
@@ -300,9 +300,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
     fleet = build_fleet(houses, cfg.sim_step_s)
     seed_fleet_states(fleet, cfg.seed, _segments)
     ws = Workspace(fleet)
-    mgcc_cfg = cfg.mgcc_config()
     total_rated = float(np.sum(fleet.rated_kw))
-    baseline_scale = 1.0 + cfg.baseline_bias
     agent_ids = np.arange(fleet.n)
     if _segments is not None:
         starts = np.cumsum([0, *_segments[:-1]])
@@ -312,8 +310,6 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
     lpf = LpfState()
     corr = CorrectionState()
     records: list[CycleRecord] = []
-    gaps: list[int] = []
-    pending: Optional[tuple[BidBatch, float, float, float]] = None
     latest_p_g0 = float("nan")
     latest_lpf = float("nan")
     latest_target = float("nan")
@@ -347,31 +343,21 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
 
         if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
             _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
-            # the batch outlives the bid lead (and the run, when audited), so
-            # it holds its own copies of the bid-time states
+            # the batch outlives the bid lead, so it holds its own copies of
+            # the bid-time states
             fleet.soa_bid = fleet_soa(fleet, ws).copy()
             bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy(), agent_ids)
             _, p_g_meas = _tie_line_kw(fleet, ws, traces, idx)
-            pending = (bids, p_g_meas, t_out, solar)
+            bid = (bids, p_g_meas, t_out, solar)
 
-        if controlled and t > 0 and t % cfg.control_cycle_s == 0 and pending:
+        if controlled and t > 0 and t % cfg.control_cycle_s == 0:
             k = t // cfg.control_cycle_s
-            bids, p_g_meas, bid_t_out, bid_solar = pending
-            pending = None
+            bids, p_g_meas, bid_t_out, bid_solar = bid
             p_star, rec, corr, lpf = run_control_cycle(
-                k, bids, p_g_meas, bid_t_out, bid_solar, total_rated,
-                model, corr, lpf, mgcc_cfg, baseline_scale)
-            if rec is None:
-                gaps.append(k)
-            else:
-                records.append(rec)
-                latest_p_g0 = rec.p_g0
-                latest_lpf = rec.p_g_lpf
-                latest_target = rec.p_ac_target
-                if bid_audit is not None:
-                    bid_audit.append((k, bids, p_star, rec.committed_power))
-            if p_star is not None:
-                _respond_to_price(fleet, ws, p_star)
+                k, bids, p_g_meas, bid_t_out, bid_solar, total_rated, model, corr, lpf, cfg)
+            records.append(rec)
+            latest_p_g0, latest_lpf, latest_target = rec.p_g0, rec.p_g_lpf, rec.p_ac_target
+            _respond_to_price(fleet, ws, p_star)
             _check_finite(fleet, k)
 
         # thermostat acts on the state at t before power is metered
@@ -389,7 +375,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
                 p_ac_target[row] = latest_target
                 # np.mean's bits without its per-call overhead
                 s_sum = float(np.add.reduce(fleet_soa(fleet, ws)))
-                s_agg[row] = s_sum / fleet.n if fleet.n else 0.0
+                s_agg[row] = s_sum / fleet.n
                 n_on[row] = int(np.count_nonzero(fleet.on))
 
         _advance_slice(fleet, ws, t_out, solar)
@@ -411,7 +397,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
         time_s=time_s, p_g=p_g, p_g0_reference=p_g0_ref, p_g_lpf=p_g_lpf,
         p_ac_actual=p_ac_actual, p_ac_target=p_ac_target,
         s_aggregate=s_agg, n_on=n_on,
-        cycle_records=records, gaps=gaps,
+        cycle_records=records,
         comfort_violation_acl_min=comfort_viol_min,
         total_acl_min=total_acl_min,
     )
@@ -426,8 +412,7 @@ def write_run_dir(outdir, result: RunResult) -> None:
     with open(out / "cycles.csv", "w") as fh:
         write_cycle_records(fh, result.cycle_records)
     with open(out / "summary.txt", "w") as fh:
-        write_keyvals(fh, {**{key: getattr(result, key) for key in _SUMMARY_TYPES},
-                           "gaps": ",".join(map(fmt, result.gaps))})
+        write_keyvals(fh, {key: getattr(result, key) for key in _SUMMARY_TYPES})
 
 
 def load_run_dir(rundir) -> RunResult:
@@ -443,13 +428,12 @@ def load_run_dir(rundir) -> RunResult:
         records = read_cycle_records(fh)
     with open(run / "summary.txt") as fh:
         summary = read_keyvals(fh)
-    if summary.keys() != {*_SUMMARY_TYPES, "gaps"}:
+    if summary.keys() != _SUMMARY_TYPES.keys():
         raise ValueError(f"summary.txt holds the keys {sorted(summary)}, expected "
-                         f"{sorted({*_SUMMARY_TYPES, 'gaps'})}")
+                         f"{sorted(_SUMMARY_TYPES)}")
     return RunResult(
         **{key: parse(summary[key], kind) for key, kind in _SUMMARY_TYPES.items()},
-        **cols, cycle_records=records,
-        gaps=[parse(g, int) for g in summary["gaps"].split(",") if g])
+        **cols, cycle_records=records)
 
 
 def check_run_cadence(run: RunResult) -> None:
@@ -489,9 +473,7 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],
     for day, traces in enumerate(day_traces):
         if traces.cadence_s != cfg.record_cycle_s:
             raise ValueError("trace cadence must equal the record cycle")
-        fraction = 1.0
-        if cfg.vary_training_enrollment and day > 0:
-            fraction = float(enroll_gen.uniform(0.7, 1.0))
+        fraction = float(enroll_gen.uniform(0.7, 1.0)) if day > 0 else 1.0
         if len(traces) * traces.cadence_s <= cfg.warmup_s:
             continue
         days.append((traces, max(1, int(round(fraction * len(houses))))))

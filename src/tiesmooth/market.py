@@ -83,13 +83,14 @@ def sequential_sum(values: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DemandCurve:
-    """Bids sorted by descending price with running cumulative quantity.
+    """Bid prices sorted descending (ties by agent id) with the running
+    cumulative quantity in that order.
 
     `group_price` / `group_end` collapse each run of equal prices to the
     price of its first step and the cumulative quantity at its last.
     """
 
-    steps: BidBatch
+    price: np.ndarray
     cumulative: np.ndarray
     group_price: np.ndarray
     group_end: np.ndarray
@@ -111,13 +112,12 @@ def build_demand_curve(batch: BidBatch) -> DemandCurve:
     if not batch:
         raise EmptyMarketError("cannot build a demand curve from zero bids")
     order = np.lexsort((batch.agent_id, -batch.price))
-    steps = BidBatch(batch.price[order], batch.quantity[order],
-                     batch.on_state[order], batch.agent_id[order])
-    cumulative = np.cumsum(steps.quantity)
-    last = np.flatnonzero(np.append(steps.price[1:] != steps.price[:-1], True))
+    price = batch.price[order]
+    cumulative = np.cumsum(batch.quantity[order])
+    last = np.flatnonzero(np.append(price[1:] != price[:-1], True))
     first = np.append(0, last[:-1] + 1)
-    return DemandCurve(steps=steps, cumulative=cumulative,
-                       group_price=steps.price[first], group_end=cumulative[last])
+    return DemandCurve(price=price, cumulative=cumulative,
+                       group_price=price[first], group_end=cumulative[last])
 
 
 def clear_market(curve: DemandCurve, target: float) -> ClearingOutcome:
@@ -153,7 +153,7 @@ def clear_market(curve: DemandCurve, target: float) -> ClearingOutcome:
 
 def committed_power_at_price(curve: DemandCurve, p_star: float) -> float:
     """Power that the broadcast price alone turns on (price strictly above)."""
-    count = int(np.count_nonzero(curve.steps.price > p_star))
+    count = int(np.count_nonzero(curve.price > p_star))
     return float(curve.cumulative[count - 1]) if count else 0.0
 
 

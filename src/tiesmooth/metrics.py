@@ -23,10 +23,9 @@ class WindowError(ValueError):
     """Requested fluctuation window reaches before the series start."""
 
 
-def fluctuation_series(p_g: np.ndarray, record_cycle_s: int,
-                       window_s: int = WINDOW_S) -> np.ndarray:
+def fluctuation_series(p_g: np.ndarray, record_cycle_s: int) -> np.ndarray:
     """Fluctuation rate at every sample with a full trailing window."""
-    w = window_s // record_cycle_s
+    w = WINDOW_S // record_cycle_s
     if len(p_g) < w:
         raise WindowError("series shorter than one window")
     view = np.lib.stride_tricks.sliding_window_view(p_g, w)
@@ -64,8 +63,7 @@ class MetricsReport:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def compute_metrics(controlled: RunResult, uncontrolled: RunResult,
-                    window_s: int = WINDOW_S) -> MetricsReport:
+def compute_metrics(controlled: RunResult, uncontrolled: RunResult) -> MetricsReport:
     """Compare a controlled run against its paired uncontrolled run."""
     if len(controlled.time_s) != len(uncontrolled.time_s):
         raise ValueError("runs have different lengths and cannot be compared")
@@ -74,10 +72,10 @@ def compute_metrics(controlled: RunResult, uncontrolled: RunResult,
 
     sl = controlled.metric_slice()
     rc = controlled.record_cycle_s
-    w = window_s // rc
+    w = WINDOW_S // rc
 
-    fluct_c = fluctuation_series(controlled.p_g[sl], rc, window_s)
-    fluct_u = fluctuation_series(uncontrolled.p_g[sl], rc, window_s)
+    fluct_c = fluctuation_series(controlled.p_g[sl], rc)
+    fluct_u = fluctuation_series(uncontrolled.p_g[sl], rc)
 
     max_c, max_u = float(np.max(fluct_c)), float(np.max(fluct_u))
     reduction = 100.0 * (1.0 - max_c / max_u) if max_u > 0 else 0.0
@@ -103,7 +101,7 @@ def compute_metrics(controlled: RunResult, uncontrolled: RunResult,
 
     return MetricsReport(
         n_records=int(len(controlled.time_s) - sl.start - w + 1),
-        window_s=window_s,
+        window_s=WINDOW_S,
         max_fluct_controlled_kw=max_c,
         max_fluct_uncontrolled_kw=max_u,
         median_fluct_controlled_kw=float(np.median(fluct_c)),
@@ -146,14 +144,13 @@ def write_smoothing_csv(fh: TextIO, controlled: RunResult,
 
 
 def write_fluctuation_csv(fh: TextIO, controlled: RunResult,
-                          uncontrolled: RunResult,
-                          window_s: int = WINDOW_S) -> None:
+                          uncontrolled: RunResult) -> None:
     sl = controlled.metric_slice()
     rc = controlled.record_cycle_s
-    w = window_s // rc
+    w = WINDOW_S // rc
     _write_interleaved(fh, "time_s,series,value_kw", controlled.time_s[sl][w - 1:], {
-        "fluct10_controlled": fluctuation_series(controlled.p_g[sl], rc, window_s),
-        "fluct10_uncontrolled": fluctuation_series(uncontrolled.p_g[sl], rc, window_s)})
+        "fluct10_controlled": fluctuation_series(controlled.p_g[sl], rc),
+        "fluct10_uncontrolled": fluctuation_series(uncontrolled.p_g[sl], rc)})
 
 
 def write_s_trajectory_csv(fh: TextIO, controlled: RunResult,

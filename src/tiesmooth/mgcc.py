@@ -20,13 +20,13 @@ the fast fluctuation ends up in the fleet adjustment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Sequence, TextIO
 
-from .baseline import (BaselineModel, CorrectionParams, CorrectionState,
-                       correct_baseline, predict_baseline)
+from .baseline import BaselineModel, CorrectionState, correct_baseline, predict_baseline
 from .market import (BidBatch, ClearingKind, build_demand_curve, clear_market,
                      committed_power_at_price, estimate_net_load, sequential_sum)
+from .scenario import ScenarioConfig
 from .textio import read_table, write_table
 
 
@@ -38,20 +38,9 @@ class ContractError(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class MgccConfig:
-    tau_s: float = 3000.0           # filter time constant (50 min)
-    control_cycle_s: float = 60.0
-    correction: CorrectionParams = field(default_factory=CorrectionParams)
-    soa_feedback_enabled: bool = True
-
-    def __post_init__(self):
-        if self.tau_s <= 0 or self.control_cycle_s <= 0:
-            raise ValueError("tau_s and control_cycle_s must be positive")
-
-    @property
-    def alpha(self) -> float:
-        return self.tau_s / (self.tau_s + self.control_cycle_s)
+def lpf_alpha(cfg: ScenarioConfig) -> float:
+    """The filter's memory weight per control cycle, tau / (tau + dt)."""
+    return cfg.tau_s / (cfg.tau_s + cfg.control_cycle_s)
 
 
 @dataclass(frozen=True)
@@ -60,7 +49,7 @@ class LpfState:
     initialized: bool = False
 
 
-def lpf_step(state: LpfState, p_g0: float, cfg: MgccConfig) -> tuple[float, LpfState]:
+def lpf_step(state: LpfState, p_g0: float, cfg: ScenarioConfig) -> tuple[float, LpfState]:
     """Advance the filter one cycle; the first sample seeds the memory.
 
     Evaluated in increment form (prev + (1-alpha) * (input - prev)), the
@@ -69,7 +58,7 @@ def lpf_step(state: LpfState, p_g0: float, cfg: MgccConfig) -> tuple[float, LpfS
     """
     if not state.initialized:
         return p_g0, LpfState(p_g_lpf_prev=p_g0, initialized=True)
-    out = state.p_g_lpf_prev + (1.0 - cfg.alpha) * (p_g0 - state.p_g_lpf_prev)
+    out = state.p_g_lpf_prev + (1.0 - lpf_alpha(cfg)) * (p_g0 - state.p_g_lpf_prev)
     return out, LpfState(p_g_lpf_prev=out, initialized=True)
 
 
@@ -85,7 +74,7 @@ def compute_aggregate_soa(bids: BidBatch) -> float:
 
 
 def compute_target_power(p_base: float, net_load: float, lpf: LpfState,
-                         cfg: MgccConfig) -> tuple[float, float, float, LpfState]:
+                         cfg: ScenarioConfig) -> tuple[float, float, float, LpfState]:
     """Fleet target power for one cycle.
 
     Reconstructs the free tie-line power as baseline + net load, filters
@@ -140,24 +129,18 @@ def run_control_cycle(
     model: BaselineModel,
     corr_state: CorrectionState,
     lpf_state: LpfState,
-    cfg: MgccConfig,
-    baseline_scale: float = 1.0,
-) -> tuple[Optional[float], Optional[CycleRecord], CorrectionState, LpfState]:
+    cfg: ScenarioConfig,
+) -> tuple[float, CycleRecord, CorrectionState, LpfState]:
     """One bid -> clear -> broadcast cycle.
 
     Returns (broadcast price, record, correction state, filter state).
-    An empty bid batch skips the cycle: nothing is broadcast and the
-    states are returned untouched so the caller can record the gap.
-    `baseline_scale` multiplies the raw prediction (deliberate error
-    injection for robustness experiments).
+    The raw prediction is scaled by 1 + `cfg.baseline_bias` (deliberate
+    error injection for robustness experiments).
     """
-    if not bids:
-        return None, None, corr_state, lpf_state
-
     net_load = estimate_net_load(p_g_measured, bids)
     s_aggregate = compute_aggregate_soa(bids)
 
-    p_base0 = predict_baseline(model, t_out, solar, total_rated) * baseline_scale
+    p_base0 = predict_baseline(model, t_out, solar, total_rated) * (1.0 + cfg.baseline_bias)
     if cfg.soa_feedback_enabled:
         p_base, corr_next = correct_baseline(p_base0, s_aggregate, corr_state,
                                              cfg.correction)
@@ -213,10 +196,10 @@ def read_cycle_records(fh: TextIO) -> list[CycleRecord]:
         raise ValueError(f"malformed cycle ledger: {exc}") from None
 
 
-def lpf_sinusoid_gain(cfg: MgccConfig, period_s: float) -> float:
+def lpf_sinusoid_gain(cfg: ScenarioConfig, period_s: float) -> float:
     """Analytic steady-state amplitude gain of the discrete filter for a
     sampled sinusoid of the given period."""
-    a = cfg.alpha
+    a = lpf_alpha(cfg)
     omega = 2.0 * math.pi / period_s
     z = complex(math.cos(omega * cfg.control_cycle_s),
                 -math.sin(omega * cfg.control_cycle_s))

@@ -16,7 +16,6 @@ from typing import TextIO
 import numpy as np
 
 from .baseline import CorrectionParams
-from .mgcc import MgccConfig
 from .textio import fmt, parse, read_keyvals, write_keyvals
 from .thermal import DerivationConstants
 
@@ -113,7 +112,6 @@ class ScenarioConfig:
     baseline_bias: float = 0.0
     soa_feedback_enabled: bool = True
     training_days: int = 3
-    vary_training_enrollment: bool = True
     epsilon_margin_c: float = 0.05
     tau_s: float = 3000.0
     correction: CorrectionParams = field(default_factory=CorrectionParams)
@@ -126,6 +124,8 @@ class ScenarioConfig:
         # the stepper is checked against half-steps up to 60 s (criterion 8)
         if not 0 < self.sim_step_s <= 60:
             raise ValueError(f"sim_step_s must be in (0, 60] s, got {self.sim_step_s}")
+        if not (self.record_cycle_s > 0 and self.control_cycle_s > 0):
+            raise ValueError("record_cycle_s and control_cycle_s must be positive")
         if self.record_cycle_s % self.sim_step_s != 0:
             raise ValueError("sim_step_s must divide record_cycle_s")
         if self.control_cycle_s % self.record_cycle_s != 0:
@@ -138,15 +138,12 @@ class ScenarioConfig:
             raise ValueError("duration_s must be positive and warmup_s >= 0")
         if self.training_days < 1:
             raise ValueError("training_days must be >= 1")
+        if not self.tau_s > 0:
+            raise ValueError(f"tau_s must be positive, got {self.tau_s}")
 
     @property
     def total_s(self) -> int:
         return self.warmup_s + self.duration_s
-
-    def mgcc_config(self) -> MgccConfig:
-        return MgccConfig(tau_s=self.tau_s, control_cycle_s=float(self.control_cycle_s),
-                          correction=self.correction,
-                          soa_feedback_enabled=self.soa_feedback_enabled)
 
     def population_spec(self) -> PopulationSpec:
         return PopulationSpec(n=self.n_acl, distributions=dict(self.population))

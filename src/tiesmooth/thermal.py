@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class GeometryError(ValueError):
@@ -164,7 +163,6 @@ def derive_etp_params(g: HouseGeometry, consts: DerivationConstants = DEFAULT_DE
     )
 
 
-@lru_cache(maxsize=4096)
 def discretize(p: EtpParameters, dt: float):
     """Exact discrete-time update matrices for one step of length dt.
 

@@ -18,7 +18,7 @@ from tiesmooth.engine import run_scenario, run_training_simulation, write_result
 from tiesmooth.market import (BidBatch, build_demand_curve, clear_market,
                               estimate_net_load)
 from tiesmooth.metrics import compute_metrics
-from tiesmooth.mgcc import LpfState, MgccConfig, lpf_sinusoid_gain, lpf_step
+from tiesmooth.mgcc import LpfState, lpf_sinusoid_gain, lpf_step
 from tiesmooth.population import estimate_free_peak_kw, generate_population
 from tiesmooth.rng import substream
 from tiesmooth.scenario import ScenarioConfig
@@ -27,6 +27,7 @@ from tiesmooth.traces import generate_traces, generate_training_traces, peak_wea
 
 import io
 
+from test_engine import run_audited
 from test_market import brute_force_clear, price_order, rows_of
 from test_thermal import advance, random_table_geometry, thermal_fleet
 
@@ -57,9 +58,8 @@ def bundle():
 @pytest.fixture(scope="module")
 def paired(bundle):
     cfg, houses, traces, model, _ = bundle
-    audit = []
     start = time.perf_counter()
-    controlled = run_scenario(cfg, houses, traces, model, bid_audit=audit)
+    controlled, audit = run_audited(cfg, houses, traces, model)
     uncontrolled = run_scenario(cfg, houses, traces, None, controlled=False)
     elapsed = time.perf_counter() - start
     return controlled, uncontrolled, audit, elapsed
@@ -86,7 +86,7 @@ def cycle_s_values(run, cfg):
 
 
 def test_criterion_1_lpf_correctness():
-    cfg = MgccConfig(tau_s=50 * 60.0, control_cycle_s=60.0)
+    cfg = ScenarioConfig(tau_s=50 * 60.0, control_cycle_s=60)
     # constant inputs are exact fixed points
     exact = True
     for level in (100.0, 437.519, 0.1, 12345.0625):

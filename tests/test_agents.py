@@ -12,12 +12,14 @@ import pytest
 from tiesmooth.agents import AclAgentConfig, default_epsilon
 from tiesmooth.baseline import BaselineModel
 from tiesmooth.engine import (Workspace, _respond_to_price, _thermostat_slice, build_fleet,
-                              fleet_soa, run_scenario)
+                              fleet_soa)
 from tiesmooth.market import BidBatch
 from tiesmooth.population import House, generate_population
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
 from tiesmooth.thermal import EtpParameters
 from tiesmooth.traces import generate_traces
+
+from test_engine import run_audited
 
 # any valid house: the controller kernels never read the thermal parameters
 ETP = EtpParameters(c_air=1e6, c_mass=4e5, ua_envelope=200.0, h_mass=600.0,
@@ -103,8 +105,7 @@ def audited_run():
     model = BaselineModel(coefficients=(20.0, 0, 0, 0, 0, 0, 0, 0))
 
     def bid_batches():
-        audit = []
-        run_scenario(cfg, houses, traces, model, bid_audit=audit)
+        _, audit = run_audited(cfg, houses, traces, model)
         return [bids for _, bids, _, _ in audit]
     return houses, bid_batches(), bid_batches
 

@@ -90,6 +90,15 @@ class TestGenScenario:
                      "--n-acl", "8", "--days", "3"]) == 0
         rows = (out / "traces.csv").read_text().strip().split("\n")
         assert len(rows) - 1 == (7200 + 3 * 86400) // 10
+        assert "\nduration_s = 259200\n" in (out / "scenario.txt").read_text()
+
+    @pytest.mark.parametrize("flag, value", [("--n-acl", "0"), ("--training-days", "0"),
+                                             ("--days", "0")])
+    def test_bad_value_is_io_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "scen"
+        assert main(["gen-scenario", "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestTrain:
@@ -105,10 +114,22 @@ class TestTrain:
         scen = tmp_path / "scen"
         assert main(["gen-scenario", "--out", str(scen), "--seed", "3",
                      "--n-acl", "8"]) == 0
-        edit_scenario(scen / "scenario.txt", duration_s=7200, warmup_s=1800,
-                      vary_training_enrollment="false")
+        # a warm-up as long as the training traces leaves every day empty
+        edit_scenario(scen / "scenario.txt", duration_s=7200, warmup_s=93600)
         assert main(["train", "--scenario", str(scen / "scenario.txt"),
                      "--out", str(scen / "model.txt")]) == 3
+
+    def test_one_training_day_is_io_error(self, tmp_path, capsys):
+        # day 0 enrolls the whole fleet, so one day can only end in a
+        # rank-deficient fit; train says so before simulating anything
+        scen = tmp_path / "scen"
+        assert main(["gen-scenario", "--out", str(scen), "--seed", "3",
+                     "--n-acl", "8"]) == 0
+        edit_scenario(scen / "scenario.txt", training_days=1)
+        assert main(["train", "--scenario", str(scen / "scenario.txt"),
+                     "--out", str(scen / "model.txt")]) == 2
+        assert "training_days must be >= 2" in capsys.readouterr().err
+        assert not (scen / "model.txt").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_training_weather_is_numeric_abort(self, tmp_path):
@@ -165,6 +186,19 @@ class TestRun:
                      "--model", str(scen / "model.txt"), "--traces", str(traces),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("duration_s, warmup_s", [(86405, 7200), (86400, 7205)])
+    def test_traces_shorter_than_run_is_io_error(self, workspace, tmp_path, capsys,
+                                                 duration_s, warmup_s):
+        scen = tmp_path / "scenario.txt"
+        shutil.copy(workspace / "scen" / "scenario.txt", scen)
+        edit_scenario(scen, duration_s=duration_s, warmup_s=warmup_s)
+        assert main(["run", "--scenario", str(scen),
+                     "--model", str(workspace / "scen" / "model.txt"),
+                     "--traces", str(workspace / "scen" / "traces.csv"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "traces shorter than the requested run" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_scenario_is_io_error(self, tmp_path):
         scen = tmp_path / "scenario.txt"
         scen.write_text("[scenario]\nthis line is not a setting\n")
@@ -194,6 +228,23 @@ class TestRun:
         assert main(["train", "--scenario", str(scen),
                      "--out", str(tmp_path / "model.txt")]) == 2
         assert capsys.readouterr().err.count("sim_step_s must be in (0, 60] s") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("record_cycle_s", "0", "record_cycle_s and control_cycle_s must be positive"),
+        ("tau_s", "0.0", "tau_s must be positive"),
+    ], ids=["record_cycle_s", "tau_s"])
+    def test_bad_scenario_value_is_io_error(self, workspace, tmp_path, capsys,
+                                            key, value, message):
+        scen = tmp_path / "scenario.txt"
+        shutil.copy(workspace / "scen" / "scenario.txt", scen)
+        edit_scenario(scen, **{key: value})
+        assert main(["run", "--scenario", str(scen), "--uncontrolled",
+                     "--traces", str(workspace / "scen" / "traces.csv"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert main(["train", "--scenario", str(scen),
+                     "--out", str(tmp_path / "model.txt")]) == 2
+        assert capsys.readouterr().err.count(message) == 2
         assert not (tmp_path / "out").exists()
 
     def test_idempotent_rerun(self, workspace):
@@ -271,7 +322,7 @@ class TestMetrics:
             v if j != 5 else repr(float(v) + 1.0) for j, v in enumerate(line.split(",")))),
         ("summary.txt", 0, lambda line: "controlled = yes"),
         ("summary.txt", 1, lambda line: "record_cycle = 10"),
-        ("summary.txt", 7, lambda line: "gaps = 1,x"),
+        ("summary.txt", 6, lambda line: line + "\ngaps = "),  # an older summary.txt
         ("manifest.txt", 0, lambda line: "not a pair"),
     ])
     def test_malformed_run_dir_is_io_error(self, workspace, tmp_path, name, index, edit):

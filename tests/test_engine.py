@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiesmooth.engine as engine
+import tiesmooth.mgcc as mgcc
 from tiesmooth.baseline import BaselineModel
 from tiesmooth.engine import (NumericAbortError, RunResult, Workspace, _advance_slice,
                               _thermostat_slice, build_fleet, load_run_dir,
@@ -56,6 +57,21 @@ def head(traces, rows):
 
 def flat_model(level_kw):
     return BaselineModel(coefficients=(float(level_kw), 0, 0, 0, 0, 0, 0, 0))
+
+
+def run_audited(cfg, houses, traces, model):
+    """A controlled run and (k, bid batch, p_star, committed_power) of each
+    cycle it cleared, captured at the engine's `run_control_cycle` seam."""
+    audit = []
+
+    def audited(k, bids, *args):
+        p_star, rec, corr, lpf = mgcc.run_control_cycle(k, bids, *args)
+        audit.append((k, bids, p_star, rec.committed_power))
+        return p_star, rec, corr, lpf
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "run_control_cycle", audited)
+        return run_scenario(cfg, houses, traces, model), audit
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +151,7 @@ class TestScheduling:
         traces = make_traces(cfg)
         result = run_scenario(cfg, population, traces, flat_model(20.0))
         expected_cycles = cfg.total_s // cfg.control_cycle_s - 1
-        assert len(result.cycle_records) + len(result.gaps) == expected_cycles
+        assert len(result.cycle_records) == expected_cycles
         assert [r.k for r in result.cycle_records] \
             == list(range(1, expected_cycles + 1))
 
@@ -149,7 +165,7 @@ class TestScheduling:
         cfg = small_cfg()
         result = run_scenario(cfg, population, make_traces(cfg), None,
                               controlled=False)
-        assert result.cycle_records == [] and result.gaps == []
+        assert result.cycle_records == []
         assert np.all(np.isnan(result.p_g_lpf))
         assert np.array_equal(result.p_g0_reference, result.p_g)
 
@@ -178,8 +194,7 @@ class TestPowerBalance:
         # broadcast price alone
         cfg = small_cfg(duration_s=4 * 3600)
         traces = make_traces(cfg)
-        audit = []
-        run_scenario(cfg, population, traces, flat_model(25.0), bid_audit=audit)
+        _, audit = run_audited(cfg, population, traces, flat_model(25.0))
         normal = [(bids, p_star, committed) for _, bids, p_star, committed in audit
                   if abs(p_star) <= 1.0]
         assert normal, "expected at least one non-sentinel clearing"
@@ -196,8 +211,7 @@ class TestPowerBalance:
         # its on states must stay those the tie line was metered with
         cfg = small_cfg(duration_s=4 * 3600)
         traces = make_traces(cfg)
-        audit = []
-        result = run_scenario(cfg, population, traces, flat_model(25.0), bid_audit=audit)
+        result, audit = run_audited(cfg, population, traces, flat_model(25.0))
         records = {rec.k: rec for rec in result.cycle_records}
         assert len(audit) == len(records)
         for k, bids, _, _ in audit:
@@ -235,21 +249,13 @@ class TestDeterminism:
 
 
 class TestDegenerateAndFixedPoints:
-    def test_zero_houses_tie_line_is_net_load(self):
-        cfg = small_cfg(n_acl=1)  # config floor; run with an empty fleet
-        traces = make_traces(cfg)
-        result = run_scenario(cfg, [], traces, None, controlled=False)
-        idx = (result.time_s // traces.cadence_s).astype(int)
-        assert np.array_equal(result.p_g,
-                              traces.p_load_kw[idx] - traces.p_wind_kw[idx])
-        assert np.all(result.p_ac_actual == 0.0)
-
-    def test_zero_houses_controlled_records_gaps(self):
-        cfg = small_cfg(n_acl=1, duration_s=3600, warmup_s=0)
-        traces = make_traces(cfg)
-        result = run_scenario(cfg, [], traces, flat_model(5.0))
-        assert result.cycle_records == []
-        assert len(result.gaps) == 3600 // 60 - 1
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_empty_fleet_rejected(self, controlled):
+        # every cycle clears against a bid from every device, so a run
+        # needs at least one, as n_acl >= 1 says
+        cfg = small_cfg(duration_s=3600, warmup_s=0)
+        with pytest.raises(ValueError, match="empty population"):
+            run_scenario(cfg, [], make_traces(cfg), flat_model(5.0), controlled=controlled)
 
     def test_constant_inputs_reach_quiescent_tracking(self, population):
         # constant free tie-line: the filter converges onto it, the
@@ -291,9 +297,7 @@ def per_day_training_columns(cfg, houses, day_traces):
     enroll_gen = substream(cfg.seed, ENROLLMENT_STREAM)
     columns = []
     for day, traces in enumerate(day_traces):
-        fraction = 1.0
-        if cfg.vary_training_enrollment and day > 0:
-            fraction = float(enroll_gen.uniform(0.7, 1.0))
+        fraction = float(enroll_gen.uniform(0.7, 1.0)) if day > 0 else 1.0
         duration_s = len(traces) * traces.cadence_s - cfg.warmup_s
         if duration_s <= 0:
             continue
@@ -335,13 +339,6 @@ class TestTrainingSimulation:
         samples = run_training_simulation(cfg, population, days)
         rated_values = set(samples.total_rated)
         assert len(rated_values) == 3  # day 0 full fleet, later days drawn
-
-    def test_enrollment_variation_off_is_constant(self, population):
-        cfg = small_cfg(duration_s=3600, warmup_s=0, training_days=2,
-                        vary_training_enrollment=False)
-        days = [make_traces(cfg, seed=100 + d) for d in range(2)]
-        samples = run_training_simulation(cfg, population, days)
-        assert len(set(samples.total_rated)) == 1
 
     def test_too_short_day_keeps_later_draws(self, population):
         # a day no longer than the warm-up yields no samples but still
@@ -439,7 +436,7 @@ def hand_built_run(**overrides) -> RunResult:
                         p_base=3.0, p_g0=4.5, p_g_lpf=np.inf, delta_p_ac=np.inf,
                         p_ac_target=np.inf, s_aggregate=1.0, p_star=-2.0,
                         committed_power=0.0)],
-        gaps=[3, big], comfort_violation_acl_min=0.0, total_acl_min=648000.0)
+        comfort_violation_acl_min=0.0, total_acl_min=648000.0)
     fields.update(overrides)
     return RunResult(**fields)
 
@@ -463,8 +460,7 @@ class TestRunDirFormat:
             "warmup_s = 0\n"
             "total_rated_kw = 1240.1005859375\n"
             "comfort_violation_acl_min = 0.0\n"
-            "total_acl_min = 648000.0\n"
-            "gaps = 3,9007199254740993\n"),
+            "total_acl_min = 648000.0\n"),
     }
 
     def test_exact_text(self, tmp_path):

@@ -76,20 +76,20 @@ class TestBuildDemandCurve:
         bids = [bid(0.1, 2, agent_id=0), bid(0.9, 2, agent_id=1),
                 bid(0.5, 3, agent_id=2)]
         curve = build_demand_curve(batch_of(bids))
-        assert curve.steps.price.tolist() == [0.9, 0.5, 0.1]
+        assert curve.price.tolist() == [0.9, 0.5, 0.1]
         assert list(curve.cumulative) == [2, 5, 7]
         assert curve.total_quantity == 7
 
     def test_single_bid(self):
         curve = build_demand_curve(batch_of([bid(0.3, 4.5)]))
-        assert len(curve.steps) == 1
+        assert len(curve.price) == 1
         assert curve.total_quantity == 4.5
 
     def test_equal_prices_ordered_by_agent_id(self):
         bids = [bid(0.5, 1, agent_id=9), bid(0.5, 2, agent_id=3),
                 bid(0.5, 4, agent_id=5)]
         curve = build_demand_curve(batch_of(bids))
-        assert curve.steps.agent_id.tolist() == [3, 5, 9]
+        assert curve.cumulative.tolist() == [2, 6, 7]  # quantities of ids 3, 5, 9
         assert curve.total_quantity == 7
 
     def test_empty_rejected(self):
@@ -98,11 +98,11 @@ class TestBuildDemandCurve:
 
 
 class TestClearMarket:
+    ROWS = [bid(p, q, agent_id=i)
+            for i, (p, q) in enumerate(zip([0.9, 0.5, 0.1, -0.4], [2.0, 3.0, 2.0, 3.0]))]
+
     def curve(self):
-        prices = [0.9, 0.5, 0.1, -0.4]
-        quantities = [2.0, 3.0, 2.0, 3.0]
-        return build_demand_curve(batch_of(
-            [bid(p, q, agent_id=i) for i, (p, q) in enumerate(zip(prices, quantities))]))
+        return build_demand_curve(batch_of(self.ROWS))
 
     def test_boundary_midpoint(self):
         out = clear_market(self.curve(), 5.0)
@@ -127,7 +127,7 @@ class TestClearMarket:
 
     def test_matches_oracle_on_spec_curve(self):
         curve = self.curve()
-        bids = rows_of(curve.steps)
+        bids = self.ROWS
         for target in np.linspace(-1.0, 11.0, 241):
             expect = brute_force_clear(bids, float(target))
             got = clear_market(curve, float(target))
@@ -149,12 +149,12 @@ class TestClearMarket:
         # the midpoint of two adjacent doubles rounds onto one of them; the
         # broadcast price must still turn on exactly the committed bids
         p_lo = float(np.nextafter(p_hi, -np.inf))
-        curve = build_demand_curve(batch_of([bid(p_hi, 1.0, agent_id=0),
-                                             bid(p_lo, 1.0, agent_id=1)]))
+        rows = [bid(p_hi, 1.0, agent_id=0), bid(p_lo, 1.0, agent_id=1)]
+        curve = build_demand_curve(batch_of(rows))
         out = clear_market(curve, 1.0)
         assert out.committed_power == 1.0
         assert committed_power_at_price(curve, out.p_star) == 1.0
-        assert out.p_star == brute_force_clear(rows_of(curve.steps), 1.0)[0]
+        assert out.p_star == brute_force_clear(rows, 1.0)[0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -254,7 +254,8 @@ class TestBidBatch:
         curve = build_demand_curve(batch)
         rows = rows_of(batch)
         ordered = sorted(rows, key=price_order)
-        assert curve.steps.agent_id.tolist() == [agent_id for *_, agent_id in ordered]
+        assert curve.price.tolist() == [price for price, *_ in ordered]
+        assert curve.cumulative.tolist() == np.cumsum([q for _, q, *_ in ordered]).tolist()
         total = curve.total_quantity
         # a target on a step end, halfway between two group ends (exact:
         # dyadic sums, so the nearer-prefix rule ties) or anywhere

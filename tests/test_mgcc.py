@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,15 @@ from tiesmooth import mgcc
 from tiesmooth.baseline import BaselineModel, CorrectionState
 from tiesmooth.market import BidBatch
 from tiesmooth.mgcc import (CYCLE_CSV_HEADER, ContractError, CycleRecord, LpfState,
-                            MgccConfig, compute_aggregate_soa, compute_target_power,
+                            compute_aggregate_soa, compute_target_power, lpf_alpha,
                             lpf_sinusoid_gain, lpf_step, run_control_cycle,
                             write_cycle_records)
+from tiesmooth.scenario import ScenarioConfig
 
 
 @pytest.fixture
 def cfg():
-    return MgccConfig(tau_s=3000.0, control_cycle_s=60.0)
+    return ScenarioConfig(tau_s=3000.0, control_cycle_s=60)
 
 
 def priced(prices, quantity=1.0):
@@ -39,7 +41,7 @@ class TestLpf:
 
     def test_table_coefficient_substitution(self, cfg):
         # alpha = 3000 / 3060 = 50/51
-        assert cfg.alpha == pytest.approx(50.0 / 51.0, rel=1e-15)
+        assert lpf_alpha(cfg) == pytest.approx(50.0 / 51.0, rel=1e-15)
         out, _ = lpf_step(LpfState(0.0, True), 51.0, cfg)
         assert out == pytest.approx(1.0, rel=1e-12)
 
@@ -50,7 +52,7 @@ class TestLpf:
 
     def test_step_response_geometric(self, cfg):
         # closed form: y[k] = u * (1 - alpha^k) from a zero initial state
-        a = cfg.alpha
+        a = lpf_alpha(cfg)
         state = LpfState(0.0, True)
         for k in range(1, 200):
             out, state = lpf_step(state, 100.0, cfg)
@@ -174,26 +176,24 @@ class TestRunControlCycle:
 
     def test_feedback_disabled_bypasses_correction(self, cfg):
         bids, model, corr, lpf = golden_inputs()
-        off = MgccConfig(tau_s=cfg.tau_s, control_cycle_s=cfg.control_cycle_s,
-                         soa_feedback_enabled=False)
+        off = replace(cfg, soa_feedback_enabled=False)
         _, rec, corr2, _ = run_control_cycle(
             1, bids, 500.0, 33.0, 600.0, 9.0, model, corr, lpf, off)
         assert rec.p_base == rec.p_base0
         assert corr2 is corr
 
-    def test_baseline_scale_injects_error(self, cfg):
+    def test_baseline_bias_injects_error(self, cfg):
         bids, model, corr, lpf = golden_inputs()
         _, rec, _, _ = run_control_cycle(
             1, bids, 500.0, 33.0, 600.0, 9.0, model, CorrectionState(0.0), lpf,
-            cfg, baseline_scale=1.10)
+            replace(cfg, baseline_bias=0.10))
         assert rec.p_base0 == pytest.approx(6.0 * 1.10, rel=1e-12)
 
-    def test_empty_bids_skip_cycle(self, cfg):
+    def test_empty_bids_rejected(self, cfg):
+        # every cycle clears against a bid from every device; none is no cycle
         _, model, corr, lpf = golden_inputs()
-        p_star, rec, corr2, lpf2 = run_control_cycle(
-            1, priced([]), 500.0, 33.0, 600.0, 9.0, model, corr, lpf, cfg)
-        assert p_star is None and rec is None
-        assert corr2 is corr and lpf2 is lpf
+        with pytest.raises(ValueError):
+            run_control_cycle(1, priced([]), 500.0, 33.0, 600.0, 9.0, model, corr, lpf, cfg)
 
     def test_quiescent_fixed_point(self, cfg):
         # fleet at zero temperature state, filter already settled: the

@@ -50,7 +50,6 @@ def configs(draw):
         wind_capacity_ratio=draw(finite), acl_peak_share=draw(finite),
         baseline_bias=draw(finite), soa_feedback_enabled=draw(st.booleans()),
         training_days=draw(st.integers(1, 30)),
-        vary_training_enrollment=draw(st.booleans()),
         epsilon_margin_c=draw(finite), tau_s=draw(st.floats(1e-3, 1e9)),
         correction=CorrectionParams(s1=s1, s2=s2, s3=s3, dp1=dp1, dp2=dp2, dp3=dp3,
                                     gamma=draw(st.floats(1e-9, 10.0))),
