@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,12 +44,26 @@ def _sha256_files(paths) -> str:
     return digest.hexdigest()
 
 
+def _blas() -> str:
+    """The BLAS NumPy was built against, with its build configuration: its
+    kernels, picked by CPU under DYNAMIC_ARCH, decide some output bits."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy before 1.26 has no mode="dicts"
+        return "unknown"
+    return " ".join(str(blas[key]) for key in ("name", "version", "openblas configuration")
+                    if key in blas)
+
+
 def _write_manifest(outdir: Path, scenario_path, trace_path, model_path,
                     cfg: ScenarioConfig, extra: dict) -> None:
     inputs = [scenario_path, trace_path] + ([model_path] if model_path else [])
     with open(outdir / "manifest.txt", "w") as fh:
         write_keyvals(fh, {
             "version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": _blas(),
             "scenario": str(scenario_path),
             "traces": str(trace_path),
             "model": str(model_path) if model_path else "none",

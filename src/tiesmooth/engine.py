@@ -11,12 +11,15 @@ kernels over the whole fleet: `fleet_soa`, `_respond_to_price`,
 `_thermostat_slice` and `_advance_slice`.
 
 One step loop serves every run, and it allocates nothing per step: the
-kernels write into a `Workspace` of n-sized buffers made once per run,
-the thermostat thresholds are refreshed only when the market moves the
-setpoints, and the comfort bounds are fixed per run.  Training reuses
-that loop: its days are segments of one fleet laid end to end along the
-house axis, each house stepping under its own day's weather and each
-record metering every segment on its own.
+kernels write into a `Workspace` of n-sized buffers made once per run.
+Work that changes more slowly than the step is done when it changes:
+the thermostat thresholds, with the comfort guards folded in, when the
+market moves the setpoints; the weather's heat input once per trace
+row; the comfort bounds once per run.  `build_fleet` reads each house
+once and discretizes the whole fleet in one array call.  Training
+reuses the loop: its days are segments of one fleet laid end to end
+along the house axis, each house stepping under its own day's weather
+and each record metering every segment on its own.
 
 The tie-line power at any instant is fleet electrical power plus
 uncontrollable load minus wind (lossless balance).  Device ratings and
@@ -37,8 +40,8 @@ import numpy as np
 from . import rng
 from .baseline import BaselineModel, CorrectionState, TrainingColumns
 from .market import BidBatch
-from .mgcc import (CycleRecord, LpfState, read_cycle_records, run_control_cycle,
-                   write_cycle_records)
+from .mgcc import (ContractError, CycleRecord, LpfState, read_cycle_records,
+                   run_control_cycle, write_cycle_records)
 from .population import House
 from .scenario import ScenarioConfig
 from .textio import parse, read_keyvals, read_table, write_keyvals, write_table
@@ -87,34 +90,25 @@ class Fleet:
 
 
 def build_fleet(houses: Sequence[House], sim_step_s: float) -> Fleet:
+    """The houses as fleet columns, with each house's step matrices."""
     n = len(houses)
-    arr = lambda f: np.array([f(h) for h in houses], dtype=float)
-    ads = [discretize(h.etp, float(sim_step_s)) for h in houses]
+    (rated_kw, t_set, deadband, t_high, t_low, epsilon,
+     ua, h_mass, c_air, c_mass, aperture, cap_w) = np.fromiter(
+        ((h.agent.rated_power, h.agent.t_set, h.agent.deadband, h.agent.t_high,
+          h.agent.t_low, h.agent.epsilon, h.etp.ua_envelope, h.etp.h_mass,
+          h.etp.c_air, h.etp.c_mass, h.etp.solar_aperture, h.etp.cooling_capacity)
+         for h in houses), dtype=np.dtype((float, 12)), count=n).T.copy()
+    ((ad11, ad12), (ad21, ad22)), ((m1, _), (m2, _)) = discretize(
+        ua, h_mass, c_air, c_mass, float(sim_step_s))
     fleet = Fleet(
-        n=n,
-        rated_kw=arr(lambda h: h.agent.rated_power),
-        t_set=arr(lambda h: h.agent.t_set),
-        half_deadband=arr(lambda h: h.agent.deadband / 2.0),
-        t_min=arr(lambda h: h.agent.t_min),
-        t_max=arr(lambda h: h.agent.t_max),
-        epsilon=arr(lambda h: h.agent.epsilon),
-        t_high=arr(lambda h: h.agent.t_high),
-        t_low=arr(lambda h: h.agent.t_low),
-        ad11=np.array([a[0][0][0] for a in ads]),
-        ad12=np.array([a[0][0][1] for a in ads]),
-        ad21=np.array([a[0][1][0] for a in ads]),
-        ad22=np.array([a[0][1][1] for a in ads]),
-        m1=np.array([a[1][0][0] for a in ads]),
-        m2=np.array([a[1][1][0] for a in ads]),
-        ua=arr(lambda h: h.etp.ua_envelope),
-        aperture=arr(lambda h: h.etp.solar_aperture),
-        cap_w=arr(lambda h: h.etp.cooling_capacity),
-        c_air=arr(lambda h: h.etp.c_air),
-    )
-    fleet.t_air = fleet.t_set.copy()
-    fleet.t_mass = fleet.t_set.copy()
+        n=n, rated_kw=rated_kw, t_set=t_set, half_deadband=deadband / 2.0,
+        t_min=t_set - t_low, t_max=t_set + t_high, epsilon=epsilon,
+        t_high=t_high, t_low=t_low, ad11=ad11, ad12=ad12, ad21=ad21, ad22=ad22,
+        m1=m1, m2=m2, ua=ua, aperture=aperture, cap_w=cap_w, c_air=c_air)
+    fleet.t_air = t_set.copy()
+    fleet.t_mass = t_set.copy()
     fleet.on = np.zeros(n, dtype=bool)
-    fleet.active_setpoint = fleet.t_set.copy()
+    fleet.active_setpoint = t_set.copy()
     fleet.soa_bid = np.zeros(n)
     return fleet
 
@@ -140,22 +134,51 @@ def seed_fleet_states(fleet: Fleet, seed: int,
 class Workspace:
     """The n-sized buffers one run steps in, so a step allocates nothing.
 
-    `on_above` and `off_below` are the thermostat thresholds sp + h and
-    sp - h: call `set_thresholds` whenever `fleet.active_setpoint`
-    changes.  `x`, `y`, `b0` and `mask` are scratch for the kernels.
+    `on_above` and `off_below` are the thermostat thresholds with the
+    comfort guards folded in: call `set_thresholds` whenever
+    `fleet.active_setpoint` changes.  `forcing` is the weather's heat
+    input ua * t_out + aperture * solar: call `set_weather` whenever the
+    weather changes.  `x`, `y`, `b0` and `mask` are scratch for the
+    kernels.
     """
 
     def __init__(self, fleet: Fleet):
         n = fleet.n
-        self.on_above, self.off_below, self.b0, self.x, self.y = (np.empty(n) for _ in range(5))
+        self.on_above, self.off_below, self.forcing, self.b0, self.x, self.y = (
+            np.empty(n) for _ in range(6))
         self.mask = np.empty(n, dtype=bool)
         self.comfort_high = fleet.t_max + 0.1
         self.comfort_low = fleet.t_min - 0.1
+        # the largest double below t_max and the smallest above t_min: for
+        # any t, t > below_t_max exactly when t >= t_max
+        self.below_t_max = np.nextafter(fleet.t_max, -np.inf)
+        self.above_t_min = np.nextafter(fleet.t_min, np.inf)
         self.set_thresholds(fleet)
 
     def set_thresholds(self, fleet: Fleet) -> None:
-        np.add(fleet.active_setpoint, fleet.half_deadband, out=self.on_above)
-        np.subtract(fleet.active_setpoint, fleet.half_deadband, out=self.off_below)
+        """on_above = min(sp + h, t_max⁻), off_below = max(sp - h, t_min⁺).
+
+        With these, "on above on_above, off below off_below" is the
+        hysteresis followed by the comfort guards, NaN included, as long
+        as every band starts below its upper limit (sp - h < t_max);
+        otherwise a house above t_max and below sp - h would be forced
+        on by the guard yet turned off by the fused rule, so that raises
+        ContractError.
+        """
+        sp, h = fleet.active_setpoint, fleet.half_deadband
+        np.subtract(sp, h, out=self.off_below)
+        if not np.all(np.less(self.off_below, fleet.t_max, out=self.mask)):
+            raise ContractError("a hysteresis band starts at or above its upper "
+                                "comfort limit (setpoint - deadband/2 >= t_max)")
+        np.maximum(self.off_below, self.above_t_min, out=self.off_below)
+        np.add(sp, h, out=self.on_above)
+        np.minimum(self.on_above, self.below_t_max, out=self.on_above)
+
+    def set_weather(self, fleet: Fleet, t_out, solar) -> None:
+        """The weather's heat input per house; `t_out` and `solar` are
+        scalars or one value per house."""
+        np.multiply(fleet.ua, t_out, out=self.forcing)
+        np.add(self.forcing, np.multiply(fleet.aperture, solar, out=self.y), out=self.forcing)
 
 
 def fleet_soa(fleet: Fleet, ws: Workspace) -> np.ndarray:
@@ -164,14 +187,17 @@ def fleet_soa(fleet: Fleet, ws: Workspace) -> np.ndarray:
     0 at the customer setpoint, +1 / -1 at the upper / lower comfort
     limit, linear on each side and clipped to [-1, 1].  Measured against
     the customer setpoint, never the override, so the price stays honest.
+    The side is chosen without a mask: the lower side's share clipped to
+    [-1, 0] plus the upper side's clipped to [0, 1], one of which is 0.
     """
     dev = np.subtract(fleet.t_air, fleet.t_set, out=ws.x)
-    above = np.greater_equal(dev, 0.0, out=ws.mask)
-    np.copyto(ws.y, fleet.t_low)
-    np.copyto(ws.y, fleet.t_high, where=above)
-    np.divide(dev, ws.y, out=dev)
-    np.maximum(dev, -1.0, out=dev)
-    return np.minimum(dev, 1.0, out=dev)
+    low = np.divide(dev, fleet.t_low, out=ws.y)
+    np.maximum(low, -1.0, out=low)
+    np.minimum(low, 0.0, out=low)
+    high = np.divide(dev, fleet.t_high, out=dev)
+    np.minimum(high, 1.0, out=high)
+    np.maximum(high, 0.0, out=high)
+    return np.add(high, low, out=high)
 
 
 def _respond_to_price(fleet: Fleet, ws: Workspace, p_star: float) -> None:
@@ -194,23 +220,18 @@ def _thermostat_slice(fleet: Fleet, ws: Workspace) -> None:
     On above setpoint + deadband/2, off below setpoint - deadband/2.  The
     guards come last so comfort beats the market: at or past the upper
     limit a compressor is forced on, at or past the lower limit off.
+    Both are folded into the thresholds by `Workspace.set_thresholds`.
     """
     t, on, m = fleet.t_air, fleet.on, ws.mask
     np.logical_or(on, np.greater(t, ws.on_above, out=m), out=on)
-    np.logical_and(on, np.logical_not(np.less(t, ws.off_below, out=m), out=m), out=on)
-    np.logical_or(on, np.greater_equal(t, fleet.t_max, out=m), out=on)
-    np.logical_and(on, np.logical_not(np.less_equal(t, fleet.t_min, out=m), out=m), out=on)
+    np.greater(on, np.less(t, ws.off_below, out=m), out=on)  # on and not m
 
 
-def _advance_slice(fleet: Fleet, ws: Workspace, t_out, solar) -> None:
-    """One exact-discretization step of both thermal nodes, in place.
-
-    `t_out` and `solar` are scalars or one value per house.
-    """
+def _advance_slice(fleet: Fleet, ws: Workspace) -> None:
+    """One exact-discretization step of both thermal nodes, in place,
+    under the weather of the last `ws.set_weather`."""
     b0, x, y = ws.b0, ws.x, ws.y
-    np.multiply(fleet.ua, t_out, out=b0)
-    np.add(b0, np.multiply(fleet.aperture, solar, out=y), out=b0)
-    np.subtract(b0, np.multiply(fleet.cap_w, fleet.on, out=y), out=b0)
+    np.subtract(ws.forcing, np.multiply(fleet.cap_w, fleet.on, out=y), out=b0)
     np.divide(b0, fleet.c_air, out=b0)
     np.multiply(fleet.ad12, fleet.t_mass, out=x)  # t_air's mass term, before t_mass moves
     t_mass = np.multiply(fleet.ad22, fleet.t_mass, out=fleet.t_mass)
@@ -340,6 +361,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
             else:  # each house takes its segment's weather
                 t_out = np.take(traces.t_out_c[idx], segment_of_house, out=house_t_out)
                 solar = np.take(traces.solar_wm2[idx], segment_of_house, out=house_solar)
+            ws.set_weather(fleet, t_out, solar)
 
         if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
             _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
@@ -378,7 +400,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
                 s_agg[row] = s_sum / fleet.n
                 n_on[row] = int(np.count_nonzero(fleet.on))
 
-        _advance_slice(fleet, ws, t_out, solar)
+        _advance_slice(fleet, ws)
 
         if t >= cfg.warmup_s and _segments is None:
             outside = (np.count_nonzero(np.greater(fleet.t_air, ws.comfort_high, out=ws.mask))

@@ -136,6 +136,11 @@ class ScenarioConfig:
             raise ValueError("bid_lead_s must align with the simulation step")
         if self.duration_s <= 0 or self.warmup_s < 0:
             raise ValueError("duration_s must be positive and warmup_s >= 0")
+        # records fall on this grid from 0, so both ends of the measured
+        # window must too
+        if self.duration_s % self.record_cycle_s or self.warmup_s % self.record_cycle_s:
+            raise ValueError(f"duration_s and warmup_s must be multiples of "
+                             f"record_cycle_s ({self.record_cycle_s} s)")
         if self.training_days < 1:
             raise ValueError("training_days must be >= 1")
         if not self.tau_s > 0:

@@ -13,8 +13,8 @@ with the air.  The system is linear, so each step is advanced with the
 exact matrix exponential of the 2x2 state matrix (inputs held constant
 over the step).  That keeps the integrator unconditionally stable and
 makes trajectories independent of step size whenever the inputs are.
-`discretize` gives one house's update matrices; the fleet steps with
-them in `engine._advance_slice`.
+`discretize` gives the update matrices of a whole fleet at once, one
+value per house; the fleet steps with them in `engine._advance_slice`.
 
 Geometry-to-parameter derivation rules live in `DerivationConstants`;
 they are conventional residential defaults, surfaced so they can be
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class GeometryError(ValueError):
@@ -163,23 +165,32 @@ def derive_etp_params(g: HouseGeometry, consts: DerivationConstants = DEFAULT_DE
     )
 
 
-def discretize(p: EtpParameters, dt: float):
-    """Exact discrete-time update matrices for one step of length dt.
+def discretize(ua, h_mass, c_air, c_mass, dt: float):
+    """Exact discrete-time update matrices of many houses for one step of length dt.
 
-    Returns (ad, m): the state propagator exp(A*dt) and the input
-    integral  m = integral_0^dt exp(A*s) ds, both as nested 2x2 tuples.
-    The state matrix always has two distinct real eigenvalues (the
-    off-diagonal product h^2/(c_air*c_mass) is positive), so the
-    eigendecomposition is taken in closed form.  Valid for ua_envelope
-    >= 0; ua = 0 gives one zero eigenvalue and a conservative system.
+    Takes one value per house of each parameter, as float arrays, and
+    returns (ad, m): the state propagator exp(A*dt) and the input
+    integral  m = integral_0^dt exp(A*s) ds, both as nested 2x2 tuples
+    of per-house arrays.  The state matrix always has two distinct real
+    eigenvalues (the off-diagonal product h^2/(c_air*c_mass) is
+    positive), so the eigendecomposition is taken in closed form.  Valid
+    for ua_envelope >= 0; ua = 0 gives one zero eigenvalue and a
+    conservative system.
+
+    The square and the exponentials run per house on Python floats:
+    `d ** 2` is libm's pow, whose last bit can differ from `d * d`, and
+    NumPy's exp gives different bits on different CPUs.  Everything else is
+    elementwise IEEE arithmetic, so each house gets the bits a scalar
+    evaluation of the same expressions gives.
     """
-    a11 = -(p.ua_envelope + p.h_mass) / p.c_air
-    a12 = p.h_mass / p.c_air
-    a21 = p.h_mass / p.c_mass
-    a22 = -p.h_mass / p.c_mass
+    a11 = -(ua + h_mass) / c_air
+    a12 = h_mass / c_air
+    a21 = h_mass / c_mass
+    a22 = -h_mass / c_mass
 
     tr = a11 + a22
-    disc = math.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a21)
+    square = np.array([d ** 2 for d in (a11 - a22).tolist()])
+    disc = np.sqrt(square + 4.0 * a12 * a21)
     lam1 = 0.5 * (tr + disc)
     lam2 = 0.5 * (tr - disc)
 
@@ -188,17 +199,17 @@ def discretize(p: EtpParameters, dt: float):
     v2 = lam2 - a22
     det = a21 * (v1 - v2)
 
-    def phi(lam: float) -> float:
-        # integral of exp(lam*s) over the step, stable near lam = 0
+    def exp_and_phi(lam):
+        # exp(lam*dt) and the integral of exp(lam*s) over the step, which
+        # is dt where lam*dt = 0 and expm1(lam*dt)/lam elsewhere
         u = lam * dt
-        if u == 0.0:
-            return dt
-        return math.expm1(u) / lam
+        e = np.array([math.exp(x) for x in u.tolist()])
+        em1 = np.array([math.expm1(x) for x in u.tolist()])
+        return e, np.divide(em1, lam, out=np.full(len(u), dt), where=u != 0.0)
 
-    e1, e2 = math.exp(lam1 * dt), math.exp(lam2 * dt)
-    f1, f2 = phi(lam1), phi(lam2)
+    (e1, f1), (e2, f2) = exp_and_phi(lam1), exp_and_phi(lam2)
 
-    def transform(d1: float, d2: float):
+    def transform(d1, d2):
         # V diag(d1,d2) V^-1 written out for the 2x2 case
         m11 = (v1 * d1 * a21 - v2 * d2 * a21) / det
         m12 = (-v1 * d1 * v2 + v2 * d2 * v1) / det

@@ -16,15 +16,9 @@ from tiesmooth.engine import (Workspace, _respond_to_price, _thermostat_slice, b
 from tiesmooth.market import BidBatch
 from tiesmooth.population import House, generate_population
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
-from tiesmooth.thermal import EtpParameters
 from tiesmooth.traces import generate_traces
 
-from test_engine import run_audited
-
-# any valid house: the controller kernels never read the thermal parameters
-ETP = EtpParameters(c_air=1e6, c_mass=4e5, ua_envelope=200.0, h_mass=600.0,
-                    solar_aperture=5.0, cooling_capacity=5000.0,
-                    rated_electrical_power=1500.0)
+from test_engine import ETP, run_audited, thresholds_fresh
 
 
 @pytest.fixture
@@ -55,9 +49,8 @@ def respond(cfg, bid_price, p_star):
     fleet, ws = fleet_of(cfg, cfg.t_set)
     fleet.soa_bid = np.array([bid_price])
     _respond_to_price(fleet, ws, p_star)
-    sp, h = fleet.active_setpoint, fleet.half_deadband
-    assert np.array_equal(ws.on_above, sp + h) and np.array_equal(ws.off_below, sp - h)
-    return float(sp[0])
+    assert thresholds_fresh(fleet, ws)
+    return float(fleet.active_setpoint[0])
 
 
 def thermostat(cfg, t_air, on, setpoint):
@@ -93,6 +86,20 @@ class TestComputeSoa:
         cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.0, t_low=3.0,
                              rated_power=2.5, epsilon=0.2)
         assert soa(cfg, [27.0, 24.5]) == pytest.approx([0.5, -0.5])
+
+    def test_same_bits_as_selecting_the_side(self):
+        # the two clipped halves give the bits of dividing by the side's band
+        cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.0, t_low=3.0,
+                             rated_power=2.5, epsilon=0.2)
+        edges = np.array([cfg.t_set, cfg.t_max, cfg.t_min])
+        temps = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf), [np.nan, np.inf, -np.inf],
+                                np.random.default_rng(3).uniform(20.0, 32.0, 200)])
+        dev = temps - cfg.t_set
+        selected = np.minimum(np.maximum(
+            np.where(dev >= 0.0, dev / cfg.t_high, dev / cfg.t_low), -1.0), 1.0)
+        fleet, ws = fleet_of(cfg, temps)
+        assert fleet_soa(fleet, ws).tobytes() == selected.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,16 @@
 """Command-line pipeline: file emission, exit codes, idempotence."""
 
+import platform
 import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tiesmooth.cli import main
+from tiesmooth.textio import read_keyvals
 
 
 def edit_scenario(path, **replacements):
@@ -186,7 +189,7 @@ class TestRun:
                      "--model", str(scen / "model.txt"), "--traces", str(traces),
                      "--out", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("duration_s, warmup_s", [(86405, 7200), (86400, 7205)])
+    @pytest.mark.parametrize("duration_s, warmup_s", [(86410, 7200), (86400, 7210)])
     def test_traces_shorter_than_run_is_io_error(self, workspace, tmp_path, capsys,
                                                  duration_s, warmup_s):
         scen = tmp_path / "scenario.txt"
@@ -233,7 +236,9 @@ class TestRun:
     @pytest.mark.parametrize("key, value, message", [
         ("record_cycle_s", "0", "record_cycle_s and control_cycle_s must be positive"),
         ("tau_s", "0.0", "tau_s must be positive"),
-    ], ids=["record_cycle_s", "tau_s"])
+        ("duration_s", "7205", "must be multiples of record_cycle_s (10 s)"),
+        ("warmup_s", "1805", "must be multiples of record_cycle_s (10 s)"),
+    ], ids=["record_cycle_s", "tau_s", "duration_s_off_grid", "warmup_s_off_grid"])
     def test_bad_scenario_value_is_io_error(self, workspace, tmp_path, capsys,
                                             key, value, message):
         scen = tmp_path / "scenario.txt"
@@ -259,6 +264,14 @@ class TestRun:
         h1 = sha.search((workspace / "run_c" / "manifest.txt").read_text()).group(1)
         h2 = sha.search((out2 / "manifest.txt").read_text()).group(1)
         assert h1 == h2
+
+    def test_manifest_names_the_software(self, workspace):
+        for run in ("run_c", "run_u"):
+            with open(workspace / run / "manifest.txt") as fh:
+                manifest = read_keyvals(fh)
+            assert manifest["python"] == platform.python_version()
+            assert manifest["numpy"] == np.__version__
+            assert manifest["blas"]
 
     def test_flag_overrides_recorded(self, workspace):
         scen = workspace / "scen"

@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 
 import tiesmooth.engine as engine
 import tiesmooth.mgcc as mgcc
+from tiesmooth.agents import AclAgentConfig
 from tiesmooth.baseline import BaselineModel
 from tiesmooth.engine import (NumericAbortError, RunResult, Workspace, _advance_slice,
                               _thermostat_slice, build_fleet, load_run_dir,
                               run_scenario, run_training_simulation,
                               seed_fleet_states, write_results, write_run_dir)
 from tiesmooth.market import sequential_sum
-from tiesmooth.mgcc import CycleRecord
-from tiesmooth.population import (estimate_free_peak_kw, generate_population,
+from tiesmooth.mgcc import ContractError, CycleRecord
+from tiesmooth.population import (House, estimate_free_peak_kw, generate_population,
                                   total_rated_power_kw)
 from tiesmooth.rng import ENROLLMENT_STREAM, substream
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
+from tiesmooth.thermal import EtpParameters
 from tiesmooth.traces import (TraceSet, generate_traces, generate_training_traces,
                               peak_weather, quantize_kw)
 
@@ -86,8 +88,20 @@ def one_line_thermostat(fleet):
             & ~(t <= fleet.t_min))
 
 
+def fused_thresholds(fleet):
+    """The thresholds a fresh Workspace holds: sp ± h with the guards folded in."""
+    sp, h = fleet.active_setpoint, fleet.half_deadband
+    return (np.minimum(sp + h, np.nextafter(fleet.t_max, -np.inf)),
+            np.maximum(sp - h, np.nextafter(fleet.t_min, np.inf)))
+
+
+def thresholds_fresh(fleet, ws):
+    on_above, off_below = fused_thresholds(fleet)
+    return np.array_equal(ws.on_above, on_above) and np.array_equal(ws.off_below, off_below)
+
+
 class TestThermostatKernel:
-    """The in-place thermostat with cached thresholds against one expression."""
+    """The in-place thermostat with fused thresholds against one expression."""
 
     @staticmethod
     def edge_states(fleet, gen):
@@ -120,8 +134,7 @@ class TestThermostatKernel:
                                              fleet.t_min + fleet.epsilon,
                                              fleet.t_max - fleet.epsilon)
             ws.set_thresholds(fleet)
-            assert np.array_equal(ws.on_above, fleet.active_setpoint + fleet.half_deadband)
-            assert np.array_equal(ws.off_below, fleet.active_setpoint - fleet.half_deadband)
+            assert thresholds_fresh(fleet, ws)
             self.edge_states(fleet, gen)
             expected = one_line_thermostat(fleet)
             _thermostat_slice(fleet, ws)
@@ -132,10 +145,8 @@ class TestThermostatKernel:
         fresh, moved = [], []
 
         def checked(fleet, ws):
-            sp, h = fleet.active_setpoint, fleet.half_deadband
-            fresh.append(np.array_equal(ws.on_above, sp + h)
-                         and np.array_equal(ws.off_below, sp - h))
-            moved.append(not np.array_equal(sp, fleet.t_set))
+            fresh.append(thresholds_fresh(fleet, ws))
+            moved.append(not np.array_equal(fleet.active_setpoint, fleet.t_set))
             thermostat(fleet, ws)
 
         monkeypatch.setattr(engine, "_thermostat_slice", checked)
@@ -143,6 +154,94 @@ class TestThermostatKernel:
         run_scenario(cfg, population, make_traces(cfg), flat_model(20.0))
         assert len(fresh) == cfg.total_s // cfg.sim_step_s
         assert all(fresh) and any(moved)
+
+
+# a valid house: the controller kernels never read its thermal parameters
+ETP = EtpParameters(c_air=1e6, c_mass=4e5, ua_envelope=200.0, h_mass=600.0,
+                    solar_aperture=5.0, cooling_capacity=5000.0,
+                    rated_electrical_power=1500.0)
+
+
+@st.composite
+def controllers(draw):
+    """Any valid controller; epsilon below deadband/2 puts sp + h past t_max."""
+    t_high, t_low = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0))
+    deadband = draw(st.floats(0.01, 0.999)) * min(t_high, t_low)
+    return AclAgentConfig(t_set=draw(st.floats(18.0, 30.0)), deadband=deadband,
+                          t_high=t_high, t_low=t_low, rated_power=2.5,
+                          epsilon=draw(st.floats(1e-4, 1.0))
+                          * (min(t_high, t_low) - deadband / 2.0))
+
+
+class TestFusedThermostat:
+    """Guards folded into the thresholds against the unfused expression."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(controllers())
+    def test_every_threshold_neighbour_and_nan(self, cfg):
+        # the three setpoints the market sets, each threshold of the unfused
+        # rule with both neighbours, and NaN, under both on-states
+        half = cfg.deadband / 2.0
+        setpoints = [cfg.t_set, cfg.t_min + cfg.epsilon, cfg.t_max - cfg.epsilon]
+        cases = []
+        for sp in setpoints:
+            edges = np.array([sp + half, sp - half, cfg.t_max, cfg.t_min])
+            temps = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                    np.nextafter(edges, np.inf), [np.nan]])
+            cases += [(sp, t, on) for t in temps for on in (False, True)]
+        sp, t_air, on = (np.array(column) for column in zip(*cases))
+        fleet = build_fleet([House(i, None, ETP, cfg) for i in range(len(cases))], 5.0)
+        fleet.active_setpoint, fleet.t_air, fleet.on = sp, t_air, on.astype(bool)
+        ws = Workspace(fleet)
+        expected = one_line_thermostat(fleet)
+        _thermostat_slice(fleet, ws)
+        assert np.array_equal(fleet.on, expected)
+
+    def test_band_starting_at_upper_limit_rejected(self):
+        cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
+                             rated_power=2.5, epsilon=0.2)
+        fleet = build_fleet([House(i, None, ETP, cfg) for i in range(3)], 5.0)
+        ws = Workspace(fleet)
+        fleet.active_setpoint[1] = cfg.t_max + cfg.deadband / 2.0  # sp - h == t_max
+        with pytest.raises(ContractError, match="upper comfort limit"):
+            ws.set_thresholds(fleet)
+        with pytest.raises(ContractError):
+            Workspace(fleet)
+
+
+class TestBuildFleet:
+    def test_arrays_pinned(self):
+        # the sha256 of every array at n = 2 000, seed 42, as the per-house
+        # scalar discretization gave them
+        cfg = ScenarioConfig(n_acl=2000, seed=42)
+        houses = generate_population(cfg.population_spec(), cfg.seed, cfg.thermal,
+                                     cfg.epsilon_margin_c)
+        fleet = build_fleet(houses, cfg.sim_step_s)
+        digests = {name: hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+                   for name, value in vars(fleet).items() if isinstance(value, np.ndarray)}
+        t_set = "83838c9b73de09b9c39f1b8fdb207742132150d54606b30d00d9897cc4f54e61"
+        assert digests == {
+            "rated_kw": "cad7d22f27599d174372b026d969b776196245466565b864c0b2f3b180cad615",
+            "t_set": t_set,
+            "half_deadband": "74e6bc932e04e9e0c5e51422f280c0513732b3804c344e61d791a57bd6675d28",
+            "t_min": "32bb87f32d2065e8f36ae391c084f2905e3ee64dce85d3226ad02d5e730aa934",
+            "t_max": "4f8e73df02f030b16db103f0de966f56f0b1daea7f54b3455533f53d8098c68b",
+            "epsilon": "8f2c408b2c606d5606f2f7dd070cbbc256893b3970a4fd672cf41043b3b729a6",
+            "t_high": "6b0b864c63c267cf25b7b051514718bcde1e4ff9436568b54a270d151c969811",
+            "t_low": "6bd98478c58f7440478f634b1967b7c2f9b1fcb06ef45b0e438e2b80ad214f03",
+            "ad11": "fef936bad4ed7717e7be1b981b1aa7e9082befa4daa1a225252d0b4a61de2f2a",
+            "ad12": "dac4aa3aa4232110ba7e84437db3dd68894c7935a2b91dee75d90f93457b1f60",
+            "ad21": "2724ef420401dc00a90a96cf190dd105305da6fa8a6f0e018cf16192055d4184",
+            "ad22": "001827cd528e533bd8dfb9cb7092f2fc5f9c170732674ecdeefd63f216ee3cb4",
+            "m1": "8d9ec380233fb71952028fd65168cda9ed9f2c208c9aab041595080adc055d8f",
+            "m2": "f21e5ab209399d58e24c25b41ef52befa046eb60547b0b5b08f4df5a67b31291",
+            "ua": "b82fcc0a59618e0cbd2c1755fff4f01a01c183bfe9d92c7e7ba176086261dee7",
+            "aperture": "5b85548f770c1409674132a6c5877be1acab504477459ad1337e5afb7e79e623",
+            "cap_w": "8c9a312845b5e846bf02dc94d532482f77249dafd3542151a3c67a8dee984cf3",
+            "c_air": "7f736fb93e20f8a89898a06d7d57979a6519554168e4ec4a9c5607b629ca4040",
+            "t_air": t_set, "t_mass": t_set, "active_setpoint": t_set,
+            "on": "2da42fb1d7bd8524e83d5a1e332bad697c8769ba430770a19bec630eb8ffcaa8",
+            "soa_bid": "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997"}
 
 
 class TestScheduling:
@@ -241,8 +340,9 @@ class TestDeterminism:
         for step in range(100):
             t_out = 30.0 + 4.0 * np.sin(step / 10.0)
             for fleet, ws in stepped:
+                ws.set_weather(fleet, t_out, 500.0)
                 _thermostat_slice(fleet, ws)
-                _advance_slice(fleet, ws, t_out, 500.0)
+                _advance_slice(fleet, ws)
             assert np.array_equal(part.t_air, full.t_air[:k])
             assert np.array_equal(part.t_mass, full.t_mass[:k])
             assert np.array_equal(part.on, full.on[:k])

@@ -46,7 +46,8 @@ def configs(draw):
         n_acl=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64 - 1)),
         sim_step_s=step, record_cycle_s=record, control_cycle_s=control,
         bid_lead_s=step * draw(st.integers(1, control // step - 1)),
-        duration_s=draw(st.integers(1, 10**7)), warmup_s=draw(st.integers(0, 10**5)),
+        duration_s=record * draw(st.integers(1, 10**7 // record)),
+        warmup_s=record * draw(st.integers(0, 10**5 // record)),
         wind_capacity_ratio=draw(finite), acl_peak_share=draw(finite),
         baseline_bias=draw(finite), soa_feedback_enabled=draw(st.booleans()),
         training_days=draw(st.integers(1, 30)),
