@@ -11,6 +11,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .thermal import raise_first
+
+
+def controller_faults(a):
+    """The checks of a controller's settings as (fault, message) pairs,
+    in the form of `thermal.geometry_faults`.
+
+    The last one is the engine's: the band a device drifts off in,
+    (t_max - epsilon) -/+ deadband/2, must start below t_max in the
+    engine's arithmetic, which a vanishing deadband and margin break.
+    """
+    narrower = np.minimum(a.t_high, a.t_low)
+    t_max = a.t_set + a.t_high
+    yield ((a.t_low <= 0) | (a.t_high <= 0),
+           lambda: "t_low and t_high must be positive")
+    yield (np.logical_not((0 < a.deadband) & (a.deadband < narrower)),
+           lambda: f"deadband {a.deadband} outside (0, min(t_high, t_low))")
+    yield a.rated_power <= 0, lambda: "rated_power must be positive"
+    yield (np.logical_not((0 < a.epsilon) & (a.epsilon + a.deadband / 2.0 <= narrower)),
+           lambda: f"epsilon {a.epsilon} must keep the override band inside the limits")
+    yield (np.logical_not((t_max - a.epsilon) - a.deadband / 2.0 < t_max),
+           lambda: f"deadband {a.deadband} and epsilon {a.epsilon} are too small to "
+                   f"separate the override band from t_max {t_max}")
+
 
 @dataclass(frozen=True)
 class AclAgentConfig:
@@ -24,16 +50,7 @@ class AclAgentConfig:
     epsilon: float      # degC margin the override keeps inside the limits
 
     def __post_init__(self):
-        if self.t_low <= 0 or self.t_high <= 0:
-            raise ValueError("t_low and t_high must be positive")
-        if not 0 < self.deadband < min(self.t_high, self.t_low):
-            raise ValueError(f"deadband {self.deadband} outside (0, min(t_high, t_low))")
-        if self.rated_power <= 0:
-            raise ValueError("rated_power must be positive")
-        if not (0 < self.epsilon and
-                self.epsilon + self.deadband / 2.0 <= min(self.t_high, self.t_low)):
-            raise ValueError(
-                f"epsilon {self.epsilon} must keep the override band inside the limits")
+        raise_first(controller_faults(self), ValueError)
 
     @property
     def t_max(self) -> float:

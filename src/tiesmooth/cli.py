@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 2 unreadable or malformed
 input (I/O problems, a malformed run directory, an unknown scenario key
-or a bad scenario value, traces shorter than the run), 3 baseline fit
-failure, 4 numeric abort inside a run, 5 incomparable run pair.
+or a bad scenario value, a population that cannot be drawn, traces
+shorter than the run), 3 baseline fit failure, 4 numeric abort inside a
+run, 5 incomparable run pair.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ def cmd_train(args) -> int:
         for day in range(cfg.training_days):
             with open(base / f"train_day{day}.csv") as fh:
                 day_traces.append(read_traces(fh, cfg.record_cycle_s))
+        houses = _population(cfg)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    houses = _population(cfg)
     try:
         samples = run_training_simulation(cfg, houses, day_traces)
     except NumericAbortError as exc:
@@ -192,11 +193,11 @@ def cmd_run(args) -> int:
         if not args.uncontrolled:
             model_path = Path(args.model) if args.model else scenario_path.parent / "model.txt"
             model = BaselineModel.load(model_path)
+        houses = _population(cfg)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    houses = _population(cfg)
     try:
         result = run_scenario(cfg, houses, traces, model,
                               controlled=not args.uncontrolled)

@@ -15,11 +15,12 @@ kernels write into a `Workspace` of n-sized buffers made once per run.
 Work that changes more slowly than the step is done when it changes:
 the thermostat thresholds, with the comfort guards folded in, when the
 market moves the setpoints; the weather's heat input once per trace
-row; the comfort bounds once per run.  `build_fleet` reads each house
-once and discretizes the whole fleet in one array call.  Training
-reuses the loop: its days are segments of one fleet laid end to end
-along the house axis, each house stepping under its own day's weather
-and each record metering every segment on its own.
+row; the comfort bounds once per run.  `build_fleet` takes the
+population's columns as they are and discretizes the whole fleet in
+one array call.  Training reuses the loop: its days are segments of one
+fleet laid end to end along the house axis, each house stepping under
+its own day's weather and each record metering every segment on its
+own.
 
 The tie-line power at any instant is fleet electrical power plus
 uncontrollable load minus wind (lossless balance).  Device ratings and
@@ -42,7 +43,7 @@ from .baseline import BaselineModel, CorrectionState, TrainingColumns
 from .market import BidBatch
 from .mgcc import (ContractError, CycleRecord, LpfState, read_cycle_records,
                    run_control_cycle, write_cycle_records)
-from .population import House
+from .population import Population
 from .scenario import ScenarioConfig
 from .textio import parse, read_keyvals, read_table, write_keyvals, write_table
 from .thermal import discretize
@@ -89,27 +90,26 @@ class Fleet:
     soa_bid: np.ndarray = field(default=None)
 
 
-def build_fleet(houses: Sequence[House], sim_step_s: float) -> Fleet:
-    """The houses as fleet columns, with each house's step matrices."""
-    n = len(houses)
-    (rated_kw, t_set, deadband, t_high, t_low, epsilon,
-     ua, h_mass, c_air, c_mass, aperture, cap_w) = np.fromiter(
-        ((h.agent.rated_power, h.agent.t_set, h.agent.deadband, h.agent.t_high,
-          h.agent.t_low, h.agent.epsilon, h.etp.ua_envelope, h.etp.h_mass,
-          h.etp.c_air, h.etp.c_mass, h.etp.solar_aperture, h.etp.cooling_capacity)
-         for h in houses), dtype=np.dtype((float, 12)), count=n).T.copy()
+def build_fleet(houses: Population, sim_step_s: float) -> Fleet:
+    """The houses' columns as fleet columns, with each house's step matrices.
+
+    The fleet shares the population's read-only columns."""
+    c = houses.columns
+    t_set, t_high, t_low = c["t_set"], c["t_high"], c["t_low"]
     ((ad11, ad12), (ad21, ad22)), ((m1, _), (m2, _)) = discretize(
-        ua, h_mass, c_air, c_mass, float(sim_step_s))
+        c["ua_envelope"], c["h_mass"], c["c_air"], c["c_mass"], float(sim_step_s))
     fleet = Fleet(
-        n=n, rated_kw=rated_kw, t_set=t_set, half_deadband=deadband / 2.0,
-        t_min=t_set - t_low, t_max=t_set + t_high, epsilon=epsilon,
-        t_high=t_high, t_low=t_low, ad11=ad11, ad12=ad12, ad21=ad21, ad22=ad22,
-        m1=m1, m2=m2, ua=ua, aperture=aperture, cap_w=cap_w, c_air=c_air)
+        n=len(houses), rated_kw=c["rated_power"], t_set=t_set,
+        half_deadband=c["deadband"] / 2.0, t_min=t_set - t_low, t_max=t_set + t_high,
+        epsilon=c["epsilon"], t_high=t_high, t_low=t_low,
+        ad11=ad11, ad12=ad12, ad21=ad21, ad22=ad22, m1=m1, m2=m2,
+        ua=c["ua_envelope"], aperture=c["solar_aperture"], cap_w=c["cooling_capacity"],
+        c_air=c["c_air"])
     fleet.t_air = t_set.copy()
     fleet.t_mass = t_set.copy()
-    fleet.on = np.zeros(n, dtype=bool)
+    fleet.on = np.zeros(fleet.n, dtype=bool)
     fleet.active_setpoint = t_set.copy()
-    fleet.soa_bid = np.zeros(n)
+    fleet.soa_bid = np.zeros(fleet.n)
     return fleet
 
 
@@ -296,7 +296,7 @@ def _tie_line_kw(fleet: Fleet, ws: Workspace, traces: TraceSet,
     return fleet_kw, fleet_kw + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx])
 
 
-def run_scenario(cfg: ScenarioConfig, houses: Sequence[House], traces: TraceSet,
+def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                  model: Optional[BaselineModel], controlled: bool = True, *,
                  _segments: Optional[Sequence[int]] = None) -> RunResult:
     """Execute one full run (controlled or free) over the given traces.
@@ -474,7 +474,7 @@ def check_run_cadence(run: RunResult) -> None:
                          f"at {run.control_cycle_s} s a cycle")
 
 
-def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],
+def run_training_simulation(cfg: ScenarioConfig, houses: Population,
                             day_traces: Sequence[TraceSet]) -> TrainingColumns:
     """Free runs over the training days, sampled per record cycle after warm-up.
 
@@ -500,7 +500,7 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],
             continue
         days.append((traces, max(1, int(round(fraction * len(houses))))))
 
-    rated = np.array([h.agent.rated_power for h in houses], dtype=float)
+    rated = houses.columns["rated_power"]
     columns: list = [None] * len(days)
     for length in dict.fromkeys(len(traces) for traces, _ in days):
         group = [i for i, (traces, _) in enumerate(days) if len(traces) == length]
@@ -509,9 +509,9 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Sequence[House],
             time_s=days[group[0]][0].time_s, cadence_s=cfg.record_cycle_s,
             **{name: np.stack([getattr(days[i][0], name) for i in group], axis=1)
                for name in ("t_out_c", "solar_wm2", "p_load_kw", "p_wind_kw")})
+        prefixes = houses.take(np.concatenate([np.arange(n) for n in sizes]))
         run = run_scenario(replace(cfg, duration_s=length * cfg.record_cycle_s - cfg.warmup_s),
-                           [h for n in sizes for h in houses[:n]], stacked, None,
-                           controlled=False, _segments=sizes)
+                           prefixes, stacked, None, controlled=False, _segments=sizes)
         rows = run.metric_slice()
         for segment, i in enumerate(group):
             traces, n = days[i]

@@ -2,8 +2,20 @@
 
 Each house owns a dedicated random substream keyed by its index, so
 house i is byte-identical no matter how many houses are drawn around it.
-Draws violating the type invariants are retried (capped), which in
-practice never triggers with the default distribution tables.
+Draws violating the type invariants are retried (capped), which at the
+default distribution tables happens to about 2 % of houses, nearly all
+of them for a normal draw past its 3-sigma truncation.
+
+The fleet is a `Population` of columns, one float array per field a
+`House` row exposes.  Each house draws its standard variates from its
+stream in canonical field order, one call per run of fields of one
+kind; the values, their checks and everything derived from them are
+then array expressions over the fleet, in the operation order of the
+per-house dataclasses.  A house that breaks a check is drawn again by
+`draw_house` from its stream start, field by field through `Dist.draw`:
+that loop is the one definition of a redraw.  Both assemble an attempt
+with the same code, on arrays or on NumPy scalars, and the checks are
+the dataclasses' own predicates.
 
 Electrical ratings are snapped to a dyadic kW quantum when the device is
 built: every fleet power is then a multiple of 2^-10 kW, which keeps
@@ -13,16 +25,34 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from itertools import chain
+from types import SimpleNamespace
+
+import numpy as np
 
 from . import rng
-from .agents import AclAgentConfig, default_epsilon
+from .agents import AclAgentConfig, controller_faults, default_epsilon
+from .market import sequential_sum
 from .scenario import CONTROLLER_FIELDS, HOUSE_FIELDS, PopulationSpec
 from .thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, DerivationConstants,
-                      EtpParameters, GeometryError, HouseGeometry,
-                      derive_etp_params)
+                      EtpParameters, HouseGeometry, derive_etp_terms, etp_faults,
+                      geometry_faults)
 
 MAX_REDRAWS = 100
+
+ETP_FIELDS = tuple(f.name for f in fields(EtpParameters))
+AGENT_FIELDS = tuple(f.name for f in fields(AclAgentConfig))
+# one float column per House field: the drawn geometry, the derived
+# thermal parameters, then the controller (draws, rating in kW, epsilon)
+COLUMNS = HOUSE_FIELDS + ETP_FIELDS + AGENT_FIELDS
+_ROW_TYPES = ((HouseGeometry, HOUSE_FIELDS), (EtpParameters, ETP_FIELDS),
+              (AclAgentConfig, AGENT_FIELDS))
+# the geometry fields that are not drawn keep their defaults
+_GEOMETRY_DEFAULTS = {f.name: f.default for f in fields(HouseGeometry)
+                      if f.name not in HOUSE_FIELDS}
 
 
 class PopulationError(ValueError):
@@ -39,68 +69,152 @@ class House:
     agent: AclAgentConfig
 
 
-def quantize_power_kw(value_kw: float) -> float:
-    """Snap to the dyadic power quantum (2^-10 kW ~ 1 W)."""
-    return round(value_kw / POWER_QUANTUM_KW) * POWER_QUANTUM_KW
+class Population(Sequence):
+    """A fleet as columns: `house_index`, each house's index (its stream
+    number), and one read-only float array per name in COLUMNS, under
+    `columns`.
+
+    It reads as a sequence of `House` rows, built from the columns on
+    each access; a slice or `take` is a Population, and two populations
+    are equal when their columns hold the same bytes.
+    """
+
+    def __init__(self, house_index: np.ndarray, columns: dict[str, np.ndarray]):
+        self.house_index = house_index
+        self.columns = columns
+        for array in (house_index, *columns.values()):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.house_index)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(key)
+        return House(int(self.house_index[key]), *(
+            row_type(**{name: float(self.columns[name][key]) for name in names})
+            for row_type, names in _ROW_TYPES))
+
+    def take(self, indices) -> Population:
+        """The houses at `indices`, a slice or positions in any order."""
+        return Population(self.house_index[indices],
+                          {name: col[indices] for name, col in self.columns.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, Population):
+            return NotImplemented
+        return (self.columns.keys() == other.columns.keys()
+                and self.house_index.tobytes() == other.house_index.tobytes()
+                and all(col.tobytes() == other.columns[name].tobytes()
+                        for name, col in self.columns.items()))
 
 
-def build_house(index: int, geometry: HouseGeometry,
-                t_set: float, deadband: float, t_high: float, t_low: float,
-                consts: DerivationConstants = DEFAULT_DERIVATION,
-                epsilon_margin: float = 0.05) -> House:
-    """Derive device parameters and controller config for one house.
+def quantize_power_kw(value_kw):
+    """Snap floats or arrays to the dyadic power quantum (2^-10 kW ~ 1 W)."""
+    return np.rint(value_kw / POWER_QUANTUM_KW) * POWER_QUANTUM_KW
 
-    The electrical rating is quantized and the thermal capacity re-derived
+
+def _rating_fault(rated_kw):
+    """True where a quantized rating is not a positive finite power."""
+    return np.logical_not((0 < rated_kw) & (rated_kw < math.inf))
+
+
+def _assemble(draws: dict[str, np.ndarray], consts: DerivationConstants,
+              epsilon_margin: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Every column from the drawn fields, and where a check fails: for a
+    fleet, given one array per field, or for one house, given one NumPy
+    float each (whose overflows, like the arrays', follow `np.errstate`).
+
+    The electrical rating is quantized and the thermal capacity restated
     from it, so rated power stays exactly capacity / EER.
     """
-    etp_raw = derive_etp_params(geometry, consts)
-    rated_kw = quantize_power_kw(etp_raw.rated_electrical_power / 1000.0)
-    if rated_kw <= 0:
-        raise GeometryError(f"house {index}: rated power quantized to zero")
-    cooling_capacity = rated_kw * 1000.0 * geometry.eer
-    etp = EtpParameters(
-        c_air=etp_raw.c_air, c_mass=etp_raw.c_mass,
-        ua_envelope=etp_raw.ua_envelope, h_mass=etp_raw.h_mass,
-        solar_aperture=etp_raw.solar_aperture,
-        cooling_capacity=cooling_capacity,
-        rated_electrical_power=rated_kw * 1000.0)
-    agent = AclAgentConfig(
-        t_set=t_set, deadband=deadband, t_high=t_high, t_low=t_low,
-        rated_power=rated_kw,
-        epsilon=default_epsilon(deadband, epsilon_margin))
-    return House(index=index, geometry=geometry, etp=etp, agent=agent)
+    geometry = SimpleNamespace(**_GEOMETRY_DEFAULTS,
+                               **{name: draws[name] for name in HOUSE_FIELDS})
+    raw = derive_etp_terms(geometry, consts)
+    rated_kw = quantize_power_kw(raw["rated_electrical_power"] / 1000.0)
+    etp = {**{name: raw[name] for name in ETP_FIELDS},
+           "cooling_capacity": rated_kw * 1000.0 * draws["eer"],
+           "rated_electrical_power": rated_kw * 1000.0}
+    agent = {**{name: draws[name] for name in CONTROLLER_FIELDS}, "rated_power": rated_kw,
+             "epsilon": default_epsilon(draws["deadband"], epsilon_margin)}
+    checks = chain(geometry_faults(geometry), etp_faults(SimpleNamespace(**raw)),
+                   etp_faults(SimpleNamespace(**etp)), controller_faults(SimpleNamespace(**agent)))
+    fault = (raw["net_wall"] <= 0) | _rating_fault(rated_kw)
+    for check, _ in checks:
+        fault |= check
+    return {**{name: draws[name] for name in HOUSE_FIELDS}, **etp, **agent}, fault
+
+
+def draw_house(spec: PopulationSpec, gen: np.random.Generator, index: int,
+               consts: DerivationConstants = DEFAULT_DERIVATION,
+               epsilon_margin: float = 0.05) -> dict[str, np.float64]:
+    """House `index`'s value in every column, from its stream `gen`: each
+    field drawn by `Dist.draw`, the whole house drawn again while a check
+    fails; PopulationError after MAX_REDRAWS attempts."""
+    for _ in range(MAX_REDRAWS):
+        draws = {name: np.float64(spec.distributions[name].draw(gen))
+                 for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
+        columns, fault = _assemble(draws, consts, epsilon_margin)
+        if not fault:
+            return columns
+    raise PopulationError(f"house {index}: no valid draw in {MAX_REDRAWS} attempts")
+
+
+def _standard_draws(spec: PopulationSpec, seed: int,
+                    gen: np.random.Generator) -> np.ndarray:
+    """Each house's first-attempt standard variates, one row per house in
+    canonical field order: uniforms on [0, 1) and standard normals.
+    `gen` is re-keyed to each house's stream in turn."""
+    names = HOUSE_FIELDS + CONTROLLER_FIELDS
+    runs = []  # [uniform?, first, end) over the fields
+    for j, name in enumerate(names):
+        uniform = spec.distributions[name].kind == "uniform"
+        if runs and runs[-1][0] == uniform:
+            runs[-1][2] = j + 1
+        else:
+            runs.append([uniform, j, j + 1])
+    std = np.empty((spec.n, len(names)))
+    for i, row in enumerate(std):
+        rng.house_stream(seed, i, gen)
+        for uniform, lo, hi in runs:
+            if uniform:
+                gen.random(out=row[lo:hi])
+            else:
+                gen.standard_normal(out=row[lo:hi])
+    return std
 
 
 def generate_population(spec: PopulationSpec, seed: int,
                         consts: DerivationConstants = DEFAULT_DERIVATION,
-                        epsilon_margin: float = 0.05) -> list[House]:
-    """Draw the fleet; identical (spec, seed) gives an identical fleet."""
-    houses = []
-    for i in range(spec.n):
-        gen = rng.house_stream(seed, i)
-        for attempt in range(MAX_REDRAWS):
-            values = {name: spec.distributions[name].draw(gen)
-                      for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
-            try:
-                geometry = HouseGeometry(
-                    **{name: values[name] for name in HOUSE_FIELDS})
-                house = build_house(
-                    i, geometry,
-                    t_set=values["t_set"], deadband=values["deadband"],
-                    t_high=values["t_high"], t_low=values["t_low"],
-                    consts=consts, epsilon_margin=epsilon_margin)
-                break
-            except (GeometryError, ValueError):
-                continue
-        else:
-            raise PopulationError(
-                f"house {i}: no valid draw in {MAX_REDRAWS} attempts")
-        houses.append(house)
-    return houses
+                        epsilon_margin: float = 0.05) -> Population:
+    """Draw the fleet; identical (spec, seed) gives an identical fleet.
+
+    Each house's columns are those `draw_house` gives on its own stream:
+    the fleet's first attempts are assembled together, and a house whose
+    first attempt may not stand (a draw past its truncation, a non-finite
+    value or a failed check) is drawn again by `draw_house`.
+    """
+    gen = rng.house_stream(seed, 0)
+    # a house whose arithmetic overflows fails a check and is drawn again
+    with np.errstate(all="ignore"):
+        std = _standard_draws(spec, seed, gen)
+        draws, redraw = {}, np.zeros(spec.n, dtype=bool)
+        for j, name in enumerate(HOUSE_FIELDS + CONTROLLER_FIELDS):
+            d = spec.distributions[name]
+            draws[name] = d.value(std[:, j])
+            redraw |= np.logical_not(np.isfinite(draws[name]))
+            if d.kind == "normal":
+                redraw |= np.logical_not(d.kept(draws[name]))
+        columns, fault = _assemble(draws, consts, epsilon_margin)
+        for i in np.flatnonzero(redraw | fault).tolist():
+            house = draw_house(spec, rng.house_stream(seed, i, gen), i, consts, epsilon_margin)
+            for name, value in house.items():
+                columns[name][i] = value
+    return Population(np.arange(spec.n), {name: columns[name] for name in COLUMNS})
 
 
-def total_rated_power_kw(houses: list[House]) -> float:
-    return sum(h.agent.rated_power for h in houses)
+def total_rated_power_kw(houses: Population) -> float:
+    return sequential_sum(houses.columns["rated_power"])
 
 
 # Realized daily peaks run above the steady-state duty estimate because
@@ -109,7 +223,7 @@ def total_rated_power_kw(houses: list[House]) -> float:
 PEAK_COINCIDENCE = 1.14
 
 
-def estimate_free_peak_kw(houses: list[House], t_out: float, solar: float) -> float:
+def estimate_free_peak_kw(houses: Population, t_out: float, solar: float) -> float:
     """Estimate of the fleet's realized free aggregate peak (kW electrical).
 
     Steady-state duty of each house holding its own setpoint under the
@@ -117,9 +231,8 @@ def estimate_free_peak_kw(houses: list[House], t_out: float, solar: float) -> fl
     time constants are short against the diurnal plateau, so the duty
     term dominates.
     """
-    total = 0.0
-    for h in houses:
-        gains = h.etp.ua_envelope * (t_out - h.agent.t_set) + h.etp.solar_aperture * solar
-        duty = min(1.0, max(0.0, gains / h.etp.cooling_capacity))
-        total += duty * h.agent.rated_power
+    c = houses.columns
+    gains = c["ua_envelope"] * (t_out - c["t_set"]) + c["solar_aperture"] * solar
+    duty = np.minimum(1.0, np.maximum(0.0, gains / c["cooling_capacity"]))
+    total = sequential_sum(duty * c["rated_power"])
     return min(total * PEAK_COINCIDENCE, total_rated_power_kw(houses))

@@ -41,8 +41,19 @@ class Dist:
             return float(gen.uniform(self.a, self.b))
         while True:
             x = float(gen.normal(self.a, self.b))
-            if abs(x - self.a) <= 3.0 * self.b:
+            if self.kept(x):
                 return x
+
+    def value(self, std):
+        """What `draw` makes of a uniform on [0, 1) or a standard normal,
+        as NumPy's `uniform` and `normal` compute it; floats or arrays."""
+        if self.kind == "uniform":
+            return self.a + (self.b - self.a) * std
+        return self.a + self.b * std
+
+    def kept(self, x):
+        """True where a normal draw lies inside its truncation; floats or arrays."""
+        return abs(x - self.a) <= 3.0 * self.b
 
     def mean(self) -> float:
         return 0.5 * (self.a + self.b) if self.kind == "uniform" else self.a

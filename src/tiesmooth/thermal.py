@@ -24,7 +24,7 @@ changed without code edits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,45 @@ class GeometryError(ValueError):
 
 class SingularEquilibriumError(ZeroDivisionError):
     """Steady state undefined: no conductance to the outdoors."""
+
+
+def raise_first(faults, error: type) -> None:
+    """Raise `error` with the message of the first fault that holds, for
+    `faults` checked on one object of floats."""
+    for fault, message in faults:
+        if fault:
+            raise error(message())
+
+
+_POSITIVE_GEOMETRY = ("floor_area", "air_change_rate", "shgc", "eer", "r_roof", "r_wall",
+                      "r_floor", "r_window", "r_door", "ceiling_height", "door_area")
+
+
+def geometry_faults(g):
+    """The checks of a house geometry as (fault, message) pairs.
+
+    `g` holds one float or one array per field, and each fault is true
+    where its check fails, NaN as the dataclass treats it; `message()`
+    explains the fault of a single geometry.  `HouseGeometry` raises on
+    the first, and population synthesis checks a whole fleet with them.
+    """
+    for name in _POSITIVE_GEOMETRY:
+        yield (getattr(g, name) <= 0,
+               lambda name=name: f"{name} must be positive, got {getattr(g, name)}")
+    yield (np.logical_not((0 < g.window_wall_ratio) & (g.window_wall_ratio < 1)),
+           lambda: f"window_wall_ratio must be in (0,1), got {g.window_wall_ratio}")
+    yield g.shgc > 1, lambda: f"shgc must be in (0,1], got {g.shgc}"
+
+
+def etp_faults(p):
+    """The checks of lumped thermal parameters, as `geometry_faults` gives them."""
+    for name in ("c_air", "c_mass", "h_mass",
+                 "solar_aperture", "cooling_capacity", "rated_electrical_power"):
+        yield (getattr(p, name) <= 0,
+               lambda name=name: f"{name} must be positive, got {getattr(p, name)}")
+    # ua_envelope = 0 is admitted so the closed (adiabatic) system can
+    # be exercised; equilibrium_temperature rejects it explicitly.
+    yield p.ua_envelope < 0, lambda: f"ua_envelope must be >= 0, got {p.ua_envelope}"
 
 
 @dataclass(frozen=True)
@@ -55,15 +94,7 @@ class HouseGeometry:
     door_area: float = 2.0        # m^2
 
     def __post_init__(self):
-        for name in ("floor_area", "air_change_rate", "shgc", "eer",
-                     "r_roof", "r_wall", "r_floor", "r_window", "r_door",
-                     "ceiling_height", "door_area"):
-            if getattr(self, name) <= 0:
-                raise GeometryError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 < self.window_wall_ratio < 1:
-            raise GeometryError(f"window_wall_ratio must be in (0,1), got {self.window_wall_ratio}")
-        if self.shgc > 1:
-            raise GeometryError(f"shgc must be in (0,1], got {self.shgc}")
+        raise_first(geometry_faults(self), GeometryError)
 
 
 @dataclass(frozen=True)
@@ -79,14 +110,7 @@ class EtpParameters:
     rated_electrical_power: float  # W electrical input while running
 
     def __post_init__(self):
-        for name in ("c_air", "c_mass", "h_mass",
-                     "solar_aperture", "cooling_capacity", "rated_electrical_power"):
-            if getattr(self, name) <= 0:
-                raise GeometryError(f"{name} must be positive, got {getattr(self, name)}")
-        # ua_envelope = 0 is admitted so the closed (adiabatic) system can
-        # be exercised; equilibrium_temperature rejects it explicitly.
-        if self.ua_envelope < 0:
-            raise GeometryError(f"ua_envelope must be >= 0, got {self.ua_envelope}")
+        raise_first(etp_faults(self), GeometryError)
 
 
 @dataclass(frozen=True)
@@ -117,23 +141,18 @@ DEFAULT_DERIVATION = DerivationConstants()
 
 # Electrical powers are snapped to this granularity (kW) when houses are
 # built for a fleet, so sums and differences of device powers are exact
-# in binary floating point.  See population.build_house.
+# in binary floating point.  See population.quantize_power_kw.
 POWER_QUANTUM_KW = 1.0 / 1024.0
 
 
-def derive_etp_params(g: HouseGeometry, consts: DerivationConstants = DEFAULT_DERIVATION) -> EtpParameters:
-    """Map a house geometry onto lumped thermal parameters.
-
-    Conduction UA sums area/R over roof, floor, net wall, window and
-    door; infiltration UA adds the air-change enthalpy flow.  Raises
-    GeometryError when any derived quantity degenerates.
-    """
+def derive_etp_terms(g, consts: DerivationConstants = DEFAULT_DERIVATION) -> dict:
+    """The arithmetic of `derive_etp_params`, unchecked, on one float or
+    one array per geometry field: each `EtpParameters` field plus
+    `gross_wall` and `net_wall` (m^2)."""
     volume = g.floor_area * g.ceiling_height
-    gross_wall = 4.0 * math.sqrt(g.floor_area) * g.ceiling_height
+    gross_wall = 4.0 * np.sqrt(g.floor_area) * g.ceiling_height
     window_area = g.window_wall_ratio * gross_wall
     net_wall = gross_wall - window_area - g.door_area
-    if net_wall <= 0:
-        raise GeometryError(f"door and glazing exceed the gross wall area ({gross_wall:.2f} m^2)")
 
     ua_conduction = (g.floor_area / g.r_roof
                      + g.floor_area / g.r_floor
@@ -145,24 +164,34 @@ def derive_etp_params(g: HouseGeometry, consts: DerivationConstants = DEFAULT_DE
     ua_envelope = ua_conduction + ua_infiltration
 
     solar_aperture = window_area * g.shgc
-    c_air = consts.c_air_multiplier * air_capacity
-    c_mass = consts.c_mass_air_ratio * air_capacity
-    h_mass = consts.mass_coupling_ratio * ua_envelope
-
     design_dt = consts.design_outdoor_c - consts.design_indoor_c
     cooling_capacity = consts.oversize_factor * (ua_envelope * design_dt
                                                  + solar_aperture * consts.design_solar_wm2)
-    rated_electrical = cooling_capacity / g.eer
+    return {
+        "gross_wall": gross_wall,
+        "net_wall": net_wall,
+        "c_air": consts.c_air_multiplier * air_capacity,
+        "c_mass": consts.c_mass_air_ratio * air_capacity,
+        "ua_envelope": ua_envelope,
+        "h_mass": consts.mass_coupling_ratio * ua_envelope,
+        "solar_aperture": solar_aperture,
+        "cooling_capacity": cooling_capacity,
+        "rated_electrical_power": cooling_capacity / g.eer,
+    }
 
-    return EtpParameters(
-        c_air=c_air,
-        c_mass=c_mass,
-        ua_envelope=ua_envelope,
-        h_mass=h_mass,
-        solar_aperture=solar_aperture,
-        cooling_capacity=cooling_capacity,
-        rated_electrical_power=rated_electrical,
-    )
+
+def derive_etp_params(g: HouseGeometry, consts: DerivationConstants = DEFAULT_DERIVATION) -> EtpParameters:
+    """Map a house geometry onto lumped thermal parameters.
+
+    Conduction UA sums area/R over roof, floor, net wall, window and
+    door; infiltration UA adds the air-change enthalpy flow.  Raises
+    GeometryError when any derived quantity degenerates.
+    """
+    terms = derive_etp_terms(g, consts)
+    if terms["net_wall"] <= 0:
+        raise GeometryError(f"door and glazing exceed the gross wall area "
+                            f"({terms['gross_wall']:.2f} m^2)")
+    return EtpParameters(**{f.name: float(terms[f.name]) for f in fields(EtpParameters)})
 
 
 def discretize(ua, h_mass, c_air, c_mass, dt: float):

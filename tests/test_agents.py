@@ -14,11 +14,11 @@ from tiesmooth.baseline import BaselineModel
 from tiesmooth.engine import (Workspace, _respond_to_price, _thermostat_slice, build_fleet,
                               fleet_soa)
 from tiesmooth.market import BidBatch
-from tiesmooth.population import House, generate_population
+from tiesmooth.population import generate_population
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
 from tiesmooth.traces import generate_traces
 
-from test_engine import ETP, run_audited, thresholds_fresh
+from test_engine import ETP, population_of, run_audited, thresholds_fresh
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def cfg():
 def fleet_of(cfg, t_air, on=False, setpoint=None):
     """Houses of controller `cfg`, one per air temperature, as one fleet."""
     t_air = np.atleast_1d(np.asarray(t_air, dtype=float))
-    fleet = build_fleet([House(i, None, ETP, cfg) for i in range(len(t_air))], 5.0)
+    fleet = build_fleet(population_of([ETP] * len(t_air), [cfg] * len(t_air)), 5.0)
     fleet.t_air = t_air.copy()
     fleet.on = np.full(fleet.n, on)
     if setpoint is not None:

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,48 @@ class TestMetrics:
         assert main(["metrics", "--controlled", str(tmp_path / "absent"),
                      "--uncontrolled", str(workspace / "run_u"),
                      "--out", str(tmp_path / "m2")]) == 2
+
+
+class TestPopulation:
+    @pytest.mark.parametrize("edits, message", [
+        ({"window_wall_ratio": "uniform 1.5 2.0"}, "house 0: no valid draw in 100 attempts"),
+        # the band a device drifts off in would start at t_max: the engine
+        # would raise a ContractError in the run
+        ({"n_acl": "60", "deadband": "uniform 1e-300 2e-300", "epsilon_margin_c": "0.0"},
+         "house 0: no valid draw in 100 attempts"),
+        # net_wall / r_wall overflows in every attempt, first and redrawn
+        ({"r_wall": "uniform 1e-320 2e-320"}, "house 0: no valid draw in 100 attempts"),
+    ], ids=["wwr_above_one", "vanishing_deadband", "overflowing_wall"])
+    def test_undrawable_population_is_io_error(self, workspace, tmp_path, capsys,
+                                               edits, message):
+        scen = tmp_path / "scen"
+        assert main(["gen-scenario", "--out", str(scen), "--seed", "5",
+                     "--n-acl", "20"]) == 0
+        capsys.readouterr()
+        edit_scenario(scen / "scenario.txt", **edits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning either
+            assert main(["train", "--scenario", str(scen / "scenario.txt"),
+                         "--out", str(scen / "model.txt")]) == 2
+            for flags in (["--uncontrolled"],
+                          ["--model", str(workspace / "scen" / "model.txt")]):
+                assert main(["run", "--scenario", str(scen / "scenario.txt"), *flags,
+                             "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"error: {message}") == 3 and "Traceback" not in err
+        assert not (scen / "model.txt").exists() and not (tmp_path / "out").exists()
+
+
+def test_cli_loads_only_numpy_and_the_standard_library():
+    # the runtime dependency is numpy only
+    code = ("import sys; before = set(sys.modules); import tiesmooth.cli; "
+            "print(' '.join(sorted({name.partition('.')[0] "
+            "for name in set(sys.modules) - before})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    loaded = set(proc.stdout.split())
+    assert {"numpy", "tiesmooth"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "tiesmooth"} == set()
 
 
 def test_console_entry_point():

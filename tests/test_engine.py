@@ -20,7 +20,8 @@ from tiesmooth.engine import (NumericAbortError, RunResult, Workspace, _advance_
                               seed_fleet_states, write_results, write_run_dir)
 from tiesmooth.market import sequential_sum
 from tiesmooth.mgcc import ContractError, CycleRecord
-from tiesmooth.population import (House, estimate_free_peak_kw, generate_population,
+from tiesmooth.population import (COLUMNS, Population, estimate_free_peak_kw,
+                                  generate_population,
                                   total_rated_power_kw)
 from tiesmooth.rng import ENROLLMENT_STREAM, substream
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
@@ -81,6 +82,15 @@ def population():
     return generate_population(PopulationSpec(n=12), 9)
 
 
+def population_of(etps, agents):
+    """Hand-made houses, thermal parameters and controllers taken pairwise,
+    as a Population; the geometry columns, which no fleet reads, are NaN."""
+    rows = [{**vars(p), **vars(a)} for p, a in zip(etps, agents)]
+    return Population(np.arange(len(rows)), {
+        name: np.array([row.get(name, np.nan) for row in rows], dtype=float)
+        for name in COLUMNS})
+
+
 def one_line_thermostat(fleet):
     """The thermostat as a single boolean expression over fresh arrays."""
     t, sp, h = fleet.t_air, fleet.active_setpoint, fleet.half_deadband
@@ -114,7 +124,7 @@ class TestThermostatKernel:
         fleet.on = gen.uniform(size=fleet.n) < 0.5
 
     def test_edges_match_one_line_expression(self, population):
-        fleet = build_fleet(population * 20, 5.0)
+        fleet = build_fleet(population.take(np.tile(np.arange(len(population)), 20)), 5.0)
         seed_fleet_states(fleet, 9)
         gen = np.random.Generator(np.random.Philox(key=np.array([5, 6], dtype=np.uint64)))
         ws = Workspace(fleet)
@@ -125,7 +135,7 @@ class TestThermostatKernel:
             assert np.array_equal(fleet.on, expected)
 
     def test_setpoint_change_refreshes_thresholds(self, population):
-        fleet = build_fleet(population * 20, 5.0)
+        fleet = build_fleet(population.take(np.tile(np.arange(len(population)), 20)), 5.0)
         seed_fleet_states(fleet, 9)
         gen = np.random.Generator(np.random.Philox(key=np.array([7, 8], dtype=np.uint64)))
         ws = Workspace(fleet)
@@ -190,7 +200,7 @@ class TestFusedThermostat:
                                     np.nextafter(edges, np.inf), [np.nan]])
             cases += [(sp, t, on) for t in temps for on in (False, True)]
         sp, t_air, on = (np.array(column) for column in zip(*cases))
-        fleet = build_fleet([House(i, None, ETP, cfg) for i in range(len(cases))], 5.0)
+        fleet = build_fleet(population_of([ETP] * len(cases), [cfg] * len(cases)), 5.0)
         fleet.active_setpoint, fleet.t_air, fleet.on = sp, t_air, on.astype(bool)
         ws = Workspace(fleet)
         expected = one_line_thermostat(fleet)
@@ -200,7 +210,7 @@ class TestFusedThermostat:
     def test_band_starting_at_upper_limit_rejected(self):
         cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
                              rated_power=2.5, epsilon=0.2)
-        fleet = build_fleet([House(i, None, ETP, cfg) for i in range(3)], 5.0)
+        fleet = build_fleet(population_of([ETP] * 3, [cfg] * 3), 5.0)
         ws = Workspace(fleet)
         fleet.active_setpoint[1] = cfg.t_max + cfg.deadband / 2.0  # sp - h == t_max
         with pytest.raises(ContractError, match="upper comfort limit"):

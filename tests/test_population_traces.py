@@ -1,15 +1,24 @@
 """Fleet synthesis and input-trace generation."""
 
+import dataclasses
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
 
-from tiesmooth.population import (estimate_free_peak_kw, generate_population,
-                                  quantize_power_kw, total_rated_power_kw)
-from tiesmooth.scenario import PopulationSpec
-from tiesmooth.thermal import POWER_QUANTUM_KW
+import tiesmooth.population as population
+from tiesmooth import rng
+from tiesmooth.agents import AclAgentConfig
+from tiesmooth.population import (COLUMNS, MAX_REDRAWS, PEAK_COINCIDENCE, Population,
+                                  PopulationError, estimate_free_peak_kw,
+                                  generate_population, quantize_power_kw,
+                                  total_rated_power_kw)
+from tiesmooth.scenario import (CONTROLLER_FIELDS, HOUSE_FIELDS, Dist, PopulationSpec,
+                                ScenarioConfig, default_population_distributions)
+from tiesmooth.thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, GeometryError,
+                               HouseGeometry, derive_etp_params)
 from tiesmooth.traces import (TRACE_CSV_HEADER, generate_traces,
                               generate_training_traces, peak_weather,
                               read_traces, write_traces)
@@ -60,6 +69,160 @@ class TestGeneratePopulation:
         assert quantize_power_kw(0.0) == 0.0
 
 
+class TestHouseStream:
+    def test_rekeyed_generator_draws_as_a_new_one(self):
+        gen = rng.house_stream(3, 0)
+        for i in (5, 0, 2**20):
+            # leave a partly used output buffer and a held 32-bit half behind
+            gen.random(3)
+            gen.integers(0, 10, dtype=np.uint32)
+            assert rng.house_stream(3, i, gen) is gen
+            fresh = rng.house_stream(3, i)
+            assert np.array_equal(gen.integers(0, 2**32, 3, dtype=np.uint32),
+                                  fresh.integers(0, 2**32, 3, dtype=np.uint32))
+            assert np.array_equal(gen.random(5), fresh.random(5))
+            assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
+
+    def test_rekeyed_seed_is_checked(self):
+        with pytest.raises(ValueError, match="seed"):
+            rng.house_stream(-1, 0, rng.house_stream(3, 0))
+
+
+def per_house_columns(spec, seed, consts=DEFAULT_DERIVATION, epsilon_margin=0.05):
+    """The per-house synthesis the columns replace, as columns: a fresh
+    generator per house, each field drawn by `Dist.draw`, the rating
+    rounded by Python's `round`, the whole house drawn again while a check
+    fails."""
+    rows = []
+    for i in range(spec.n):
+        gen = rng.house_stream(seed, i)
+        for _ in range(MAX_REDRAWS):
+            values = {name: spec.distributions[name].draw(gen)
+                      for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
+            try:
+                geometry = HouseGeometry(**{name: values[name] for name in HOUSE_FIELDS})
+                etp = derive_etp_params(geometry, consts)
+                rated_kw = round(etp.rated_electrical_power / 1000.0 / POWER_QUANTUM_KW) \
+                    * POWER_QUANTUM_KW
+                if rated_kw <= 0:
+                    raise GeometryError(f"house {i}: rated power quantized to zero")
+                etp = dataclasses.replace(etp, cooling_capacity=rated_kw * 1000.0 * geometry.eer,
+                                          rated_electrical_power=rated_kw * 1000.0)
+                agent = AclAgentConfig(
+                    t_set=values["t_set"], deadband=values["deadband"],
+                    t_high=values["t_high"], t_low=values["t_low"], rated_power=rated_kw,
+                    epsilon=values["deadband"] / 2.0 + epsilon_margin)
+                break
+            except (GeometryError, ValueError):
+                continue
+        else:
+            raise PopulationError(f"house {i}: no valid draw in {MAX_REDRAWS} attempts")
+        rows.append({**dataclasses.asdict(geometry), **dataclasses.asdict(etp),
+                     **dataclasses.asdict(agent)})
+    return {name: np.array([row[name] for row in rows]) for name in COLUMNS}
+
+
+def spec_with(n, **dists):
+    return PopulationSpec(n=n, distributions={**default_population_distributions(),
+                                              **{k: Dist.parse(v) for k, v in dists.items()}})
+
+
+class TestColumns:
+    def test_columns_pinned(self):
+        # sha256 of every column at n = 2 000, seed 42, as the per-house
+        # synthesis gave them
+        cfg = ScenarioConfig(n_acl=2000, seed=42)
+        houses = generate_population(cfg.population_spec(), cfg.seed, cfg.thermal,
+                                     cfg.epsilon_margin_c)
+        digests = {name: hashlib.sha256(col.tobytes()).hexdigest()
+                   for name, col in {"index": houses.house_index, **houses.columns}.items()}
+        assert houses.house_index.dtype == np.int64
+        assert digests == {
+            "index": "55f385cf2332d9056aaed6f496e7bebd2df52c6a9547ce2144b309432d4b0290",
+            "floor_area": "32132174921aa9731f25b1fd4ea54aeca9f6315946654eb511d1f0b7bdd8bb33",
+            "air_change_rate": "7de0a5854059949f14062ff0f2ea480d582a8ef1efc61c74097cbe4df78e9405",
+            "window_wall_ratio":
+                "d144bcd24354d79f7c7c472d32455af9bf41ac98d921f89be4ef944a6e58b744",
+            "shgc": "79ddf5af1a8a62ab2246bc0421bfa4c57d54c63954a15fccee84586724ef35d2",
+            "eer": "d65a795fa69e8eb2be4bde7b7a2c44f2f0ae2757c0c38e32bb0749185ad0d653",
+            "r_roof": "947a7789e2a99a93cae1f3464c43c9d7fb35a108827eed543cdbe2d62ba50f9b",
+            "r_wall": "4b50a4c0939bbe4d90bddd8a65fad68ee11417e44e3cca4b1f688fee2f19bc02",
+            "r_floor": "89bf3e710cc98323a37775b802cfa2cf58567133711a387cf48f2ed6cb03d076",
+            "r_window": "6a9e79a8aa48cfaa29902d1538ee1801141990be986403f8e91298d051b86e97",
+            "r_door": "045d3331551c46ea26e6d3f938b24de74d66a451d91b9870eff2213d8f8aab67",
+            "c_air": "7f736fb93e20f8a89898a06d7d57979a6519554168e4ec4a9c5607b629ca4040",
+            "c_mass": "63d9fcb12c0bbdf5110050d28cc86e2fbdc574093a9f848403e701eadc89d2df",
+            "ua_envelope": "b82fcc0a59618e0cbd2c1755fff4f01a01c183bfe9d92c7e7ba176086261dee7",
+            "h_mass": "b1b08ce993719c5fb4a7f9233271de38974967fd0423ca8387d9c98dcb6b8cc2",
+            "solar_aperture": "5b85548f770c1409674132a6c5877be1acab504477459ad1337e5afb7e79e623",
+            "cooling_capacity":
+                "8c9a312845b5e846bf02dc94d532482f77249dafd3542151a3c67a8dee984cf3",
+            "rated_electrical_power":
+                "a09609dd6e3417bf4d28ab4bc3bb3bf2c4115e34fffa2834d9be2163151660d3",
+            "t_set": "83838c9b73de09b9c39f1b8fdb207742132150d54606b30d00d9897cc4f54e61",
+            "deadband": "a3641a7dcdbdb0fdc974b429e38657e5047720c537bd9657373283dc7f600948",
+            "t_high": "6b0b864c63c267cf25b7b051514718bcde1e4ff9436568b54a270d151c969811",
+            "t_low": "6bd98478c58f7440478f634b1967b7c2f9b1fcb06ef45b0e438e2b80ad214f03",
+            "rated_power": "cad7d22f27599d174372b026d969b776196245466565b864c0b2f3b180cad615",
+            "epsilon": "8f2c408b2c606d5606f2f7dd070cbbc256893b3970a4fd672cf41043b3b729a6"}
+
+    @pytest.mark.parametrize("spec, seed", [
+        (PopulationSpec(n=400), 1), (PopulationSpec(n=400), 7), (PopulationSpec(n=400), 123),
+        (spec_with(300, window_wall_ratio="normal 0.5 0.3"), 5),
+        (spec_with(300, deadband="uniform 0.1 2.6", r_wall="normal 0.4 0.3"), 9),
+    ], ids=["default-1", "default-7", "default-123", "wwr-replays", "band-replays"])
+    def test_columns_match_the_per_house_loop(self, spec, seed, monkeypatch):
+        replayed = []
+        draw_house = population.draw_house
+        monkeypatch.setattr(population, "draw_house",
+                            lambda *args: replayed.append(args[2]) or draw_house(*args))
+        houses = generate_population(spec, seed, epsilon_margin=0.07)
+        expected = per_house_columns(spec, seed, epsilon_margin=0.07)
+        assert houses.columns.keys() == expected.keys()
+        for name, column in expected.items():
+            assert houses.columns[name].tobytes() == column.tobytes(), name
+        assert np.array_equal(houses.house_index, np.arange(spec.n))
+        assert 0 < len(replayed) < spec.n  # both paths ran
+
+    @pytest.mark.parametrize("seed, house", [(0, 0), (5, 5)])
+    def test_exhausted_redraws_name_the_same_house(self, seed, house):
+        # about 1 % of these draws leave a wall, so some house runs out
+        spec = spec_with(40, window_wall_ratio="uniform 0.0 100.0")
+        with pytest.raises(PopulationError) as columnar:
+            generate_population(spec, seed)
+        with pytest.raises(PopulationError) as per_house:
+            per_house_columns(spec, seed)
+        assert str(columnar.value) == str(per_house.value) \
+            == f"house {house}: no valid draw in {MAX_REDRAWS} attempts"
+
+    def test_overflowing_range_raises_as_the_per_house_loop(self):
+        # every drawn t_low is +inf, which no controller check rejects, so
+        # only the finiteness flag sends the houses to the per-house loop
+        spec = spec_with(10, t_low="uniform -1e308 1e308")
+        with pytest.raises(OverflowError, match="range exceeds valid bounds"):
+            generate_population(spec, 3)
+        with pytest.raises(OverflowError, match="range exceeds valid bounds"):
+            per_house_columns(spec, 3)
+
+    def test_rows_slices_and_take(self):
+        houses = generate_population(PopulationSpec(n=30), 4)
+        assert isinstance(houses[3:9], Population) and len(houses[3:9]) == 6
+        assert houses[-1] == houses[29] and houses[5].index == 5
+        assert houses.take([2, 0, 2])[2] == houses[2]
+        assert [h.index for h in houses] == list(range(30))
+        with pytest.raises(ValueError):
+            houses.columns["t_set"][0] = 0.0  # read-only
+
+
+def per_house_free_peak(houses, t_out, solar):
+    total = 0.0
+    for h in houses:
+        gains = h.etp.ua_envelope * (t_out - h.agent.t_set) + h.etp.solar_aperture * solar
+        duty = min(1.0, max(0.0, gains / h.etp.cooling_capacity))
+        total += duty * h.agent.rated_power
+    return min(total * PEAK_COINCIDENCE, sum(h.agent.rated_power for h in houses))
+
+
 class TestFreePeakEstimate:
     def test_zero_when_mild(self):
         houses = generate_population(PopulationSpec(n=20), 5)
@@ -70,6 +233,15 @@ class TestFreePeakEstimate:
         total = total_rated_power_kw(houses)
         assert 0 < estimate_free_peak_kw(houses, *peak_weather()) < total
         assert estimate_free_peak_kw(houses, 60.0, 2000.0) == pytest.approx(total)
+
+    @pytest.mark.parametrize("seed", [5, 42])
+    def test_same_bits_as_the_per_house_loop(self, seed):
+        houses = generate_population(PopulationSpec(n=700), seed)
+        for weather in [peak_weather(), (20.0, 0.0), (60.0, 2000.0), (31.5, 450.0)]:
+            assert estimate_free_peak_kw(houses, *weather).hex() \
+                == per_house_free_peak(houses, *weather).hex()
+        assert total_rated_power_kw(houses).hex() \
+            == sum(h.agent.rated_power for h in houses).hex()
 
 
 class TestGenerateTraces:

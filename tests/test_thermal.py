@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from tiesmooth.agents import AclAgentConfig
 from tiesmooth.engine import Workspace, _advance_slice, build_fleet
-from tiesmooth.population import House
 from tiesmooth.rng import substream
 from tiesmooth.scenario import ScenarioConfig
 from tiesmooth.thermal import (EtpParameters, GeometryError,
                                HouseGeometry, SingularEquilibriumError,
                                derive_etp_params, discretize, equilibrium_temperature)
+
+from test_engine import population_of
 
 # any valid controller: the thermal stepper never reads it
 COMFORT = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
@@ -79,7 +80,7 @@ def scalar_discretize(ua, h_mass, c_air, c_mass, dt):
 def thermal_fleet(params, dt, t_air, t_mass=None):
     """Houses of these parameters as one fleet stepping dt seconds, from the
     given air and mass temperatures (scalars or one per house)."""
-    fleet = build_fleet([House(i, None, p, COMFORT) for i, p in enumerate(params)], dt)
+    fleet = build_fleet(population_of(params, [COMFORT] * len(params)), dt)
     fleet.t_air = np.broadcast_to(np.asarray(t_air, dtype=float), (fleet.n,)).copy()
     fleet.t_mass = np.broadcast_to(np.asarray(t_air if t_mass is None else t_mass,
                                               dtype=float), (fleet.n,)).copy()
