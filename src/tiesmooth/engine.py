@@ -18,9 +18,20 @@ market moves the setpoints; the weather's heat input once per trace
 row; the comfort bounds once per run.  `build_fleet` takes the
 population's columns as they are and discretizes the whole fleet in
 one array call.  Training reuses the loop: its days are segments of one
-fleet laid end to end along the house axis, each house stepping under
-its own day's weather and each record metering every segment on its
-own.
+fleet laid end to end along the house axis, each segment's heat input
+set from its own day's weather and each record metering every segment
+on its own.
+
+Every array a kernel reads or writes starts on a 64-byte boundary,
+where NumPy's SIMD loops run about twice as fast as on the 16-byte
+boundaries `malloc` gives.  All of them come from
+`population.aligned`: the population's columns, which the fleet shares
+and never copies, are made there by `generate_population` and
+`Population.take`; `build_fleet` makes the fleet's own arrays there and
+`Workspace` its buffers and thresholds; and the kernels,
+`seed_fleet_states` and `_respond_to_price` write into those arrays
+rather than rebind them.  Only the bid prices are a fresh aligned array
+at seeding and at each bid, since a bid batch keeps them.
 
 The tie-line power at any instant is fleet electrical power plus
 uncontrollable load minus wind (lossless balance).  Device ratings and
@@ -32,7 +43,7 @@ summed in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -43,7 +54,7 @@ from .baseline import BaselineModel, CorrectionState, TrainingColumns
 from .market import BidBatch
 from .mgcc import (ContractError, CycleRecord, LpfState, read_cycle_records,
                    run_control_cycle, write_cycle_records)
-from .population import Population
+from .population import Population, aligned
 from .scenario import ScenarioConfig
 from .textio import parse, read_keyvals, read_table, write_keyvals, write_table
 from .thermal import discretize
@@ -83,52 +94,57 @@ class Fleet:
     cap_w: np.ndarray
     c_air: np.ndarray
     # mutable state
-    t_air: np.ndarray = field(default=None)
-    t_mass: np.ndarray = field(default=None)
-    on: np.ndarray = field(default=None)
-    active_setpoint: np.ndarray = field(default=None)
-    soa_bid: np.ndarray = field(default=None)
+    t_air: np.ndarray
+    t_mass: np.ndarray
+    on: np.ndarray
+    active_setpoint: np.ndarray
+    soa_bid: np.ndarray
 
 
 def build_fleet(houses: Population, sim_step_s: float) -> Fleet:
     """The houses' columns as fleet columns, with each house's step matrices.
 
-    The fleet shares the population's read-only columns."""
+    The fleet shares the population's read-only columns; every array it
+    adds starts on a 64-byte boundary."""
     c = houses.columns
+    n = len(houses)
     t_set, t_high, t_low = c["t_set"], c["t_high"], c["t_low"]
     ((ad11, ad12), (ad21, ad22)), ((m1, _), (m2, _)) = discretize(
         c["ua_envelope"], c["h_mass"], c["c_air"], c["c_mass"], float(sim_step_s))
     fleet = Fleet(
-        n=len(houses), rated_kw=c["rated_power"], t_set=t_set,
-        half_deadband=c["deadband"] / 2.0, t_min=t_set - t_low, t_max=t_set + t_high,
+        n=n, rated_kw=c["rated_power"], t_set=t_set,
+        half_deadband=np.divide(c["deadband"], 2.0, out=aligned(n)),
+        t_min=np.subtract(t_set, t_low, out=aligned(n)),
+        t_max=np.add(t_set, t_high, out=aligned(n)),
         epsilon=c["epsilon"], t_high=t_high, t_low=t_low,
-        ad11=ad11, ad12=ad12, ad21=ad21, ad22=ad22, m1=m1, m2=m2,
+        ad11=aligned(ad11), ad12=aligned(ad12), ad21=aligned(ad21), ad22=aligned(ad22),
+        m1=aligned(m1), m2=aligned(m2),
         ua=c["ua_envelope"], aperture=c["solar_aperture"], cap_w=c["cooling_capacity"],
-        c_air=c["c_air"])
-    fleet.t_air = t_set.copy()
-    fleet.t_mass = t_set.copy()
-    fleet.on = np.zeros(fleet.n, dtype=bool)
-    fleet.active_setpoint = t_set.copy()
-    fleet.soa_bid = np.zeros(fleet.n)
+        c_air=c["c_air"],
+        t_air=aligned(t_set), t_mass=aligned(t_set), on=aligned(n, bool),
+        active_setpoint=aligned(t_set), soa_bid=aligned(n))
     return fleet
 
 
 def seed_fleet_states(fleet: Fleet, seed: int,
                       segments: Optional[Sequence[int]] = None) -> None:
-    """Scatter initial air temperatures across the hysteresis bands.
+    """Scatter initial air temperatures across the hysteresis bands, in
+    the fleet's own arrays.
 
     A fleet of `segments` (sizes laid end to end) seeds each segment with
     the first draws of one stream, as if each were a fleet of its own.
+    The bid prices start as fresh zeros, whose pages a run that never
+    bids never touches.
     """
     sizes = [fleet.n] if segments is None else segments
     gen = rng.substream(seed, rng.INITIAL_STATE_STREAM)
     draws = gen.uniform(-1.0, 1.0, max(sizes))
     offsets = np.concatenate([draws[:size] for size in sizes]) * fleet.half_deadband
-    fleet.t_air = fleet.t_set + offsets
-    fleet.t_mass = fleet.t_air.copy()
-    fleet.on = fleet.t_air > fleet.t_set
-    fleet.active_setpoint = fleet.t_set.copy()
-    fleet.soa_bid = np.zeros(fleet.n)
+    np.add(fleet.t_set, offsets, out=fleet.t_air)
+    fleet.t_mass[...] = fleet.t_air
+    np.greater(fleet.t_air, fleet.t_set, out=fleet.on)
+    fleet.active_setpoint[...] = fleet.t_set
+    fleet.soa_bid = aligned(fleet.n)
 
 
 class Workspace:
@@ -145,14 +161,14 @@ class Workspace:
     def __init__(self, fleet: Fleet):
         n = fleet.n
         self.on_above, self.off_below, self.forcing, self.b0, self.x, self.y = (
-            np.empty(n) for _ in range(6))
-        self.mask = np.empty(n, dtype=bool)
-        self.comfort_high = fleet.t_max + 0.1
-        self.comfort_low = fleet.t_min - 0.1
+            aligned(n) for _ in range(6))
+        self.mask = aligned(n, bool)
+        self.comfort_high = np.add(fleet.t_max, 0.1, out=aligned(n))
+        self.comfort_low = np.subtract(fleet.t_min, 0.1, out=aligned(n))
         # the largest double below t_max and the smallest above t_min: for
         # any t, t > below_t_max exactly when t >= t_max
-        self.below_t_max = np.nextafter(fleet.t_max, -np.inf)
-        self.above_t_min = np.nextafter(fleet.t_min, np.inf)
+        self.below_t_max = np.nextafter(fleet.t_max, -np.inf, out=aligned(n))
+        self.above_t_min = np.nextafter(fleet.t_min, np.inf, out=aligned(n))
         self.set_thresholds(fleet)
 
     def set_thresholds(self, fleet: Fleet) -> None:
@@ -174,11 +190,12 @@ class Workspace:
         np.add(sp, h, out=self.on_above)
         np.minimum(self.on_above, self.below_t_max, out=self.on_above)
 
-    def set_weather(self, fleet: Fleet, t_out, solar) -> None:
-        """The weather's heat input per house; `t_out` and `solar` are
-        scalars or one value per house."""
-        np.multiply(fleet.ua, t_out, out=self.forcing)
-        np.add(self.forcing, np.multiply(fleet.aperture, solar, out=self.y), out=self.forcing)
+    def set_weather(self, fleet: Fleet, t_out: float, solar: float,
+                    segment: slice = slice(None)) -> None:
+        """The weather's heat input of the houses in `segment`, all by default."""
+        forcing, y = self.forcing[segment], self.y[segment]
+        np.multiply(fleet.ua[segment], t_out, out=forcing)
+        np.add(forcing, np.multiply(fleet.aperture[segment], solar, out=y), out=forcing)
 
 
 def fleet_soa(fleet: Fleet, ws: Workspace) -> np.ndarray:
@@ -208,9 +225,9 @@ def _respond_to_price(fleet: Fleet, ws: Workspace, p_star: float) -> None:
     are driven on toward the lower one.  epsilon keeps the override band
     inside the comfort limits until the next broadcast.
     """
-    fleet.active_setpoint = np.where(fleet.soa_bid > p_star,
-                                     fleet.t_min + fleet.epsilon,
-                                     fleet.t_max - fleet.epsilon)
+    fleet.active_setpoint[...] = np.where(fleet.soa_bid > p_star,
+                                          fleet.t_min + fleet.epsilon,
+                                          fleet.t_max - fleet.epsilon)
     ws.set_thresholds(fleet)
 
 
@@ -325,8 +342,8 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     agent_ids = np.arange(fleet.n)
     if _segments is not None:
         starts = np.cumsum([0, *_segments[:-1]])
-        segment_of_house = np.repeat(np.arange(len(_segments)), _segments)
-        house_t_out, house_solar = np.empty(fleet.n), np.empty(fleet.n)
+        segment_slices = [slice(start, start + size)
+                          for start, size in zip(starts.tolist(), _segments)]
 
     lpf = LpfState()
     corr = CorrectionState()
@@ -358,16 +375,17 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
             if _segments is None:
                 t_out = float(traces.t_out_c[idx])
                 solar = float(traces.solar_wm2[idx])
-            else:  # each house takes its segment's weather
-                t_out = np.take(traces.t_out_c[idx], segment_of_house, out=house_t_out)
-                solar = np.take(traces.solar_wm2[idx], segment_of_house, out=house_solar)
-            ws.set_weather(fleet, t_out, solar)
+                ws.set_weather(fleet, t_out, solar)
+            else:  # each segment takes its own day's weather
+                for segment, t_out, solar in zip(segment_slices, traces.t_out_c[idx].tolist(),
+                                                 traces.solar_wm2[idx].tolist()):
+                    ws.set_weather(fleet, t_out, solar, segment)
 
         if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
             _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
             # the batch outlives the bid lead, so it holds its own copies of
             # the bid-time states
-            fleet.soa_bid = fleet_soa(fleet, ws).copy()
+            fleet.soa_bid = aligned(fleet_soa(fleet, ws))
             bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy(), agent_ids)
             _, p_g_meas = _tie_line_kw(fleet, ws, traces, idx)
             bid = (bids, p_g_meas, t_out, solar)

@@ -55,6 +55,29 @@ _GEOMETRY_DEFAULTS = {f.name: f.default for f in fields(HouseGeometry)
                       if f.name not in HOUSE_FIELDS}
 
 
+CACHE_LINE = 64
+
+
+def aligned(source, dtype=np.float64) -> np.ndarray:
+    """A 1-D array whose data starts on a 64-byte boundary: `source`
+    zeros of `dtype` when `source` is a length, else a copy of the array
+    `source`.
+
+    NumPy takes its buffers from `malloc`, which aligns them to 16 bytes
+    only, and its SIMD loops run elementwise kernels with `out=` about
+    half as fast on arrays that start off a cache line.  The zeros come
+    from `calloc`, like `np.zeros`, so pages never written take no memory.
+    """
+    if isinstance(source, np.ndarray):
+        out = aligned(source.size, source.dtype)
+        out[...] = source
+        return out
+    dtype = np.dtype(dtype)
+    raw = np.zeros(source * dtype.itemsize + CACHE_LINE, dtype=np.uint8)
+    start = -raw.ctypes.data % CACHE_LINE
+    return raw[start:start + source * dtype.itemsize].view(dtype)
+
+
 class PopulationError(ValueError):
     """A house could not be drawn within the redraw budget."""
 
@@ -76,7 +99,8 @@ class Population(Sequence):
 
     It reads as a sequence of `House` rows, built from the columns on
     each access; a slice or `take` is a Population, and two populations
-    are equal when their columns hold the same bytes.
+    are equal when their columns hold the same bytes.  Every column
+    starts on a 64-byte boundary (`aligned`), so a fleet can share them.
     """
 
     def __init__(self, house_index: np.ndarray, columns: dict[str, np.ndarray]):
@@ -97,8 +121,10 @@ class Population(Sequence):
 
     def take(self, indices) -> Population:
         """The houses at `indices`, a slice or positions in any order."""
-        return Population(self.house_index[indices],
-                          {name: col[indices] for name, col in self.columns.items()})
+        positions = np.arange(len(self))[indices]
+        return Population(self.house_index[positions],
+                          {name: np.take(col, positions, out=aligned(len(positions)))
+                           for name, col in self.columns.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Population):
@@ -210,7 +236,8 @@ def generate_population(spec: PopulationSpec, seed: int,
             house = draw_house(spec, rng.house_stream(seed, i, gen), i, consts, epsilon_margin)
             for name, value in house.items():
                 columns[name][i] = value
-    return Population(np.arange(spec.n), {name: columns[name] for name in COLUMNS})
+    del std, draws  # each column's first buffer is freed as its aligned copy is made
+    return Population(np.arange(spec.n), {name: aligned(columns.pop(name)) for name in COLUMNS})
 
 
 def total_rated_power_kw(houses: Population) -> float:

@@ -10,6 +10,7 @@ does not have is an error, not a silent default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import TextIO
 
@@ -31,6 +32,8 @@ class Dist:
     def __post_init__(self):
         if self.kind not in ("uniform", "normal"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"distribution parameters must be finite, got {self.a}, {self.b}")
         if self.kind == "uniform" and self.a >= self.b:
             raise ValueError(f"uniform bounds out of order: {self.a}, {self.b}")
         if self.kind == "normal" and self.b <= 0:

@@ -86,15 +86,18 @@ class TraceSet:
 
 def _ou_series(gen: np.random.Generator, n: int, dt: float, tau: float,
                sigma: float) -> np.ndarray:
-    """Stationary mean-reverting noise (zero mean, std sigma)."""
+    """Stationary mean-reverting noise (zero mean, std sigma).
+
+    Takes n + 1 normals from `gen` in one call, which draws what n + 1
+    single draws would, and steps the recursion on Python floats.
+    """
     decay = math.exp(-dt / tau)
     scale = sigma * math.sqrt(1.0 - decay * decay)
-    out = np.empty(n)
-    x = sigma * gen.standard_normal()
-    for i in range(n):
-        out[i] = x
-        x = decay * x + scale * gen.standard_normal()
-    return out
+    z = gen.standard_normal(n + 1).tolist()
+    out = [sigma * z[0]]
+    for step in z[1:n]:
+        out.append(decay * out[-1] + scale * step)
+    return np.array(out[:n])
 
 
 def quantize_kw(values: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line pipeline: file emission, exit codes, idempotence."""
 
+import contextlib
 import platform
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -43,6 +45,21 @@ def edit_line(path, index, edit):
 def add_scenario_key(path, section, line):
     text = path.read_text()
     path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +443,27 @@ class TestPopulation:
                              "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count(f"error: {message}") == 3 and "Traceback" not in err
+        assert not (scen / "model.txt").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edits", [
+        # the truncation loop of a normal with a NaN mean never returns
+        {"air_change_rate": "normal nan 0.06"},
+        # NumPy's uniform raises OverflowError on a NaN bound
+        {"floor_area": "uniform nan 176.0"},
+    ], ids=["nan_mean", "nan_low"])
+    def test_non_finite_distribution_is_io_error(self, tmp_path, capsys, edits):
+        scen = tmp_path / "scen"
+        assert main(["gen-scenario", "--out", str(scen), "--seed", "5",
+                     "--n-acl", "5"]) == 0
+        capsys.readouterr()
+        edit_scenario(scen / "scenario.txt", **edits)
+        for command in (["train", "--out", str(scen / "model.txt")],
+                        ["run", "--uncontrolled", "--out", str(tmp_path / "out")]):
+            with time_limit(20.0):
+                assert main([*command, "--scenario", str(scen / "scenario.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: distribution parameters must be finite") == 2
+        assert "Traceback" not in err
         assert not (scen / "model.txt").exists() and not (tmp_path / "out").exists()
 
 

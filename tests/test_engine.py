@@ -254,6 +254,47 @@ class TestBuildFleet:
             "soa_bid": "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997"}
 
 
+def misaligned(arrays):
+    """Names of the arrays whose data starts off a 64-byte boundary."""
+    arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+    assert arrays
+    return sorted(name for name, a in arrays.items() if a.ctypes.data % 64)
+
+
+class TestAlignment:
+    """Every array a step kernel reads or writes starts on a cache line."""
+
+    @staticmethod
+    def fleet_and_workspace_misaligned(fleet):
+        return misaligned(vars(fleet)), misaligned(vars(Workspace(fleet)))
+
+    @pytest.mark.parametrize("n", [1, 37, 5003])
+    def test_generated_and_shuffled_populations(self, n):
+        houses = generate_population(PopulationSpec(n=n), 3)
+        shuffled = houses.take(np.random.default_rng(1).permutation(n))
+        for population in (houses, shuffled, houses[n // 2:]):
+            assert misaligned(population.columns) == []
+            fleet = build_fleet(population, 5.0)
+            assert self.fleet_and_workspace_misaligned(fleet) == ([], [])
+            seed_fleet_states(fleet, 4)
+            assert self.fleet_and_workspace_misaligned(fleet) == ([], [])
+        assert shuffled[0] == houses[int(shuffled.house_index[0])]
+
+    def test_training_fleet(self, population, monkeypatch):
+        advance, seen = engine._advance_slice, []
+
+        def recorded(fleet, ws):
+            if not seen:
+                seen.append((misaligned(vars(fleet)), misaligned(vars(ws))))
+            advance(fleet, ws)
+
+        monkeypatch.setattr(engine, "_advance_slice", recorded)
+        cfg = small_cfg(duration_s=1800, warmup_s=600, training_days=3)
+        run_training_simulation(cfg, population,
+                                [make_traces(cfg, seed=100 + d) for d in range(3)])
+        assert seen == [([], [])]
+
+
 class TestScheduling:
     def test_one_broadcast_per_cycle(self, population):
         cfg = small_cfg()

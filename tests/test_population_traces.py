@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tiesmooth.population as population
+import tiesmooth.traces as traces
 from tiesmooth import rng
 from tiesmooth.agents import AclAgentConfig
 from tiesmooth.population import (COLUMNS, MAX_REDRAWS, PEAK_COINCIDENCE, Population,
@@ -288,6 +289,32 @@ class TestGenerateTraces:
         assert len(days) == 3
         peaks = [float(np.max(d.t_out_c)) for d in days]
         assert len(set(peaks)) == 3
+
+
+def scalar_ou_series(gen, n, dt, tau, sigma):
+    """The OU recursion with one draw per step, as traces first wrote it."""
+    decay = math.exp(-dt / tau)
+    scale = sigma * math.sqrt(1.0 - decay * decay)
+    out = np.empty(n)
+    x = sigma * gen.standard_normal()
+    for i in range(n):
+        out[i] = x
+        x = decay * x + scale * gen.standard_normal()
+    return out
+
+
+class TestOuSeries:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_series_and_next_draw_as_the_scalar_loop(self, seed):
+        for n, dt, tau, sigma in ((0, 10, 600.0, 1.0), (1, 10, 600.0, 1.0),
+                                  (9000, 10, traces.TOUT_NOISE_TAU_S, traces.TOUT_NOISE_STD_C),
+                                  (777, 5, traces.WIND_FAST_TAU_S, 0.3)):
+            gen, oracle = (rng.substream(seed, rng.TRACE_STREAM) for _ in range(2))
+            got = traces._ou_series(gen, n, dt, tau, sigma)
+            want = scalar_ou_series(oracle, n, dt, tau, sigma)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert gen.standard_normal() == oracle.standard_normal()
+            assert gen.random() == oracle.random()
 
 
 class TestTraceCsv:

@@ -106,6 +106,12 @@ class TestStrict:
         with pytest.raises(ValueError):
             load(f"[scenario]\n{line}\n")
 
+    @pytest.mark.parametrize("text", ["normal nan 0.06", "normal 0.5 nan", "uniform nan 176.0",
+                                      "uniform 88.0 inf", "normal -inf 1.0"])
+    def test_non_finite_distribution_rejected(self, text):
+        with pytest.raises(ValueError, match="must be finite"):
+            load(f"[population]\nfloor_area = {text}\n")
+
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError):
             load("[scenario]\nn_acl = 5\nn_acl = 6\n")
