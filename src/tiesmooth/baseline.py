@@ -141,8 +141,8 @@ class CorrectionParams:
             raise ValueError("breakpoints must satisfy 0 < s1 < s2 < s3 <= 1")
         if not 0 < self.dp1 <= self.dp2 <= self.dp3:
             raise ValueError("steps must satisfy 0 < dp1 <= dp2 <= dp3")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not self.gamma > 0:  # NaN fails too
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)

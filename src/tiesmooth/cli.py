@@ -83,9 +83,12 @@ def _read_manifest(rundir: Path) -> dict[str, str]:
 
 
 def _population(cfg: ScenarioConfig):
-    return generate_population(cfg.population_spec(), cfg.seed,
-                               consts=cfg.thermal,
-                               epsilon_margin=cfg.epsilon_margin_c)
+    try:
+        return generate_population(cfg.population_spec(), cfg.seed,
+                                   consts=cfg.thermal,
+                                   epsilon_margin=cfg.epsilon_margin_c)
+    except OverflowError as exc:  # a uniform range wider than the doubles reach
+        raise ValueError(str(exc)) from None
 
 
 def cmd_gen_scenario(args) -> int:

@@ -9,13 +9,20 @@ can split them), so the committed prefix is always reproducible from the
 price alone.
 
 A cycle's bids travel as one `BidBatch` of parallel arrays, and the
-curve is built column-wise: one two-key sort by descending price with
-ties by agent id, a running prefix sum of quantity along that order,
-and the equal-price group ends read off where the sorted price
-changes.  Clearing is one binary search of the target among the group
-ends plus the nearer-prefix rule.  The prefix sums add left to right,
-exactly as a running `acc += q` loop does, so every sum is the same
-bits on any Python and NumPy; device ratings are multiples of
+curve is built column-wise: bids sorted by descending price with ties
+by agent id, a running prefix sum of quantity along that order, and the
+equal-price group ends read off where the sorted price changes.  The
+sort is one `np.argsort`, NumPy's unstable quicksort, which runs a SIMD
+kernel chosen by CPU feature; each kernel leaves equal prices in its
+own order.  So the bids inside each group of equal prices are then put
+in agent-id order by a stable sort of those bids alone (a tie repair),
+which makes the order, and every byte of the curve, the same on every
+CPU.  0.0 and -0.0 compare equal and share a group, so the sorted
+prices are gathered after the repair: a group's price is that of its
+lowest agent id.  Clearing is one binary search of the target among
+the group ends plus the nearer-prefix rule.  The prefix sums add left
+to right, exactly as a running `acc += q` loop does, so every sum is
+the same bits on any Python and NumPy; device ratings are multiples of
 2**-10 kW, which makes those sums exact besides.
 
 Prices are normalized temperature states in [-1, 1]; the sentinel
@@ -111,11 +118,19 @@ def build_demand_curve(batch: BidBatch) -> DemandCurve:
     """Sort bids price-descending (ties by agent id) and accumulate quantity."""
     if not batch:
         raise EmptyMarketError("cannot build a demand curve from zero bids")
-    order = np.lexsort((batch.agent_id, -batch.price))
+    order = np.argsort(-batch.price)  # unstable: equal prices in any order
     price = batch.price[order]
+    start = np.ones(len(price) + 1, dtype=bool)  # where each equal-price group starts
+    np.not_equal(price[1:], price[:-1], out=start[1:-1])
+    first = last = slice(None)  # every group one bid
+    if not start.all():  # order each group of several bids by agent id
+        tied = np.flatnonzero(~(start[:-1] & start[1:]))
+        rows = np.sort(order[tied])  # duplicate ids keep input order, as in a stable sort
+        order[tied] = rows[np.lexsort((batch.agent_id[rows], -batch.price[rows]))]
+        price = batch.price[order]  # 0.0 and -0.0 share a group: gather again
+        cut = np.flatnonzero(start)
+        first, last = cut[:-1], cut[1:] - 1
     cumulative = np.cumsum(batch.quantity[order])
-    last = np.flatnonzero(np.append(price[1:] != price[:-1], True))
-    first = np.append(0, last[:-1] + 1)
     return DemandCurve(price=price, cumulative=cumulative,
                        group_price=price[first], group_end=cumulative[last])
 

@@ -176,10 +176,14 @@ def draw_house(spec: PopulationSpec, gen: np.random.Generator, index: int,
                epsilon_margin: float = 0.05) -> dict[str, np.float64]:
     """House `index`'s value in every column, from its stream `gen`: each
     field drawn by `Dist.draw`, the whole house drawn again while a check
-    fails; PopulationError after MAX_REDRAWS attempts."""
+    fails; PopulationError after MAX_REDRAWS attempts.  A uniform whose
+    range overflows raises NumPy's OverflowError, naming the house."""
     for _ in range(MAX_REDRAWS):
-        draws = {name: np.float64(spec.distributions[name].draw(gen))
-                 for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
+        try:
+            draws = {name: np.float64(spec.distributions[name].draw(gen))
+                     for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
+        except OverflowError as exc:
+            raise OverflowError(f"house {index}: {exc}") from None
         columns, fault = _assemble(draws, consts, epsilon_margin)
         if not fault:
             return columns

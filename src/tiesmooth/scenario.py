@@ -159,6 +159,17 @@ class ScenarioConfig:
             raise ValueError("training_days must be >= 1")
         if not self.tau_s > 0:
             raise ValueError(f"tau_s must be positive, got {self.tau_s}")
+        # each range is a positive check, so that NaN fails it
+        if not 0 < self.acl_peak_share <= 1:
+            raise ValueError(f"acl_peak_share must be in (0, 1], got {self.acl_peak_share}")
+        if not 0 <= self.wind_capacity_ratio < math.inf:
+            raise ValueError(f"wind_capacity_ratio must be finite and >= 0, "
+                             f"got {self.wind_capacity_ratio}")
+        if not -1 < self.baseline_bias < math.inf:
+            raise ValueError(f"baseline_bias must be finite and > -1, got {self.baseline_bias}")
+        if not 0 <= self.epsilon_margin_c < math.inf:
+            raise ValueError(f"epsilon_margin_c must be finite and >= 0, "
+                             f"got {self.epsilon_margin_c}")
 
     @property
     def total_s(self) -> int:

@@ -270,6 +270,43 @@ class TestRun:
         assert capsys.readouterr().err.count(message) == 2
         assert not (tmp_path / "out").exists()
 
+    # each range is checked as the scenario loads, so NaN fails it too
+    @pytest.mark.parametrize("key, value, message", [
+        ("acl_peak_share", "nan", "acl_peak_share must be in (0, 1], got nan"),
+        ("acl_peak_share", "0.0", "acl_peak_share must be in (0, 1], got 0.0"),
+        ("acl_peak_share", "1.5", "acl_peak_share must be in (0, 1], got 1.5"),
+        ("wind_capacity_ratio", "nan", "wind_capacity_ratio must be finite and >= 0"),
+        ("wind_capacity_ratio", "-0.1", "wind_capacity_ratio must be finite and >= 0"),
+        ("baseline_bias", "-2.0", "baseline_bias must be finite and > -1, got -2.0"),
+        ("baseline_bias", "nan", "baseline_bias must be finite and > -1, got nan"),
+        ("gamma", "nan", "gamma must be positive, got nan"),
+        ("epsilon_margin_c", "inf", "epsilon_margin_c must be finite and >= 0, got inf"),
+        ("epsilon_margin_c", "-0.01", "epsilon_margin_c must be finite and >= 0"),
+    ], ids=["acl_peak_share_nan", "acl_peak_share_zero", "acl_peak_share_above_one",
+            "wind_capacity_ratio_nan", "wind_capacity_ratio_negative", "baseline_bias_minus_2",
+            "baseline_bias_nan", "gamma_nan", "epsilon_margin_c_inf",
+            "epsilon_margin_c_negative"])
+    def test_out_of_range_value_is_io_error_before_any_work(self, workspace, tmp_path, capsys,
+                                                            key, value, message):
+        scen = tmp_path / "scen"
+        shutil.copytree(workspace / "scen", scen)
+        (scen / "model.txt").unlink()
+        edit_scenario(scen / "scenario.txt", **{key: value})
+        assert main(["train", "--scenario", str(scen / "scenario.txt"),
+                     "--out", str(scen / "model.txt")]) == 2
+        for flags in (["--uncontrolled"], ["--model", str(workspace / "scen" / "model.txt")]):
+            assert main(["run", "--scenario", str(scen / "scenario.txt"), *flags,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"error: {message}") == 3 and "Traceback" not in err
+        assert not (scen / "model.txt").exists() and not (tmp_path / "out").exists()
+
+    def test_out_of_range_bias_flag_is_io_error(self, workspace, tmp_path, capsys):
+        assert main(["run", "--scenario", str(workspace / "scen" / "scenario.txt"),
+                     "--baseline-bias", "-1.0", "--out", str(tmp_path / "out")]) == 2
+        assert "baseline_bias must be finite and > -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_idempotent_rerun(self, workspace):
         scen = workspace / "scen"
         out2 = workspace / "run_c2"
@@ -425,7 +462,10 @@ class TestPopulation:
          "house 0: no valid draw in 100 attempts"),
         # net_wall / r_wall overflows in every attempt, first and redrawn
         ({"r_wall": "uniform 1e-320 2e-320"}, "house 0: no valid draw in 100 attempts"),
-    ], ids=["wwr_above_one", "vanishing_deadband", "overflowing_wall"])
+        # both bounds finite, but NumPy's uniform cannot span them
+        ({"floor_area": "uniform -1e308 1e308"},
+         "house 0: high - low range exceeds valid bounds"),
+    ], ids=["wwr_above_one", "vanishing_deadband", "overflowing_wall", "overflowing_range"])
     def test_undrawable_population_is_io_error(self, workspace, tmp_path, capsys,
                                                edits, message):
         scen = tmp_path / "scen"

@@ -1,11 +1,19 @@
 """Demand-curve construction and market clearing against an oracle."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiesmooth.market import (BidBatch, ClearingKind, EmptyMarketError,
+import tiesmooth
+from tiesmooth.market import (BidBatch, ClearingKind, DemandCurve, EmptyMarketError,
                               build_demand_curve, clear_market,
                               committed_power_at_price, estimate_net_load)
 from tiesmooth.rng import substream
@@ -274,6 +282,151 @@ class TestBidBatch:
                     running += quantity
             assert running == out.committed_power
             assert committed_power_at_price(curve, out.p_star) == out.committed_power
+
+
+def lexsort_curve(batch):
+    """The curve as one stable two-key sort builds it: the oracle of the
+    tie order, bit for bit."""
+    order = np.lexsort((batch.agent_id, -batch.price))
+    price = batch.price[order]
+    cumulative = np.cumsum(batch.quantity[order])
+    last = np.flatnonzero(np.append(price[1:] != price[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    return DemandCurve(price=price, cumulative=cumulative,
+                       group_price=price[first], group_end=cumulative[last])
+
+
+CURVE_FIELDS = ("price", "cumulative", "group_price", "group_end")
+
+
+def assert_same_curve(curve, expected):
+    for name in CURVE_FIELDS:
+        got, want = getattr(curve, name), getattr(expected, name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+
+
+def curve_digest(batch):
+    digest = hashlib.sha256()
+    for name in CURVE_FIELDS:
+        digest.update(getattr(build_demand_curve(batch), name).tobytes())
+    return digest.hexdigest()
+
+
+# Ties everywhere: signed zeros (equal, but of different bits), the bounds,
+# adjacent doubles and a few dyadic steps between.
+TIE_POOL = [0.0, -0.0, 1.0, -1.0, *_ADJACENT, *(k / 8.0 for k in range(-7, 8) if k)]
+
+
+@st.composite
+def tied_batches(draw):
+    n = draw(st.integers(1, 300))
+    price = draw(st.lists(st.sampled_from(TIE_POOL), min_size=n, max_size=n))
+    quantity = [q / 1024.0 for q in draw(st.lists(
+        st.integers(1, 6 * 1024), min_size=n, max_size=n))]
+    # ids with gaps, in shuffled order, so no id equals its input position
+    agent_id = draw(st.permutations(range(7, 7 + 3 * n, 3)))
+    return BidBatch(price, quantity, [False] * n, agent_id)
+
+
+def long_run_batch(n=5000):
+    """Runs of hundreds of bids at +-1, both zeros and a few other prices
+    between; shuffled ids with gaps."""
+    gen = np.random.default_rng(12)
+    price = gen.choice([1.0, -1.0, 1.0, -1.0, 0.0, -0.0, 0.5, -0.25], size=n)
+    quantity = gen.integers(1, 6 * 1024, size=n) / 1024.0
+    return BidBatch(price, quantity, np.zeros(n, dtype=bool),
+                    gen.permutation(np.arange(n) * 3 + 5))
+
+
+class TestTieOrder:
+    """The curve sorts with an unstable sort and then orders each group of
+    equal prices by agent id; every array must be the stable sort's bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_batches())
+    def test_same_bytes_as_the_stable_sort(self, batch):
+        assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
+
+    def test_long_runs(self):
+        batch = long_run_batch()
+        assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
+
+    @pytest.mark.parametrize("ids", [[5, 1], [1, 5]])
+    @pytest.mark.parametrize("prices", [[0.0, -0.0], [-0.0, 0.0]])
+    def test_signed_zero_group_takes_the_first_id_sign(self, prices, ids):
+        # 0.0 == -0.0: one group, whose price is that of the smallest id
+        batch = BidBatch(prices + [0.5], [1.0, 2.0, 4.0], [False] * 3, ids + [0])
+        curve = build_demand_curve(batch)
+        assert_same_curve(curve, lexsort_curve(batch))
+        assert np.signbit(curve.group_price[1]) == np.signbit(prices[ids.index(1)])
+
+    def test_duplicate_ids_keep_input_order(self):
+        batch = BidBatch([0.5, -1.0, 0.5, 0.5, -1.0], [1.0, 2.0, 4.0, 8.0, 16.0],
+                         [False] * 5, [3, 3, 2, 3, 3])
+        curve = build_demand_curve(batch)
+        assert_same_curve(curve, lexsort_curve(batch))
+        assert curve.cumulative.tolist() == [4.0, 5.0, 13.0, 15.0, 31.0]
+
+    def test_distinct_prices(self):
+        gen = substream(8, 3)
+        batch = BidBatch(gen.uniform(-1.0, 1.0, 5000), gen.uniform(1.0, 3.0, 5000),
+                         np.zeros(5000, dtype=bool), gen.permutation(5000))
+        assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
+
+
+# The child builds the long-run batch's curve on the CPU features it was
+# left with and reports them with the curve's digest.
+_KERNEL_CHILD = """
+import json
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from test_market import curve_digest, long_run_batch
+print(json.dumps({"features": sorted(f for f in __cpu_dispatch__ if __cpu_features__[f]),
+                  "sha256": curve_digest(long_run_batch())}))
+"""
+
+
+def _run_kernel_child(disabled):
+    path = [str(Path(tiesmooth.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = ",".join(disabled)
+    return subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestKernelDeterminism:
+    """NumPy picks its sort kernel by CPU feature, and each kernel leaves
+    equal keys in its own order; the curve must not show which ran."""
+
+    @pytest.fixture(scope="class")
+    def default_kernel(self):
+        proc = _run_kernel_child(())
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["sha256"] == curve_digest(long_run_batch())  # as in this process
+        return report
+
+    # NumPy 2.4's names: the AVX-512 and AVX2 kernels switched off in turn
+    @pytest.mark.parametrize("disabled", [
+        ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+        ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
+    ], ids=["avx2", "baseline"])
+    def test_same_digest_on_every_sort_kernel(self, default_kernel, disabled):
+        features = set(default_kernel["features"])
+        if not features & set(disabled):
+            pytest.skip(f"this CPU runs none of {', '.join(disabled)}")
+        proc = _run_kernel_child(disabled)
+        if proc.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+            pytest.skip(f"this NumPy cannot disable {', '.join(disabled)}")
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        if set(child["features"]) != features - set(disabled):
+            pytest.skip(f"this NumPy ignored NPY_DISABLE_CPU_FEATURES={','.join(disabled)}")
+        assert child["sha256"] == default_kernel["sha256"]
 
 
 class TestEstimateNetLoad:

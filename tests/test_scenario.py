@@ -48,10 +48,12 @@ def configs(draw):
         bid_lead_s=step * draw(st.integers(1, control // step - 1)),
         duration_s=record * draw(st.integers(1, 10**7 // record)),
         warmup_s=record * draw(st.integers(0, 10**5 // record)),
-        wind_capacity_ratio=draw(finite), acl_peak_share=draw(finite),
-        baseline_bias=draw(finite), soa_feedback_enabled=draw(st.booleans()),
+        wind_capacity_ratio=draw(st.floats(0.0, 1e300)),
+        acl_peak_share=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        baseline_bias=draw(st.floats(-1.0, 1e300, exclude_min=True)),
+        soa_feedback_enabled=draw(st.booleans()),
         training_days=draw(st.integers(1, 30)),
-        epsilon_margin_c=draw(finite), tau_s=draw(st.floats(1e-3, 1e9)),
+        epsilon_margin_c=draw(st.floats(0.0, 1e300)), tau_s=draw(st.floats(1e-3, 1e9)),
         correction=CorrectionParams(s1=s1, s2=s2, s3=s3, dp1=dp1, dp2=dp2, dp3=dp3,
                                     gamma=draw(st.floats(1e-9, 10.0))),
         thermal=DerivationConstants(**{f.name: draw(finite)
@@ -111,6 +113,24 @@ class TestStrict:
     def test_non_finite_distribution_rejected(self, text):
         with pytest.raises(ValueError, match="must be finite"):
             load(f"[population]\nfloor_area = {text}\n")
+
+    @pytest.mark.parametrize("section, key, values", [
+        ("scenario", "acl_peak_share", ["nan", "0.0", "-0.0", "1.0000001", "inf"]),
+        ("scenario", "wind_capacity_ratio", ["nan", "-1e-300", "inf"]),
+        ("scenario", "baseline_bias", ["nan", "-1.0", "-2.0", "inf"]),
+        ("scenario", "epsilon_margin_c", ["nan", "-0.01", "inf"]),
+        ("mgcc", "gamma", ["nan", "0.0", "-1.0"]),
+    ])
+    def test_out_of_range_values_rejected(self, section, key, values):
+        for value in values:
+            with pytest.raises(ValueError, match=f"{key} must be"):
+                load(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("line", ["acl_peak_share = 1.0", "acl_peak_share = 5e-324",
+                                      "wind_capacity_ratio = 0.0", "baseline_bias = -0.999",
+                                      "epsilon_margin_c = 0.0"])
+    def test_range_ends_accepted(self, line):
+        load(f"[scenario]\n{line}\n")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError):
