@@ -22,6 +22,20 @@ fleet laid end to end along the house axis, each segment's heat input
 set from its own day's weather and each record metering every segment
 on its own.
 
+Training is the one place that uses a second CPU.  Its days of one
+length are split into two shares of whole days, and when this process
+may run on two CPUs and the smaller share holds `WORKER_MIN_HOUSES`
+houses or more, a worker steps that share while this process steps the
+other; each share is the same segmented run, and a day's power sum is
+exact, so the bytes do not depend on the split.  The worker is a fresh
+interpreter (`sys.executable -c`), fed its pickled inputs on stdin, that
+returns its segment powers pickled on stdout, or the exception it
+raised.  It is neither forked, because this process already runs a
+BLAS thread when training starts, nor a `multiprocessing` child, whose
+resource tracker can outlive this process.  No worker outlives
+`run_training_simulation`: it is killed if this process's own share
+raises.
+
 Every array a kernel reads or writes starts on a 64-byte boundary,
 where NumPy's SIMD loops run about twice as fast as on the 16-byte
 boundaries `malloc` gives.  All of them come from
@@ -43,6 +57,10 @@ summed in any order.
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -67,6 +85,9 @@ class NumericAbortError(RuntimeError):
     def __init__(self, cycle: int):
         self.cycle = cycle
         super().__init__(f"non-finite house state at control cycle {cycle}")
+
+    def __reduce__(self):  # rebuilt from the cycle, not from the message
+        return type(self), (self.cycle,)
 
 
 @dataclass
@@ -492,6 +513,101 @@ def check_run_cadence(run: RunResult) -> None:
                          f"at {run.control_cycle_s} s a cycle")
 
 
+# A worker steps the smaller share of a group's training days when that
+# share holds at least this many houses.  A fresh interpreter takes
+# 0.3-0.45 s to import NumPy and tiesmooth, and below the crossover the
+# share it takes off this process saves less.  `tiesmooth train` of the
+# default 3-day scenario (shares of n and about 1.7 n houses) on a 2-vCPU
+# Xeon, median of 8 alternating runs without -> with the worker:
+# n = 1 000: 1.28 -> 1.43 s; 2 000: 1.93 -> 1.71 s; 3 000: 1.94 -> 1.73 s.
+WORKER_MIN_HOUSES = 2000
+
+# The worker's main program.  It reads all of stdin before it imports
+# anything more, so the parent's write never waits on NumPy's import, and
+# takes the parent's sys.path before it unpickles what needs tiesmooth.
+_WORKER_MAIN = """\
+import io, pickle, sys
+stdin = io.BytesIO(sys.stdin.buffer.read())
+sys.path[:] = pickle.load(stdin)
+fn, args = pickle.load(stdin)
+try:
+    result = True, fn(*args)
+except Exception as exc:
+    result = False, exc
+sys.stdout.buffer.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+"""
+
+
+@contextmanager
+def _worker(fn, *args):
+    """`fn(*args)` in a fresh interpreter while the block runs.
+
+    Yields a function that waits for the worker and returns what `fn`
+    returned, or raises what it raised.  If the block raises, the worker
+    is killed; no worker outlives the block.
+    """
+    import subprocess  # here, so that importing the CLI does not pay for it
+    flags = [f"-W{option}" for option in sys.warnoptions]
+    with subprocess.Popen([sys.executable, *flags, "-c", _WORKER_MAIN],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+        try:
+            # a worker gone before it read its inputs reports no result below
+            with suppress(BrokenPipeError):
+                proc.stdin.write(pickle.dumps(sys.path)
+                                 + pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL))
+                proc.stdin.close()
+            yield lambda: _worker_result(proc)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+
+
+def _worker_result(proc):
+    data = proc.stdout.read()  # to EOF before the wait, so a large result cannot stall it
+    if proc.wait() != 0 or not data:
+        raise RuntimeError(f"the training worker exited with status {proc.returncode} "
+                           f"and no result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _shares(group: Sequence[int], sizes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The days in `group` split into two shares: each day in turn, from
+    the most houses, joins the share holding fewer.  Returns (larger
+    share, smaller share), each in day order."""
+    shares, totals = ([], []), [0, 0]
+    for i in sorted(group, key=lambda i: -sizes[i]):
+        share = int(totals[1] < totals[0])
+        shares[share].append(i)
+        totals[share] += sizes[i]
+    larger = int(totals[1] > totals[0])
+    return sorted(shares[larger]), sorted(shares[1 - larger])
+
+
+def _step_days(cfg: ScenarioConfig, houses: Population,
+               days: Sequence[tuple[TraceSet, int]]) -> np.ndarray:
+    """Free power of each of `days`, (traces, houses enrolled) of one trace
+    length, at each record after warm-up: one column per day, all stepped
+    as segments of one fleet."""
+    sizes = [n for _, n in days]
+    stacked = TraceSet(
+        time_s=days[0][0].time_s, cadence_s=cfg.record_cycle_s,
+        **{name: np.stack([getattr(traces, name) for traces, _ in days], axis=1)
+           for name in ("t_out_c", "solar_wm2", "p_load_kw", "p_wind_kw")})
+    prefixes = houses.take(np.concatenate([np.arange(n) for n in sizes]))
+    run = run_scenario(replace(cfg, duration_s=len(stacked) * cfg.record_cycle_s - cfg.warmup_s),
+                       prefixes, stacked, None, controlled=False, _segments=sizes)
+    return run.p_ac_actual[run.metric_slice()]
+
+
 def run_training_simulation(cfg: ScenarioConfig, houses: Population,
                             day_traces: Sequence[TraceSet]) -> TrainingColumns:
     """Free runs over the training days, sampled per record cycle after warm-up.
@@ -503,8 +619,11 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Population,
     stays identifiable.  Houses step independently and initial states
     come from one stream, so the days of one trace length run as one
     fleet of prefixes, each segment under its own day's weather, and
-    each segment steps bit for bit like a run of its own.  Samples come
-    back in day order.
+    each segment steps bit for bit like a run of its own.  Those days
+    are split into two shares of whole days; when this process may run
+    on two CPUs and the smaller share holds `WORKER_MIN_HOUSES` houses or
+    more, a worker process steps it while this one steps the other.
+    Samples come back in day order.
     """
     if not houses:
         raise ValueError("cannot train on an empty population")
@@ -518,24 +637,24 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Population,
             continue
         days.append((traces, max(1, int(round(fraction * len(houses))))))
 
-    rated = houses.columns["rated_power"]
-    columns: list = [None] * len(days)
+    sizes = [n for _, n in days]
+    p_ac: dict[int, np.ndarray] = {}
     for length in dict.fromkeys(len(traces) for traces, _ in days):
         group = [i for i, (traces, _) in enumerate(days) if len(traces) == length]
-        sizes = [days[i][1] for i in group]
-        stacked = TraceSet(
-            time_s=days[group[0]][0].time_s, cadence_s=cfg.record_cycle_s,
-            **{name: np.stack([getattr(days[i][0], name) for i in group], axis=1)
-               for name in ("t_out_c", "solar_wm2", "p_load_kw", "p_wind_kw")})
-        prefixes = houses.take(np.concatenate([np.arange(n) for n in sizes]))
-        run = run_scenario(replace(cfg, duration_s=length * cfg.record_cycle_s - cfg.warmup_s),
-                           prefixes, stacked, None, controlled=False, _segments=sizes)
-        rows = run.metric_slice()
-        for segment, i in enumerate(group):
-            traces, n = days[i]
-            p_ac = run.p_ac_actual[rows, segment]
-            columns[i] = (traces.t_out_c[rows], traces.solar_wm2[rows],
-                          np.full(len(p_ac), float(np.sum(rated[:n]))), p_ac)
+        here, there = _shares(group, sizes)
+        if not (sum(sizes[i] for i in there) >= WORKER_MIN_HOUSES and _cpus() >= 2):
+            here, there = group, []
+        with (_worker(_step_days, cfg, houses, [days[i] for i in there])
+              if there else nullcontext()) as result:
+            p_ac.update(zip(here, _step_days(cfg, houses, [days[i] for i in here]).T))
+            if there:
+                p_ac.update(zip(there, result().T))
+    rated = houses.columns["rated_power"]
+    columns = []
+    for i, (traces, n) in enumerate(days):
+        rows = slice(cfg.warmup_s // cfg.record_cycle_s, len(traces))
+        columns.append((traces.t_out_c[rows], traces.solar_wm2[rows],
+                        np.full(len(p_ac[i]), float(np.sum(rated[:n]))), p_ac[i]))
     # the empty tail keeps the columns well-typed when every day was too short
     return TrainingColumns(*(np.concatenate([c[k] for c in columns] + [np.empty(0)])
                              for k in range(4)))

@@ -15,11 +15,13 @@ equal-price group ends read off where the sorted price changes.  The
 sort is one `np.argsort`, NumPy's unstable quicksort, which runs a SIMD
 kernel chosen by CPU feature; each kernel leaves equal prices in its
 own order.  So the bids inside each group of equal prices are then put
-in agent-id order by a stable sort of those bids alone (a tie repair),
-which makes the order, and every byte of the curve, the same on every
-CPU.  0.0 and -0.0 compare equal and share a group, so the sorted
-prices are gathered after the repair: a group's price is that of its
-lowest agent id.  Clearing is one binary search of the target among
+in agent-id order, duplicate ids in input order (a tie repair): one
+sort of those bids alone, on an integer that packs each one's group,
+agent id and input row (ids too far apart to pack fall back to a
+two-key lexsort).  That makes the order, and every byte of the curve,
+the same on every CPU.  0.0 and -0.0 compare equal and share a group,
+so the sorted prices are gathered after the repair: a group's price is
+that of its lowest agent id.  Clearing is one binary search of the target among
 the group ends plus the nearer-prefix rule.  The prefix sums add left
 to right, exactly as a running `acc += q` loop does, so every sum is
 the same bits on any Python and NumPy; device ratings are multiples of
@@ -125,8 +127,20 @@ def build_demand_curve(batch: BidBatch) -> DemandCurve:
     first = last = slice(None)  # every group one bid
     if not start.all():  # order each group of several bids by agent id
         tied = np.flatnonzero(~(start[:-1] & start[1:]))
-        rows = np.sort(order[tied])  # duplicate ids keep input order, as in a stable sort
-        order[tied] = rows[np.lexsort((batch.agent_id[rows], -batch.price[rows]))]
+        rows = order[tied]
+        ids = batch.agent_id[rows]
+        low = int(ids.min())
+        id_bits = (int(ids.max()) - low).bit_length()
+        row_bits = (len(price) - 1).bit_length()
+        group = np.cumsum(start[tied], dtype=np.int64)  # numbered from 1 along the curve
+        if int(group[-1]).bit_length() + id_bits + row_bits <= 63:
+            # one sort of (group, id, input row) packed in an integer: duplicate
+            # ids keep input order, as in a stable sort
+            key = (group << (id_bits + row_bits)) | ((ids - low) << row_bits) | rows
+            order[tied] = np.sort(key) & ((1 << row_bits) - 1)
+        else:  # ids too far apart to pack: the same order from two keys
+            rows = np.sort(rows)
+            order[tied] = rows[np.lexsort((batch.agent_id[rows], -batch.price[rows]))]
         price = batch.price[order]  # 0.0 and -0.0 share a group: gather again
         cut = np.flatnonzero(start)
         first, last = cut[:-1], cut[1:] - 1

@@ -1,6 +1,7 @@
 """Command-line pipeline: file emission, exit codes, idempotence."""
 
 import contextlib
+import pickle
 import platform
 import re
 import shutil
@@ -282,10 +283,19 @@ class TestRun:
         ("gamma", "nan", "gamma must be positive, got nan"),
         ("epsilon_margin_c", "inf", "epsilon_margin_c must be finite and >= 0, got inf"),
         ("epsilon_margin_c", "-0.01", "epsilon_margin_c must be finite and >= 0"),
+        ("mass_coupling_ratio", "inf", "mass_coupling_ratio must be finite and positive, got inf"),
+        ("air_density", "-1.2", "air_density must be finite and positive, got -1.2"),
+        ("c_air_multiplier", "0.0", "c_air_multiplier must be finite and positive, got 0.0"),
+        ("c_mass_air_ratio", "-1.0", "c_mass_air_ratio must be finite and positive, got -1.0"),
+        ("design_indoor_c", "nan", "design_indoor_c must be finite, got nan"),
+        ("design_outdoor_c", "inf", "design_outdoor_c must be finite and above "
+                                    "design_indoor_c (23.0), got inf"),
     ], ids=["acl_peak_share_nan", "acl_peak_share_zero", "acl_peak_share_above_one",
             "wind_capacity_ratio_nan", "wind_capacity_ratio_negative", "baseline_bias_minus_2",
             "baseline_bias_nan", "gamma_nan", "epsilon_margin_c_inf",
-            "epsilon_margin_c_negative"])
+            "epsilon_margin_c_negative", "mass_coupling_ratio_inf", "air_density_negative",
+            "c_air_multiplier_zero", "c_mass_air_ratio_negative", "design_indoor_c_nan",
+            "design_outdoor_c_inf"])
     def test_out_of_range_value_is_io_error_before_any_work(self, workspace, tmp_path, capsys,
                                                             key, value, message):
         scen = tmp_path / "scen"
@@ -515,6 +525,47 @@ def test_cli_loads_only_numpy_and_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     loaded = set(proc.stdout.split())
+    assert {"numpy", "tiesmooth"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "tiesmooth"} == set()
+
+
+def test_cli_import_starts_no_thread_and_no_process():
+    # `train` starts its worker when it runs, and imports `subprocess`
+    # only then; a BLAS's own native threads are not Python threads
+    code = ("import os, sys, threading; import tiesmooth.cli\n"
+            "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n"
+            "    print('no-child')\n"
+            "print(threading.active_count(), 'subprocess' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.split() == ["no-child", "1", "False"]
+
+
+def test_training_worker_loads_only_numpy_and_the_standard_library():
+    from tiesmooth import engine
+    from tiesmooth.population import generate_population
+    from tiesmooth.scenario import ScenarioConfig
+    from tiesmooth.traces import TraceSet
+
+    cfg = ScenarioConfig(n_acl=4, seed=3, duration_s=120, warmup_s=60)
+    n = cfg.total_s // 10
+    day = TraceSet(time_s=np.arange(n, dtype=np.int64) * 10, t_out_c=np.full(n, 32.0),
+                   solar_wm2=np.full(n, 500.0), p_load_kw=np.full(n, 8.0),
+                   p_wind_kw=np.full(n, 2.0), cadence_s=10)
+    houses = generate_population(cfg.population_spec(), cfg.seed)
+    job = (engine._step_days, (cfg, houses, [(day, 4), (day, 3)]))
+    # the worker's own program between a snapshot of sys.modules and a report
+    code = ("import sys; before = set(sys.modules)\n" + engine._WORKER_MAIN
+            + "print(' '.join(sorted({name.partition('.')[0] "
+              "for name in set(sys.modules) - before})), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          input=pickle.dumps(sys.path) + pickle.dumps(job),
+                          capture_output=True, check=True, timeout=120)
+    ok, powers = pickle.loads(proc.stdout)
+    assert ok and powers.shape == (cfg.duration_s // 10, 2)
+    # numpy.random's Cython extensions register the Cython runtime modules
+    loaded = {name for name in proc.stderr.decode().split()
+              if not (name == "cython_runtime" or name.startswith("_cython_"))}
     assert {"numpy", "tiesmooth"} <= loaded
     assert loaded - set(sys.stdlib_module_names) - {"numpy", "tiesmooth"} == set()
 

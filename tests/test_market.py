@@ -374,6 +374,17 @@ class TestTieOrder:
         assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
 
 
+@pytest.mark.parametrize("ids", [[7, 2**62, 0, -2**62, -5, 7], [7, 2**62, 0, 1, 5, 7]],
+                         ids=["span_2_63", "span_2_62"])
+def test_ids_too_far_apart_to_pack_take_the_same_order(ids):
+    # ids spanning more bits than the packed tie key holds take the
+    # two-key path; the curve is the stable sort's all the same, with
+    # the duplicate id 7 in input order
+    batch = BidBatch([0.5, 0.5, -0.0, 0.0, 0.5, 0.5], [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+                     [False] * 6, ids)
+    assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
+
+
 # The child builds the long-run batch's curve on the CPU features it was
 # left with and reports them with the curve's digest.
 _KERNEL_CHILD = """

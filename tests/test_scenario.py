@@ -56,8 +56,12 @@ def configs(draw):
         epsilon_margin_c=draw(st.floats(0.0, 1e300)), tau_s=draw(st.floats(1e-3, 1e9)),
         correction=CorrectionParams(s1=s1, s2=s2, s3=s3, dp1=dp1, dp2=dp2, dp3=dp3,
                                     gamma=draw(st.floats(1e-9, 10.0))),
-        thermal=DerivationConstants(**{f.name: draw(finite)
-                                       for f in fields(DerivationConstants)}),
+        thermal=DerivationConstants(**{
+            **{f.name: draw(st.floats(0.0, 1e300, exclude_min=True))
+               for f in fields(DerivationConstants)},
+            "design_solar_wm2": draw(st.floats(0.0, 1e300)),
+            **dict(zip(("design_indoor_c", "design_outdoor_c"),
+                       sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))))}),
         population={name: draw(dists()) for name in HOUSE_FIELDS + CONTROLLER_FIELDS})
 
 
@@ -120,6 +124,14 @@ class TestStrict:
         ("scenario", "baseline_bias", ["nan", "-1.0", "-2.0", "inf"]),
         ("scenario", "epsilon_margin_c", ["nan", "-0.01", "inf"]),
         ("mgcc", "gamma", ["nan", "0.0", "-1.0"]),
+        ("thermal", "mass_coupling_ratio", ["nan", "0.0", "-1.0", "inf"]),
+        ("thermal", "air_density", ["nan", "-1.2", "inf"]),
+        ("thermal", "c_air_multiplier", ["0.0", "-0.0"]),
+        ("thermal", "c_mass_air_ratio", ["-1.0"]),
+        ("thermal", "oversize_factor", ["nan", "0.0"]),
+        ("thermal", "design_solar_wm2", ["nan", "-1.0", "inf"]),
+        ("thermal", "design_indoor_c", ["nan", "-inf", "inf"]),
+        ("thermal", "design_outdoor_c", ["nan", "inf", "-inf", "23.0", "22.0"]),
     ])
     def test_out_of_range_values_rejected(self, section, key, values):
         for value in values:
@@ -131,6 +143,11 @@ class TestStrict:
                                       "epsilon_margin_c = 0.0"])
     def test_range_ends_accepted(self, line):
         load(f"[scenario]\n{line}\n")
+
+    @pytest.mark.parametrize("text", ["air_density = 5e-324", "design_solar_wm2 = 0.0",
+                                      "design_outdoor_c = -40.0\ndesign_indoor_c = -41.0"])
+    def test_thermal_range_ends_accepted(self, text):
+        load(f"[thermal]\n{text}\n")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError):
