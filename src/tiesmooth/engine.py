@@ -22,19 +22,18 @@ fleet laid end to end along the house axis, each segment's heat input
 set from its own day's weather and each record metering every segment
 on its own.
 
-Training is the one place that uses a second CPU.  Its days of one
-length are split into two shares of whole days, and when this process
-may run on two CPUs and the smaller share holds `WORKER_MIN_HOUSES`
-houses or more, a worker steps that share while this process steps the
-other; each share is the same segmented run, and a day's power sum is
-exact, so the bytes do not depend on the split.  The worker is a fresh
-interpreter (`sys.executable -c`), fed its pickled inputs on stdin, that
-returns its segment powers pickled on stdout, or the exception it
-raised.  It is neither forked, because this process already runs a
-BLAS thread when training starts, nor a `multiprocessing` child, whose
-resource tracker can outlive this process.  No worker outlives
-`run_training_simulation`: it is killed if this process's own share
-raises.
+Two rules use a second CPU, and neither changes a byte, since power sums
+are exact.  Training splits its days of one length into two shares of
+whole days; when this process may run on two CPUs and the smaller share
+holds `WORKER_MIN_HOUSES` houses or more, a worker steps that share as
+the same segmented run.  The worker is a fresh interpreter (`_worker`):
+not forked, because this process already runs a BLAS thread, nor a
+`multiprocessing` child, whose resource tracker can outlive this process.
+A run of `THREAD_MIN_HOUSES` houses or more that is not segmented steps
+as two parts, views of two halves of the fleet, on two CPUs: a helper
+thread steps one while this thread steps the other (`_stepper`), and
+the market works between steps on the whole fleet.  Each part writes its
+prices into one buffer that this thread adds up in one reduction.
 
 Every array a kernel reads or writes starts on a 64-byte boundary,
 where NumPy's SIMD loops run about twice as fast as on the 16-byte
@@ -57,11 +56,13 @@ summed in any order.
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -219,8 +220,9 @@ class Workspace:
         np.add(forcing, np.multiply(fleet.aperture[segment], solar, out=y), out=forcing)
 
 
-def fleet_soa(fleet: Fleet, ws: Workspace) -> np.ndarray:
-    """Normalized temperature states, the bid prices, in `ws.x`.
+def fleet_soa(fleet: Fleet, ws: Workspace, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Normalized temperature states, the bid prices, in `out` (`ws.x` by
+    default).
 
     0 at the customer setpoint, +1 / -1 at the upper / lower comfort
     limit, linear on each side and clipped to [-1, 1].  Measured against
@@ -228,7 +230,7 @@ def fleet_soa(fleet: Fleet, ws: Workspace) -> np.ndarray:
     The side is chosen without a mask: the lower side's share clipped to
     [-1, 0] plus the upper side's clipped to [0, 1], one of which is 0.
     """
-    dev = np.subtract(fleet.t_air, fleet.t_set, out=ws.x)
+    dev = np.subtract(fleet.t_air, fleet.t_set, out=ws.x if out is None else out)
     low = np.divide(dev, fleet.t_low, out=ws.y)
     np.maximum(low, -1.0, out=low)
     np.minimum(low, 0.0, out=low)
@@ -280,6 +282,98 @@ def _advance_slice(fleet: Fleet, ws: Workspace) -> None:
     np.add(t_air, np.multiply(fleet.m1, b0, out=y), out=t_air)
 
 
+def _step_part(kernels, fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray],
+               weather, meter, count_outside: bool):
+    """One step of one part's houses through `kernels` (thermostat, advance,
+    bid price), with the `weather` (segment, t_out, solar) that changed.
+    Returns the part's power per segment from the `meter` starts, devices
+    on and houses outside comfort; a metered part with `s_prices` also
+    writes its prices there."""
+    thermostat, advance, soa = kernels
+    for houses, t_out, solar in weather:
+        ws.set_weather(fleet, t_out, solar, houses)
+    thermostat(fleet, ws)  # on the state at t, before power is metered
+    kw = n_on = outside = 0
+    if meter is not None:
+        kw = np.add.reduceat(np.multiply(fleet.rated_kw, fleet.on, out=ws.y), meter)
+        if s_prices is not None:
+            n_on = np.count_nonzero(fleet.on)
+            soa(fleet, ws, s_prices)
+    advance(fleet, ws)
+    if count_outside:
+        outside = (np.count_nonzero(np.greater(fleet.t_air, ws.comfort_high, out=ws.mask))
+                   + np.count_nonzero(np.less(fleet.t_air, ws.comfort_low, out=ws.mask)))
+    return kw, n_on, outside
+
+
+# What the helper thread calls, bound at import: a tracer that wraps this
+# module's names for the calling thread assumes one thread.
+_HELPER_CALLS = (_step_part, (_thermostat_slice, _advance_slice, fleet_soa))
+
+# A run of at least this many houses steps as two parts, one on a helper
+# thread, when this process may run on two CPUs.  Every NumPy call hands
+# the GIL over, and below the crossover the handoffs cost more than the
+# second CPU saves.  A free run 1 h after a 2 h warm-up on a 2-vCPU Xeon,
+# median of 3 per size and side, one part -> two parts: n = 10 000:
+# 0.24 -> 0.44 s; 20 000: 0.52 -> 0.54 s; 25 000: 0.66 -> 0.61 s;
+# 30 000: 0.81 -> 0.68 s; 40 000: 1.15 -> 0.79 s; 50 000: 1.56 -> 0.95 s.
+# On a busier host 30 000 also lost (1.06 -> 2.05 s); 40 000 never did.
+THREAD_MIN_HOUSES = 40_000
+
+
+def _part(obj, houses: slice):
+    """A copy of a Fleet or Workspace whose arrays are views of `houses`."""
+    part = copy.copy(obj)
+    vars(part).update((name, value[houses]) for name, value in vars(obj).items()
+                      if isinstance(value, np.ndarray))
+    return part
+
+
+@contextmanager
+def _stepper(fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray], split: int):
+    """Yields `step(weather, meter, count_outside)`: every house stepped
+    once, with `_step_part`'s result summed over the parts.  With a `split`, a
+    multiple of 64 so that every part array starts on a cache line, a
+    helper thread steps houses [split:] while this thread steps the rest;
+    it is joined when the block ends, raise as it may."""
+    kernels = (_thermostat_slice, _advance_slice, fleet_soa)  # as a tracer left them
+    if not split:
+        yield partial(_step_part, kernels, fleet, ws, s_prices)
+        return
+    import queue, threading  # here, so that importing the CLI does not pay for it
+    here, there = ((_part(fleet, houses), _part(ws, houses), s_prices[houses])
+                   for houses in (slice(None, split), slice(split, None)))
+    here[0].n, there[0].n = split, fleet.n - split
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+    step, helper_kernels = _HELPER_CALLS
+    errors = {**np.geterr(), "call": np.geterrcall()}  # a new thread starts without them
+
+    def serve():
+        with np.errstate(**errors):
+            for job in iter(jobs.get, None):
+                try:
+                    done.put((True, step(helper_kernels, *there, *job)))
+                except BaseException as exc:  # the caller re-raises it
+                    done.put((False, exc))
+
+    helper = threading.Thread(target=serve)
+    helper.start()
+
+    def step_parts(*job):
+        jobs.put(job)
+        ours = _step_part(kernels, *here, *job)
+        ok, theirs = done.get()
+        if not ok:
+            raise theirs
+        return [a + b for a, b in zip(ours, theirs)]  # power sums are exact in any order
+
+    try:
+        yield step_parts
+    finally:
+        jobs.put(None)
+        helper.join()
+
+
 @dataclass
 class RunResult:
     """Everything one run produces, ready for CSV emission and metrics."""
@@ -326,12 +420,9 @@ def _check_finite(fleet: Fleet, cycle: int) -> None:
         raise NumericAbortError(cycle)
 
 
-def _tie_line_kw(fleet: Fleet, ws: Workspace, traces: TraceSet,
-                 idx: int) -> tuple[float, float]:
-    """Metered fleet power and the tie-line power it implies at trace row idx."""
-    kw = np.multiply(fleet.rated_kw, fleet.on, out=ws.y)
-    fleet_kw = float(np.add.reduce(kw))  # np.sum without its wrapper
-    return fleet_kw, fleet_kw + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx])
+def _tie_line_kw(fleet_kw: float, traces: TraceSet, idx: int) -> float:
+    """The tie-line power that metered fleet power implies at trace row idx."""
+    return fleet_kw + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx])
 
 
 def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
@@ -340,7 +431,9 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     """Execute one full run (controlled or free) over the given traces.
 
     A controlled run clears the market every control cycle after the
-    first, on the bids collected `bid_lead_s` before it.
+    first, on the bids collected `bid_lead_s` before it.  An unsegmented
+    run of `THREAD_MIN_HOUSES` houses or more steps as two parts on two
+    threads when this process may run on two CPUs (`_stepper`).
 
     `_segments` runs training's free fleets at once: the houses are
     segments of these sizes laid end to end, every `traces` series holds
@@ -360,11 +453,14 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     seed_fleet_states(fleet, cfg.seed, _segments)
     ws = Workspace(fleet)
     total_rated = float(np.sum(fleet.rated_kw))
-    agent_ids = np.arange(fleet.n)
-    if _segments is not None:
-        starts = np.cumsum([0, *_segments[:-1]])
-        segment_slices = [slice(start, start + size)
-                          for start, size in zip(starts.tolist(), _segments)]
+    agent_ids = np.arange(fleet.n) if controlled else None
+    if _segments is None:
+        starts, segments = np.zeros(1, np.intp), [slice(None)]
+        s_prices = aligned(fleet.n)  # each record's prices, for s_aggregate
+        split = fleet.n // 128 * 64 if fleet.n >= THREAD_MIN_HOUSES and _cpus() >= 2 else 0
+    else:
+        starts, s_prices, split = np.cumsum([0, *_segments[:-1]]), None, 0
+        segments = [slice(start, start + size) for start, size in zip(starts.tolist(), _segments)]
 
     lpf = LpfState()
     corr = CorrectionState()
@@ -388,64 +484,60 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     total_acl_min = 0.0
     step_minutes = cfg.sim_step_s / 60.0
     weather_idx = -1
+    t_outs = traces.t_out_c.reshape(len(traces), -1)  # a column per segment
+    solars = traces.solar_wm2.reshape(len(traces), -1)
 
-    for t in range(0, cfg.total_s, cfg.sim_step_s):
-        idx = t // traces.cadence_s
-        if idx != weather_idx:
-            weather_idx = idx
-            if _segments is None:
-                t_out = float(traces.t_out_c[idx])
-                solar = float(traces.solar_wm2[idx])
-                ws.set_weather(fleet, t_out, solar)
-            else:  # each segment takes its own day's weather
-                for segment, t_out, solar in zip(segment_slices, traces.t_out_c[idx].tolist(),
-                                                 traces.solar_wm2[idx].tolist()):
-                    ws.set_weather(fleet, t_out, solar, segment)
+    with _stepper(fleet, ws, s_prices, split) as step:
+        for t in range(0, cfg.total_s, cfg.sim_step_s):
+            idx = t // traces.cadence_s
+            weather = ()
+            if idx != weather_idx:  # each segment takes its own day's weather
+                weather_idx = idx
+                weather = list(zip(segments, t_outs[idx].tolist(), solars[idx].tolist()))
+                _, t_out, solar = weather[0]
 
-        if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
-            _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
-            # the batch outlives the bid lead, so it holds its own copies of
-            # the bid-time states
-            fleet.soa_bid = aligned(fleet_soa(fleet, ws))
-            bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy(), agent_ids)
-            _, p_g_meas = _tie_line_kw(fleet, ws, traces, idx)
-            bid = (bids, p_g_meas, t_out, solar)
+            if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
+                _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
+                # the batch outlives the bid lead, so it holds its own copies of
+                # the bid-time states
+                fleet.soa_bid = fleet_soa(fleet, ws, aligned(fleet.n))
+                bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy(), agent_ids)
+                fleet_kw = float(np.add.reduce(np.multiply(fleet.rated_kw, fleet.on,
+                                                           out=ws.y)))
+                bid = (bids, _tie_line_kw(fleet_kw, traces, idx), t_out, solar)
 
-        if controlled and t > 0 and t % cfg.control_cycle_s == 0:
-            k = t // cfg.control_cycle_s
-            bids, p_g_meas, bid_t_out, bid_solar = bid
-            p_star, rec, corr, lpf = run_control_cycle(
-                k, bids, p_g_meas, bid_t_out, bid_solar, total_rated, model, corr, lpf, cfg)
-            records.append(rec)
-            latest_p_g0, latest_lpf, latest_target = rec.p_g0, rec.p_g_lpf, rec.p_ac_target
-            _respond_to_price(fleet, ws, p_star)
-            _check_finite(fleet, k)
+            if controlled and t > 0 and t % cfg.control_cycle_s == 0:
+                k = t // cfg.control_cycle_s
+                bids, p_g_meas, bid_t_out, bid_solar = bid
+                p_star, rec, corr, lpf = run_control_cycle(
+                    k, bids, p_g_meas, bid_t_out, bid_solar, total_rated, model, corr, lpf,
+                    cfg)
+                records.append(rec)
+                latest_p_g0, latest_lpf, latest_target = rec.p_g0, rec.p_g_lpf, rec.p_ac_target
+                _respond_to_price(fleet, ws, p_star)
+                _check_finite(fleet, k)
 
-        # thermostat acts on the state at t before power is metered
-        _thermostat_slice(fleet, ws)
+            record = t % cfg.record_cycle_s == 0
+            counted = t >= cfg.warmup_s and _segments is None
+            kw, on, outside = step(weather, starts if record else None, counted)
 
-        if t % cfg.record_cycle_s == 0:
-            row = t // cfg.record_cycle_s
-            if _segments is not None:
-                kw = np.multiply(fleet.rated_kw, fleet.on, out=ws.y)
-                p_ac_actual[row] = np.add.reduceat(kw, starts)
-            else:
-                p_ac_actual[row], p_g[row] = _tie_line_kw(fleet, ws, traces, idx)
-                p_g0_ref[row] = p_g[row] if not controlled else latest_p_g0
-                p_g_lpf[row] = latest_lpf
-                p_ac_target[row] = latest_target
-                # np.mean's bits without its per-call overhead
-                s_sum = float(np.add.reduce(fleet_soa(fleet, ws)))
-                s_agg[row] = s_sum / fleet.n
-                n_on[row] = int(np.count_nonzero(fleet.on))
+            if record:
+                row = t // cfg.record_cycle_s
+                if _segments is not None:
+                    p_ac_actual[row] = kw
+                else:
+                    p_ac_actual[row] = fleet_kw = float(kw[0])
+                    p_g[row] = _tie_line_kw(fleet_kw, traces, idx)
+                    p_g0_ref[row] = p_g[row] if not controlled else latest_p_g0
+                    p_g_lpf[row] = latest_lpf
+                    p_ac_target[row] = latest_target
+                    # np.mean's bits without its per-call overhead
+                    s_agg[row] = float(np.add.reduce(s_prices)) / fleet.n
+                    n_on[row] = on
 
-        _advance_slice(fleet, ws)
-
-        if t >= cfg.warmup_s and _segments is None:
-            outside = (np.count_nonzero(np.greater(fleet.t_air, ws.comfort_high, out=ws.mask))
-                       + np.count_nonzero(np.less(fleet.t_air, ws.comfort_low, out=ws.mask)))
-            comfort_viol_min += int(outside) * step_minutes
-            total_acl_min += fleet.n * step_minutes
+            if counted:
+                comfort_viol_min += int(outside) * step_minutes
+                total_acl_min += fleet.n * step_minutes
 
     _check_finite(fleet, cfg.total_s // cfg.control_cycle_s)
 

@@ -1,6 +1,7 @@
 """Command-line pipeline: file emission, exit codes, idempotence."""
 
 import contextlib
+import io
 import pickle
 import platform
 import re
@@ -8,12 +9,17 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tiesmooth.cli import main
+from tiesmooth.scenario import ScenarioConfig, save_scenario
 from tiesmooth.textio import read_keyvals
 
 
@@ -515,6 +521,92 @@ class TestPopulation:
         assert err.count("error: distribution parameters must be finite") == 2
         assert "Traceback" not in err
         assert not (scen / "model.txt").exists() and not (tmp_path / "out").exists()
+
+
+def cut_trace(path, start, rows):
+    """Keep `rows` rows of a trace CSV from row `start`, timed again from 0."""
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [f"{10 * i},{line.partition(',')[2]}" for i, line
+                                          in enumerate(lines[start:start + rows])]) + "\n")
+
+
+@pytest.fixture(scope="module")
+def small_scenario(tmp_path_factory):
+    """The default scenario at 10 houses: 2 training days and a run of 1 h
+    after 30 min, every trace cut to what they need (training to the
+    morning, when the sun rises), and a model."""
+    scen = tmp_path_factory.mktemp("domain") / "scen"
+    assert main(["gen-scenario", "--out", str(scen), "--n-acl", "10",
+                 "--training-days", "2"]) == 0
+    edit_scenario(scen / "scenario.txt", duration_s=3600, warmup_s=1800)
+    cut_trace(scen / "traces.csv", 0, 540)
+    for day in range(2):
+        cut_trace(scen / f"train_day{day}.csv", 3600, 1260)
+    assert main(["train", "--scenario", str(scen / "scenario.txt"),
+                 "--out", str(scen / "model.txt")]) == 0
+    return scen
+
+
+def scenario_slots():
+    """(key, slot) of every value in the default scenario file: slot None
+    for a scalar, else the position of a field in a distribution line."""
+    text = io.StringIO()
+    save_scenario(ScenarioConfig(), text)
+    text.seek(0)
+    slots = []
+    for key, value in read_keyvals(text).items():
+        key = key.rpartition(".")[2]
+        slots += [(key, i) for i in range(3)] if value.startswith(("uniform", "normal")) \
+            else [(key, None)]
+    return slots
+
+
+def replace_value(path, key, slot, value):
+    pattern = re.compile(rf"^{key} = (.*)$", re.MULTILINE)
+    old = pattern.search(path.read_text()).group(1)
+    if slot is not None:
+        fields = old.split()
+        fields[slot] = value
+        value = " ".join(fields)
+    edit_scenario(path, **{key: value})
+
+
+BAD_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "5e-324", "warm"]
+# edits that once ran to the end, hung, or failed mid-run: each now exits 2 at once
+PROBED_EDITS = [[("air_change_rate", 1, "nan")], [("t_set", 2, "nan")],
+                [("floor_area", 1, "nan")], [("acl_peak_share", None, "nan")],
+                [("wind_capacity_ratio", None, "nan")], [("gamma", None, "nan")],
+                [("baseline_bias", None, "nan")], [("baseline_bias", None, "-2.0")]]
+
+
+def probed(test):
+    for edits in PROBED_EDITS:
+        test = example(edits=edits)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(scenario_slots()), st.sampled_from(BAD_VALUES))
+                      .map(lambda edit: (*edit[0], edit[1])),
+                      min_size=1, max_size=2, unique_by=lambda edit: edit[:2]))
+@probed
+def test_bad_scenario_values_exit_with_a_documented_code(small_scenario, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = shutil.copytree(small_scenario, Path(tmp) / "scen")
+        for key, slot, value in edits:
+            replace_value(scen / "scenario.txt", key, slot, value)
+        err = io.StringIO()
+        codes = []
+        for command in (["train", "--out", f"{tmp}/model.txt"],
+                        ["run", "--uncontrolled", "--out", f"{tmp}/free"],
+                        ["run", "--model", str(small_scenario / "model.txt"),
+                         "--out", f"{tmp}/ctrl"]):
+            with time_limit(20.0), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main([*command, "--scenario", str(scen / "scenario.txt")]))
+    assert set(codes) <= ({2} if edits in PROBED_EDITS else {0, 2, 3, 4}), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_loads_only_numpy_and_the_standard_library():

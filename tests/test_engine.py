@@ -296,6 +296,29 @@ class TestAlignment:
                                 [make_traces(cfg, seed=100 + d) for d in range(3)])
         assert seen == [([], [])]
 
+    def test_two_part_fleet(self, monkeypatch):
+        # each part is a Fleet and a Workspace of views, and the record's
+        # prices land in each part's slice of one buffer
+        seen = {}
+
+        def recorded(part, soa):
+            def recording_soa(fleet, ws, out=None):
+                seen.setdefault(part, (fleet.n, misaligned(vars(fleet)), misaligned(vars(ws)),
+                                       misaligned({"out": out})))
+                return soa(fleet, ws, out)
+            return recording_soa
+
+        step, (thermostat, advance, soa) = engine._HELPER_CALLS
+        monkeypatch.setattr(engine, "_HELPER_CALLS",
+                            (step, (thermostat, advance, recorded("helper", soa))))
+        monkeypatch.setattr(engine, "fleet_soa", recorded("caller", soa))
+        monkeypatch.setattr(engine, "THREAD_MIN_HOUSES", 64)
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        cfg = small_cfg(n_acl=5003, duration_s=60, warmup_s=0)
+        run_scenario(cfg, generate_population(cfg.population_spec(), 3),
+                     make_traces(cfg), None, controlled=False)
+        assert seen == {"caller": (2496, [], [], []), "helper": (2507, [], [], [])}
+
 
 class TestScheduling:
     def test_one_broadcast_per_cycle(self, population):
