@@ -139,8 +139,9 @@ class CorrectionParams:
     def __post_init__(self):
         if not 0 < self.s1 < self.s2 < self.s3 <= 1:
             raise ValueError("breakpoints must satisfy 0 < s1 < s2 < s3 <= 1")
-        if not 0 < self.dp1 <= self.dp2 <= self.dp3:
-            raise ValueError("steps must satisfy 0 < dp1 <= dp2 <= dp3")
+        # at most the whole baseline a cycle; NaN and inf fail too
+        if not 0 < self.dp1 <= self.dp2 <= self.dp3 <= 100:
+            raise ValueError("steps must satisfy 0 < dp1 <= dp2 <= dp3 <= 100")
         if not self.gamma > 0:  # NaN fails too
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 

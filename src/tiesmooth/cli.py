@@ -151,6 +151,9 @@ def cmd_train(args) -> int:
         print(f"error: numeric abort in training at control cycle {exc.cycle}",
               file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # houses whose thermal step cannot be discretized
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         model = fit_baseline_model(samples)
     except RankDeficientError as exc:

@@ -22,18 +22,26 @@ fleet laid end to end along the house axis, each segment's heat input
 set from its own day's weather and each record metering every segment
 on its own.
 
-Two rules use a second CPU, and neither changes a byte, since power sums
-are exact.  Training splits its days of one length into two shares of
-whole days; when this process may run on two CPUs and the smaller share
-holds `WORKER_MIN_HOUSES` houses or more, a worker steps that share as
-the same segmented run.  The worker is a fresh interpreter (`_worker`):
-not forked, because this process already runs a BLAS thread, nor a
-`multiprocessing` child, whose resource tracker can outlive this process.
-A run of `THREAD_MIN_HOUSES` houses or more that is not segmented steps
-as two parts, views of two halves of the fleet, on two CPUs: a helper
-thread steps one while this thread steps the other (`_stepper`), and
-the market works between steps on the whole fleet.  Each part writes its
-prices into one buffer that this thread adds up in one reduction.
+Two rules use a second CPU when this process may run on two, and
+neither changes a byte.  A free run, training's segmented runs
+included, whose houses [n2:] number `WORKER_MIN_HOUSES` or more, with
+n2 = n // 2 less its remainder mod 8, starts a worker, a fresh
+interpreter (`_worker`).  This process steps every house until the worker
+reports that it has imported tiesmooth, then, at the next record row,
+streams it the houses [n2:] with their state and steps only [:n2]; the
+worker steps [n2:] to the end (`_step_tail`).  Each side keeps raw sums
+(`_Sums`): each record's power per segment, devices on and
+`np.add.reduce` of its bid prices, each step's houses outside comfort.
+Power sums are exact, counts are integers, and NumPy's pairwise sum
+splits a row of more than 128 prices exactly at n2, so the sums add to
+the one-process sums bit for bit; the floats are finished once, after
+the loop, in step order.  A controlled run needs the whole fleet at
+every control cycle, so one of `THREAD_MIN_HOUSES` houses or more steps
+as two parts, views of two halves of the fleet, on two threads instead:
+a helper thread steps one while this thread steps the other
+(`_stepper`), the market works between steps on the whole fleet, and
+each part writes its prices into one buffer that this thread adds up in
+one reduction.
 
 Every array a kernel reads or writes starts on a 64-byte boundary,
 where NumPy's SIMD loops run about twice as fast as on the 16-byte
@@ -44,7 +52,8 @@ and never copies, are made there by `generate_population` and
 `Workspace` its buffers and thresholds; and the kernels,
 `seed_fleet_states` and `_respond_to_price` write into those arrays
 rather than rebind them.  Only the bid prices are a fresh aligned array
-at seeding and at each bid, since a bid batch keeps them.
+at seeding and at each bid, since a bid batch keeps them.  A worker
+copies the arrays it is streamed into aligned ones.
 
 The tie-line power at any instant is fleet electrical power plus
 uncontrollable load minus wind (lossless balance).  Device ratings and
@@ -60,7 +69,7 @@ import copy
 import os
 import pickle
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -310,23 +319,34 @@ def _step_part(kernels, fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarr
 # module's names for the calling thread assumes one thread.
 _HELPER_CALLS = (_step_part, (_thermostat_slice, _advance_slice, fleet_soa))
 
-# A run of at least this many houses steps as two parts, one on a helper
-# thread, when this process may run on two CPUs.  Every NumPy call hands
-# the GIL over, and below the crossover the handoffs cost more than the
-# second CPU saves.  A free run 1 h after a 2 h warm-up on a 2-vCPU Xeon,
-# median of 3 per size and side, one part -> two parts: n = 10 000:
-# 0.24 -> 0.44 s; 20 000: 0.52 -> 0.54 s; 25 000: 0.66 -> 0.61 s;
+# A controlled run of at least this many houses steps as two parts, one on
+# a helper thread, when this process may run on two CPUs.  Every NumPy
+# call hands the GIL over, and below the crossover the handoffs cost more
+# than the second CPU saves.  A free run 1 h after a 2 h warm-up on a
+# 2-vCPU Xeon, median of 3 per size and side, one part -> two parts:
+# n = 10 000: 0.24 -> 0.44 s; 20 000: 0.52 -> 0.54 s; 25 000: 0.66 -> 0.61 s;
 # 30 000: 0.81 -> 0.68 s; 40 000: 1.15 -> 0.79 s; 50 000: 1.56 -> 0.95 s.
 # On a busier host 30 000 also lost (1.06 -> 2.05 s); 40 000 never did.
 THREAD_MIN_HOUSES = 40_000
 
 
-def _part(obj, houses: slice):
-    """A copy of a Fleet or Workspace whose arrays are views of `houses`."""
+def _with_arrays(obj, fn):
+    """A copy of a Fleet or Workspace that holds `fn` of each of its arrays."""
     part = copy.copy(obj)
-    vars(part).update((name, value[houses]) for name, value in vars(obj).items()
+    vars(part).update((name, fn(value)) for name, value in vars(obj).items()
                       if isinstance(value, np.ndarray))
     return part
+
+
+def _part(obj, houses: slice):
+    """A copy of a Fleet or Workspace whose arrays are views of `houses`."""
+    return _with_arrays(obj, lambda value: value[houses])
+
+
+def _one_part(fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray]):
+    """`step(weather, meter, count_outside)` of these houses, in this thread."""
+    kernels = (_thermostat_slice, _advance_slice, fleet_soa)  # as a tracer left them
+    return partial(_step_part, kernels, fleet, ws, s_prices)
 
 
 @contextmanager
@@ -336,14 +356,14 @@ def _stepper(fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray], split:
     multiple of 64 so that every part array starts on a cache line, a
     helper thread steps houses [split:] while this thread steps the rest;
     it is joined when the block ends, raise as it may."""
-    kernels = (_thermostat_slice, _advance_slice, fleet_soa)  # as a tracer left them
     if not split:
-        yield partial(_step_part, kernels, fleet, ws, s_prices)
+        yield _one_part(fleet, ws, s_prices)
         return
     import queue, threading  # here, so that importing the CLI does not pay for it
     here, there = ((_part(fleet, houses), _part(ws, houses), s_prices[houses])
                    for houses in (slice(None, split), slice(split, None)))
     here[0].n, there[0].n = split, fleet.n - split
+    step_here = _one_part(*here)
     jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
     step, helper_kernels = _HELPER_CALLS
     errors = {**np.geterr(), "call": np.geterrcall()}  # a new thread starts without them
@@ -361,7 +381,7 @@ def _stepper(fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray], split:
 
     def step_parts(*job):
         jobs.put(job)
-        ours = _step_part(kernels, *here, *job)
+        ours = step_here(*job)
         ok, theirs = done.get()
         if not ok:
             raise theirs
@@ -372,6 +392,100 @@ def _stepper(fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray], split:
     finally:
         jobs.put(None)
         helper.join()
+
+
+@dataclass
+class _Houses:
+    """The houses one process steps: a fleet or part of one, its workspace
+    (None in transit to a worker), its segments as slices of it, where
+    each segment's metering starts, each segment's weather (a column per
+    segment, a row per trace row) and, in a run that is not segmented,
+    the buffer each record's bid prices go to."""
+
+    fleet: Fleet
+    ws: Optional[Workspace]
+    segments: list
+    starts: np.ndarray
+    t_outs: np.ndarray
+    solars: np.ndarray
+    s_prices: Optional[np.ndarray]
+
+    def split(self, n2: int) -> tuple["_Houses", "_Houses"]:
+        """Houses [:n2] and [n2:], views of these; a segment across n2 is
+        in both, and the second has no workspace."""
+        first = int(np.searchsorted(self.starts, n2))  # segments that start before n2
+        across = int(np.searchsorted(self.starts, n2, "right")) - 1  # the one n2 is in
+        prices = (None, None) if self.s_prices is None else \
+            (self.s_prices[:n2], self.s_prices[n2:])
+        head = _Houses(_part(self.fleet, slice(None, n2)), _part(self.ws, slice(None, n2)),
+                       self.segments[:first], self.starts[:first],
+                       self.t_outs[:, :first], self.solars[:, :first], prices[0])
+        tail = _Houses(_part(self.fleet, slice(n2, None)), None,
+                       [slice(max(s.start - n2, 0), s.stop - n2)
+                        for s in self.segments[across:]],
+                       np.maximum(self.starts[across:] - n2, 0),
+                       self.t_outs[:, across:], self.solars[:, across:], prices[1])
+        head.fleet.n, tail.fleet.n = n2, self.fleet.n - n2
+        return head, tail
+
+
+class _Sums:
+    """What one process meters of its houses, as raw sums that add exactly
+    across processes: at each record the power of each of its segments
+    (`kw`, the first segments of a row for the head of a fleet, the last
+    for its tail), and in a run that is not segmented its devices on
+    (`n_on`) and the `np.add.reduce` of its bid prices (`s`); at each
+    step after warm-up, its houses outside comfort (`outside`)."""
+
+    def __init__(self, cfg: ScenarioConfig, n_segments: int):
+        n_rows = cfg.total_s // cfg.record_cycle_s
+        self.kw = np.zeros((n_rows, n_segments))
+        self.n_on = np.zeros(n_rows, np.int64)
+        self.s = np.zeros(n_rows)
+        self.outside = np.zeros(cfg.total_s // cfg.sim_step_s, np.int64)
+
+    def add(self, other: "_Sums", cfg: ScenarioConfig, t: int) -> None:
+        """Adds `other`'s sums from time t on."""
+        row, i = t // cfg.record_cycle_s, t // cfg.sim_step_s
+        self.kw[row:, self.kw.shape[1] - other.kw.shape[1]:] += other.kw[row:]
+        self.n_on[row:] += other.n_on[row:]
+        self.s[row:] += other.s[row:]  # np.add.reduce splits a row of prices where n2 does
+        self.outside[i:] += other.outside[i:]
+
+
+def _step(step, houses: _Houses, cfg: ScenarioConfig, t: int, sums: _Sums) -> None:
+    """Steps `houses` once at time t through `step` and tallies what it
+    meters in `sums`.  A record row is also a trace row, so the weather
+    changes only there."""
+    row, offset = divmod(t, cfg.record_cycle_s)
+    record = offset == 0
+    weather = (list(zip(houses.segments, houses.t_outs[row].tolist(),
+                        houses.solars[row].tolist())) if record else ())
+    counted = houses.s_prices is not None and t >= cfg.warmup_s
+    kw, on, outside = step(weather, houses.starts if record else None, counted)
+    if record:
+        sums.kw[row, :len(kw)] = kw
+        if houses.s_prices is not None:
+            sums.n_on[row] = on
+            sums.s[row] = np.add.reduce(houses.s_prices)
+    if counted:
+        sums.outside[t // cfg.sim_step_s] = outside
+
+
+def _step_tail(errors: dict, cfg: ScenarioConfig, t0: int, houses: _Houses) -> _Sums:
+    """A worker's share of a free run: steps `houses`, which arrive
+    without a workspace, from time t0 to the end under the NumPy error
+    state `errors`.  Returns their sums."""
+    with np.errstate(**errors):
+        fleet = _with_arrays(houses.fleet, aligned)  # unpickled arrays start anywhere
+        houses = replace(houses, fleet=fleet, ws=Workspace(fleet),
+                         s_prices=None if houses.s_prices is None else aligned(fleet.n))
+        sums = _Sums(cfg, houses.t_outs.shape[1])
+        step = _one_part(fleet, houses.ws, houses.s_prices)
+        for t in range(t0, cfg.total_s, cfg.sim_step_s):
+            _step(step, houses, cfg, t, sums)
+        _check_finite(fleet, cfg.total_s // cfg.control_cycle_s)
+    return sums
 
 
 @dataclass
@@ -431,9 +545,11 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     """Execute one full run (controlled or free) over the given traces.
 
     A controlled run clears the market every control cycle after the
-    first, on the bids collected `bid_lead_s` before it.  An unsegmented
-    run of `THREAD_MIN_HOUSES` houses or more steps as two parts on two
-    threads when this process may run on two CPUs (`_stepper`).
+    first, on the bids collected `bid_lead_s` before it.  When this
+    process may run on two CPUs, a controlled run of `THREAD_MIN_HOUSES`
+    houses or more steps as two parts on two threads (`_stepper`), and a
+    free run whose houses [n2:] number `WORKER_MIN_HOUSES` or more hands
+    them to a worker process once it is ready (`_worker`).
 
     `_segments` runs training's free fleets at once: the houses are
     segments of these sizes laid end to end, every `traces` series holds
@@ -449,18 +565,11 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     if len(traces) * traces.cadence_s < cfg.total_s:
         raise ValueError("traces shorter than the requested run")
 
-    fleet = build_fleet(houses, cfg.sim_step_s)
-    seed_fleet_states(fleet, cfg.seed, _segments)
-    ws = Workspace(fleet)
-    total_rated = float(np.sum(fleet.rated_kw))
-    agent_ids = np.arange(fleet.n) if controlled else None
-    if _segments is None:
-        starts, segments = np.zeros(1, np.intp), [slice(None)]
-        s_prices = aligned(fleet.n)  # each record's prices, for s_aggregate
-        split = fleet.n // 128 * 64 if fleet.n >= THREAD_MIN_HOUSES and _cpus() >= 2 else 0
-    else:
-        starts, s_prices, split = np.cumsum([0, *_segments[:-1]]), None, 0
-        segments = [slice(start, start + size) for start, size in zip(starts.tolist(), _segments)]
+    two_cpus = _cpus() >= 2
+    n2 = len(houses) // 2 - len(houses) // 2 % 8  # where np.add.reduce splits a row of prices
+    # a worker cannot take an error callback along
+    join = (not controlled and len(houses) - n2 >= WORKER_MIN_HOUSES and two_cpus
+            and np.geterrcall() is None)
 
     lpf = LpfState()
     corr = CorrectionState()
@@ -470,31 +579,34 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     latest_target = float("nan")
 
     n_rows = cfg.total_s // cfg.record_cycle_s
-    time_s = np.arange(n_rows, dtype=np.int64) * cfg.record_cycle_s
     col = lambda: np.full(n_rows, np.nan)
-    p_g = col()
     p_g0_ref = col()
     p_g_lpf = col()
-    p_ac_actual = np.full((n_rows, *traces.t_out_c.shape[1:]), np.nan)
     p_ac_target = col()
-    s_agg = col()
-    n_on = np.zeros(n_rows, dtype=np.int64)
+    joined_at = joined = None
 
-    comfort_viol_min = 0.0
-    total_acl_min = 0.0
-    step_minutes = cfg.sim_step_s / 60.0
-    weather_idx = -1
-    t_outs = traces.t_out_c.reshape(len(traces), -1)  # a column per segment
-    solars = traces.solar_wm2.reshape(len(traces), -1)
-
-    with _stepper(fleet, ws, s_prices, split) as step:
+    with ExitStack() as stack:
+        # the worker imports while the fleet is built
+        worker = stack.enter_context(_worker()) if join else None
+        fleet = build_fleet(houses, cfg.sim_step_s)
+        seed_fleet_states(fleet, cfg.seed, _segments)
+        ws = Workspace(fleet)
+        total_rated = float(np.sum(fleet.rated_kw))
+        agent_ids = np.arange(fleet.n) if controlled else None
+        sizes = [fleet.n] if _segments is None else list(_segments)
+        starts = np.cumsum([0, *sizes[:-1]])
+        ours = _Houses(fleet, ws, [slice(start, start + size)
+                                   for start, size in zip(starts.tolist(), sizes)], starts,
+                       traces.t_out_c.reshape(len(traces), -1),  # a column per segment
+                       traces.solar_wm2.reshape(len(traces), -1),
+                       aligned(fleet.n) if _segments is None else None)
+        sums = _Sums(cfg, len(sizes))
+        thread = controlled and fleet.n >= THREAD_MIN_HOUSES and two_cpus
+        step = stack.enter_context(_stepper(fleet, ws, ours.s_prices,
+                                            fleet.n // 128 * 64 if thread else 0))
         for t in range(0, cfg.total_s, cfg.sim_step_s):
             idx = t // traces.cadence_s
-            weather = ()
-            if idx != weather_idx:  # each segment takes its own day's weather
-                weather_idx = idx
-                weather = list(zip(segments, t_outs[idx].tolist(), solars[idx].tolist()))
-                _, t_out, solar = weather[0]
+            record = t % cfg.record_cycle_s == 0
 
             if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
                 _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
@@ -504,7 +616,8 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                 bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy(), agent_ids)
                 fleet_kw = float(np.add.reduce(np.multiply(fleet.rated_kw, fleet.on,
                                                            out=ws.y)))
-                bid = (bids, _tie_line_kw(fleet_kw, traces, idx), t_out, solar)
+                bid = (bids, _tie_line_kw(fleet_kw, traces, idx),
+                       float(traces.t_out_c[idx]), float(traces.solar_wm2[idx]))
 
             if controlled and t > 0 and t % cfg.control_cycle_s == 0:
                 k = t // cfg.control_cycle_s
@@ -517,29 +630,38 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                 _respond_to_price(fleet, ws, p_star)
                 _check_finite(fleet, k)
 
-            record = t % cfg.record_cycle_s == 0
-            counted = t >= cfg.warmup_s and _segments is None
-            kw, on, outside = step(weather, starts if record else None, counted)
+            if worker is not None and record and worker.ready():
+                ours, theirs = ours.split(n2)
+                worker.start(_step_tail, np.geterr(), cfg, t, theirs)
+                step = _one_part(ours.fleet, ours.ws, ours.s_prices)
+                joined_at, joined, worker = t, worker, None
 
-            if record:
+            _step(step, ours, cfg, t, sums)
+            if controlled and record:
                 row = t // cfg.record_cycle_s
-                if _segments is not None:
-                    p_ac_actual[row] = kw
-                else:
-                    p_ac_actual[row] = fleet_kw = float(kw[0])
-                    p_g[row] = _tie_line_kw(fleet_kw, traces, idx)
-                    p_g0_ref[row] = p_g[row] if not controlled else latest_p_g0
-                    p_g_lpf[row] = latest_lpf
-                    p_ac_target[row] = latest_target
-                    # np.mean's bits without its per-call overhead
-                    s_agg[row] = float(np.add.reduce(s_prices)) / fleet.n
-                    n_on[row] = on
+                p_g0_ref[row] = latest_p_g0
+                p_g_lpf[row] = latest_lpf
+                p_ac_target[row] = latest_target
 
-            if counted:
-                comfort_viol_min += int(outside) * step_minutes
-                total_acl_min += fleet.n * step_minutes
+        if joined is not None:
+            sums.add(joined.result(), cfg, joined_at)
+    _check_finite(ours.fleet, cfg.total_s // cfg.control_cycle_s)
 
-    _check_finite(fleet, cfg.total_s // cfg.control_cycle_s)
+    # the sums are finished in step order, as one process would
+    p_ac_actual = sums.kw.reshape(n_rows, *traces.t_out_c.shape[1:])
+    p_g = col()
+    s_agg = col()
+    comfort_viol_min = 0.0
+    total_acl_min = 0.0
+    if _segments is None:
+        p_g = p_ac_actual + traces.p_load_kw[:n_rows] - traces.p_wind_kw[:n_rows]
+        s_agg = sums.s / fleet.n
+        step_minutes = cfg.sim_step_s / 60.0
+        for outside in sums.outside[cfg.warmup_s // cfg.sim_step_s:].tolist():
+            comfort_viol_min += outside * step_minutes
+            total_acl_min += fleet.n * step_minutes
+    if not controlled:
+        p_g0_ref = p_g.copy()
 
     return RunResult(
         controlled=controlled,
@@ -547,9 +669,10 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
         control_cycle_s=cfg.control_cycle_s,
         warmup_s=cfg.warmup_s,
         total_rated_kw=total_rated,
-        time_s=time_s, p_g=p_g, p_g0_reference=p_g0_ref, p_g_lpf=p_g_lpf,
+        time_s=np.arange(n_rows, dtype=np.int64) * cfg.record_cycle_s,
+        p_g=p_g, p_g0_reference=p_g0_ref, p_g_lpf=p_g_lpf,
         p_ac_actual=p_ac_actual, p_ac_target=p_ac_target,
-        s_aggregate=s_agg, n_on=n_on,
+        s_aggregate=s_agg, n_on=sums.n_on,
         cycle_records=records,
         comfort_violation_acl_min=comfort_viol_min,
         total_acl_min=total_acl_min,
@@ -605,83 +728,97 @@ def check_run_cadence(run: RunResult) -> None:
                          f"at {run.control_cycle_s} s a cycle")
 
 
-# A worker steps the smaller share of a group's training days when that
-# share holds at least this many houses.  A fresh interpreter takes
-# 0.3-0.45 s to import NumPy and tiesmooth, and below the crossover the
-# share it takes off this process saves less.  `tiesmooth train` of the
-# default 3-day scenario (shares of n and about 1.7 n houses) on a 2-vCPU
-# Xeon, median of 8 alternating runs without -> with the worker:
-# n = 1 000: 1.28 -> 1.43 s; 2 000: 1.93 -> 1.71 s; 3 000: 1.94 -> 1.73 s.
-WORKER_MIN_HOUSES = 2000
+# A free run hands its houses [n2:] to a worker when they number at least
+# this many.  A fresh interpreter takes 0.3-0.45 s to import NumPy and
+# tiesmooth, which this process spends stepping every house, and below
+# the crossover the half it then takes off this process saves less.  A
+# free run of the default 26 h scenario on a 2-vCPU Xeon, median of 3
+# alternating runs, one process -> late join: n = 4 000: 1.50 -> 1.58 s;
+# 4 500: 1.63 -> 1.55 s; 5 000: 1.93 -> 1.65 s; 8 000: 2.44 -> 1.93 s.
+WORKER_MIN_HOUSES = 2500
 
-# The worker's main program.  It reads all of stdin before it imports
-# anything more, so the parent's write never waits on NumPy's import, and
-# takes the parent's sys.path before it unpickles what needs tiesmooth.
+# The worker's main program.  It takes the parent's sys.path before it
+# imports tiesmooth, reports on stdout that it has, and then runs the one
+# job it is sent.
 _WORKER_MAIN = """\
-import io, pickle, sys
-stdin = io.BytesIO(sys.stdin.buffer.read())
-sys.path[:] = pickle.load(stdin)
-fn, args = pickle.load(stdin)
+import pickle, sys
+sys.path[:] = pickle.load(sys.stdin.buffer)
+import tiesmooth.engine
+sys.stdout.buffer.write(b"."); sys.stdout.buffer.flush()
 try:
+    fn, args = pickle.load(sys.stdin.buffer)
     result = True, fn(*args)
 except Exception as exc:
     result = False, exc
-sys.stdout.buffer.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+pickle.dump(result, sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
 """
 
 
-@contextmanager
-def _worker(fn, *args):
-    """`fn(*args)` in a fresh interpreter while the block runs.
+class _Worker:
+    """A fresh interpreter that runs one job once it is ready."""
 
-    Yields a function that waits for the worker and returns what `fn`
-    returned, or raises what it raised.  If the block raises, the worker
-    is killed; no worker outlives the block.
-    """
+    def __init__(self, proc):
+        self.proc = proc
+
+    def ready(self, timeout: Optional[float] = 0.0) -> bool:
+        """Whether the worker has imported tiesmooth and waits for its job,
+        after up to `timeout` seconds (None: as long as that takes).  Raises
+        RuntimeError for a worker that exited first."""
+        import select  # here, so that importing the CLI does not pay for it
+        if not select.select([self.proc.stdout], [], [], timeout)[0]:
+            return False
+        if not self.proc.stdout.read(1):
+            self._exited()
+        return True
+
+    def start(self, fn, *args) -> None:
+        """Streams the job `fn(*args)` to the ready worker."""
+        with suppress(BrokenPipeError):  # a worker gone reports no result below
+            pickle.dump((fn, args), self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.close()
+
+    def result(self):
+        """Waits for the worker and returns what its job returned, or
+        raises what it raised."""
+        data = self.proc.stdout.read()  # to EOF before the wait: a large result cannot stall
+        if self.proc.wait() != 0 or not data:
+            self._exited()
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def _exited(self):
+        raise RuntimeError(f"the worker exited with status {self.proc.wait()} and no result")
+
+
+@contextmanager
+def _worker():
+    """Yields a `_Worker` started in a fresh interpreter: not forked,
+    because this process already runs a BLAS thread, nor a
+    `multiprocessing` child, whose resource tracker can outlive this
+    process.  A worker that has not returned its result when the block
+    ends, raise as it may, is killed; no worker outlives the block."""
     import subprocess  # here, so that importing the CLI does not pay for it
     flags = [f"-W{option}" for option in sys.warnoptions]
     with subprocess.Popen([sys.executable, *flags, "-c", _WORKER_MAIN],
                           stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
         try:
-            # a worker gone before it read its inputs reports no result below
-            with suppress(BrokenPipeError):
-                proc.stdin.write(pickle.dumps(sys.path)
-                                 + pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL))
+            with suppress(BrokenPipeError):  # a worker gone at once says so in ready()
+                proc.stdin.write(pickle.dumps(sys.path))
+                proc.stdin.flush()
+            yield _Worker(proc)
+        finally:
+            if proc.returncode is None:
+                proc.kill()
+                proc.wait()
+            with suppress(BrokenPipeError):  # data the worker never read
                 proc.stdin.close()
-            yield lambda: _worker_result(proc)
-        except BaseException:
-            proc.kill()
-            proc.wait()
-            raise
-
-
-def _worker_result(proc):
-    data = proc.stdout.read()  # to EOF before the wait, so a large result cannot stall it
-    if proc.wait() != 0 or not data:
-        raise RuntimeError(f"the training worker exited with status {proc.returncode} "
-                           f"and no result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
 
 
 def _cpus() -> int:
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _shares(group: Sequence[int], sizes: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The days in `group` split into two shares: each day in turn, from
-    the most houses, joins the share holding fewer.  Returns (larger
-    share, smaller share), each in day order."""
-    shares, totals = ([], []), [0, 0]
-    for i in sorted(group, key=lambda i: -sizes[i]):
-        share = int(totals[1] < totals[0])
-        shares[share].append(i)
-        totals[share] += sizes[i]
-    larger = int(totals[1] > totals[0])
-    return sorted(shares[larger]), sorted(shares[1 - larger])
 
 
 def _step_days(cfg: ScenarioConfig, houses: Population,
@@ -711,10 +848,8 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Population,
     stays identifiable.  Houses step independently and initial states
     come from one stream, so the days of one trace length run as one
     fleet of prefixes, each segment under its own day's weather, and
-    each segment steps bit for bit like a run of its own.  Those days
-    are split into two shares of whole days; when this process may run
-    on two CPUs and the smaller share holds `WORKER_MIN_HOUSES` houses or
-    more, a worker process steps it while this one steps the other.
+    each segment steps bit for bit like a run of its own; a worker may
+    join that run late, as it may any free run (`run_scenario`).
     Samples come back in day order.
     """
     if not houses:
@@ -729,18 +864,10 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Population,
             continue
         days.append((traces, max(1, int(round(fraction * len(houses))))))
 
-    sizes = [n for _, n in days]
     p_ac: dict[int, np.ndarray] = {}
     for length in dict.fromkeys(len(traces) for traces, _ in days):
         group = [i for i, (traces, _) in enumerate(days) if len(traces) == length]
-        here, there = _shares(group, sizes)
-        if not (sum(sizes[i] for i in there) >= WORKER_MIN_HOUSES and _cpus() >= 2):
-            here, there = group, []
-        with (_worker(_step_days, cfg, houses, [days[i] for i in there])
-              if there else nullcontext()) as result:
-            p_ac.update(zip(here, _step_days(cfg, houses, [days[i] for i in here]).T))
-            if there:
-                p_ac.update(zip(there, result().T))
+        p_ac.update(zip(group, _step_days(cfg, houses, [days[i] for i in group]).T))
     rated = houses.columns["rated_power"]
     columns = []
     for i, (traces, n) in enumerate(days):

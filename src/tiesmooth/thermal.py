@@ -220,7 +220,8 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
     eigenvalues (the off-diagonal product h^2/(c_air*c_mass) is
     positive), so the eigendecomposition is taken in closed form.  Valid
     for ua_envelope >= 0; ua = 0 gives one zero eigenvalue and a
-    conservative system.
+    conservative system.  Raises ValueError where a house's square
+    overflows or any entry of its matrices is not finite.
 
     The square and the exponentials run per house on Python floats:
     `d ** 2` is libm's pow, whose last bit can differ from `d * d`, and
@@ -234,7 +235,11 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
     a22 = -h_mass / c_mass
 
     tr = a11 + a22
-    square = np.array([d ** 2 for d in (a11 - a22).tolist()])
+    try:
+        square = np.array([d ** 2 for d in (a11 - a22).tolist()])
+    except OverflowError:
+        raise ValueError("a house's thermal rates overflow: its heat capacities are too "
+                         "small for its conductances") from None
     disc = np.sqrt(square + 4.0 * a12 * a21)
     lam1 = 0.5 * (tr + disc)
     lam2 = 0.5 * (tr - disc)
@@ -262,7 +267,12 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
         m22 = (-a21 * d1 * v2 + a21 * d2 * v1) / det
         return ((m11, m12), (m21, m22))
 
-    return transform(e1, e2), transform(f1, f2)
+    ad, m = transform(e1, e2), transform(f1, f2)
+    if not all(np.all(np.isfinite(entry)) for matrix in (ad, m) for row in matrix
+               for entry in row):
+        raise ValueError("a house's thermal step matrices are not finite: its parameters "
+                         "are too small or too large to discretize")
+    return ad, m
 
 
 def equilibrium_temperature(p: EtpParameters, t_out: float, solar: float,

@@ -571,12 +571,14 @@ def replace_value(path, key, slot, value):
     edit_scenario(path, **{key: value})
 
 
-BAD_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "5e-324", "warm"]
+BAD_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "1e-300", "5e-324", "warm"]
 # edits that once ran to the end, hung, or failed mid-run: each now exits 2 at once
 PROBED_EDITS = [[("air_change_rate", 1, "nan")], [("t_set", 2, "nan")],
                 [("floor_area", 1, "nan")], [("acl_peak_share", None, "nan")],
                 [("wind_capacity_ratio", None, "nan")], [("gamma", None, "nan")],
-                [("baseline_bias", None, "nan")], [("baseline_bias", None, "-2.0")]]
+                [("baseline_bias", None, "nan")], [("baseline_bias", None, "-2.0")],
+                [("dp3", None, "1e308")], [("c_air_multiplier", None, "1e-300")],
+                [("mass_coupling_ratio", None, "5e-324")]]
 
 
 def probed(test):
@@ -653,7 +655,8 @@ def test_training_worker_loads_only_numpy_and_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code],
                           input=pickle.dumps(sys.path) + pickle.dumps(job),
                           capture_output=True, check=True, timeout=120)
-    ok, powers = pickle.loads(proc.stdout)
+    assert proc.stdout[:1] == b"."  # ready, before the job's result
+    ok, powers = pickle.loads(proc.stdout[1:])
     assert ok and powers.shape == (cfg.duration_s // 10, 2)
     # numpy.random's Cython extensions register the Cython runtime modules
     loaded = {name for name in proc.stderr.decode().split()

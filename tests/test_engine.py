@@ -316,7 +316,7 @@ class TestAlignment:
         monkeypatch.setattr(engine, "_cpus", lambda: 2)
         cfg = small_cfg(n_acl=5003, duration_s=60, warmup_s=0)
         run_scenario(cfg, generate_population(cfg.population_spec(), 3),
-                     make_traces(cfg), None, controlled=False)
+                     make_traces(cfg), flat_model(20.0))
         assert seen == {"caller": (2496, [], [], []), "helper": (2507, [], [], [])}
 
 

@@ -1,9 +1,12 @@
-"""Large runs stepped as two parts on two threads: same bytes, no thread left.
+"""Large controlled runs stepped as two parts on two threads: same bytes,
+no thread left.
 
-`run_scenario` steps a fleet of `THREAD_MIN_HOUSES` houses or more as two
-parts, the second on a helper thread, when the process may use two CPUs.
-These tests lower the floor so that 5 003 houses (not a multiple of 64)
-split, and compare every output with the one-part run of the same inputs.
+`run_scenario` steps a controlled fleet of `THREAD_MIN_HOUSES` houses or
+more as two parts, the second on a helper thread, when the process may
+use two CPUs; free runs hand their second half to a worker process
+instead (`test_training_worker.py`).  These tests lower the floor so that
+5 003 houses (not a multiple of 64) split, and compare every output with
+the one-part run of the same inputs.
 """
 
 import dataclasses
@@ -104,12 +107,14 @@ def assert_same_bytes(got, want):
 
 @pytest.fixture(scope="module")
 def one_part(cfg, houses, traces):
-    """Each kind of run stepped as one part (n is under the floor)."""
-    assert N_HOUSES < engine.THREAD_MIN_HOUSES
-    return {controlled: run(cfg, houses, traces, controlled) for controlled in (True, False)}
+    """Each kind of run stepped as one part, in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_cpus", lambda: 1)
+        return {controlled: run(cfg, houses, traces, controlled)
+                for controlled in (True, False)}
 
 
-@pytest.mark.parametrize("controlled", [True, False], ids=["controlled", "free"])
+@pytest.mark.parametrize("controlled", [True], ids=["controlled"])
 def test_two_parts_give_the_bytes_of_one(cfg, houses, traces, one_part, threads,
                                          monkeypatch, controlled):
     two_parts(monkeypatch)
@@ -143,7 +148,7 @@ def test_one_part_starts_no_thread(cfg, houses, traces, one_part, threads, monke
                                    floor, cpus):
     monkeypatch.setattr(engine, "THREAD_MIN_HOUSES", floor)
     monkeypatch.setattr(engine, "_cpus", lambda: cpus)
-    assert_same_bytes(run(cfg, houses, traces, False), one_part[False])
+    assert_same_bytes(run(cfg, houses, traces, True), one_part[True])
     assert threads == []
 
 
@@ -151,6 +156,13 @@ def test_training_runs_start_no_thread(cfg, houses, traces, threads, monkeypatch
     two_parts(monkeypatch)
     day = [traces[True]] * 2
     engine.run_training_simulation(cfg, houses[:200], day)
+    assert threads == []
+
+
+def test_free_runs_start_no_thread(cfg, houses, traces, one_part, threads, monkeypatch):
+    two_parts(monkeypatch)
+    monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", N_HOUSES)  # and no worker
+    assert_same_bytes(run(cfg, houses, traces, False), one_part[False])
     assert threads == []
 
 
@@ -188,7 +200,7 @@ def test_interrupt_in_own_part_leaves_no_thread(cfg, houses, traces, threads, mo
         engine._thermostat_slice, 3, KeyboardInterrupt()))
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        run(cfg, houses, traces, False)
+        run(cfg, houses, traces, True)
     assert len(threads) == 1 and not threads[0].is_alive()
     assert threading.active_count() == before
 
@@ -237,8 +249,8 @@ def test_overflow_raises_in_either_part_under_errstate(cfg, houses, threads, mon
     blazing = constant_traces(cfg.total_s, 1e308)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            run_scenario(cfg, lit, blazing, None, controlled=False)
+            run_scenario(cfg, lit, blazing, MODEL)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericAbortError):
-            run_scenario(cfg, lit, blazing, None, controlled=False)
+            run_scenario(cfg, lit, blazing, MODEL)
     assert len(threads) == 2 and not any(t.is_alive() for t in threads)
