@@ -7,15 +7,15 @@ default distribution tables happens to about 2 % of houses, nearly all
 of them for a normal draw past its 3-sigma truncation.
 
 The fleet is a `Population` of columns, one float array per field a
-`House` row exposes.  Each house draws its standard variates from its
-stream in canonical field order, one call per run of fields of one
-kind; the values, their checks and everything derived from them are
-then array expressions over the fleet, in the operation order of the
-per-house dataclasses.  A house that breaks a check is drawn again by
-`draw_house` from its stream start, field by field through `Dist.draw`:
-that loop is the one definition of a redraw.  Both assemble an attempt
-with the same code, on arrays or on NumPy scalars, and the checks are
-the dataclasses' own predicates.
+`House` row exposes.  Every house's standard variates come from its
+stream's first outputs in one array pass (a house whose normals need
+more outputs reads its stream); the values, their checks and everything
+derived from them are array expressions over the fleet, in the
+operation order of the per-house dataclasses.  A house that breaks a
+check is drawn again by `draw_house` from its stream start, field by
+field through `Dist.draw`: that loop is the one definition of a redraw.
+Both assemble an attempt with the same code, on arrays or on NumPy
+scalars, and the checks are the dataclasses' own predicates.
 
 Electrical ratings are snapped to a dyadic kW quantum when the device is
 built: every fleet power is then a multiple of 2^-10 kW, which keeps
@@ -42,6 +42,7 @@ from .thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, DerivationConstants,
                       geometry_faults)
 
 MAX_REDRAWS = 100
+DRAW_CHUNK = 2048  # houses per array pass of first draws: 64 KiB per uint64 array
 
 ETP_FIELDS = tuple(f.name for f in fields(EtpParameters))
 AGENT_FIELDS = tuple(f.name for f in fields(AclAgentConfig))
@@ -193,24 +194,24 @@ def draw_house(spec: PopulationSpec, gen: np.random.Generator, index: int,
 def _standard_draws(spec: PopulationSpec, seed: int,
                     gen: np.random.Generator) -> np.ndarray:
     """Each house's first-attempt standard variates, one row per house in
-    canonical field order: uniforms on [0, 1) and standard normals.
-    `gen` is re-keyed to each house's stream in turn."""
+    canonical field order: uniforms on [0, 1) and standard normals, from
+    raw outputs DRAW_CHUNK houses at a time; a row where a normal needs
+    more than one output is drawn from the stream, `gen` re-keyed to it."""
     names = HOUSE_FIELDS + CONTROLLER_FIELDS
-    runs = []  # [uniform?, first, end) over the fields
-    for j, name in enumerate(names):
-        uniform = spec.distributions[name].kind == "uniform"
-        if runs and runs[-1][0] == uniform:
-            runs[-1][2] = j + 1
-        else:
-            runs.append([uniform, j, j + 1])
+    normal = np.array([spec.distributions[name].kind == "normal" for name in names])
     std = np.empty((spec.n, len(names)))
-    for i, row in enumerate(std):
+    redraw = []
+    for lo in range(0, spec.n, DRAW_CHUNK):
+        ids = rng.HOUSE_STREAM_BASE + np.arange(lo, min(lo + DRAW_CHUNK, spec.n), dtype=np.uint64)
+        raw = rng.philox_raw(seed, ids, (len(names) + 3) // 4)[:, :len(names)]
+        std[lo:lo + len(ids)] = (raw >> np.uint64(11)) * 2.0**-53
+        std[lo:lo + len(ids), normal], fast = rng.ziggurat_normals(raw[:, normal], gen)
+        redraw.extend((lo + np.flatnonzero(~fast.all(axis=1))).tolist())
+    cuts = [0, *(np.flatnonzero(np.diff(normal)) + 1).tolist(), len(names)]
+    for i in redraw:  # one call per run of fields of one kind
         rng.house_stream(seed, i, gen)
-        for uniform, lo, hi in runs:
-            if uniform:
-                gen.random(out=row[lo:hi])
-            else:
-                gen.standard_normal(out=row[lo:hi])
+        for a, b in zip(cuts, cuts[1:]):
+            (gen.standard_normal if normal[a] else gen.random)(out=std[i, a:b])
     return std
 
 

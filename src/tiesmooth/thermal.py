@@ -229,45 +229,47 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
     elementwise IEEE arithmetic, so each house gets the bits a scalar
     evaluation of the same expressions gives.
     """
-    a11 = -(ua + h_mass) / c_air
-    a12 = h_mass / c_air
-    a21 = h_mass / c_mass
-    a22 = -h_mass / c_mass
+    # a house whose arithmetic overflows fails the finite check below
+    with np.errstate(all="ignore"):
+        a11 = -(ua + h_mass) / c_air
+        a12 = h_mass / c_air
+        a21 = h_mass / c_mass
+        a22 = -h_mass / c_mass
 
-    tr = a11 + a22
-    try:
-        square = np.array([d ** 2 for d in (a11 - a22).tolist()])
-    except OverflowError:
-        raise ValueError("a house's thermal rates overflow: its heat capacities are too "
-                         "small for its conductances") from None
-    disc = np.sqrt(square + 4.0 * a12 * a21)
-    lam1 = 0.5 * (tr + disc)
-    lam2 = 0.5 * (tr - disc)
+        tr = a11 + a22
+        try:
+            square = np.array([d ** 2 for d in (a11 - a22).tolist()])
+        except OverflowError:
+            raise ValueError("a house's thermal rates overflow: its heat capacities are too "
+                             "small for its conductances") from None
+        disc = np.sqrt(square + 4.0 * a12 * a21)
+        lam1 = 0.5 * (tr + disc)
+        lam2 = 0.5 * (tr - disc)
 
-    # Eigenvectors v_i = (lam_i - a22, a21); a21 > 0 keeps them independent.
-    v1 = lam1 - a22
-    v2 = lam2 - a22
-    det = a21 * (v1 - v2)
+        # Eigenvectors v_i = (lam_i - a22, a21); a21 > 0 keeps them independent.
+        v1 = lam1 - a22
+        v2 = lam2 - a22
+        det = a21 * (v1 - v2)
 
-    def exp_and_phi(lam):
-        # exp(lam*dt) and the integral of exp(lam*s) over the step, which
-        # is dt where lam*dt = 0 and expm1(lam*dt)/lam elsewhere
-        u = lam * dt
-        e = np.array([math.exp(x) for x in u.tolist()])
-        em1 = np.array([math.expm1(x) for x in u.tolist()])
-        return e, np.divide(em1, lam, out=np.full(len(u), dt), where=u != 0.0)
+        def exp_and_phi(lam):
+            # exp(lam*dt) and the integral of exp(lam*s) over the step, which
+            # is dt where lam*dt = 0 and expm1(lam*dt)/lam elsewhere
+            u = lam * dt
+            e = np.array([math.exp(x) for x in u.tolist()])
+            em1 = np.array([math.expm1(x) for x in u.tolist()])
+            return e, np.divide(em1, lam, out=np.full(len(u), dt), where=u != 0.0)
 
-    (e1, f1), (e2, f2) = exp_and_phi(lam1), exp_and_phi(lam2)
+        (e1, f1), (e2, f2) = exp_and_phi(lam1), exp_and_phi(lam2)
 
-    def transform(d1, d2):
-        # V diag(d1,d2) V^-1 written out for the 2x2 case
-        m11 = (v1 * d1 * a21 - v2 * d2 * a21) / det
-        m12 = (-v1 * d1 * v2 + v2 * d2 * v1) / det
-        m21 = (a21 * d1 * a21 - a21 * d2 * a21) / det
-        m22 = (-a21 * d1 * v2 + a21 * d2 * v1) / det
-        return ((m11, m12), (m21, m22))
+        def transform(d1, d2):
+            # V diag(d1,d2) V^-1 written out for the 2x2 case
+            m11 = (v1 * d1 * a21 - v2 * d2 * a21) / det
+            m12 = (-v1 * d1 * v2 + v2 * d2 * v1) / det
+            m21 = (a21 * d1 * a21 - a21 * d2 * a21) / det
+            m22 = (-a21 * d1 * v2 + a21 * d2 * v1) / det
+            return ((m11, m12), (m21, m22))
 
-    ad, m = transform(e1, e2), transform(f1, f2)
+        ad, m = transform(e1, e2), transform(f1, f2)
     if not all(np.all(np.isfinite(entry)) for matrix in (ad, m) for row in matrix
                for entry in row):
         raise ValueError("a house's thermal step matrices are not finite: its parameters "

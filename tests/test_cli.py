@@ -611,6 +611,24 @@ def test_bad_scenario_values_exit_with_a_documented_code(small_scenario, edits):
     assert "Traceback" not in err.getvalue()
 
 
+def test_subnormal_thermal_constant_prints_only_the_error(small_scenario, tmp_path, capsys):
+    # discretize's arithmetic overflows on the way to its finite check
+    scen = shutil.copytree(small_scenario, tmp_path / "scen")
+    replace_value(scen / "scenario.txt", "mass_coupling_ratio", None, "5e-324")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in (["train", "--out", str(tmp_path / "model.txt")],
+                        ["run", "--uncontrolled", "--out", str(tmp_path / "free")],
+                        ["run", "--model", str(small_scenario / "model.txt"),
+                         "--out", str(tmp_path / "ctrl")]):
+            assert main([*command, "--scenario", str(scen / "scenario.txt")]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: a house's thermal step matrices")
+                                 for line in err), err
+
+
 def test_cli_loads_only_numpy_and_the_standard_library():
     # the runtime dependency is numpy only
     code = ("import sys; before = set(sys.modules); import tiesmooth.cli; "

@@ -677,7 +677,7 @@ class TestGoldenHashes:
     @staticmethod
     def run_digests(run_dir):
         return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-                for name in ("results.csv", "cycles.csv")}
+                for name in ("results.csv", "cycles.csv", "summary.txt")}
 
     def test_controlled_run_bytes(self, tmp_path):
         cfg, houses, free_peak = self.small_scenario()
@@ -689,7 +689,8 @@ class TestGoldenHashes:
         write_run_dir(tmp_path, result)
         assert self.run_digests(tmp_path) == {
             "results.csv": "98d8d10aa5e3abcb1614b1bbc3db992e69eb532ce18e6b7e2fbf643fcff07a5e",
-            "cycles.csv": "6252207f63dffef578adeffd1a0a41db9f6545d47dbb0376eca5fe7735527c61"}
+            "cycles.csv": "6252207f63dffef578adeffd1a0a41db9f6545d47dbb0376eca5fe7735527c61",
+            "summary.txt": "c42c3262ce25d0c859835808b05ea2072923cf4daa08909ecfee17fdc4ed727e"}
 
     def test_training_columns_and_free_run_bytes(self, tmp_path):
         cfg, houses, free_peak = self.small_scenario()
@@ -709,7 +710,24 @@ class TestGoldenHashes:
         write_run_dir(tmp_path, run_scenario(cfg, houses, traces, None, controlled=False))
         assert self.run_digests(tmp_path) == {
             "results.csv": "51653f51303bc10b554869e7f869d0d808585ee2411f2515392aa42cfab76031",
-            "cycles.csv": "4ba663fa54a353befa747e08159761884e7d748246efe5207ab21e3bb4d9ded3"}
+            "cycles.csv": "4ba663fa54a353befa747e08159761884e7d748246efe5207ab21e3bb4d9ded3",
+            "summary.txt": "334878ced03ad1eed0ad16034d4f8adc0501db67f8b8aa02681c3784eb3f66c8"}
+
+    @pytest.mark.parametrize("controlled, digest", [
+        (True, "056bad4bd1ea6aae0b8a8e5a42ef15db58dfc3b866b830601f09d165816dd7f9"),
+        (False, "832dea89f373be4411dddd37363c064541cbd066f8d7cce1dc91bf715aa92505"),
+    ], ids=["controlled", "free"])
+    def test_cool_night_summary_bytes(self, tmp_path, controlled, digest):
+        # 8 degC cooler, houses drift below their comfort band with the
+        # device off, so the comfort minutes are not zero
+        cfg, houses, free_peak = self.small_scenario()
+        traces = generate_traces(cfg.seed, free_peak, warmup_s=cfg.warmup_s)
+        traces = dataclasses.replace(traces, t_out_c=traces.t_out_c - 8.0)
+        model = BaselineModel((0.5 * free_peak, 0, 0, 0, 0, 0, 0, 0)) if controlled else None
+        result = run_scenario(cfg, houses, traces, model, controlled=controlled)
+        assert 0 < result.comfort_violation_acl_min < result.total_acl_min
+        write_run_dir(tmp_path, result)
+        assert self.run_digests(tmp_path)["summary.txt"] == digest
 
 
 class TestScenarioRatios:

@@ -215,6 +215,80 @@ class TestColumns:
             houses.columns["t_set"][0] = 0.0  # read-only
 
 
+CHUNK = population.DRAW_CHUNK
+ALL_FIELDS = HOUSE_FIELDS + CONTROLLER_FIELDS
+
+
+def per_house_draws(spec, seed):
+    """Each house's first-attempt standard variates, one scalar draw per
+    field from a fresh generator on the house's stream."""
+    std = np.empty((spec.n, len(ALL_FIELDS)))
+    for i, row in enumerate(std):
+        gen = rng.house_stream(seed, i)
+        for j, name in enumerate(ALL_FIELDS):
+            uniform = spec.distributions[name].kind == "uniform"
+            row[j] = gen.random() if uniform else gen.standard_normal()
+    return std
+
+
+class TestArrayDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+    def test_philox_matches_random_raw(self, seed):
+        ids = [rng.HOUSE_STREAM_BASE + i for i in (0, CHUNK - 1, CHUNK, CHUNK + 1)] + [2**64 - 1]
+        raw = rng.philox_raw(seed, np.array(ids, dtype=np.uint64), 4)
+        assert raw.shape == (len(ids), 16) and raw.dtype == np.uint64
+        for row, stream_id in zip(raw, ids):
+            expected = rng.substream(seed, stream_id).bit_generator.random_raw(16)
+            assert np.array_equal(row, expected), stream_id
+
+    def test_bound_never_certifies_a_slow_draw(self):
+        gen = rng.house_stream(0, 0)
+        rng.ziggurat_normals(np.zeros(1, dtype=np.uint64), gen)  # reads the table
+        wi, k = rng._ZIGGURAT
+        assert np.flatnonzero(k == 0).tolist() == [1]
+        state = gen.bit_generator.state
+        for idx in range(256):
+            for rabs in {max(int(k[idx]) - 1, 0), int(k[idx]), int(k[idx]) + 1}:
+                for sign in (0, 1):
+                    raw = rabs << 9 | sign << 8 | idx
+                    x, fast = rng.ziggurat_normals(np.array([raw], dtype=np.uint64), gen)
+                    # certified just below the bound, then as NumPy draws it
+                    assert fast[0] == (rabs < k[idx]), raw
+                    if fast[0]:
+                        state["buffer"] = np.array([raw, 0, 0, 0], dtype=np.uint64)
+                        state["buffer_pos"] = 0
+                        gen.bit_generator.state = state
+                        assert gen.standard_normal() == x[0], raw
+                        assert gen.bit_generator.state["buffer_pos"] == 1, raw  # one draw
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("seed", [42, 2**64 - 1])
+    @pytest.mark.parametrize("spec", [
+        lambda n: PopulationSpec(n=n),
+        lambda n: spec_with(n, **dict.fromkeys(ALL_FIELDS, "uniform 0.0 1.0")),
+        lambda n: spec_with(n, **dict.fromkeys(ALL_FIELDS, "normal 0.0 1.0")),
+    ], ids=["default", "uniform", "normal"])
+    def test_rows_match_the_per_house_loop(self, spec, seed, n):
+        spec = spec(n)
+        std = population._standard_draws(spec, seed, rng.house_stream(seed, 0))
+        assert std.shape == (n, len(ALL_FIELDS))
+        assert std.tobytes() == per_house_draws(spec, seed).tobytes()
+
+    def test_both_paths_run(self, monkeypatch):
+        rekeyed = []
+        house_stream = rng.house_stream
+        monkeypatch.setattr(rng, "house_stream",
+                            lambda *args: rekeyed.append(args[1]) or house_stream(*args))
+        spec = PopulationSpec(n=CHUNK + 1)
+        population._standard_draws(spec, 42, house_stream(42, 0))
+        assert 0 < len(rekeyed) < spec.n
+        assert rekeyed == sorted(set(rekeyed))
+        rekeyed.clear()
+        uniform = spec_with(CHUNK + 1, **dict.fromkeys(ALL_FIELDS, "uniform 0.0 1.0"))
+        population._standard_draws(uniform, 42, house_stream(42, 0))
+        assert rekeyed == []  # a row of uniforms always stands
+
+
 def per_house_free_peak(houses, t_out, solar):
     total = 0.0
     for h in houses:
