@@ -735,6 +735,8 @@ def check_run_cadence(run: RunResult) -> None:
 # free run of the default 26 h scenario on a 2-vCPU Xeon, median of 3
 # alternating runs, one process -> late join: n = 4 000: 1.50 -> 1.58 s;
 # 4 500: 1.63 -> 1.55 s; 5 000: 1.93 -> 1.65 s; 8 000: 2.44 -> 1.93 s.
+# Only 26 h runs set it: a 6 h free run (2 h warm-up + 4 h) at n = 5 000
+# took 0.43 s in one process and 0.52 s with the worker (median of 6).
 WORKER_MIN_HOUSES = 2500
 
 # The worker's main program.  It takes the parent's sys.path before it

@@ -7,15 +7,12 @@ default distribution tables happens to about 2 % of houses, nearly all
 of them for a normal draw past its 3-sigma truncation.
 
 The fleet is a `Population` of columns, one float array per field a
-`House` row exposes.  Every house's standard variates come from its
-stream's first outputs in one array pass (a house whose normals need
-more outputs reads its stream); the values, their checks and everything
-derived from them are array expressions over the fleet, in the
-operation order of the per-house dataclasses.  A house that breaks a
-check is drawn again by `draw_house` from its stream start, field by
-field through `Dist.draw`: that loop is the one definition of a redraw.
-Both assemble an attempt with the same code, on arrays or on NumPy
-scalars, and the checks are the dataclasses' own predicates.
+`House` row exposes.  Houses are drawn DRAW_CHUNK at a time by one walk
+over their streams' outputs (`rng.Streams`), a position per house: each
+field in canonical order as `Dist.draw` takes it, and the whole house
+again, from where it stopped, while a check fails.  The values, their
+checks and everything derived from them are array expressions in the
+operation order of the per-house dataclasses, whose predicates they are.
 
 Electrical ratings are snapped to a dyadic kW quantum when the device is
 built: every fleet power is then a multiple of 2^-10 kW, which keeps
@@ -42,7 +39,7 @@ from .thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, DerivationConstants,
                       geometry_faults)
 
 MAX_REDRAWS = 100
-DRAW_CHUNK = 2048  # houses per array pass of first draws: 64 KiB per uint64 array
+DRAW_CHUNK = 2048  # houses per walk: 80 KiB per Philox temporary at 5 blocks
 
 ETP_FIELDS = tuple(f.name for f in fields(EtpParameters))
 AGENT_FIELDS = tuple(f.name for f in fields(AclAgentConfig))
@@ -148,12 +145,9 @@ def _rating_fault(rated_kw):
 
 def _assemble(draws: dict[str, np.ndarray], consts: DerivationConstants,
               epsilon_margin: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Every column from the drawn fields, and where a check fails: for a
-    fleet, given one array per field, or for one house, given one NumPy
-    float each (whose overflows, like the arrays', follow `np.errstate`).
-
-    The electrical rating is quantized and the thermal capacity restated
-    from it, so rated power stays exactly capacity / EER.
+    """Every column from the drawn fields (an array each), and where a
+    check fails.  The electrical rating is quantized and the thermal
+    capacity restated from it, so rated power stays exactly capacity / EER.
     """
     geometry = SimpleNamespace(**_GEOMETRY_DEFAULTS,
                                **{name: draws[name] for name in HOUSE_FIELDS})
@@ -172,77 +166,60 @@ def _assemble(draws: dict[str, np.ndarray], consts: DerivationConstants,
     return {**{name: draws[name] for name in HOUSE_FIELDS}, **etp, **agent}, fault
 
 
-def draw_house(spec: PopulationSpec, gen: np.random.Generator, index: int,
-               consts: DerivationConstants = DEFAULT_DERIVATION,
-               epsilon_margin: float = 0.05) -> dict[str, np.float64]:
-    """House `index`'s value in every column, from its stream `gen`: each
-    field drawn by `Dist.draw`, the whole house drawn again while a check
-    fails; PopulationError after MAX_REDRAWS attempts.  A uniform whose
-    range overflows raises NumPy's OverflowError, naming the house."""
-    for _ in range(MAX_REDRAWS):
-        try:
-            draws = {name: np.float64(spec.distributions[name].draw(gen))
-                     for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
-        except OverflowError as exc:
-            raise OverflowError(f"house {index}: {exc}") from None
-        columns, fault = _assemble(draws, consts, epsilon_margin)
-        if not fault:
-            return columns
-    raise PopulationError(f"house {index}: no valid draw in {MAX_REDRAWS} attempts")
-
-
-def _standard_draws(spec: PopulationSpec, seed: int,
-                    gen: np.random.Generator) -> np.ndarray:
-    """Each house's first-attempt standard variates, one row per house in
-    canonical field order: uniforms on [0, 1) and standard normals, from
-    raw outputs DRAW_CHUNK houses at a time; a row where a normal needs
-    more than one output is drawn from the stream, `gen` re-keyed to it."""
-    names = HOUSE_FIELDS + CONTROLLER_FIELDS
-    normal = np.array([spec.distributions[name].kind == "normal" for name in names])
-    std = np.empty((spec.n, len(names)))
-    redraw = []
-    for lo in range(0, spec.n, DRAW_CHUNK):
-        ids = rng.HOUSE_STREAM_BASE + np.arange(lo, min(lo + DRAW_CHUNK, spec.n), dtype=np.uint64)
-        raw = rng.philox_raw(seed, ids, (len(names) + 3) // 4)[:, :len(names)]
-        std[lo:lo + len(ids)] = (raw >> np.uint64(11)) * 2.0**-53
-        std[lo:lo + len(ids), normal], fast = rng.ziggurat_normals(raw[:, normal], gen)
-        redraw.extend((lo + np.flatnonzero(~fast.all(axis=1))).tolist())
-    cuts = [0, *(np.flatnonzero(np.diff(normal)) + 1).tolist(), len(names)]
-    for i in redraw:  # one call per run of fields of one kind
-        rng.house_stream(seed, i, gen)
-        for a, b in zip(cuts, cuts[1:]):
-            (gen.standard_normal if normal[a] else gen.random)(out=std[i, a:b])
-    return std
-
-
 def generate_population(spec: PopulationSpec, seed: int,
                         consts: DerivationConstants = DEFAULT_DERIVATION,
                         epsilon_margin: float = 0.05) -> Population:
     """Draw the fleet; identical (spec, seed) gives an identical fleet.
 
-    Each house's columns are those `draw_house` gives on its own stream:
-    the fleet's first attempts are assembled together, and a house whose
-    first attempt may not stand (a draw past its truncation, a non-finite
-    value or a failed check) is drawn again by `draw_house`.
+    House i reads its stream from the start, each field as `Dist.draw`
+    takes it (a normal past its truncation drawn again in place), and
+    walks on to its next attempt while its columns fail a check:
+    PopulationError after MAX_REDRAWS attempts.  A uniform whose range
+    overflows raises NumPy's OverflowError, naming house 0.
     """
+    dists = [(name, spec.distributions[name]) for name in HOUSE_FIELDS + CONTROLLER_FIELDS]
     gen = rng.house_stream(seed, 0)
+    try:  # NumPy's own check, which house 0 meets first
+        for _, d in dists:
+            if spec.n and d.kind == "uniform":
+                gen.uniform(d.a, d.b)
+    except OverflowError as exc:
+        raise OverflowError(f"house 0: {exc}") from None
+    columns = {name: aligned(spec.n) for name in COLUMNS}
     # a house whose arithmetic overflows fails a check and is drawn again
     with np.errstate(all="ignore"):
-        std = _standard_draws(spec, seed, gen)
-        draws, redraw = {}, np.zeros(spec.n, dtype=bool)
-        for j, name in enumerate(HOUSE_FIELDS + CONTROLLER_FIELDS):
-            d = spec.distributions[name]
-            draws[name] = d.value(std[:, j])
-            redraw |= np.logical_not(np.isfinite(draws[name]))
-            if d.kind == "normal":
-                redraw |= np.logical_not(d.kept(draws[name]))
-        columns, fault = _assemble(draws, consts, epsilon_margin)
-        for i in np.flatnonzero(redraw | fault).tolist():
-            house = draw_house(spec, rng.house_stream(seed, i, gen), i, consts, epsilon_margin)
-            for name, value in house.items():
-                columns[name][i] = value
-    del std, draws  # each column's first buffer is freed as its aligned copy is made
-    return Population(np.arange(spec.n), {name: aligned(columns.pop(name)) for name in COLUMNS})
+        for lo in range(0, spec.n, DRAW_CHUNK):
+            rows = np.arange(min(DRAW_CHUNK, spec.n - lo))
+            # windows a block longer than an attempt, so few houses move theirs
+            streams = rng.Streams(seed, rng.HOUSE_STREAM_BASE + np.uint64(lo) + rows.astype(np.uint64),
+                                  len(dists) // 4 + 2)
+            pos = np.zeros(len(rows), dtype=np.intp)  # each house's next output
+            for _ in range(MAX_REDRAWS):
+                draws = {}
+                for name, d in dists:
+                    if d.kind == "uniform":
+                        draws[name], pos = d.value(streams.uniforms(rows, pos)), pos + 1
+                        continue
+                    std, pos = streams.standard_normals(rows, pos, gen)
+                    draws[name] = value = d.value(std)
+                    out = np.flatnonzero(np.logical_not(d.kept(value)))
+                    while len(out):  # drawn again in place, as Dist.draw does
+                        std, pos[out] = streams.standard_normals(rows[out], pos[out], gen)
+                        value[out] = d.value(std)
+                        out = out[np.logical_not(d.kept(value[out]))]
+                values, fault = _assemble(draws, consts, epsilon_margin)
+                done = np.flatnonzero(np.logical_not(fault))
+                at, done = ((slice(lo, lo + len(done)), slice(None)) if len(done) == rows[-1] + 1
+                            else (lo + rows[done], done))  # a slice where the whole chunk stands
+                for name, column in columns.items():
+                    column[at] = values[name][done]
+                rows, pos = rows[fault], pos[fault]
+                if not len(rows):
+                    break
+            else:
+                raise PopulationError(f"house {lo + rows[0]}: no valid draw in "
+                                      f"{MAX_REDRAWS} attempts")
+    return Population(np.arange(spec.n), columns)
 
 
 def total_rated_power_kw(houses: Population) -> float:

@@ -9,10 +9,11 @@ to generate or step in parallel.
 
 A Philox stream is fixed by its key and counter alone (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
-`substream` can re-key a generator in place instead of building a fresh
-one, which would seed it from OS entropy first, and `philox_raw` can
-compute many streams' first outputs in one array pass.  `ziggurat_normals`
-repeats NumPy's ziggurat (Marsaglia & Tsang, JSS 2000) on those outputs.
+`philox_raw` can compute any counter of many streams in one array pass,
+and `Streams` reads those outputs at a position per stream:
+`ziggurat_normals` repeats the one-draw path of NumPy's ziggurat
+(Marsaglia & Tsang, JSS 2000), and NumPy itself makes a draw that leaves
+it, from a generator state set to that output.
 """
 
 from __future__ import annotations
@@ -27,39 +28,19 @@ ENROLLMENT_STREAM = 3
 INITIAL_STATE_STREAM = 4
 HOUSE_STREAM_BASE = 2**32
 
-# a Philox counter and output buffer at a stream's start (read, not kept,
-# by the state setter)
-_START = np.zeros(4, dtype=np.uint64)
-
-
-def substream(seed: int, stream_id: int,
-              gen: np.random.Generator | None = None) -> np.random.Generator:
-    """Return the generator for one named substream of `seed`.
-
-    Given `gen`, a Philox generator, that generator is re-keyed in place
-    to the substream's start (counter 0, empty buffer) and returned; what
-    it drew before is gone.  Otherwise a new generator is built.
-    """
+def substream(seed: int, stream_id: int) -> np.random.Generator:
+    """Return the generator for one named substream of `seed`."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in uint64, got {seed}")
     if not 0 <= stream_id < 2**64:
         raise ValueError(f"stream_id must fit in uint64, got {stream_id}")
     key = np.array([seed, stream_id], dtype=np.uint64)
-    if gen is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _START, "key": key},
-        "buffer": _START, "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return gen
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def house_stream(seed: int, house_index: int,
-                 gen: np.random.Generator | None = None) -> np.random.Generator:
-    """Generator owned by one house; independent of population size.
-    `gen` is re-keyed to it when given, as in `substream`."""
-    return substream(seed, HOUSE_STREAM_BASE + house_index, gen)
+def house_stream(seed: int, house_index: int) -> np.random.Generator:
+    """Generator owned by one house; independent of population size."""
+    return substream(seed, HOUSE_STREAM_BASE + house_index)
 
 
 # Philox4x64-10's round multipliers and key increments
@@ -68,26 +49,36 @@ _M0, _M1, _W0, _W1 = (0xD2E7470EE14C6C93, 0xCA5A826395121157,
 _LOW, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def philox_raw(seed: int, stream_ids: np.ndarray, blocks: int) -> np.ndarray:
-    """The first 4 * `blocks` outputs of `random_raw` on the substreams of
-    `seed` named in `stream_ids` (uint64), a row each: Philox4x64-10 at
-    key (seed, stream id) and counters 1, 2, ..., `blocks`."""
+def philox_raw(seed: int, stream_ids: np.ndarray, blocks: int, first=1) -> np.ndarray:
+    """4 * `blocks` outputs of `random_raw` on the substreams of `seed`
+    named in `stream_ids` (uint64), a row each: Philox4x64-10 at key
+    (seed, stream id) and counters `first`, ..., `first` + `blocks` - 1,
+    where `first` is one counter or one per stream (counter 1 holds a
+    stream's first four outputs)."""
     def mulhilo(m, x):  # the high and low words of m * x, from 32-bit halves
         m_lo, m_hi, x_lo, x_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), x & _LOW, x >> _32
         mid = x_hi * m_lo
         cross = (x_lo * m_lo >> _32) + (mid & _LOW) + x_lo * m_hi
         return x_hi * m_hi + (mid >> _32) + (cross >> _32), x * np.uint64(m)
-    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(stream_ids))
+    c0 = np.add.outer(np.broadcast_to(np.asarray(first, dtype=np.uint64), stream_ids.shape),
+                      np.arange(blocks, dtype=np.uint64)).ravel()
     c1 = c2 = c3 = np.zeros_like(c0)
     k1 = np.repeat(stream_ids, blocks)
     for r in range(10):
         (hi0, lo0), (hi1, lo1) = mulhilo(_M0, c0), mulhilo(_M1, c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64((seed + r * _W0) % 2**64), lo1, hi0 ^ c3 ^ k1, lo0
         k1 = k1 + np.uint64(_W1)
-    return np.stack((c0, c1, c2, c3), axis=1).reshape(len(stream_ids), -1)
+    return np.stack((c0, c1, c2, c3), axis=1).reshape(len(stream_ids), 4 * blocks)
 
 
-_ZIGGURAT = []  # NumPy's widths wi and k, a lower bound of its one-draw limits ki
+def _position(gen: np.random.Generator) -> int:
+    """How many outputs of its stream the Philox generator `gen` has
+    given: 4 (c - 1) + b at counter c and buffer position b."""
+    state = gen.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
+_ZIGGURAT = []  # NumPy's widths wi and one-draw limits ki, by strip and sign (+wi, then -wi)
 
 
 def ziggurat_normals(raw: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -106,12 +97,85 @@ def ziggurat_normals(raw: np.ndarray, gen: np.random.Generator) -> tuple[np.ndar
             gen.bit_generator.state = state
             wi.extend(gen.standard_normal(np.count_nonzero(block)))
         wi = np.array(wi)
+        # a lower bound of each ki, raised while NumPy takes one output there
         k = np.floor(np.append(wi[255], wi[:-1]) / wi * 2.0**52).astype(np.uint64)
-        k[1] = 0
-        _ZIGGURAT.extend((wi, k))
+        k[1], state["state"]["counter"] = 0, [1, 0, 0, 0]
+        for idx in range(256):
+            while True:
+                state["buffer"], state["buffer_pos"] = [int(k[idx]) << 9 | idx] * 4, 0
+                gen.bit_generator.state = state
+                gen.standard_normal()
+                if _position(gen) > 1:
+                    break
+                k[idx] += 1
+        _ZIGGURAT.extend((np.append(wi, -wi), np.tile(k, 2)))
     wi, k = _ZIGGURAT
-    idx = (raw & np.uint64(0xFF)).astype(np.intp)
+    strip = (raw & np.uint64(0x1FF)).astype(np.intp)
     rabs = raw >> np.uint64(9) & np.uint64(2**52 - 1)
-    x = rabs * wi[idx]
-    np.negative(x, out=x, where=(raw & np.uint64(1 << 8)).astype(bool))
-    return x, rabs < k[idx]
+    return rabs * wi[strip], rabs < k[strip]
+
+
+class Streams:
+    """Substreams of `seed` named in `stream_ids`, a row each, read at a
+    position per row.  `raw` holds a window of 4 * `blocks` outputs of
+    each row, from its stream's start (output `start`, 0 until a window
+    moves).  A read past a row's window moves it, and every window read
+    past its middle, on to the counter holding the output read."""
+
+    def __init__(self, seed: int, stream_ids: np.ndarray, blocks: int = 4):
+        self.seed, self.stream_ids, self.moved = seed, stream_ids, False
+        self.raw = philox_raw(seed, stream_ids, blocks)
+        self.start = np.zeros(len(stream_ids), dtype=np.intp)
+
+    def columns(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Where output `pos` of each of the distinct `rows` is in `raw`."""
+        col, width = pos - (self.start[rows] if self.moved else 0), self.raw.shape[1]
+        if len(col) and col.max() >= width:
+            moved = np.flatnonzero(col >= width // 2)  # with the rows about to need it
+            self.start[rows[moved]] = start = pos[moved] // 4 * 4
+            self.raw[rows[moved]] = philox_raw(self.seed, self.stream_ids[rows[moved]], width // 4,
+                                               start // 4 + 1)
+            col[moved], self.moved = pos[moved] - start, True
+        return col
+
+    def words(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The output at `pos` of each of the distinct `rows`."""
+        return self.raw[rows, self.columns(rows, pos)]
+
+    def uniforms(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """`random()` from output `pos` of each row (one output)."""
+        return (self.words(rows, pos) >> np.uint64(11)) * 2.0**-53
+
+    def standard_normals(self, rows: np.ndarray, pos: np.ndarray,
+                         gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """`standard_normal()` from output `pos` of each row, and the
+        position after it.  A draw off the one-draw path is made by `gen`,
+        a Philox generator set to its stream, counter and buffer position
+        (and left at no stream's start).  Off strip 0, NumPy takes one
+        output for the wedge test, then returns the first value or draws
+        again; so when the output after that is on the one-draw path with
+        another value, the value returned tells whether it took 2 or 3
+        outputs.  Otherwise the count is read from the generator's state."""
+        col = self.columns(rows, pos)
+        words = self.raw[rows, col]
+        x, fast = ziggurat_normals(words, gen)
+        pos, slow = pos + 1, np.flatnonzero(np.logical_not(fast))
+        if not len(slow):
+            return x, pos
+        blocks = self.raw[rows[slow, None], col[slow, None] // 4 * 4 + np.arange(4)].tolist()
+        again, sure = ziggurat_normals(self.words(rows[slow], pos[slow] + 1), gen)
+        sure &= (again != x[slow]) & (words[slow] & np.uint64(0xFF) != 0)
+        at = pos[slow] - 1
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [self.seed, 0]},
+                 "has_uint32": 0, "uinteger": 0}
+        counter, key, drawn, after = state["state"]["counter"], state["state"]["key"], [], []
+        for stream_id, p, block, x1, x2, known in zip(
+                self.stream_ids[rows[slow]].tolist(), at.tolist(), blocks,
+                x[slow].tolist(), again.tolist(), sure.tolist()):
+            key[1], counter[0], state["buffer"], state["buffer_pos"] = stream_id, p // 4 + 1, block, p % 4
+            gen.bit_generator.state = state
+            drawn.append(gen.standard_normal())
+            after.append(p + 2 + (drawn[-1] == x2) if known and drawn[-1] in (x1, x2)
+                         else _position(gen))
+        x[slow], pos[slow] = drawn, after
+        return x, pos

@@ -135,6 +135,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_acl < 1:
             raise ValueError("n_acl must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         # the stepper is checked against half-steps up to 60 s (criterion 8)
         if not 0 < self.sim_step_s <= 60:
             raise ValueError(f"sim_step_s must be in (0, 60] s, got {self.sim_step_s}")

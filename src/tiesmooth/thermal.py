@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -224,7 +225,7 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
     overflows or any entry of its matrices is not finite.
 
     The square and the exponentials run per house on Python floats:
-    `d ** 2` is libm's pow, whose last bit can differ from `d * d`, and
+    `pow(d, 2)` is libm's pow, whose last bit can differ from `d * d`, and
     NumPy's exp gives different bits on different CPUs.  Everything else is
     elementwise IEEE arithmetic, so each house gets the bits a scalar
     evaluation of the same expressions gives.
@@ -238,7 +239,7 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
 
         tr = a11 + a22
         try:
-            square = np.array([d ** 2 for d in (a11 - a22).tolist()])
+            square = np.fromiter(map(pow, (a11 - a22).tolist(), repeat(2)), float, len(a11))
         except OverflowError:
             raise ValueError("a house's thermal rates overflow: its heat capacities are too "
                              "small for its conductances") from None
@@ -255,8 +256,8 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
             # exp(lam*dt) and the integral of exp(lam*s) over the step, which
             # is dt where lam*dt = 0 and expm1(lam*dt)/lam elsewhere
             u = lam * dt
-            e = np.array([math.exp(x) for x in u.tolist()])
-            em1 = np.array([math.expm1(x) for x in u.tolist()])
+            e = np.fromiter(map(math.exp, u.tolist()), float, len(u))
+            em1 = np.fromiter(map(math.expm1, u.tolist()), float, len(u))
             return e, np.divide(em1, lam, out=np.full(len(u), dt), where=u != 0.0)
 
         (e1, f1), (e2, f2) = exp_and_phi(lam1), exp_and_phi(lam2)

@@ -121,7 +121,8 @@ class TestGenScenario:
         assert "\nduration_s = 259200\n" in (out / "scenario.txt").read_text()
 
     @pytest.mark.parametrize("flag, value", [("--n-acl", "0"), ("--training-days", "0"),
-                                             ("--days", "0")])
+                                             ("--days", "0"), ("--seed", "-1"),
+                                             ("--seed", str(2**64))])
     def test_bad_value_is_io_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "scen"
         assert main(["gen-scenario", "--out", str(out), flag, value]) == 2
@@ -321,6 +322,16 @@ class TestRun:
         assert main(["run", "--scenario", str(workspace / "scen" / "scenario.txt"),
                      "--baseline-bias", "-1.0", "--out", str(tmp_path / "out")]) == 2
         assert "baseline_bias must be finite and > -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("mode", ["uncontrolled", "controlled"])
+    def test_seed_flag_outside_uint64_is_io_error(self, workspace, tmp_path, capsys, seed, mode):
+        scen = workspace / "scen"
+        flags = ["--uncontrolled"] if mode == "uncontrolled" else ["--model", str(scen / "model.txt")]
+        assert main(["run", "--scenario", str(scen / "scenario.txt"), *flags, "--seed", seed,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
         assert not (tmp_path / "out").exists()
 
     def test_idempotent_rerun(self, workspace):

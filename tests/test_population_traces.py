@@ -1,6 +1,8 @@
 """Fleet synthesis and input-trace generation."""
 
+import collections
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -71,22 +73,10 @@ class TestGeneratePopulation:
 
 
 class TestHouseStream:
-    def test_rekeyed_generator_draws_as_a_new_one(self):
-        gen = rng.house_stream(3, 0)
-        for i in (5, 0, 2**20):
-            # leave a partly used output buffer and a held 32-bit half behind
-            gen.random(3)
-            gen.integers(0, 10, dtype=np.uint32)
-            assert rng.house_stream(3, i, gen) is gen
-            fresh = rng.house_stream(3, i)
-            assert np.array_equal(gen.integers(0, 2**32, 3, dtype=np.uint32),
-                                  fresh.integers(0, 2**32, 3, dtype=np.uint32))
-            assert np.array_equal(gen.random(5), fresh.random(5))
-            assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
-
-    def test_rekeyed_seed_is_checked(self):
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_is_checked(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            rng.house_stream(-1, 0, rng.house_stream(3, 0))
+            rng.house_stream(seed, 0)
 
 
 def per_house_columns(spec, seed, consts=DEFAULT_DERIVATION, epsilon_margin=0.05):
@@ -128,6 +118,27 @@ def spec_with(n, **dists):
                                               **{k: Dist.parse(v) for k, v in dists.items()}})
 
 
+CHUNK = population.DRAW_CHUNK
+ALL_FIELDS = HOUSE_FIELDS + CONTROLLER_FIELDS
+ORACLE_SPECS = {
+    "default": {},
+    # every field normal, so more attempts draw a field past its truncation
+    "truncation-heavy": {"floor_area": "normal 132.0 15.0", "shgc": "normal 0.36 0.04",
+                         "eer": "normal 3.5 0.15", "deadband": "normal 0.3 0.03",
+                         "t_high": "normal 2.5 0.15", "t_low": "normal 2.5 0.15"},
+    # a wall fraction past 1 fails a check: houses take several attempts
+    # and read past their first 20 outputs
+    "wwr-replays": {"window_wall_ratio": "normal 0.5 0.3"},
+}
+
+
+@functools.cache
+def oracle_columns(name, seed):
+    """`per_house_columns` of the first CHUNK + 1 houses of a spec."""
+    return per_house_columns(spec_with(CHUNK + 1, **ORACLE_SPECS[name]), seed,
+                             epsilon_margin=0.07)
+
+
 class TestColumns:
     def test_columns_pinned(self):
         # sha256 of every column at n = 2 000, seed 42, as the per-house
@@ -167,23 +178,46 @@ class TestColumns:
             "rated_power": "cad7d22f27599d174372b026d969b776196245466565b864c0b2f3b180cad615",
             "epsilon": "8f2c408b2c606d5606f2f7dd070cbbc256893b3970a4fd672cf41043b3b729a6"}
 
-    @pytest.mark.parametrize("spec, seed", [
-        (PopulationSpec(n=400), 1), (PopulationSpec(n=400), 7), (PopulationSpec(n=400), 123),
-        (spec_with(300, window_wall_ratio="normal 0.5 0.3"), 5),
-        (spec_with(300, deadband="uniform 0.1 2.6", r_wall="normal 0.4 0.3"), 9),
-    ], ids=["default-1", "default-7", "default-123", "wwr-replays", "band-replays"])
-    def test_columns_match_the_per_house_loop(self, spec, seed, monkeypatch):
-        replayed = []
-        draw_house = population.draw_house
-        monkeypatch.setattr(population, "draw_house",
-                            lambda *args: replayed.append(args[2]) or draw_house(*args))
-        houses = generate_population(spec, seed, epsilon_margin=0.07)
-        expected = per_house_columns(spec, seed, epsilon_margin=0.07)
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK + 1])
+    @pytest.mark.parametrize("seed", [42, 7, 2**64 - 1])
+    @pytest.mark.parametrize("name", ORACLE_SPECS)
+    def test_columns_match_the_per_house_loop(self, name, seed, n):
+        houses = generate_population(spec_with(n, **ORACLE_SPECS[name]), seed,
+                                     epsilon_margin=0.07)
+        expected = oracle_columns(name, seed)
         assert houses.columns.keys() == expected.keys()
-        for name, column in expected.items():
-            assert houses.columns[name].tobytes() == column.tobytes(), name
-        assert np.array_equal(houses.house_index, np.arange(spec.n))
-        assert 0 < len(replayed) < spec.n  # both paths ran
+        for column, values in expected.items():
+            assert houses.columns[column].tobytes() == values[:n].tobytes(), column
+        assert np.array_equal(houses.house_index, np.arange(n))
+
+    def test_every_path_runs(self, monkeypatch):
+        rng.ziggurat_normals(np.zeros(1, dtype=np.uint64), rng.house_stream(0, 0))  # the table
+        seen = collections.Counter()
+
+        def count(owner, name, tally):
+            method = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: tally(method(*args), *args))
+
+        def normals(result, streams, rows, pos, gen):
+            taken = result[1] - pos
+            seen["one-draw normal"] += np.count_nonzero(taken == 1)
+            seen["NumPy normal"] += np.count_nonzero(taken > 1)
+            return result
+        count(rng.Streams, "standard_normals", normals)
+        count(rng, "_position", lambda result, gen: seen.update(["count read"]) or result)
+        count(Dist, "kept", lambda result, *args: seen.update(
+            {"truncated": np.count_nonzero(~result)}) or result)
+        count(population, "_assemble", lambda result, *args: seen.update(
+            {"next attempt": np.count_nonzero(result[1])}) or result)
+        count(rng, "philox_raw", lambda result, seed, ids, blocks, first=1: seen.update(
+            {"next block": np.count_nonzero(np.asarray(first) > 1)}) or result)
+        spec = spec_with(CHUNK + 1, **ORACLE_SPECS["wwr-replays"])
+        houses = generate_population(spec, 42, epsilon_margin=0.07)
+        assert houses == generate_population(spec, 42, epsilon_margin=0.07)
+        assert set(seen) == {"one-draw normal", "NumPy normal", "count read", "truncated",
+                             "next attempt", "next block"}
+        # the NumPy draws whose count was read are few
+        assert 0 < seen["count read"] < seen["NumPy normal"] / 5
 
     @pytest.mark.parametrize("seed, house", [(0, 0), (5, 5)])
     def test_exhausted_redraws_name_the_same_house(self, seed, house):
@@ -215,20 +249,44 @@ class TestColumns:
             houses.columns["t_set"][0] = 0.0  # read-only
 
 
-CHUNK = population.DRAW_CHUNK
-ALL_FIELDS = HOUSE_FIELDS + CONTROLLER_FIELDS
+def position(gen):
+    """How many outputs a Philox generator has taken, from its counter
+    and buffer position."""
+    state = gen.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
 
 
 def per_house_draws(spec, seed):
     """Each house's first-attempt standard variates, one scalar draw per
-    field from a fresh generator on the house's stream."""
-    std = np.empty((spec.n, len(ALL_FIELDS)))
+    field from a fresh generator on the house's stream, and how many
+    outputs each house took."""
+    std, taken = np.empty((spec.n, len(ALL_FIELDS))), np.empty(spec.n, dtype=np.intp)
     for i, row in enumerate(std):
         gen = rng.house_stream(seed, i)
         for j, name in enumerate(ALL_FIELDS):
             uniform = spec.distributions[name].kind == "uniform"
             row[j] = gen.random() if uniform else gen.standard_normal()
-    return std
+        taken[i] = position(gen)
+    return std, taken
+
+
+def drawn_from(seed, stream_id, block):
+    """`standard_normal` on a stream whose first four outputs are `block`,
+    how many outputs it took and the output after them."""
+    gen = rng.substream(seed, stream_id)
+    state = gen.bit_generator.state
+    state["buffer"], state["buffer_pos"] = np.array(block, dtype=np.uint64), 0
+    state["state"]["counter"] = np.array([1, 0, 0, 0], dtype=np.uint64)
+    gen.bit_generator.state = state
+    x = gen.standard_normal()
+    return x, position(gen), int(gen.bit_generator.random_raw())
+
+
+def word(strip, magnitude, sign=0):
+    return magnitude << 9 | sign << 8 | strip
+
+
+TOP = 2**52 - 1  # the largest magnitude: off every strip's one-draw path
 
 
 class TestArrayDraws:
@@ -237,29 +295,64 @@ class TestArrayDraws:
         ids = [rng.HOUSE_STREAM_BASE + i for i in (0, CHUNK - 1, CHUNK, CHUNK + 1)] + [2**64 - 1]
         raw = rng.philox_raw(seed, np.array(ids, dtype=np.uint64), 4)
         assert raw.shape == (len(ids), 16) and raw.dtype == np.uint64
-        for row, stream_id in zip(raw, ids):
-            expected = rng.substream(seed, stream_id).bit_generator.random_raw(16)
-            assert np.array_equal(row, expected), stream_id
+        first = np.array([1, 2, 5, 9, 33], dtype=np.uint64)  # a first counter per stream
+        later = rng.philox_raw(seed, np.array(ids, dtype=np.uint64), 2, first)
+        for row, next_row, stream_id, at in zip(raw, later, ids, first.tolist()):
+            expected = rng.substream(seed, stream_id).bit_generator.random_raw(max(16, 4 * at + 4))
+            assert np.array_equal(row, expected[:16]), stream_id
+            assert np.array_equal(next_row, expected[4 * at - 4:4 * at + 4]), stream_id
+        assert rng.philox_raw(seed, np.array([], dtype=np.uint64), 3).shape == (0, 12)
 
-    def test_bound_never_certifies_a_slow_draw(self):
+    def test_certified_exactly_where_numpy_takes_one_output(self):
         gen = rng.house_stream(0, 0)
         rng.ziggurat_normals(np.zeros(1, dtype=np.uint64), gen)  # reads the table
-        wi, k = rng._ZIGGURAT
+        wi, k = (table[:256] for table in rng._ZIGGURAT)
         assert np.flatnonzero(k == 0).tolist() == [1]
-        state = gen.bit_generator.state
+        assert np.array_equal(rng._ZIGGURAT[0][256:], -wi) and np.array_equal(rng._ZIGGURAT[1][256:], k)
         for idx in range(256):
             for rabs in {max(int(k[idx]) - 1, 0), int(k[idx]), int(k[idx]) + 1}:
                 for sign in (0, 1):
-                    raw = rabs << 9 | sign << 8 | idx
+                    raw = word(idx, rabs, sign)
                     x, fast = rng.ziggurat_normals(np.array([raw], dtype=np.uint64), gen)
-                    # certified just below the bound, then as NumPy draws it
-                    assert fast[0] == (rabs < k[idx]), raw
+                    # certified below the bound, and NumPy takes one output there
+                    value, taken, _ = drawn_from(0, rng.HOUSE_STREAM_BASE, [raw, 0, 0, 0])
+                    assert fast[0] == (rabs < k[idx]) == (taken == 1), raw
                     if fast[0]:
-                        state["buffer"] = np.array([raw, 0, 0, 0], dtype=np.uint64)
-                        state["buffer_pos"] = 0
-                        gen.bit_generator.state = state
-                        assert gen.standard_normal() == x[0], raw
-                        assert gen.bit_generator.state["buffer_pos"] == 1, raw  # one draw
+                        assert value.hex() == x[0].hex(), raw
+
+    @pytest.mark.parametrize("seed", [3, 2**64 - 1])
+    def test_slow_draws_take_what_numpy_takes(self, seed):
+        cases = {
+            # strip 0's tail: accepted by the first pair of uniforms, or not
+            "tail accepts": [word(0, TOP), 0, 2**64 - 1, 0],
+            "tail accepts, negative": [word(0, TOP, 1), 0, 2**64 - 1, 0],
+            "tail rejects": [word(0, TOP), 2**64 - 1, 0, 2**64 - 1],
+            "tail rejects, negative": [word(0, TOP, 1), 2**64 - 1, 0, 7],
+            # strip 1 is never on the one-draw path
+            "strip 1": [word(1, 0), 2**64 - 1, 0, 0],
+            "strip 1, negative": [word(1, 3, 1), 0, 0, 0],
+            # a wedge accepted, or rejected before a one-draw value, or
+            # before another wedge (a chain)
+            "wedge accepts": [word(100, TOP), 0, 0, 0],
+            "wedge rejects": [word(100, TOP), 2**64 - 1, word(7, 5), 0],
+            "wedge rejects, negative": [word(250, TOP, 1), 2**64 - 1, word(7, 5, 1), 0],
+            "rejects, rejects": [word(100, TOP), 2**64 - 1, word(200, TOP), 2**64 - 1],
+            "rejects, accepts": [word(3, TOP), 2**64 - 1, word(200, TOP, 1), 0],
+            "rejects, then the tail": [word(40, TOP), 2**64 - 1, word(0, TOP), 0],
+            "strip 1 value again": [word(2, TOP), 2**64 - 1, word(1, 0), 0],
+        }
+        ids = rng.HOUSE_STREAM_BASE + np.arange(len(cases), dtype=np.uint64)
+        streams = rng.Streams(seed, ids)
+        streams.raw[:, :4] = np.array(list(cases.values()), dtype=np.uint64)  # counter 1
+        rows, start = np.arange(len(cases)), np.zeros(len(cases), dtype=np.intp)
+        x, pos = streams.standard_normals(rows, start, rng.house_stream(seed, 0))
+        after = streams.words(rows, pos)
+        counts = set()
+        for i, (name, block) in enumerate(cases.items()):
+            value, taken, next_word = drawn_from(seed, int(ids[i]), block)
+            assert (x[i].hex(), pos[i], int(after[i])) == (value.hex(), taken, next_word), name
+            counts.add(taken)
+        assert {2, 3}.issubset(counts) and max(counts) > 4  # both counts are inferred
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("seed", [42, 2**64 - 1])
@@ -269,24 +362,20 @@ class TestArrayDraws:
         lambda n: spec_with(n, **dict.fromkeys(ALL_FIELDS, "normal 0.0 1.0")),
     ], ids=["default", "uniform", "normal"])
     def test_rows_match_the_per_house_loop(self, spec, seed, n):
-        spec = spec(n)
-        std = population._standard_draws(spec, seed, rng.house_stream(seed, 0))
-        assert std.shape == (n, len(ALL_FIELDS))
-        assert std.tobytes() == per_house_draws(spec, seed).tobytes()
-
-    def test_both_paths_run(self, monkeypatch):
-        rekeyed = []
-        house_stream = rng.house_stream
-        monkeypatch.setattr(rng, "house_stream",
-                            lambda *args: rekeyed.append(args[1]) or house_stream(*args))
-        spec = PopulationSpec(n=CHUNK + 1)
-        population._standard_draws(spec, 42, house_stream(42, 0))
-        assert 0 < len(rekeyed) < spec.n
-        assert rekeyed == sorted(set(rekeyed))
-        rekeyed.clear()
-        uniform = spec_with(CHUNK + 1, **dict.fromkeys(ALL_FIELDS, "uniform 0.0 1.0"))
-        population._standard_draws(uniform, 42, house_stream(42, 0))
-        assert rekeyed == []  # a row of uniforms always stands
+        # one walk over the houses' streams, field by field, as the
+        # population's first attempts read them
+        spec, gen = spec(n), rng.house_stream(seed, 0)
+        streams = rng.Streams(seed, rng.HOUSE_STREAM_BASE + np.arange(n, dtype=np.uint64))
+        rows, pos = np.arange(n), np.zeros(n, dtype=np.intp)
+        std = np.empty((n, len(ALL_FIELDS)))
+        for j, name in enumerate(ALL_FIELDS):
+            if spec.distributions[name].kind == "uniform":
+                std[:, j], pos = streams.uniforms(rows, pos), pos + 1
+            else:
+                std[:, j], pos = streams.standard_normals(rows, pos, gen)
+        expected, taken = per_house_draws(spec, seed)
+        assert std.tobytes() == expected.tobytes()
+        assert np.array_equal(pos, taken)
 
 
 def per_house_free_peak(houses, t_out, solar):
