@@ -195,6 +195,7 @@ def generate_population(spec: PopulationSpec, seed: int,
                                   len(dists) // 4 + 2)
             pos = np.zeros(len(rows), dtype=np.intp)  # each house's next output
             for _ in range(MAX_REDRAWS):
+                streams.columns(rows, pos, len(dists))  # moves windows too short for an attempt
                 draws = {}
                 for name, d in dists:
                     if d.kind == "uniform":

@@ -72,8 +72,7 @@ def philox_raw(seed: int, stream_ids: np.ndarray, blocks: int, first=1) -> np.nd
 
 
 def _position(gen: np.random.Generator) -> int:
-    """How many outputs of its stream the Philox generator `gen` has
-    given: 4 (c - 1) + b at counter c and buffer position b."""
+    """How many outputs of its stream the Philox generator `gen` has given."""
     state = gen.bit_generator.state
     return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
 
@@ -119,19 +118,21 @@ class Streams:
     """Substreams of `seed` named in `stream_ids`, a row each, read at a
     position per row.  `raw` holds a window of 4 * `blocks` outputs of
     each row, from its stream's start (output `start`, 0 until a window
-    moves).  A read past a row's window moves it, and every window read
-    past its middle, on to the counter holding the output read."""
+    moves); a window that does not hold what is read moves on, to start
+    at the counter holding the output read."""
 
     def __init__(self, seed: int, stream_ids: np.ndarray, blocks: int = 4):
         self.seed, self.stream_ids, self.moved = seed, stream_ids, False
         self.raw = philox_raw(seed, stream_ids, blocks)
         self.start = np.zeros(len(stream_ids), dtype=np.intp)
 
-    def columns(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Where output `pos` of each of the distinct `rows` is in `raw`."""
+    def columns(self, rows: np.ndarray, pos: np.ndarray, ahead: int = 1) -> np.ndarray:
+        """Where output `pos` of each of the distinct `rows` is in `raw`,
+        its window holding the `ahead` outputs from there (`ahead` at most
+        the window's length less 3)."""
         col, width = pos - (self.start[rows] if self.moved else 0), self.raw.shape[1]
-        if len(col) and col.max() >= width:
-            moved = np.flatnonzero(col >= width // 2)  # with the rows about to need it
+        if len(col) and col.max() + ahead > width:
+            moved = np.flatnonzero(col + ahead > width)
             self.start[rows[moved]] = start = pos[moved] // 4 * 4
             self.raw[rows[moved]] = philox_raw(self.seed, self.stream_ids[rows[moved]], width // 4,
                                                start // 4 + 1)
