@@ -39,7 +39,7 @@ from .thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, DerivationConstants,
                       geometry_faults)
 
 MAX_REDRAWS = 100
-DRAW_CHUNK = 2048  # houses per walk: 80 KiB per Philox temporary at 5 blocks
+DRAW_CHUNK = 8192  # houses per walk: 64 KiB per float array of the walk
 
 ETP_FIELDS = tuple(f.name for f in fields(EtpParameters))
 AGENT_FIELDS = tuple(f.name for f in fields(AclAgentConfig))

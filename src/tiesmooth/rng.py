@@ -54,21 +54,25 @@ def philox_raw(seed: int, stream_ids: np.ndarray, blocks: int, first=1) -> np.nd
     named in `stream_ids` (uint64), a row each: Philox4x64-10 at key
     (seed, stream id) and counters `first`, ..., `first` + `blocks` - 1,
     where `first` is one counter or one per stream (counter 1 holds a
-    stream's first four outputs)."""
+    stream's first four outputs).  2 048 streams at a time, so that each
+    temporary stays below the size malloc maps afresh (80 KiB at 5 blocks)."""
     def mulhilo(m, x):  # the high and low words of m * x, from 32-bit halves
         m_lo, m_hi, x_lo, x_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), x & _LOW, x >> _32
         mid = x_hi * m_lo
         cross = (x_lo * m_lo >> _32) + (mid & _LOW) + x_lo * m_hi
         return x_hi * m_hi + (mid >> _32) + (cross >> _32), x * np.uint64(m)
-    c0 = np.add.outer(np.broadcast_to(np.asarray(first, dtype=np.uint64), stream_ids.shape),
-                      np.arange(blocks, dtype=np.uint64)).ravel()
-    c1 = c2 = c3 = np.zeros_like(c0)
-    k1 = np.repeat(stream_ids, blocks)
-    for r in range(10):
-        (hi0, lo0), (hi1, lo1) = mulhilo(_M0, c0), mulhilo(_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64((seed + r * _W0) % 2**64), lo1, hi0 ^ c3 ^ k1, lo0
-        k1 = k1 + np.uint64(_W1)
-    return np.stack((c0, c1, c2, c3), axis=1).reshape(len(stream_ids), 4 * blocks)
+    first = np.broadcast_to(np.asarray(first, dtype=np.uint64), stream_ids.shape)
+    raw = np.empty((len(stream_ids), 4 * blocks), dtype=np.uint64)
+    for lo in range(0, len(stream_ids), 2048):
+        c0 = np.add.outer(first[lo:lo + 2048], np.arange(blocks, dtype=np.uint64)).ravel()
+        c1 = c2 = c3 = np.zeros_like(c0)
+        k1 = np.repeat(stream_ids[lo:lo + 2048], blocks)
+        for r in range(10):
+            (hi0, lo0), (hi1, lo1) = mulhilo(_M0, c0), mulhilo(_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64((seed + r * _W0) % 2**64), lo1, hi0 ^ c3 ^ k1, lo0
+            k1 = k1 + np.uint64(_W1)
+        raw[lo:lo + 2048] = np.stack((c0, c1, c2, c3), axis=1).reshape(-1, 4 * blocks)
+    return raw
 
 
 def _position(gen: np.random.Generator) -> int:
@@ -139,13 +143,9 @@ class Streams:
             col[moved], self.moved = pos[moved] - start, True
         return col
 
-    def words(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """The output at `pos` of each of the distinct `rows`."""
-        return self.raw[rows, self.columns(rows, pos)]
-
     def uniforms(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """`random()` from output `pos` of each row (one output)."""
-        return (self.words(rows, pos) >> np.uint64(11)) * 2.0**-53
+        return (self.raw[rows, self.columns(rows, pos)] >> np.uint64(11)) * 2.0**-53
 
     def standard_normals(self, rows: np.ndarray, pos: np.ndarray,
                          gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +164,8 @@ class Streams:
         if not len(slow):
             return x, pos
         blocks = self.raw[rows[slow, None], col[slow, None] // 4 * 4 + np.arange(4)].tolist()
-        again, sure = ziggurat_normals(self.words(rows[slow], pos[slow] + 1), gen)
+        ahead = self.columns(rows[slow], pos[slow] + 1)  # may move those windows on
+        again, sure = ziggurat_normals(self.raw[rows[slow], ahead], gen)
         sure &= (again != x[slow]) & (words[slow] & np.uint64(0xFF) != 0)
         at = pos[slow] - 1
         state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [self.seed, 0]},

@@ -118,7 +118,7 @@ def spec_with(n, **dists):
                                               **{k: Dist.parse(v) for k, v in dists.items()}})
 
 
-CHUNK = population.DRAW_CHUNK
+CHUNK = 700  # a walk's houses in tests, so that several walks stay small
 ALL_FIELDS = HOUSE_FIELDS + CONTROLLER_FIELDS
 ORACLE_SPECS = {
     "default": {},
@@ -181,7 +181,8 @@ class TestColumns:
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK + 1])
     @pytest.mark.parametrize("seed", [42, 7, 2**64 - 1])
     @pytest.mark.parametrize("name", ORACLE_SPECS)
-    def test_columns_match_the_per_house_loop(self, name, seed, n):
+    def test_columns_match_the_per_house_loop(self, name, seed, n, monkeypatch):
+        monkeypatch.setattr(population, "DRAW_CHUNK", CHUNK)
         houses = generate_population(spec_with(n, **ORACLE_SPECS[name]), seed,
                                      epsilon_margin=0.07)
         expected = oracle_columns(name, seed)
@@ -211,7 +212,8 @@ class TestColumns:
             {"next attempt": np.count_nonzero(result[1])}) or result)
         count(rng, "philox_raw", lambda result, seed, ids, blocks, first=1: seen.update(
             {"next block": np.count_nonzero(np.asarray(first) > 1)}) or result)
-        spec = spec_with(CHUNK + 1, **ORACLE_SPECS["wwr-replays"])
+        monkeypatch.setattr(population, "DRAW_CHUNK", CHUNK)
+        spec = spec_with(2000, **ORACLE_SPECS["wwr-replays"])
         houses = generate_population(spec, 42, epsilon_margin=0.07)
         assert houses == generate_population(spec, 42, epsilon_margin=0.07)
         assert set(seen) == {"one-draw normal", "NumPy normal", "count read", "truncated",
@@ -302,6 +304,9 @@ class TestArrayDraws:
             assert np.array_equal(row, expected[:16]), stream_id
             assert np.array_equal(next_row, expected[4 * at - 4:4 * at + 4]), stream_id
         assert rng.philox_raw(seed, np.array([], dtype=np.uint64), 3).shape == (0, 12)
+        many = rng.philox_raw(seed, rng.HOUSE_STREAM_BASE + np.arange(4100, dtype=np.uint64), 1)
+        for i in (0, 2047, 2048, 4099):  # across the passes of 2 048 streams
+            assert np.array_equal(many[i], rng.house_stream(seed, i).bit_generator.random_raw(4))
 
     def test_bound_never_certifies_a_slow_draw(self):
         gen = rng.house_stream(0, 0)
@@ -346,7 +351,7 @@ class TestArrayDraws:
         streams.raw[:, :4] = np.array(list(cases.values()), dtype=np.uint64)  # counter 1
         rows, start = np.arange(len(cases)), np.zeros(len(cases), dtype=np.intp)
         x, pos = streams.standard_normals(rows, start, rng.house_stream(seed, 0))
-        after = streams.words(rows, pos)
+        after = streams.raw[rows, streams.columns(rows, pos)]
         counts = set()
         for i, (name, block) in enumerate(cases.items()):
             value, taken, next_word = drawn_from(seed, int(ids[i]), block)
