@@ -9,7 +9,7 @@ to generate or step in parallel.
 
 A Philox stream is fixed by its key and counter alone (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
-`philox_raw` can compute any counter of many streams in one array pass,
+`philox_raw` can compute any counter of many streams in array passes,
 and `Streams` reads those outputs at a position per stream:
 `ziggurat_normals` repeats the one-draw path of NumPy's ziggurat
 (Marsaglia & Tsang, JSS 2000), and NumPy itself makes a draw that leaves
