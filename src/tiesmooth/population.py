@@ -39,7 +39,9 @@ from .thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, DerivationConstants,
                       geometry_faults)
 
 MAX_REDRAWS = 100
-DRAW_CHUNK = 8192  # houses per walk: 64 KiB per float array of the walk
+# houses per walk: 64 KiB per float array of the walk (Philox computes
+# their outputs rng.PHILOX_PASS streams at a time)
+DRAW_CHUNK = 8192
 
 ETP_FIELDS = tuple(f.name for f in fields(EtpParameters))
 AGENT_FIELDS = tuple(f.name for f in fields(AclAgentConfig))
@@ -186,16 +188,17 @@ def generate_population(spec: PopulationSpec, seed: int,
     except OverflowError as exc:
         raise OverflowError(f"house 0: {exc}") from None
     columns = {name: aligned(spec.n) for name in COLUMNS}
+    # house 0 alone first, so that a spec no house meets fails after its attempts
+    edges = [0, *range(1, spec.n, DRAW_CHUNK), spec.n] if spec.n else []
     # a house whose arithmetic overflows fails a check and is drawn again
     with np.errstate(all="ignore"):
-        for lo in range(0, spec.n, DRAW_CHUNK):
-            rows = np.arange(min(DRAW_CHUNK, spec.n - lo))
+        for lo, hi in zip(edges, edges[1:]):
+            rows = np.arange(hi - lo)
             # windows a block longer than an attempt, so few houses move theirs
             streams = rng.Streams(seed, rng.HOUSE_STREAM_BASE + np.uint64(lo) + rows.astype(np.uint64),
                                   len(dists) // 4 + 2)
             pos = np.zeros(len(rows), dtype=np.intp)  # each house's next output
             for _ in range(MAX_REDRAWS):
-                streams.columns(rows, pos, len(dists))  # moves windows too short for an attempt
                 draws = {}
                 for name, d in dists:
                     if d.kind == "uniform":
@@ -209,11 +212,8 @@ def generate_population(spec: PopulationSpec, seed: int,
                         value[out] = d.value(std)
                         out = out[np.logical_not(d.kept(value[out]))]
                 values, fault = _assemble(draws, consts, epsilon_margin)
-                done = np.flatnonzero(np.logical_not(fault))
-                at, done = ((slice(lo, lo + len(done)), slice(None)) if len(done) == rows[-1] + 1
-                            else (lo + rows[done], done))  # a slice where the whole chunk stands
-                for name, column in columns.items():
-                    column[at] = values[name][done]
+                for name, column in columns.items():  # a later attempt overwrites a failed one
+                    column[lo + rows] = values[name]
                 rows, pos = rows[fault], pos[fault]
                 if not len(rows):
                     break

@@ -129,6 +129,9 @@ ORACLE_SPECS = {
     # a wall fraction past 1 fails a check: houses take several attempts
     # and read past their first 20 outputs
     "wwr-replays": {"window_wall_ratio": "normal 0.5 0.3"},
+    # a deadband as wide as the band fails the controller checks, and a
+    # wide uniform field drives the attempts
+    "band-replays": {"deadband": "uniform 0.1 2.6", "r_wall": "normal 0.4 0.3"},
 }
 
 
@@ -232,6 +235,18 @@ class TestColumns:
         assert str(columnar.value) == str(per_house.value) \
             == f"house {house}: no valid draw in {MAX_REDRAWS} attempts"
 
+    def test_undrawable_spec_stops_after_one_house(self, monkeypatch):
+        # no wall fraction past 1 passes a check: house 0 alone is walked
+        # through its attempts before the rest of the fleet
+        walked = []
+        assemble = population._assemble
+        monkeypatch.setattr(population, "_assemble",
+                            lambda draws, *args: walked.append(len(draws["eer"]))
+                            or assemble(draws, *args))
+        with pytest.raises(PopulationError, match=f"^house 0: no valid draw in {MAX_REDRAWS} "):
+            generate_population(spec_with(5000, window_wall_ratio="uniform 1.5 2.0"), 42)
+        assert walked == [1] * MAX_REDRAWS
+
     def test_overflowing_range_raises_as_the_per_house_loop(self):
         # every drawn t_low is +inf, which no controller check rejects, so
         # only the finiteness flag sends the houses to the per-house loop
@@ -318,12 +333,15 @@ class TestArrayDraws:
             for rabs in {max(int(k[idx]) - 1, 0), int(k[idx]), int(k[idx]) + 1}:
                 for sign in (0, 1):
                     raw = word(idx, rabs, sign)
-                    x, fast = rng.ziggurat_normals(np.array([raw], dtype=np.uint64), gen)
-                    # certified below the bound, and NumPy takes one output there
+                    x, over = rng.ziggurat_normals(np.array([raw], dtype=np.uint64), gen)
+                    assert over[0] == rabs - k[idx], raw
+                    # certified below the bound, and NumPy takes one output
+                    # there; above it NumPy takes more (its limit is k or k + 1)
                     value, taken, _ = drawn_from(0, rng.HOUSE_STREAM_BASE, [raw, 0, 0, 0])
-                    assert fast[0] == (rabs < k[idx]) == (taken == 1), raw
-                    if fast[0]:
-                        assert value.hex() == x[0].hex(), raw
+                    if over[0] < 0:
+                        assert (taken, value.hex()) == (1, x[0].hex()), raw
+                    elif over[0] > 0:
+                        assert taken > 1, raw
 
     @pytest.mark.parametrize("seed", [3, 2**64 - 1])
     def test_slow_draws_take_what_numpy_takes(self, seed):
@@ -345,19 +363,34 @@ class TestArrayDraws:
             "rejects, accepts": [word(3, TOP), 2**64 - 1, word(200, TOP, 1), 0],
             "rejects, then the tail": [word(40, TOP), 2**64 - 1, word(0, TOP), 0],
             "strip 1 value again": [word(2, TOP), 2**64 - 1, word(1, 0), 0],
+            # accepted or rejected before a one-draw value equal to the
+            # first (1.3408...)
+            "accepts, same value next": [word(100, 4481155737199612), 0,
+                                         word(200, 2870735716381794), 0],
+            "rejects, same value": [word(100, 4481155737199612), 2**64 - 1,
+                                    word(200, 2870735716381794), 0],
         }
+        # at the bound k itself, NumPy's own limit decides: on some strips
+        # it takes one output there
+        gen = rng.house_stream(seed, 0)
+        rng.ziggurat_normals(np.zeros(1, dtype=np.uint64), gen)  # reads the table
+        k = rng._ZIGGURAT[1]
+        one = next(idx for idx in range(2, 256) if drawn_from(
+            seed, rng.HOUSE_STREAM_BASE, [word(idx, int(k[idx])), 0, 0, 0])[1] == 1)
+        cases["one output at the bound"] = [word(one, int(k[one])), 0, 0, 0]
+        cases["more at the bound"] = [word(2, int(k[2])), 2**64 - 1, word(7, 5), 0]
         ids = rng.HOUSE_STREAM_BASE + np.arange(len(cases), dtype=np.uint64)
         streams = rng.Streams(seed, ids)
         streams.raw[:, :4] = np.array(list(cases.values()), dtype=np.uint64)  # counter 1
         rows, start = np.arange(len(cases)), np.zeros(len(cases), dtype=np.intp)
-        x, pos = streams.standard_normals(rows, start, rng.house_stream(seed, 0))
+        x, pos = streams.standard_normals(rows, start, gen)
         after = streams.raw[rows, streams.columns(rows, pos)]
         counts = set()
         for i, (name, block) in enumerate(cases.items()):
             value, taken, next_word = drawn_from(seed, int(ids[i]), block)
             assert (x[i].hex(), pos[i], int(after[i])) == (value.hex(), taken, next_word), name
             counts.add(taken)
-        assert {2, 3}.issubset(counts) and max(counts) > 4  # shown by the value, and read
+        assert {1, 2, 3}.issubset(counts) and max(counts) > 4
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("seed", [42, 2**64 - 1])
