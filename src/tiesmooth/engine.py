@@ -22,26 +22,21 @@ fleet laid end to end along the house axis, each segment's heat input
 set from its own day's weather and each record metering every segment
 on its own.
 
-Two rules use a second CPU when this process may run on two, and
-neither changes a byte.  A free run, training's segmented runs
-included, whose houses [n2:] number `WORKER_MIN_HOUSES` or more, with
-n2 = n // 2 less its remainder mod 8, starts a worker, a fresh
-interpreter (`_worker`).  This process steps every house until the worker
-reports that it has imported tiesmooth, then, at the next record row,
-streams it the houses [n2:] with their state and steps only [:n2]; the
-worker steps [n2:] to the end (`_step_tail`).  Each side keeps raw sums
-(`_Sums`): each record's power per segment, devices on and
-`np.add.reduce` of its bid prices, each step's houses outside comfort.
-Power sums are exact, counts are integers, and NumPy's pairwise sum
-splits a row of more than 128 prices exactly at n2, so the sums add to
-the one-process sums bit for bit; the floats are finished once, after
-the loop, in step order.  A controlled run needs the whole fleet at
-every control cycle, so one of `THREAD_MIN_HOUSES` houses or more steps
-as two parts, views of two halves of the fleet, on two threads instead:
-a helper thread steps one while this thread steps the other
-(`_stepper`), the market works between steps on the whole fleet, and
-each part writes its prices into one buffer that this thread adds up in
-one reduction.
+One rule uses a second CPU when this process may run on two, and it
+changes no byte.  A free run, training's segmented runs included, whose
+houses [n2:] number `WORKER_MIN_HOUSES` or more, with n2 = n // 2 less
+its remainder mod 8, starts a worker, a fresh interpreter (`_worker`).
+This process steps every house until the worker reports that it has
+imported tiesmooth, then, at the next record row, streams it the houses
+[n2:] with their state and steps only [:n2]; the worker steps [n2:] to
+the end (`_step_tail`).  Each side keeps raw sums (`_Sums`): each
+record's power per segment, devices on and `np.add.reduce` of its bid
+prices, each step's houses outside comfort.  Power sums are exact,
+counts are integers, and NumPy's pairwise sum splits a row of more than
+128 prices exactly at n2, so the sums add to the one-process sums bit
+for bit; the floats are finished once, after the loop, in step order.  A
+controlled run needs the whole fleet at every control cycle, so it steps
+every house in this process.
 
 Every array a kernel reads or writes starts on a 64-byte boundary,
 where NumPy's SIMD loops run about twice as fast as on the 16-byte
@@ -69,9 +64,8 @@ import copy
 import os
 import pickle
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -291,45 +285,6 @@ def _advance_slice(fleet: Fleet, ws: Workspace) -> None:
     np.add(t_air, np.multiply(fleet.m1, b0, out=y), out=t_air)
 
 
-def _step_part(kernels, fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray],
-               weather, meter, count_outside: bool):
-    """One step of one part's houses through `kernels` (thermostat, advance,
-    bid price), with the `weather` (segment, t_out, solar) that changed.
-    Returns the part's power per segment from the `meter` starts, devices
-    on and houses outside comfort; a metered part with `s_prices` also
-    writes its prices there."""
-    thermostat, advance, soa = kernels
-    for houses, t_out, solar in weather:
-        ws.set_weather(fleet, t_out, solar, houses)
-    thermostat(fleet, ws)  # on the state at t, before power is metered
-    kw = n_on = outside = 0
-    if meter is not None:
-        kw = np.add.reduceat(np.multiply(fleet.rated_kw, fleet.on, out=ws.y), meter)
-        if s_prices is not None:
-            n_on = np.count_nonzero(fleet.on)
-            soa(fleet, ws, s_prices)
-    advance(fleet, ws)
-    if count_outside:
-        outside = (np.count_nonzero(np.greater(fleet.t_air, ws.comfort_high, out=ws.mask))
-                   + np.count_nonzero(np.less(fleet.t_air, ws.comfort_low, out=ws.mask)))
-    return kw, n_on, outside
-
-
-# What the helper thread calls, bound at import: a tracer that wraps this
-# module's names for the calling thread assumes one thread.
-_HELPER_CALLS = (_step_part, (_thermostat_slice, _advance_slice, fleet_soa))
-
-# A controlled run of at least this many houses steps as two parts, one on
-# a helper thread, when this process may run on two CPUs.  Every NumPy
-# call hands the GIL over, and below the crossover the handoffs cost more
-# than the second CPU saves.  A free run 1 h after a 2 h warm-up on a
-# 2-vCPU Xeon, median of 3 per size and side, one part -> two parts:
-# n = 10 000: 0.24 -> 0.44 s; 20 000: 0.52 -> 0.54 s; 25 000: 0.66 -> 0.61 s;
-# 30 000: 0.81 -> 0.68 s; 40 000: 1.15 -> 0.79 s; 50 000: 1.56 -> 0.95 s.
-# On a busier host 30 000 also lost (1.06 -> 2.05 s); 40 000 never did.
-THREAD_MIN_HOUSES = 40_000
-
-
 def _with_arrays(obj, fn):
     """A copy of a Fleet or Workspace that holds `fn` of each of its arrays."""
     part = copy.copy(obj)
@@ -341,57 +296,6 @@ def _with_arrays(obj, fn):
 def _part(obj, houses: slice):
     """A copy of a Fleet or Workspace whose arrays are views of `houses`."""
     return _with_arrays(obj, lambda value: value[houses])
-
-
-def _one_part(fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray]):
-    """`step(weather, meter, count_outside)` of these houses, in this thread."""
-    kernels = (_thermostat_slice, _advance_slice, fleet_soa)  # as a tracer left them
-    return partial(_step_part, kernels, fleet, ws, s_prices)
-
-
-@contextmanager
-def _stepper(fleet: Fleet, ws: Workspace, s_prices: Optional[np.ndarray], split: int):
-    """Yields `step(weather, meter, count_outside)`: every house stepped
-    once, with `_step_part`'s result summed over the parts.  With a `split`, a
-    multiple of 64 so that every part array starts on a cache line, a
-    helper thread steps houses [split:] while this thread steps the rest;
-    it is joined when the block ends, raise as it may."""
-    if not split:
-        yield _one_part(fleet, ws, s_prices)
-        return
-    import queue, threading  # here, so that importing the CLI does not pay for it
-    here, there = ((_part(fleet, houses), _part(ws, houses), s_prices[houses])
-                   for houses in (slice(None, split), slice(split, None)))
-    here[0].n, there[0].n = split, fleet.n - split
-    step_here = _one_part(*here)
-    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
-    step, helper_kernels = _HELPER_CALLS
-    errors = {**np.geterr(), "call": np.geterrcall()}  # a new thread starts without them
-
-    def serve():
-        with np.errstate(**errors):
-            for job in iter(jobs.get, None):
-                try:
-                    done.put((True, step(helper_kernels, *there, *job)))
-                except BaseException as exc:  # the caller re-raises it
-                    done.put((False, exc))
-
-    helper = threading.Thread(target=serve)
-    helper.start()
-
-    def step_parts(*job):
-        jobs.put(job)
-        ours = step_here(*job)
-        ok, theirs = done.get()
-        if not ok:
-            raise theirs
-        return [a + b for a, b in zip(ours, theirs)]  # power sums are exact in any order
-
-    try:
-        yield step_parts
-    finally:
-        jobs.put(None)
-        helper.join()
 
 
 @dataclass
@@ -453,23 +357,30 @@ class _Sums:
         self.outside[i:] += other.outside[i:]
 
 
-def _step(step, houses: _Houses, cfg: ScenarioConfig, t: int, sums: _Sums) -> None:
-    """Steps `houses` once at time t through `step` and tallies what it
-    meters in `sums`.  A record row is also a trace row, so the weather
-    changes only there."""
+def _step(houses: _Houses, cfg: ScenarioConfig, t: int, sums: _Sums) -> None:
+    """Steps `houses` once at time t and tallies what it meters in `sums`.
+    A record row is also a trace row, so the weather changes only there.
+    The kernels are looked up by their module names, where a tracer may
+    wrap them."""
+    fleet, ws, s_prices = houses.fleet, houses.ws, houses.s_prices
     row, offset = divmod(t, cfg.record_cycle_s)
     record = offset == 0
-    weather = (list(zip(houses.segments, houses.t_outs[row].tolist(),
-                        houses.solars[row].tolist())) if record else ())
-    counted = houses.s_prices is not None and t >= cfg.warmup_s
-    kw, on, outside = step(weather, houses.starts if record else None, counted)
     if record:
+        for segment, t_out, solar in zip(houses.segments, houses.t_outs[row].tolist(),
+                                         houses.solars[row].tolist()):
+            ws.set_weather(fleet, t_out, solar, segment)
+    _thermostat_slice(fleet, ws)  # on the state at t, before power is metered
+    if record:
+        kw = np.add.reduceat(np.multiply(fleet.rated_kw, fleet.on, out=ws.y), houses.starts)
         sums.kw[row, :len(kw)] = kw
-        if houses.s_prices is not None:
-            sums.n_on[row] = on
-            sums.s[row] = np.add.reduce(houses.s_prices)
-    if counted:
-        sums.outside[t // cfg.sim_step_s] = outside
+        if s_prices is not None:
+            sums.n_on[row] = np.count_nonzero(fleet.on)
+            sums.s[row] = np.add.reduce(fleet_soa(fleet, ws, s_prices))
+    _advance_slice(fleet, ws)
+    if s_prices is not None and t >= cfg.warmup_s:
+        sums.outside[t // cfg.sim_step_s] = (
+            np.count_nonzero(np.greater(fleet.t_air, ws.comfort_high, out=ws.mask))
+            + np.count_nonzero(np.less(fleet.t_air, ws.comfort_low, out=ws.mask)))
 
 
 def _step_tail(errors: dict, cfg: ScenarioConfig, t0: int, houses: _Houses) -> _Sums:
@@ -481,9 +392,8 @@ def _step_tail(errors: dict, cfg: ScenarioConfig, t0: int, houses: _Houses) -> _
         houses = replace(houses, fleet=fleet, ws=Workspace(fleet),
                          s_prices=None if houses.s_prices is None else aligned(fleet.n))
         sums = _Sums(cfg, houses.t_outs.shape[1])
-        step = _one_part(fleet, houses.ws, houses.s_prices)
         for t in range(t0, cfg.total_s, cfg.sim_step_s):
-            _step(step, houses, cfg, t, sums)
+            _step(houses, cfg, t, sums)
         _check_finite(fleet, cfg.total_s // cfg.control_cycle_s)
     return sums
 
@@ -545,11 +455,10 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     """Execute one full run (controlled or free) over the given traces.
 
     A controlled run clears the market every control cycle after the
-    first, on the bids collected `bid_lead_s` before it.  When this
-    process may run on two CPUs, a controlled run of `THREAD_MIN_HOUSES`
-    houses or more steps as two parts on two threads (`_stepper`), and a
-    free run whose houses [n2:] number `WORKER_MIN_HOUSES` or more hands
-    them to a worker process once it is ready (`_worker`).
+    first, on the bids collected `bid_lead_s` before it.  Every house
+    steps in this process, except that, when this process may run on two
+    CPUs, a free run whose houses [n2:] number `WORKER_MIN_HOUSES` or
+    more hands them to a worker process once it is ready (`_worker`).
 
     `_segments` runs training's free fleets at once: the houses are
     segments of these sizes laid end to end, every `traces` series holds
@@ -565,10 +474,9 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     if len(traces) * traces.cadence_s < cfg.total_s:
         raise ValueError("traces shorter than the requested run")
 
-    two_cpus = _cpus() >= 2
     n2 = len(houses) // 2 - len(houses) // 2 % 8  # where np.add.reduce splits a row of prices
     # a worker cannot take an error callback along
-    join = (not controlled and len(houses) - n2 >= WORKER_MIN_HOUSES and two_cpus
+    join = (not controlled and len(houses) - n2 >= WORKER_MIN_HOUSES and _cpus() >= 2
             and np.geterrcall() is None)
 
     lpf = LpfState()
@@ -585,9 +493,8 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     p_ac_target = col()
     joined_at = joined = None
 
-    with ExitStack() as stack:
-        # the worker imports while the fleet is built
-        worker = stack.enter_context(_worker()) if join else None
+    # the worker imports while the fleet is built
+    with _worker() if join else nullcontext() as worker:
         fleet = build_fleet(houses, cfg.sim_step_s)
         seed_fleet_states(fleet, cfg.seed, _segments)
         ws = Workspace(fleet)
@@ -601,9 +508,6 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                        traces.solar_wm2.reshape(len(traces), -1),
                        aligned(fleet.n) if _segments is None else None)
         sums = _Sums(cfg, len(sizes))
-        thread = controlled and fleet.n >= THREAD_MIN_HOUSES and two_cpus
-        step = stack.enter_context(_stepper(fleet, ws, ours.s_prices,
-                                            fleet.n // 128 * 64 if thread else 0))
         for t in range(0, cfg.total_s, cfg.sim_step_s):
             idx = t // traces.cadence_s
             record = t % cfg.record_cycle_s == 0
@@ -633,10 +537,9 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
             if worker is not None and record and worker.ready():
                 ours, theirs = ours.split(n2)
                 worker.start(_step_tail, np.geterr(), cfg, t, theirs)
-                step = _one_part(ours.fleet, ours.ws, ours.s_prices)
                 joined_at, joined, worker = t, worker, None
 
-            _step(step, ours, cfg, t, sums)
+            _step(ours, cfg, t, sums)
             if controlled and record:
                 row = t // cfg.record_cycle_s
                 p_g0_ref[row] = latest_p_g0
@@ -695,7 +598,8 @@ def load_run_dir(rundir) -> RunResult:
     """Rebuild a RunResult from a run directory written by write_run_dir.
 
     Raises ValueError when a file is malformed, including a cycle row
-    that breaks a `CycleRecord` identity.
+    that breaks a `CycleRecord` identity and a power or price series
+    that is not finite.
     """
     run = Path(rundir)
     with open(run / "results.csv") as fh:
@@ -704,6 +608,9 @@ def load_run_dir(rundir) -> RunResult:
         records = read_cycle_records(fh)
     with open(run / "summary.txt") as fh:
         summary = read_keyvals(fh)
+    for name in ("p_g", "p_ac_actual", "s_aggregate"):  # the others are NaN before a cycle
+        if not np.all(np.isfinite(cols[name])):
+            raise ValueError(f"results.csv holds a {name} that is not finite")
     if summary.keys() != _SUMMARY_TYPES.keys():
         raise ValueError(f"summary.txt holds the keys {sorted(summary)}, expected "
                          f"{sorted(_SUMMARY_TYPES)}")

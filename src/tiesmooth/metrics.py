@@ -8,6 +8,7 @@ traces and seed) so differences isolate the coordinator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import TextIO
 
@@ -59,8 +60,10 @@ class MetricsReport:
                      "median_fluct_controlled_kw", "median_fluct_uncontrolled_kw",
                      "rmse_tie_tracking_kw", "rmse_acl_tracking_kw",
                      "comfort_violation_acl_min", "total_acl_min"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not -math.inf < self.max_fluct_reduction_pct <= 100:
+            raise ValueError("max_fluct_reduction_pct must be finite and at most 100")
 
 
 def compute_metrics(controlled: RunResult, uncontrolled: RunResult) -> MetricsReport:

@@ -474,6 +474,48 @@ class TestMetrics:
                      "--uncontrolled", str(workspace / "run_u"),
                      "--out", str(tmp_path / "m")]) == 2
 
+    @staticmethod
+    def with_cells(workspace, tmp_path, rows, cells):
+        """A copy of the controlled run with results.csv's `cells`, column
+        index -> text, set on `rows`."""
+        run = tmp_path / "edited"
+        shutil.copytree(workspace / "run_c", run)
+        for row in rows:
+            edit_line(run / "results.csv", row, lambda line: ",".join(
+                cells.get(j, v) for j, v in enumerate(line.split(","))))
+        return run
+
+    @pytest.mark.parametrize("column, value", [(1, "inf"), (1, "nan"), (4, "-inf"),
+                                               (6, "nan")],
+                             ids=["p_g_inf", "p_g_nan", "p_ac_actual_inf", "s_aggregate_nan"])
+    def test_non_finite_series_is_io_error(self, workspace, tmp_path, capsys, column, value):
+        run = self.with_cells(workspace, tmp_path, [400], {column: value})
+        assert main(["metrics", "--controlled", str(run),
+                     "--uncontrolled", str(workspace / "run_u"),
+                     "--out", str(tmp_path / "m")]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_nan_before_the_first_cycle_is_accepted(self, workspace, tmp_path):
+        # p_g0_reference, p_g_lpf and p_ac_target are NaN by design until a
+        # cycle has cleared
+        run = self.with_cells(workspace, tmp_path, [400], {2: "nan", 3: "nan", 5: "nan"})
+        assert main(["metrics", "--controlled", str(run),
+                     "--uncontrolled", str(workspace / "run_u"),
+                     "--out", str(tmp_path / "m")]) == 0
+
+    def test_metric_that_overflows_is_incomparable(self, workspace, tmp_path, capsys):
+        # every series finite, but the tracking error squares past the
+        # largest double
+        run = self.with_cells(workspace, tmp_path, range(400, 410), {1: "1e+308"})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["metrics", "--controlled", str(run),
+                         "--uncontrolled", str(workspace / "run_u"),
+                         "--out", str(tmp_path / "m")])
+        assert code == 5
+        assert "rmse_tie_tracking_kw must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "metrics.txt").exists()
+
     def test_missing_run_dir_is_io_error(self, workspace, tmp_path):
         assert main(["metrics", "--controlled", str(tmp_path / "absent"),
                      "--uncontrolled", str(workspace / "run_u"),

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tiesmooth.engine import (NumericAbortError, RunResult, Workspace, _advance_
                               seed_fleet_states, write_results, write_run_dir)
 from tiesmooth.market import sequential_sum
 from tiesmooth.mgcc import ContractError, CycleRecord
-from tiesmooth.population import (COLUMNS, Population, estimate_free_peak_kw,
+from tiesmooth.population import (COLUMNS, Population, aligned, estimate_free_peak_kw,
                                   generate_population,
                                   total_rated_power_kw)
 from tiesmooth.rng import ENROLLMENT_STREAM, substream
@@ -296,28 +297,74 @@ class TestAlignment:
                                 [make_traces(cfg, seed=100 + d) for d in range(3)])
         assert seen == [([], [])]
 
-    def test_two_part_fleet(self, monkeypatch):
-        # each part is a Fleet and a Workspace of views, and the record's
-        # prices land in each part's slice of one buffer
-        seen = {}
 
-        def recorded(part, soa):
-            def recording_soa(fleet, ws, out=None):
-                seen.setdefault(part, (fleet.n, misaligned(vars(fleet)), misaligned(vars(ws)),
-                                       misaligned({"out": out})))
-                return soa(fleet, ws, out)
-            return recording_soa
+class TestOneProcess:
+    """A controlled run steps every house in the calling thread, even on two
+    CPUs: 5 003 houses, which a split in two would not part on cache lines."""
 
-        step, (thermostat, advance, soa) = engine._HELPER_CALLS
-        monkeypatch.setattr(engine, "_HELPER_CALLS",
-                            (step, (thermostat, advance, recorded("helper", soa))))
-        monkeypatch.setattr(engine, "fleet_soa", recorded("caller", soa))
-        monkeypatch.setattr(engine, "THREAD_MIN_HOUSES", 64)
+    N_HOUSES = 5003
+    MODEL = flat_model(4000.0)
+
+    @pytest.fixture(scope="class")
+    def houses(self):
+        return generate_population(PopulationSpec(n=self.N_HOUSES), 17)
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return ScenarioConfig(n_acl=self.N_HOUSES, seed=17, duration_s=600, warmup_s=600)
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Every thread made while the test runs, on two CPUs."""
+        made = []
+
+        class Recorded(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
         monkeypatch.setattr(engine, "_cpus", lambda: 2)
-        cfg = small_cfg(n_acl=5003, duration_s=60, warmup_s=0)
-        run_scenario(cfg, generate_population(cfg.population_spec(), 3),
-                     make_traces(cfg), flat_model(20.0))
-        assert seen == {"caller": (2496, [], [], []), "helper": (2507, [], [], [])}
+        return made
+
+    def test_traced_kernels_run_on_the_calling_thread(self, cfg, houses, threads,
+                                                      monkeypatch):
+        # the benchmark's tracer wraps these names and assumes one thread
+        callers = {}
+
+        def recorded(kernel, seen):
+            def call(*args):
+                seen.append(threading.get_ident())
+                return kernel(*args)
+            return call
+
+        for name in ("_thermostat_slice", "_advance_slice", "fleet_soa"):
+            monkeypatch.setattr(engine, name, recorded(getattr(engine, name),
+                                                       callers.setdefault(name, [])))
+        traces = generate_traces(cfg.seed, 2.0 * self.N_HOUSES, warmup_s=cfg.warmup_s,
+                                 days=1)
+        run_scenario(cfg, houses, traces, self.MODEL)
+        steps = cfg.total_s // cfg.sim_step_s
+        assert len(callers["_thermostat_slice"]) == len(callers["_advance_slice"]) == steps
+        records, bids = cfg.total_s // cfg.record_cycle_s, cfg.total_s // cfg.control_cycle_s
+        assert len(callers["fleet_soa"]) == records + bids
+        assert {ident for seen in callers.values() for ident in seen} == {threading.get_ident()}
+        assert threads == []
+
+    def test_overflow_raises_under_errstate(self, cfg, houses, threads):
+        # only the first ten houses have an aperture, and the sun overflows it
+        aperture = np.zeros(self.N_HOUSES)
+        aperture[:10] = houses.columns["solar_aperture"][:10]
+        lit = Population(houses.house_index, {**houses.columns,
+                                              "solar_aperture": aligned(aperture)})
+        blazing = constant_traces(cfg.total_s, solar=1e308)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                run_scenario(cfg, lit, blazing, self.MODEL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericAbortError):
+                run_scenario(cfg, lit, blazing, self.MODEL)
+        assert threads == []
 
 
 class TestScheduling:
@@ -645,10 +692,22 @@ class TestRunDirFormat:
             assert (tmp_path / "run" / name).read_text() == text
 
     def test_load_then_write_keeps_bytes(self, tmp_path):
-        write_run_dir(tmp_path / "a", hand_built_run())
+        # p_g must be finite to load; the NaN and infinities stay in the
+        # series that hold them by design
+        write_run_dir(tmp_path / "a", hand_built_run(p_g=np.array([1e300, -0.0, 1e-05])))
         write_run_dir(tmp_path / "b", load_run_dir(tmp_path / "a"))
         for name in self.FILES:
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["p_g", "p_ac_actual", "s_aggregate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_is_refused(self, tmp_path, name, value):
+        finite = np.array([1e300, -0.0, 1e-05])
+        series = finite.copy()
+        series[1] = value
+        write_run_dir(tmp_path / "run", hand_built_run(**{"p_g": finite, name: series}))
+        with pytest.raises(ValueError, match=f"{name} that is not finite"):
+            load_run_dir(tmp_path / "run")
 
     def test_numpy_scalar_is_refused(self, tmp_path):
         # under NumPy 2 its repr is "np.float64(0.0)", which no reader parses

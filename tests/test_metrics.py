@@ -1,6 +1,8 @@
 """Fluctuation-rate windows and paired-run comparison."""
 
+import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +123,15 @@ class TestComputeMetrics:
             s_aggregate=free.s_aggregate[:-5], n_on=free.n_on[:-5])
         with pytest.raises(ValueError):
             compute_metrics(controlled, short)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_fluct_controlled_kw", math.inf), ("median_fluct_uncontrolled_kw", math.nan),
+        ("rmse_tie_tracking_kw", math.inf), ("total_acl_min", -1.0),
+        ("max_fluct_reduction_pct", -math.inf), ("max_fluct_reduction_pct", math.nan)])
+    def test_report_refuses_values_that_are_not_finite(self, paired_runs, name, value):
+        report = compute_metrics(*paired_runs)
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(report, **{name: value})
 
     def test_writers_produce_parseable_output(self, paired_runs):
         controlled, free = paired_runs
