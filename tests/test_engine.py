@@ -300,7 +300,7 @@ class TestAlignment:
 
 class TestOneProcess:
     """A controlled run steps every house in the calling thread, even on two
-    CPUs: 5 003 houses, which a split in two would not part on cache lines."""
+    CPUs and at 5 003 houses."""
 
     N_HOUSES = 5003
     MODEL = flat_model(4000.0)
