@@ -8,7 +8,6 @@ low-pass-filtered target.  See the README for the pipeline walkthrough.
 
 __version__ = "0.1.0"
 
-from .agents import AclAgentConfig
 from .baseline import (BaselineModel, CorrectionParams, CorrectionState,
                        TrainingColumns, build_features, correct_baseline,
                        delta_p_adj, fit_baseline_model, predict_baseline)
@@ -18,10 +17,8 @@ from .market import (BidBatch, ClearingKind, ClearingOutcome, DemandCurve,
 from .metrics import MetricsReport, compute_metrics
 from .mgcc import (ContractError, CycleRecord, LpfState, compute_aggregate_soa,
                    compute_target_power, lpf_step, run_control_cycle)
-from .population import House, generate_population
+from .population import generate_population
 from .scenario import PopulationSpec, ScenarioConfig, load_scenario, save_scenario
-from .thermal import (EtpParameters, HouseGeometry, derive_etp_params,
-                      equilibrium_temperature)
 from .traces import TraceSet, generate_traces, generate_training_traces
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -77,50 +77,54 @@ def compute_metrics(controlled: RunResult, uncontrolled: RunResult) -> MetricsRe
     rc = controlled.record_cycle_s
     w = WINDOW_S // rc
 
-    fluct_c = fluctuation_series(controlled.p_g[sl], rc)
-    fluct_u = fluctuation_series(uncontrolled.p_g[sl], rc)
+    # a spread, square, mean or median past the largest double is inf,
+    # which the report refuses
+    with np.errstate(over="ignore"):
+        fluct_c = fluctuation_series(controlled.p_g[sl], rc)
+        fluct_u = fluctuation_series(uncontrolled.p_g[sl], rc)
 
-    max_c, max_u = float(np.max(fluct_c)), float(np.max(fluct_u))
-    reduction = 100.0 * (1.0 - max_c / max_u) if max_u > 0 else 0.0
-    not_worse = float(np.mean(fluct_c <= fluct_u))
+        max_c, max_u = float(np.max(fluct_c)), float(np.max(fluct_u))
+        reduction = 100.0 * (1.0 - max_c / max_u) if max_u > 0 else 0.0
+        not_worse = float(np.mean(fluct_c <= fluct_u))
 
-    lpf = controlled.p_g_lpf[sl]
-    pg = controlled.p_g[sl]
-    valid = np.isfinite(lpf)
-    rmse_tie = float(np.sqrt(np.mean((pg[valid] - lpf[valid]) ** 2))) if np.any(valid) else 0.0
+        lpf = controlled.p_g_lpf[sl]
+        pg = controlled.p_g[sl]
+        valid = np.isfinite(lpf)
+        rmse_tie = float(np.sqrt(np.mean((pg[valid] - lpf[valid]) ** 2))) \
+            if np.any(valid) else 0.0
 
-    target = controlled.p_ac_target[sl]
-    actual = controlled.p_ac_actual[sl]
-    valid_t = np.isfinite(target)
-    rmse_acl = float(np.sqrt(np.mean((actual[valid_t] - target[valid_t]) ** 2))) \
-        if np.any(valid_t) else 0.0
+        target = controlled.p_ac_target[sl]
+        actual = controlled.p_ac_actual[sl]
+        valid_t = np.isfinite(target)
+        rmse_acl = float(np.sqrt(np.mean((actual[valid_t] - target[valid_t]) ** 2))) \
+            if np.any(valid_t) else 0.0
 
-    cycles = [r.s_aggregate for r in controlled.cycle_records
-              if r.k * controlled.control_cycle_s >= controlled.warmup_s]
-    s_abs = np.abs(np.array(cycles)) if cycles else np.zeros(1)
+        cycles = [r.s_aggregate for r in controlled.cycle_records
+                  if r.k * controlled.control_cycle_s >= controlled.warmup_s]
+        s_abs = np.abs(np.array(cycles)) if cycles else np.zeros(1)
 
-    pct = (100.0 * controlled.comfort_violation_acl_min / controlled.total_acl_min
-           if controlled.total_acl_min > 0 else 0.0)
+        pct = (100.0 * controlled.comfort_violation_acl_min / controlled.total_acl_min
+               if controlled.total_acl_min > 0 else 0.0)
 
-    return MetricsReport(
-        n_records=int(len(controlled.time_s) - sl.start - w + 1),
-        window_s=WINDOW_S,
-        max_fluct_controlled_kw=max_c,
-        max_fluct_uncontrolled_kw=max_u,
-        median_fluct_controlled_kw=float(np.median(fluct_c)),
-        median_fluct_uncontrolled_kw=float(np.median(fluct_u)),
-        max_fluct_reduction_pct=reduction,
-        frac_instants_not_worse=not_worse,
-        rmse_tie_tracking_kw=rmse_tie,
-        rmse_acl_tracking_kw=rmse_acl,
-        comfort_violation_acl_min=controlled.comfort_violation_acl_min,
-        total_acl_min=controlled.total_acl_min,
-        comfort_violation_pct=pct,
-        s_mean_abs=float(np.mean(s_abs)),
-        s_max_abs=float(np.max(s_abs)),
-        frac_cycles_s_below_090=float(np.mean(s_abs <= 0.9)),
-        frac_cycles_s_saturated=float(np.mean(s_abs >= 0.98)),
-    )
+        return MetricsReport(
+            n_records=int(len(controlled.time_s) - sl.start - w + 1),
+            window_s=WINDOW_S,
+            max_fluct_controlled_kw=max_c,
+            max_fluct_uncontrolled_kw=max_u,
+            median_fluct_controlled_kw=float(np.median(fluct_c)),
+            median_fluct_uncontrolled_kw=float(np.median(fluct_u)),
+            max_fluct_reduction_pct=reduction,
+            frac_instants_not_worse=not_worse,
+            rmse_tie_tracking_kw=rmse_tie,
+            rmse_acl_tracking_kw=rmse_acl,
+            comfort_violation_acl_min=controlled.comfort_violation_acl_min,
+            total_acl_min=controlled.total_acl_min,
+            comfort_violation_pct=pct,
+            s_mean_abs=float(np.mean(s_abs)),
+            s_max_abs=float(np.max(s_abs)),
+            frac_cycles_s_below_090=float(np.mean(s_abs <= 0.9)),
+            frac_cycles_s_saturated=float(np.mean(s_abs >= 0.98)),
+        )
 
 
 def write_report(fh: TextIO, report: MetricsReport) -> None:

@@ -6,13 +6,15 @@ Draws violating the type invariants are retried (capped), which at the
 default distribution tables happens to about 2 % of houses, nearly all
 of them for a normal draw past its 3-sigma truncation.
 
-The fleet is a `Population` of columns, one float array per field a
-`House` row exposes.  Houses are drawn DRAW_CHUNK at a time by one walk
-over their streams' outputs (`rng.Streams`), a position per house: each
-field in canonical order as `Dist.draw` takes it, and the whole house
-again, from where it stopped, while a check fails.  The values, their
-checks and everything derived from them are array expressions in the
-operation order of the per-house dataclasses, whose predicates they are.
+The fleet is a `Population` of columns, one float array per field:
+the drawn geometry, the derived thermal parameters and the controller.
+Houses are drawn DRAW_CHUNK at a time by one walk over their streams'
+outputs (`rng.Streams`), a position per house: each field in canonical
+order as `Dist.draw` takes it, and the whole house again, from where it
+stopped, while a check fails.  The values, their checks
+(`thermal.geometry_faults`, `thermal.etp_faults`,
+`agents.controller_faults`) and everything derived from them are array
+expressions that also take one house's floats.
 
 Electrical ratings are snapped to a dyadic kW quantum when the device is
 built: every fleet power is then a multiple of 2^-10 kW, which keeps
@@ -23,36 +25,29 @@ floating point.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import rng
-from .agents import AclAgentConfig, controller_faults, default_epsilon
+from .agents import controller_faults, default_epsilon
 from .market import sequential_sum
 from .scenario import CONTROLLER_FIELDS, HOUSE_FIELDS, PopulationSpec
 from .thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, DerivationConstants,
-                      EtpParameters, HouseGeometry, derive_etp_terms, etp_faults,
-                      geometry_faults)
+                      derive_etp_terms, etp_faults, geometry_faults)
 
 MAX_REDRAWS = 100
 # houses per walk: 64 KiB per float array of the walk (Philox computes
 # their outputs rng.PHILOX_PASS streams at a time)
 DRAW_CHUNK = 8192
 
-ETP_FIELDS = tuple(f.name for f in fields(EtpParameters))
-AGENT_FIELDS = tuple(f.name for f in fields(AclAgentConfig))
-# one float column per House field: the drawn geometry, the derived
-# thermal parameters, then the controller (draws, rating in kW, epsilon)
+# thermal parameters: J/degC, J/degC, W/degC, W/degC, m^2, W thermal, W electrical
+ETP_FIELDS = ("c_air", "c_mass", "ua_envelope", "h_mass", "solar_aperture",
+              "cooling_capacity", "rated_electrical_power")
+# controller: degC, degC, degC, degC, kW electrical, degC
+AGENT_FIELDS = ("t_set", "deadband", "t_high", "t_low", "rated_power", "epsilon")
+# one float column per field: the drawn geometry, the derived thermal
+# parameters, then the controller (draws, rating in kW, epsilon)
 COLUMNS = HOUSE_FIELDS + ETP_FIELDS + AGENT_FIELDS
-_ROW_TYPES = ((HouseGeometry, HOUSE_FIELDS), (EtpParameters, ETP_FIELDS),
-              (AclAgentConfig, AGENT_FIELDS))
-# the geometry fields that are not drawn keep their defaults
-_GEOMETRY_DEFAULTS = {f.name: f.default for f in fields(HouseGeometry)
-                      if f.name not in HOUSE_FIELDS}
 
 
 CACHE_LINE = 64
@@ -82,23 +77,12 @@ class PopulationError(ValueError):
     """A house could not be drawn within the redraw budget."""
 
 
-@dataclass(frozen=True)
-class House:
-    """One fleet member: geometry, derived thermal parameters, controller."""
-
-    index: int
-    geometry: HouseGeometry
-    etp: EtpParameters
-    agent: AclAgentConfig
-
-
-class Population(Sequence):
+class Population:
     """A fleet as columns: `house_index`, each house's index (its stream
     number), and one read-only float array per name in COLUMNS, under
     `columns`.
 
-    It reads as a sequence of `House` rows, built from the columns on
-    each access; a slice or `take` is a Population, and two populations
+    `take` gives some of its houses as a Population, and two populations
     are equal when their columns hold the same bytes.  Every column
     starts on a 64-byte boundary (`aligned`), so a fleet can share them.
     """
@@ -111,13 +95,6 @@ class Population(Sequence):
 
     def __len__(self) -> int:
         return len(self.house_index)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return self.take(key)
-        return House(int(self.house_index[key]), *(
-            row_type(**{name: float(self.columns[name][key]) for name in names})
-            for row_type, names in _ROW_TYPES))
 
     def take(self, indices) -> Population:
         """The houses at `indices`, a slice or positions in any order."""
@@ -151,20 +128,15 @@ def _assemble(draws: dict[str, np.ndarray], consts: DerivationConstants,
     check fails.  The electrical rating is quantized and the thermal
     capacity restated from it, so rated power stays exactly capacity / EER.
     """
-    geometry = SimpleNamespace(**_GEOMETRY_DEFAULTS,
-                               **{name: draws[name] for name in HOUSE_FIELDS})
-    raw = derive_etp_terms(geometry, consts)
+    raw = derive_etp_terms(draws, consts)
     rated_kw = quantize_power_kw(raw["rated_electrical_power"] / 1000.0)
     etp = {**{name: raw[name] for name in ETP_FIELDS},
            "cooling_capacity": rated_kw * 1000.0 * draws["eer"],
            "rated_electrical_power": rated_kw * 1000.0}
     agent = {**{name: draws[name] for name in CONTROLLER_FIELDS}, "rated_power": rated_kw,
              "epsilon": default_epsilon(draws["deadband"], epsilon_margin)}
-    checks = chain(geometry_faults(geometry), etp_faults(SimpleNamespace(**raw)),
-                   etp_faults(SimpleNamespace(**etp)), controller_faults(SimpleNamespace(**agent)))
-    fault = (raw["net_wall"] <= 0) | _rating_fault(rated_kw)
-    for check, _ in checks:
-        fault |= check
+    fault = (geometry_faults(draws) | (raw["net_wall"] <= 0) | etp_faults(raw)
+             | _rating_fault(rated_kw) | etp_faults(etp) | controller_faults(agent))
     return {**{name: draws[name] for name in HOUSE_FIELDS}, **etp, **agent}, fault
 
 

@@ -58,9 +58,6 @@ class Dist:
         """True where a normal draw lies inside its truncation; floats or arrays."""
         return abs(x - self.a) <= 3.0 * self.b
 
-    def mean(self) -> float:
-        return 0.5 * (self.a + self.b) if self.kind == "uniform" else self.a
-
     def format(self) -> str:
         return f"{self.kind} {fmt(self.a)} {fmt(self.b)}"
 

@@ -24,94 +24,44 @@ changed without code edits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 
-class GeometryError(ValueError):
-    """A house geometry field is outside its physical domain."""
+# Every house has this ceiling height (m) and door area (m^2).
+CEILING_HEIGHT = 2.5
+DOOR_AREA = 2.0
 
-
-class SingularEquilibriumError(ZeroDivisionError):
-    """Steady state undefined: no conductance to the outdoors."""
-
-
-def raise_first(faults, error: type) -> None:
-    """Raise `error` with the message of the first fault that holds, for
-    `faults` checked on one object of floats."""
-    for fault, message in faults:
-        if fault:
-            raise error(message())
-
-
+# the drawn geometry fields that must be positive (window_wall_ratio is a fraction)
 _POSITIVE_GEOMETRY = ("floor_area", "air_change_rate", "shgc", "eer", "r_roof", "r_wall",
-                      "r_floor", "r_window", "r_door", "ceiling_height", "door_area")
+                      "r_floor", "r_window", "r_door")
 
 
 def geometry_faults(g):
-    """The checks of a house geometry as (fault, message) pairs.
+    """True where a house geometry fails a check.
 
-    `g` holds one float or one array per field, and each fault is true
-    where its check fails, NaN as the dataclass treats it; `message()`
-    explains the fault of a single geometry.  `HouseGeometry` raises on
-    the first, and population synthesis checks a whole fleet with them.
+    `g` maps each drawn field to one float or one array of them.  NaN
+    fails the window_wall_ratio check only.
     """
+    wwr = g["window_wall_ratio"]
+    fault = np.logical_not((0 < wwr) & (wwr < 1)) | (g["shgc"] > 1)
     for name in _POSITIVE_GEOMETRY:
-        yield (getattr(g, name) <= 0,
-               lambda name=name: f"{name} must be positive, got {getattr(g, name)}")
-    yield (np.logical_not((0 < g.window_wall_ratio) & (g.window_wall_ratio < 1)),
-           lambda: f"window_wall_ratio must be in (0,1), got {g.window_wall_ratio}")
-    yield g.shgc > 1, lambda: f"shgc must be in (0,1], got {g.shgc}"
+        fault |= g[name] <= 0
+    return fault
 
 
 def etp_faults(p):
-    """The checks of lumped thermal parameters, as `geometry_faults` gives them."""
+    """True where lumped thermal parameters fail a check, in the form of
+    `geometry_faults`."""
+    # ua_envelope = 0 is admitted so the closed (adiabatic) system can
+    # be exercised; it has no finite equilibrium
+    fault = p["ua_envelope"] < 0
     for name in ("c_air", "c_mass", "h_mass",
                  "solar_aperture", "cooling_capacity", "rated_electrical_power"):
-        yield (getattr(p, name) <= 0,
-               lambda name=name: f"{name} must be positive, got {getattr(p, name)}")
-    # ua_envelope = 0 is admitted so the closed (adiabatic) system can
-    # be exercised; equilibrium_temperature rejects it explicitly.
-    yield p.ua_envelope < 0, lambda: f"ua_envelope must be >= 0, got {p.ua_envelope}"
-
-
-@dataclass(frozen=True)
-class HouseGeometry:
-    """Physical description of one house, as drawn for the population."""
-
-    floor_area: float          # m^2
-    air_change_rate: float     # 1/h
-    window_wall_ratio: float   # fraction of gross wall that is glazing
-    shgc: float                # solar heat gain coefficient, (0, 1]
-    eer: float                 # cooling W (thermal) per electrical W
-    r_roof: float              # degC*m^2/W
-    r_wall: float
-    r_floor: float
-    r_window: float
-    r_door: float
-    ceiling_height: float = 2.5   # m
-    door_area: float = 2.0        # m^2
-
-    def __post_init__(self):
-        raise_first(geometry_faults(self), GeometryError)
-
-
-@dataclass(frozen=True)
-class EtpParameters:
-    """Lumped thermal parameters of one house plus its cooling device."""
-
-    c_air: float                   # J/degC, air + fast-coupled contents
-    c_mass: float                  # J/degC, building mass
-    ua_envelope: float             # W/degC to outdoors, incl. infiltration
-    h_mass: float                  # W/degC air<->mass coupling
-    solar_aperture: float          # m^2 effective (glazing area x SHGC)
-    cooling_capacity: float        # W thermal removed while running
-    rated_electrical_power: float  # W electrical input while running
-
-    def __post_init__(self):
-        raise_first(etp_faults(self), GeometryError)
+        fault |= p[name] <= 0
+    return fault
 
 
 @dataclass(frozen=True)
@@ -119,7 +69,7 @@ class DerivationConstants:
     """Geometry-to-parameter mapping rules.
 
     Square footprint is assumed: gross wall area = 4*sqrt(floor_area) *
-    ceiling_height, with the glazing and the door removed from the
+    CEILING_HEIGHT, with the glazing and the door removed from the
     conducting wall.  Infiltration enters as air_change_rate air volumes
     per hour of outdoor air.  The cooling device is sized to hold the
     design indoor temperature against the design outdoor temperature and
@@ -163,24 +113,28 @@ POWER_QUANTUM_KW = 1.0 / 1024.0
 
 
 def derive_etp_terms(g, consts: DerivationConstants = DEFAULT_DERIVATION) -> dict:
-    """The arithmetic of `derive_etp_params`, unchecked, on one float or
-    one array per geometry field: each `EtpParameters` field plus
-    `gross_wall` and `net_wall` (m^2)."""
-    volume = g.floor_area * g.ceiling_height
-    gross_wall = 4.0 * np.sqrt(g.floor_area) * g.ceiling_height
-    window_area = g.window_wall_ratio * gross_wall
-    net_wall = gross_wall - window_area - g.door_area
+    """Map a house geometry onto lumped thermal parameters, unchecked.
 
-    ua_conduction = (g.floor_area / g.r_roof
-                     + g.floor_area / g.r_floor
-                     + net_wall / g.r_wall
-                     + window_area / g.r_window
-                     + g.door_area / g.r_door)
+    `g` maps each drawn field to one float or one array of them.  Gives
+    each of `population.ETP_FIELDS` plus `gross_wall` and `net_wall`
+    (m^2).  Conduction UA sums area/R over roof, floor, net wall, window and
+    door; infiltration UA adds the air-change enthalpy flow.
+    """
+    volume = g["floor_area"] * CEILING_HEIGHT
+    gross_wall = 4.0 * np.sqrt(g["floor_area"]) * CEILING_HEIGHT
+    window_area = g["window_wall_ratio"] * gross_wall
+    net_wall = gross_wall - window_area - DOOR_AREA
+
+    ua_conduction = (g["floor_area"] / g["r_roof"]
+                     + g["floor_area"] / g["r_floor"]
+                     + net_wall / g["r_wall"]
+                     + window_area / g["r_window"]
+                     + DOOR_AREA / g["r_door"])
     air_capacity = volume * consts.air_density * consts.air_heat_capacity
-    ua_infiltration = g.air_change_rate * air_capacity / 3600.0
+    ua_infiltration = g["air_change_rate"] * air_capacity / 3600.0
     ua_envelope = ua_conduction + ua_infiltration
 
-    solar_aperture = window_area * g.shgc
+    solar_aperture = window_area * g["shgc"]
     design_dt = consts.design_outdoor_c - consts.design_indoor_c
     cooling_capacity = consts.oversize_factor * (ua_envelope * design_dt
                                                  + solar_aperture * consts.design_solar_wm2)
@@ -193,22 +147,8 @@ def derive_etp_terms(g, consts: DerivationConstants = DEFAULT_DERIVATION) -> dic
         "h_mass": consts.mass_coupling_ratio * ua_envelope,
         "solar_aperture": solar_aperture,
         "cooling_capacity": cooling_capacity,
-        "rated_electrical_power": cooling_capacity / g.eer,
+        "rated_electrical_power": cooling_capacity / g["eer"],
     }
-
-
-def derive_etp_params(g: HouseGeometry, consts: DerivationConstants = DEFAULT_DERIVATION) -> EtpParameters:
-    """Map a house geometry onto lumped thermal parameters.
-
-    Conduction UA sums area/R over roof, floor, net wall, window and
-    door; infiltration UA adds the air-change enthalpy flow.  Raises
-    GeometryError when any derived quantity degenerates.
-    """
-    terms = derive_etp_terms(g, consts)
-    if terms["net_wall"] <= 0:
-        raise GeometryError(f"door and glazing exceed the gross wall area "
-                            f"({terms['gross_wall']:.2f} m^2)")
-    return EtpParameters(**{f.name: float(terms[f.name]) for f in fields(EtpParameters)})
 
 
 def discretize(ua, h_mass, c_air, c_mass, dt: float):
@@ -276,16 +216,3 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
         raise ValueError("a house's thermal step matrices are not finite: its parameters "
                          "are too small or too large to discretize")
     return ad, m
-
-
-def equilibrium_temperature(p: EtpParameters, t_out: float, solar: float,
-                            cooling_on: bool) -> float:
-    """Steady-state indoor air temperature for fixed inputs.
-
-    At equilibrium the mass node matches the air node, so the air
-    balance reduces to ua * (t_out - t_air) + q_net = 0.
-    """
-    if p.ua_envelope == 0:
-        raise SingularEquilibriumError("ua_envelope = 0 has no finite equilibrium")
-    q_cool = p.cooling_capacity if cooling_on else 0.0
-    return t_out + (p.solar_aperture * solar - q_cool) / p.ua_envelope

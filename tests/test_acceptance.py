@@ -22,14 +22,14 @@ from tiesmooth.mgcc import LpfState, lpf_sinusoid_gain, lpf_step
 from tiesmooth.population import estimate_free_peak_kw, generate_population
 from tiesmooth.rng import substream
 from tiesmooth.scenario import ScenarioConfig
-from tiesmooth.thermal import derive_etp_params, equilibrium_temperature
 from tiesmooth.traces import generate_traces, generate_training_traces, peak_weather
 
 import io
 
+from handmade import etp_of
 from test_engine import run_audited
 from test_market import brute_force_clear, price_order, rows_of
-from test_thermal import advance, random_table_geometry, thermal_fleet
+from test_thermal import advance, equilibrium_temperature, random_table_geometry, thermal_fleet
 
 
 def report(criterion, ok, detail):
@@ -273,7 +273,7 @@ def test_criterion_7_power_balance(bundle, paired):
 def test_criterion_8_etp_oracle():
     # 1000 drawn houses, stepped as one fleet
     gen = substream(88, 8)
-    cases = [(derive_etp_params(random_table_geometry(gen)), float(gen.uniform(26, 38)),
+    cases = [(etp_of(random_table_geometry(gen)), float(gen.uniform(26, 38)),
               float(gen.uniform(0, 900)), bool(gen.integers(0, 2))) for _ in range(1000)]
     params, t_out, solar, cooling = (list(column) for column in zip(*cases))
     targets = np.array([equilibrium_temperature(*case) for case in cases])

@@ -1,15 +1,17 @@
-"""Local controller: temperature state, bidding, price response, hysteresis.
+"""Local controller: its checks, temperature state, bidding, price response,
+hysteresis.
 
 Every rule runs on the engine's fleet kernels, through a fleet of houses
 that share one controller configuration.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from tiesmooth.agents import AclAgentConfig, default_epsilon
+from tiesmooth.agents import controller_faults, default_epsilon
 from tiesmooth.baseline import BaselineModel
 from tiesmooth.engine import (Workspace, _respond_to_price, _thermostat_slice, build_fleet,
                               fleet_soa)
@@ -18,13 +20,14 @@ from tiesmooth.population import generate_population
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
 from tiesmooth.traces import generate_traces
 
-from test_engine import ETP, population_of, run_audited, thresholds_fresh
+from handmade import TINY, case_id, controller, population_of, verdicts
+from test_engine import ETP, run_audited, thresholds_fresh
 
 
 @pytest.fixture
 def cfg():
-    return AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
-                          rated_power=2.5, epsilon=default_epsilon(0.3))
+    return controller(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
+                      rated_power=2.5, epsilon=default_epsilon(0.3))
 
 
 def fleet_of(cfg, t_air, on=False, setpoint=None):
@@ -67,8 +70,8 @@ class TestComputeSoa:
         assert soa(cfg, cfg.t_max) == 1.0
 
     def test_direct_substitution(self):
-        cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
-                             rated_power=2.5, epsilon=0.2)
+        cfg = controller(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
+                         rated_power=2.5, epsilon=0.2)
         assert soa(cfg, 24.75) == pytest.approx(-0.5)
 
     def test_clamped_outside_limits(self, cfg):
@@ -83,14 +86,14 @@ class TestComputeSoa:
         assert abs(above - below) < 1e-8
 
     def test_asymmetric_bands(self):
-        cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.0, t_low=3.0,
-                             rated_power=2.5, epsilon=0.2)
+        cfg = controller(t_set=26.0, deadband=0.3, t_high=2.0, t_low=3.0,
+                         rated_power=2.5, epsilon=0.2)
         assert soa(cfg, [27.0, 24.5]) == pytest.approx([0.5, -0.5])
 
     def test_same_bits_as_selecting_the_side(self):
         # the two clipped halves give the bits of dividing by the side's band
-        cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.0, t_low=3.0,
-                             rated_power=2.5, epsilon=0.2)
+        cfg = controller(t_set=26.0, deadband=0.3, t_high=2.0, t_low=3.0,
+                         rated_power=2.5, epsilon=0.2)
         edges = np.array([cfg.t_set, cfg.t_max, cfg.t_min])
         temps = np.concatenate([edges, np.nextafter(edges, -np.inf),
                                 np.nextafter(edges, np.inf), [np.nan, np.inf, -np.inf],
@@ -122,7 +125,7 @@ class TestMakeBid:
 
     def test_field_copy(self, audited_run):
         houses, batches, _ = audited_run
-        rated = [h.agent.rated_power for h in houses]
+        rated = houses.columns["rated_power"].tolist()
         assert batches
         for batch in batches:
             assert batch.quantity.tolist() == rated
@@ -131,7 +134,7 @@ class TestMakeBid:
     def test_off_device(self, audited_run):
         # an off device still offers its full rating and says it is off
         houses, batches, _ = audited_run
-        rated = np.array([h.agent.rated_power for h in houses])
+        rated = houses.columns["rated_power"]
         on_states = np.array([batch.on_state for batch in batches])
         assert on_states.any() and not on_states.all()
         for batch in batches:
@@ -202,13 +205,34 @@ class TestThermostat:
             seen.append(bool(fleet.on[0]))
         assert seen == expected
 
-    def test_invariants_rejected(self):
-        with pytest.raises(ValueError):
-            AclAgentConfig(t_set=26.0, deadband=0.0, t_high=2.5, t_low=2.5,
-                           rated_power=2.5, epsilon=0.2)
-        with pytest.raises(ValueError):
-            AclAgentConfig(t_set=26.0, deadband=2.6, t_high=2.5, t_low=2.5,
-                           rated_power=2.5, epsilon=0.2)
-        with pytest.raises(ValueError):  # epsilon band leaves the limits
-            AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
-                           rated_power=2.5, epsilon=2.4)
+
+SETTINGS = dict(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5, rated_power=2.5, epsilon=0.2)
+
+
+@pytest.mark.parametrize("overrides, fault", [
+    ({}, False),
+    # limits and rating positive; NaN passes the rating's sign check
+    *[({name: value}, fault) for name in ("t_high", "t_low", "rated_power")
+      for value, fault in ((-TINY, True), (0.0, True))],
+    ({"rated_power": TINY}, False), ({"rated_power": math.nan}, False),
+    # a NaN limit leaves no band the deadband fits
+    ({"t_high": math.nan}, True), ({"t_low": math.nan}, True),
+    # deadband in (0, min(t_high, t_low))
+    *[({"deadband": value}, fault) for value, fault in (
+        (-TINY, True), (0.0, True), (TINY, False), (math.nextafter(2.5, 0.0), False),
+        (2.5, True), (math.nextafter(2.5, 3.0), True), (2.6, True), (math.nan, True))],
+    ({"t_low": 2.0, "deadband": math.nextafter(2.0, 0.0)}, False),
+    ({"t_low": 2.0, "deadband": 2.0}, True),
+    # epsilon > 0, and epsilon + deadband/2 inside the narrower band
+    *[({"epsilon": value}, fault) for value, fault in (
+        (-TINY, True), (0.0, True), (TINY, False), (2.4, True), (math.nan, True))],
+    *[({"deadband": 0.25, "epsilon": value}, fault) for value, fault in (
+        (math.nextafter(2.375, 0.0), False), (2.375, False),
+        (math.nextafter(2.375, 3.0), True))],
+    # the band a device drifts off in must start below t_max = 28.5, whose
+    # ulp is 2^-48: a half-ulp half-deadband rounds back onto it
+    ({"deadband": 2.0 ** -47, "epsilon": TINY}, False),
+    ({"deadband": 2.0 ** -48, "epsilon": TINY}, True),
+], ids=case_id)
+def test_controller_faults(overrides, fault):
+    assert verdicts(controller_faults, {**SETTINGS, **overrides}) == (fault, [fault])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import tiesmooth.engine as engine
 import tiesmooth.mgcc as mgcc
-from tiesmooth.agents import AclAgentConfig
+from tiesmooth.agents import controller_faults
 from tiesmooth.baseline import BaselineModel
 from tiesmooth.engine import (NumericAbortError, RunResult, Workspace, _advance_slice,
                               _thermostat_slice, build_fleet, load_run_dir,
@@ -21,15 +21,14 @@ from tiesmooth.engine import (NumericAbortError, RunResult, Workspace, _advance_
                               seed_fleet_states, write_results, write_run_dir)
 from tiesmooth.market import sequential_sum
 from tiesmooth.mgcc import ContractError, CycleRecord
-from tiesmooth.population import (COLUMNS, Population, aligned, estimate_free_peak_kw,
-                                  generate_population,
-                                  total_rated_power_kw)
+from tiesmooth.population import (Population, aligned, estimate_free_peak_kw,
+                                  generate_population, total_rated_power_kw)
 from tiesmooth.rng import ENROLLMENT_STREAM, substream
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
-from tiesmooth.thermal import EtpParameters
 from tiesmooth.traces import (TraceSet, generate_traces, generate_training_traces,
                               peak_weather, quantize_kw)
 
+from handmade import controller, etp, house_rows, population_of
 from test_market import price_order, rows_of
 
 
@@ -81,15 +80,6 @@ def run_audited(cfg, houses, traces, model):
 @pytest.fixture(scope="module")
 def population():
     return generate_population(PopulationSpec(n=12), 9)
-
-
-def population_of(etps, agents):
-    """Hand-made houses, thermal parameters and controllers taken pairwise,
-    as a Population; the geometry columns, which no fleet reads, are NaN."""
-    rows = [{**vars(p), **vars(a)} for p, a in zip(etps, agents)]
-    return Population(np.arange(len(rows)), {
-        name: np.array([row.get(name, np.nan) for row in rows], dtype=float)
-        for name in COLUMNS})
 
 
 def one_line_thermostat(fleet):
@@ -168,9 +158,8 @@ class TestThermostatKernel:
 
 
 # a valid house: the controller kernels never read its thermal parameters
-ETP = EtpParameters(c_air=1e6, c_mass=4e5, ua_envelope=200.0, h_mass=600.0,
-                    solar_aperture=5.0, cooling_capacity=5000.0,
-                    rated_electrical_power=1500.0)
+ETP = etp(c_air=1e6, c_mass=4e5, ua_envelope=200.0, h_mass=600.0, solar_aperture=5.0,
+          cooling_capacity=5000.0, rated_electrical_power=1500.0)
 
 
 @st.composite
@@ -179,11 +168,12 @@ def controllers(draw):
     t_high, t_low = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0))
     deadband = draw(st.floats(0.01, 0.999)) * min(t_high, t_low)
     epsilon = draw(st.floats(1e-4, 1.0)) * (min(t_high, t_low) - deadband / 2.0)
+    settings = dict(t_set=draw(st.floats(18.0, 30.0)), deadband=deadband, t_high=t_high,
+                    t_low=t_low, rated_power=2.5, epsilon=epsilon)
     # at the top of the range, rounding can put epsilon + deadband/2 one ulp
-    # past the narrower band, which the controller rightly rejects
-    assume(epsilon + deadband / 2.0 <= min(t_high, t_low))
-    return AclAgentConfig(t_set=draw(st.floats(18.0, 30.0)), deadband=deadband,
-                          t_high=t_high, t_low=t_low, rated_power=2.5, epsilon=epsilon)
+    # past the narrower band, which the controller checks rightly reject
+    assume(not controller_faults(settings))
+    return controller(**settings)
 
 
 class TestFusedThermostat:
@@ -211,8 +201,8 @@ class TestFusedThermostat:
         assert np.array_equal(fleet.on, expected)
 
     def test_band_starting_at_upper_limit_rejected(self):
-        cfg = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
-                             rated_power=2.5, epsilon=0.2)
+        cfg = controller(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
+                         rated_power=2.5, epsilon=0.2)
         fleet = build_fleet(population_of([ETP] * 3, [cfg] * 3), 5.0)
         ws = Workspace(fleet)
         fleet.active_setpoint[1] = cfg.t_max + cfg.deadband / 2.0  # sp - h == t_max
@@ -275,13 +265,13 @@ class TestAlignment:
     def test_generated_and_shuffled_populations(self, n):
         houses = generate_population(PopulationSpec(n=n), 3)
         shuffled = houses.take(np.random.default_rng(1).permutation(n))
-        for population in (houses, shuffled, houses[n // 2:]):
+        for population in (houses, shuffled, houses.take(slice(n // 2, None))):
             assert misaligned(population.columns) == []
             fleet = build_fleet(population, 5.0)
             assert self.fleet_and_workspace_misaligned(fleet) == ([], [])
             seed_fleet_states(fleet, 4)
             assert self.fleet_and_workspace_misaligned(fleet) == ([], [])
-        assert shuffled[0] == houses[int(shuffled.house_index[0])]
+        assert shuffled.take([0]) == houses.take([int(shuffled.house_index[0])])
 
     def test_training_fleet(self, population, monkeypatch):
         advance, seen = engine._advance_slice, []
@@ -456,7 +446,7 @@ class TestDeterminism:
         # fleet; training's enrollment subsets rely on this
         k = 7
         full = build_fleet(population, 5.0)
-        part = build_fleet(population[:k], 5.0)
+        part = build_fleet(population.take(slice(k)), 5.0)
         seed_fleet_states(full, 9)
         seed_fleet_states(part, 9)
         stepped = [(full, Workspace(full)), (part, Workspace(part))]
@@ -508,10 +498,9 @@ class TestDegenerateAndFixedPoints:
 
 def estimate_natural_draw(population, t_out, solar):
     total = 0.0
-    for h in population:
-        gains = h.etp.ua_envelope * (t_out - h.agent.t_set) \
-            + h.etp.solar_aperture * solar
-        total += min(1.0, max(0.0, gains / h.etp.cooling_capacity)) * h.agent.rated_power
+    for h in house_rows(population):
+        gains = h.ua_envelope * (t_out - h.t_set) + h.solar_aperture * solar
+        total += min(1.0, max(0.0, gains / h.cooling_capacity)) * h.rated_power
     return total
 
 
@@ -526,7 +515,7 @@ def per_day_training_columns(cfg, houses, day_traces):
             continue
         n_enrolled = max(1, int(round(fraction * len(houses))))
         run = run_scenario(dataclasses.replace(cfg, duration_s=duration_s),
-                           houses[:n_enrolled], traces, None, controlled=False)
+                           houses.take(slice(n_enrolled)), traces, None, controlled=False)
         rows = run.metric_slice()
         p_ac = run.p_ac_actual[rows]
         columns.append((traces.t_out_c[rows], traces.solar_wm2[rows],
@@ -591,7 +580,7 @@ class TestTrainingSimulation:
         elif case == "two lengths":
             days[1] = head(days[1], rows - 90)
         elif case == "one house":
-            houses = population[:1]
+            houses = population.take(slice(1))
         fused = run_training_simulation(cfg, houses, days)
         expected = per_day_training_columns(cfg, houses, days)
         assert len(fused.p_ac_free) > 0
@@ -609,7 +598,7 @@ class TestRunDirRoundTrip:
         cfg = small_cfg(n_acl=n, seed=seed, duration_s=1200, warmup_s=600,
                         baseline_bias=bias)
         traces = constant_traces(cfg.total_s, load=load, wind=wind)
-        result = run_scenario(cfg, population[:n], traces, flat_model(level),
+        result = run_scenario(cfg, population.take(slice(n)), traces, flat_model(level),
                               controlled=controlled)
         with tempfile.TemporaryDirectory() as tmp:
             write_run_dir(tmp, result)

@@ -1,7 +1,6 @@
 """Fleet synthesis and input-trace generation."""
 
 import collections
-import dataclasses
 import functools
 import hashlib
 import io
@@ -13,18 +12,20 @@ import pytest
 import tiesmooth.population as population
 import tiesmooth.traces as traces
 from tiesmooth import rng
-from tiesmooth.agents import AclAgentConfig
-from tiesmooth.population import (COLUMNS, MAX_REDRAWS, PEAK_COINCIDENCE, Population,
-                                  PopulationError, estimate_free_peak_kw,
+from tiesmooth.agents import controller_faults
+from tiesmooth.population import (COLUMNS, ETP_FIELDS, MAX_REDRAWS, PEAK_COINCIDENCE,
+                                  Population, PopulationError, estimate_free_peak_kw,
                                   generate_population, quantize_power_kw,
                                   total_rated_power_kw)
 from tiesmooth.scenario import (CONTROLLER_FIELDS, HOUSE_FIELDS, Dist, PopulationSpec,
                                 ScenarioConfig, default_population_distributions)
-from tiesmooth.thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, GeometryError,
-                               HouseGeometry, derive_etp_params)
+from tiesmooth.thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, derive_etp_terms,
+                               etp_faults, geometry_faults)
 from tiesmooth.traces import (TRACE_CSV_HEADER, generate_traces,
                               generate_training_traces, peak_weather,
                               read_traces, write_traces)
+
+from handmade import house_rows
 
 
 class TestGeneratePopulation:
@@ -36,36 +37,35 @@ class TestGeneratePopulation:
     def test_house_draws_independent_of_population_size(self):
         small = generate_population(PopulationSpec(n=5), 7)
         large = generate_population(PopulationSpec(n=20), 7)
-        assert large[:5] == small
+        assert large.take(slice(5)) == small
 
     def test_floor_area_mean_matches_distribution(self):
         houses = generate_population(PopulationSpec(n=10000), 3)
-        mean = np.mean([h.geometry.floor_area for h in houses])
+        mean = np.mean(houses.columns["floor_area"])
         assert mean == pytest.approx(132.0, rel=0.02)
 
     def test_normals_truncated_at_three_sigma(self):
         houses = generate_population(PopulationSpec(n=3000), 11)
-        for h in houses:
-            assert abs(h.geometry.air_change_rate - 0.5) <= 3 * 0.06 + 1e-12
-            assert abs(h.geometry.r_window - 0.38) <= 3 * 0.03 + 1e-12
-            assert abs(h.agent.t_set - 26.0) <= 3 * 0.5 + 1e-12
+        for h in house_rows(houses):
+            assert abs(h.air_change_rate - 0.5) <= 3 * 0.06 + 1e-12
+            assert abs(h.r_window - 0.38) <= 3 * 0.03 + 1e-12
+            assert abs(h.t_set - 26.0) <= 3 * 0.5 + 1e-12
 
     def test_controller_invariants_hold(self):
         houses = generate_population(PopulationSpec(n=500), 19)
-        for h in houses:
-            a = h.agent
+        for a in house_rows(houses):
             assert 0 < a.deadband < min(a.t_high, a.t_low)
             assert a.epsilon + a.deadband / 2 <= min(a.t_high, a.t_low)
-            assert a.t_min < a.t_set < a.t_max
+            assert a.t_set - a.t_low < a.t_set < a.t_set + a.t_high
 
     def test_ratings_are_dyadic(self):
         houses = generate_population(PopulationSpec(n=100), 23)
-        for h in houses:
-            steps = h.agent.rated_power / POWER_QUANTUM_KW
+        for h in house_rows(houses):
+            steps = h.rated_power / POWER_QUANTUM_KW
             assert steps == round(steps)
             # capacity restated from the quantized rating keeps the ratio exact
-            assert h.etp.rated_electrical_power \
-                == pytest.approx(h.etp.cooling_capacity / h.geometry.eer, rel=1e-12)
+            assert h.rated_electrical_power \
+                == pytest.approx(h.cooling_capacity / h.eer, rel=1e-12)
 
     def test_quantize_power(self):
         assert quantize_power_kw(2.73072) * 1024 == round(2.73072 * 1024)
@@ -81,35 +81,37 @@ class TestHouseStream:
 
 def per_house_columns(spec, seed, consts=DEFAULT_DERIVATION, epsilon_margin=0.05):
     """The per-house synthesis the columns replace, as columns: a fresh
-    generator per house, each field drawn by `Dist.draw`, the rating
-    rounded by Python's `round`, the whole house drawn again while a check
-    fails."""
+    generator per house, each field drawn by `Dist.draw`, the fault
+    functions checked on Python floats stage by stage, the rating rounded
+    by Python's `round`, the whole house drawn again while a check fails."""
     rows = []
     for i in range(spec.n):
         gen = rng.house_stream(seed, i)
         for _ in range(MAX_REDRAWS):
             values = {name: spec.distributions[name].draw(gen)
                       for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
-            try:
-                geometry = HouseGeometry(**{name: values[name] for name in HOUSE_FIELDS})
-                etp = derive_etp_params(geometry, consts)
-                rated_kw = round(etp.rated_electrical_power / 1000.0 / POWER_QUANTUM_KW) \
-                    * POWER_QUANTUM_KW
-                if rated_kw <= 0:
-                    raise GeometryError(f"house {i}: rated power quantized to zero")
-                etp = dataclasses.replace(etp, cooling_capacity=rated_kw * 1000.0 * geometry.eer,
-                                          rated_electrical_power=rated_kw * 1000.0)
-                agent = AclAgentConfig(
-                    t_set=values["t_set"], deadband=values["deadband"],
-                    t_high=values["t_high"], t_low=values["t_low"], rated_power=rated_kw,
-                    epsilon=values["deadband"] / 2.0 + epsilon_margin)
-                break
-            except (GeometryError, ValueError):
+            geometry = {name: values[name] for name in HOUSE_FIELDS}
+            if geometry_faults(geometry):
                 continue
+            terms = derive_etp_terms(geometry, consts)
+            etp = {name: float(terms[name]) for name in ETP_FIELDS}
+            # round() refuses a NaN rating
+            if terms["net_wall"] <= 0 or etp_faults(etp) \
+                    or math.isnan(etp["rated_electrical_power"]):
+                continue
+            rated_kw = round(etp["rated_electrical_power"] / 1000.0 / POWER_QUANTUM_KW) \
+                * POWER_QUANTUM_KW
+            etp.update(cooling_capacity=rated_kw * 1000.0 * geometry["eer"],
+                       rated_electrical_power=rated_kw * 1000.0)
+            agent = {"t_set": values["t_set"], "deadband": values["deadband"],
+                     "t_high": values["t_high"], "t_low": values["t_low"],
+                     "rated_power": rated_kw,
+                     "epsilon": values["deadband"] / 2.0 + epsilon_margin}
+            if rated_kw > 0 and not etp_faults(etp) and not controller_faults(agent):
+                break
         else:
             raise PopulationError(f"house {i}: no valid draw in {MAX_REDRAWS} attempts")
-        rows.append({**dataclasses.asdict(geometry), **dataclasses.asdict(etp),
-                     **dataclasses.asdict(agent)})
+        rows.append({**geometry, **etp, **agent})
     return {name: np.array([row[name] for row in rows]) for name in COLUMNS}
 
 
@@ -256,12 +258,14 @@ class TestColumns:
         with pytest.raises(OverflowError, match="range exceeds valid bounds"):
             per_house_columns(spec, 3)
 
-    def test_rows_slices_and_take(self):
+    def test_take_and_read_only(self):
         houses = generate_population(PopulationSpec(n=30), 4)
-        assert isinstance(houses[3:9], Population) and len(houses[3:9]) == 6
-        assert houses[-1] == houses[29] and houses[5].index == 5
-        assert houses.take([2, 0, 2])[2] == houses[2]
-        assert [h.index for h in houses] == list(range(30))
+        some = houses.take(slice(3, 9))
+        assert isinstance(some, Population) and len(some) == 6
+        assert some.house_index.tolist() == list(range(3, 9))
+        assert houses.take([-1]) == houses.take([29]) != houses.take([28])
+        assert houses.take([2, 0, 2]).take([2]) == houses.take([2])
+        assert houses.house_index.tolist() == list(range(30))
         with pytest.raises(ValueError):
             houses.columns["t_set"][0] = 0.0  # read-only
 
@@ -418,11 +422,12 @@ class TestArrayDraws:
 
 def per_house_free_peak(houses, t_out, solar):
     total = 0.0
-    for h in houses:
-        gains = h.etp.ua_envelope * (t_out - h.agent.t_set) + h.etp.solar_aperture * solar
-        duty = min(1.0, max(0.0, gains / h.etp.cooling_capacity))
-        total += duty * h.agent.rated_power
-    return min(total * PEAK_COINCIDENCE, sum(h.agent.rated_power for h in houses))
+    rows = house_rows(houses)
+    for h in rows:
+        gains = h.ua_envelope * (t_out - h.t_set) + h.solar_aperture * solar
+        duty = min(1.0, max(0.0, gains / h.cooling_capacity))
+        total += duty * h.rated_power
+    return min(total * PEAK_COINCIDENCE, sum(h.rated_power for h in rows))
 
 
 class TestFreePeakEstimate:
@@ -443,7 +448,7 @@ class TestFreePeakEstimate:
             assert estimate_free_peak_kw(houses, *weather).hex() \
                 == per_house_free_peak(houses, *weather).hex()
         assert total_rated_power_kw(houses).hex() \
-            == sum(h.agent.rated_power for h in houses).hex()
+            == sum(h.rated_power for h in house_rows(houses)).hex()
 
 
 class TestGenerateTraces:

@@ -1,4 +1,5 @@
-"""House thermal model: derivation rules, exact stepping, equilibria.
+"""House thermal model: derivation rules and their checks, exact stepping,
+equilibria.
 
 Stepping runs on the engine's fleet stepper, with every house of a case
 in one fleet and the compressors held as each case sets them.
@@ -11,32 +12,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiesmooth.agents import AclAgentConfig
 from tiesmooth.engine import Workspace, _advance_slice, build_fleet
 from tiesmooth.rng import substream
 from tiesmooth.scenario import ScenarioConfig
-from tiesmooth.thermal import (EtpParameters, GeometryError,
-                               HouseGeometry, SingularEquilibriumError,
-                               derive_etp_params, discretize, equilibrium_temperature)
+from tiesmooth.thermal import (CEILING_HEIGHT, DOOR_AREA, discretize, etp_faults,
+                               geometry_faults)
 
-from test_engine import population_of
+from handmade import (TINY, case_id, controller, etp, etp_of, geometry, population_of,
+                      verdicts)
+from test_engine import ETP
 
 # any valid controller: the thermal stepper never reads it
-COMFORT = AclAgentConfig(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
-                         rated_power=2.5, epsilon=0.2)
+COMFORT = controller(t_set=26.0, deadband=0.3, t_high=2.5, t_low=2.5,
+                     rated_power=2.5, epsilon=0.2)
+NOMINAL_GEOMETRY = dict(floor_area=132.0, air_change_rate=0.5, window_wall_ratio=0.15,
+                        shgc=0.36, eer=3.5, r_roof=5.28, r_wall=2.99, r_floor=3.35,
+                        r_window=0.38, r_door=0.88)
 
 
 def nominal_geometry(**overrides):
-    base = dict(floor_area=132.0, air_change_rate=0.5, window_wall_ratio=0.15,
-                shgc=0.36, eer=3.5, r_roof=5.28, r_wall=2.99, r_floor=3.35,
-                r_window=0.38, r_door=0.88)
-    base.update(overrides)
-    return HouseGeometry(**base)
+    return geometry(**{**NOMINAL_GEOMETRY, **overrides})
 
 
 def random_table_geometry(gen):
     """One draw from the population distribution tables."""
-    return HouseGeometry(
+    return geometry(
         floor_area=gen.uniform(88, 176),
         air_change_rate=gen.uniform(0.32, 0.68),
         window_wall_ratio=gen.uniform(0.12, 0.18),
@@ -48,6 +48,17 @@ def random_table_geometry(gen):
         r_window=gen.uniform(0.29, 0.47),
         r_door=gen.uniform(0.67, 1.09),
     )
+
+
+def equilibrium_temperature(p, t_out: float, solar: float, cooling_on: bool) -> float:
+    """Steady-state indoor air temperature of thermal parameters `p` for
+    fixed inputs; ZeroDivisionError where ua_envelope = 0.
+
+    At equilibrium the mass node matches the air node, so the air
+    balance reduces to ua * (t_out - t_air) + q_net = 0.
+    """
+    q_cool = p.cooling_capacity if cooling_on else 0.0
+    return t_out + (p.solar_aperture * solar - q_cool) / p.ua_envelope
 
 
 def scalar_discretize(ua, h_mass, c_air, c_mass, dt):
@@ -100,7 +111,7 @@ class TestDeriveEtpParams:
         # hand evaluation of the stated mapping: square footprint,
         # gross wall 4*sqrt(132)*2.5, glazing and door removed from the
         # conducting wall, conduction + infiltration UA
-        p = derive_etp_params(nominal_geometry())
+        p = etp_of(nominal_geometry())
         assert p.ua_envelope == pytest.approx(199.29501936731697, rel=1e-12)
         assert p.solar_aperture == pytest.approx(6.20412765826107, rel=1e-12)
         assert p.c_air == pytest.approx(1193940.0, rel=1e-12)
@@ -115,43 +126,70 @@ class TestDeriveEtpParams:
         g2 = nominal_geometry(r_roof=2 * 5.28, r_wall=2 * 2.99, r_floor=2 * 3.35,
                               r_window=2 * 0.38, r_door=2 * 0.88)
         infiltration = 0.5 * 132.0 * 2.5 * 1.2 * 1005.0 / 3600.0
-        cond1 = derive_etp_params(g1).ua_envelope - infiltration
-        cond2 = derive_etp_params(g2).ua_envelope - infiltration
+        cond1 = etp_of(g1).ua_envelope - infiltration
+        cond2 = etp_of(g2).ua_envelope - infiltration
         assert cond2 == pytest.approx(cond1 / 2.0, rel=1e-12)
 
     def test_zero_air_change_leaves_pure_conduction(self):
         tiny = 1e-12  # air_change_rate must stay positive per the invariants
-        p = derive_etp_params(nominal_geometry(air_change_rate=tiny))
+        p = etp_of(nominal_geometry(air_change_rate=tiny))
         g = nominal_geometry()
-        wall = 4.0 * math.sqrt(g.floor_area) * g.ceiling_height
+        wall = 4.0 * math.sqrt(g.floor_area) * CEILING_HEIGHT
         window = g.window_wall_ratio * wall
-        net_wall = wall - window - g.door_area
+        net_wall = wall - window - DOOR_AREA
         conduction = (g.floor_area / g.r_roof + g.floor_area / g.r_floor
                       + net_wall / g.r_wall + window / g.r_window
-                      + g.door_area / g.r_door)
+                      + DOOR_AREA / g.r_door)
         assert p.ua_envelope == pytest.approx(conduction, rel=1e-9)
 
     def test_monotone_in_areas_and_resistances(self):
-        base = derive_etp_params(nominal_geometry()).ua_envelope
-        assert derive_etp_params(nominal_geometry(floor_area=150)).ua_envelope > base
-        assert derive_etp_params(nominal_geometry(air_change_rate=0.7)).ua_envelope > base
+        base = etp_of(nominal_geometry()).ua_envelope
+        assert etp_of(nominal_geometry(floor_area=150)).ua_envelope > base
+        assert etp_of(nominal_geometry(air_change_rate=0.7)).ua_envelope > base
         for field in ("r_roof", "r_wall", "r_floor", "r_window", "r_door"):
-            bigger = derive_etp_params(
-                nominal_geometry(**{field: getattr(nominal_geometry(), field) * 1.5}))
+            bigger = etp_of(nominal_geometry(**{field: NOMINAL_GEOMETRY[field] * 1.5}))
             assert bigger.ua_envelope < base
 
-    def test_nonpositive_geometry_rejected(self):
-        with pytest.raises(GeometryError):
-            nominal_geometry(floor_area=-1.0)
-        with pytest.raises(GeometryError):
-            nominal_geometry(window_wall_ratio=1.2)
-        with pytest.raises(GeometryError):
-            nominal_geometry(r_wall=0.0)
+
+POSITIVE_GEOMETRY = ("floor_area", "air_change_rate", "shgc", "eer", "r_roof", "r_wall",
+                     "r_floor", "r_window", "r_door")
+ONE_BELOW, ONE_ABOVE = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+
+
+class TestFaults:
+    """Each check at its boundary, one ulp either side and NaN, with the
+    verdict on Python floats and on arrays alike."""
+
+    @pytest.mark.parametrize("overrides, fault", [
+        # the sign checks, which NaN passes
+        *[({name: value}, fault) for name in POSITIVE_GEOMETRY
+          for value, fault in ((-TINY, True), (0.0, True), (TINY, False), (math.nan, False))],
+        ({"floor_area": -1.0}, True),
+        # window_wall_ratio in (0, 1), which NaN fails
+        *[({"window_wall_ratio": value}, fault) for value, fault in (
+            (-TINY, True), (0.0, True), (TINY, False), (ONE_BELOW, False), (1.0, True),
+            (ONE_ABOVE, True), (1.2, True), (math.nan, True))],
+        # shgc at most 1
+        ({"shgc": ONE_BELOW}, False), ({"shgc": 1.0}, False), ({"shgc": ONE_ABOVE}, True),
+    ], ids=case_id)
+    def test_geometry(self, overrides, fault):
+        assert verdicts(geometry_faults, {**NOMINAL_GEOMETRY, **overrides}) == (fault, [fault])
+
+    @pytest.mark.parametrize("overrides, fault", [
+        *[({name: value}, fault) for name in ("c_air", "c_mass", "h_mass", "solar_aperture",
+                                              "cooling_capacity", "rated_electrical_power")
+          for value, fault in ((-TINY, True), (0.0, True), (TINY, False), (math.nan, False))],
+        # a closed house (ua_envelope = 0) is admitted
+        *[({"ua_envelope": value}, fault) for value, fault in (
+            (-1.0, True), (-TINY, True), (0.0, False), (TINY, False), (math.nan, False))],
+    ], ids=case_id)
+    def test_thermal_parameters(self, overrides, fault):
+        assert verdicts(etp_faults, {**vars(ETP), **overrides}) == (fault, [fault])
 
 
 class TestEtpStep:
     def test_converges_to_outdoor_without_gains(self):
-        p = derive_etp_params(nominal_geometry())
+        p = etp_of(nominal_geometry())
         fleet, ws = thermal_fleet([p], 60.0, 20.0)
         advance(fleet, ws, 30.0, 0.0, False, steps=20000)
         assert fleet.t_air[0] == pytest.approx(30.0, abs=1e-9)
@@ -159,7 +197,7 @@ class TestEtpStep:
 
     def test_solar_steady_state_matches_linear_solve(self):
         # independent oracle: solve the 2x2 steady state directly
-        p = derive_etp_params(nominal_geometry())
+        p = etp_of(nominal_geometry())
         t_out, solar = 32.0, 600.0
         a = np.array([[-(p.ua_envelope + p.h_mass), p.h_mass],
                       [p.h_mass, -p.h_mass]])
@@ -175,7 +213,7 @@ class TestEtpStep:
         gen = substream(2024, 99)
         for _ in range(50):
             g = random_table_geometry(gen)
-            p = derive_etp_params(g)
+            p = etp_of(g)
             dt = float(gen.uniform(1.0, 60.0))
             ad, m = (np.array(mat)[:, :, 0] for mat in discretize(
                 *(np.array([v]) for v in (p.ua_envelope, p.h_mass, p.c_air, p.c_mass)), dt))
@@ -223,9 +261,8 @@ class TestEtpStep:
     @given(c_air=st.floats(1e5, 5e6), c_mass=st.floats(1e5, 5e7),
            h=st.floats(10.0, 5e3))
     def test_closed_system_conserves_energy(self, c_air, c_mass, h):
-        p = EtpParameters(c_air=c_air, c_mass=c_mass, ua_envelope=0.0, h_mass=h,
-                          solar_aperture=1.0, cooling_capacity=1000.0,
-                          rated_electrical_power=300.0)
+        p = etp(c_air=c_air, c_mass=c_mass, ua_envelope=0.0, h_mass=h,
+                solar_aperture=1.0, cooling_capacity=1000.0, rated_electrical_power=300.0)
         fleet, ws = thermal_fleet([p], 30.0, 30.0, 18.0)
         energy0 = c_air * 30.0 + c_mass * 18.0
         advance(fleet, ws, 50.0, 0.0, False, steps=2000)  # t_out irrelevant: ua = 0
@@ -240,7 +277,7 @@ class TestEtpStep:
     def test_eigenvalues_negative_for_positive_parameters(self):
         gen = substream(7, 11)
         for _ in range(200):
-            p = derive_etp_params(random_table_geometry(gen))
+            p = etp_of(random_table_geometry(gen))
             a11 = -(p.ua_envelope + p.h_mass) / p.c_air
             a22 = -p.h_mass / p.c_mass
             tr = a11 + a22
@@ -252,7 +289,7 @@ class TestEtpStep:
     def test_dt_halving_changes_trajectory_little(self):
         # varying weather resolved at two step sizes over one hour
         gen = substream(3, 5)
-        params = [derive_etp_params(random_table_geometry(gen)) for _ in range(20)]
+        params = [etp_of(random_table_geometry(gen)) for _ in range(20)]
         coarse = thermal_fleet(params, 60.0, 26.0)
         fine = thermal_fleet(params, 30.0, 26.0)
         for i in range(60):
@@ -265,28 +302,26 @@ class TestEtpStep:
 
 class TestEquilibrium:
     def test_no_gains_equilibrium_is_outdoor(self):
-        p = derive_etp_params(nominal_geometry())
+        p = etp_of(nominal_geometry())
         assert equilibrium_temperature(p, 28.0, 0.0, False) == 28.0
 
     def test_constructed_inverse(self):
         # capacity chosen so the cooled steady state lands on 26
         ua = 200.0
-        p = EtpParameters(c_air=1e6, c_mass=4e5, ua_envelope=ua, h_mass=600.0,
-                          solar_aperture=5.0, cooling_capacity=ua * (35.0 - 26.0),
-                          rated_electrical_power=500.0)
+        p = etp(c_air=1e6, c_mass=4e5, ua_envelope=ua, h_mass=600.0, solar_aperture=5.0,
+                cooling_capacity=ua * (35.0 - 26.0), rated_electrical_power=500.0)
         t = equilibrium_temperature(p, 35.0, 0.0, cooling_on=True)
         assert t == pytest.approx(26.0, abs=1e-12)
 
     def test_singular_when_no_envelope(self):
-        p = EtpParameters(c_air=1e6, c_mass=4e5, ua_envelope=0.0, h_mass=600.0,
-                          solar_aperture=5.0, cooling_capacity=1000.0,
-                          rated_electrical_power=300.0)
-        with pytest.raises(SingularEquilibriumError):
+        p = etp(c_air=1e6, c_mass=4e5, ua_envelope=0.0, h_mass=600.0, solar_aperture=5.0,
+                cooling_capacity=1000.0, rated_electrical_power=300.0)
+        with pytest.raises(ZeroDivisionError):
             equilibrium_temperature(p, 30.0, 0.0, False)
 
     def test_long_horizon_integration_agrees(self):
         gen = substream(11, 13)
-        cases = [(derive_etp_params(random_table_geometry(gen)), float(gen.uniform(26, 38)),
+        cases = [(etp_of(random_table_geometry(gen)), float(gen.uniform(26, 38)),
                   float(gen.uniform(0, 900)), bool(gen.integers(0, 2))) for _ in range(30)]
         params, t_out, solar, cooling = (list(column) for column in zip(*cases))
         targets = [equilibrium_temperature(*case) for case in cases]
@@ -295,13 +330,9 @@ class TestEquilibrium:
         assert np.all(np.abs(fleet.t_air - targets) < 1e-4)
 
     def test_more_capacity_never_raises_steady_state(self):
-        p = derive_etp_params(nominal_geometry())
+        p = etp_of(nominal_geometry())
         temps = []
         for scale in (1.0, 1.2, 1.5, 2.0):
-            bigger = EtpParameters(
-                c_air=p.c_air, c_mass=p.c_mass, ua_envelope=p.ua_envelope,
-                h_mass=p.h_mass, solar_aperture=p.solar_aperture,
-                cooling_capacity=p.cooling_capacity * scale,
-                rated_electrical_power=p.rated_electrical_power)
+            bigger = etp(**{**vars(p), "cooling_capacity": p.cooling_capacity * scale})
             temps.append(equilibrium_temperature(bigger, 34.0, 700.0, True))
         assert all(t2 < t1 for t1, t2 in zip(temps, temps[1:]))
