@@ -499,7 +499,6 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
         seed_fleet_states(fleet, cfg.seed, _segments)
         ws = Workspace(fleet)
         total_rated = float(np.sum(fleet.rated_kw))
-        agent_ids = np.arange(fleet.n) if controlled else None
         sizes = [fleet.n] if _segments is None else list(_segments)
         starts = np.cumsum([0, *sizes[:-1]])
         ours = _Houses(fleet, ws, [slice(start, start + size)
@@ -517,7 +516,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                 # the batch outlives the bid lead, so it holds its own copies of
                 # the bid-time states
                 fleet.soa_bid = fleet_soa(fleet, ws, aligned(fleet.n))
-                bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy(), agent_ids)
+                bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy())
                 fleet_kw = float(np.add.reduce(np.multiply(fleet.rated_kw, fleet.on,
                                                            out=ws.y)))
                 bid = (bids, _tie_line_kw(fleet_kw, traces, idx),

@@ -8,24 +8,16 @@ that contract to hold, equal-price bids are treated atomically (no price
 can split them), so the committed prefix is always reproducible from the
 price alone.
 
-A cycle's bids travel as one `BidBatch` of parallel arrays, and the
-curve is built column-wise: bids sorted by descending price with ties
-by agent id, a running prefix sum of quantity along that order, and the
-equal-price group ends read off where the sorted price changes.  The
-sort is one `np.argsort`, NumPy's unstable quicksort, which runs a SIMD
-kernel chosen by CPU feature; each kernel leaves equal prices in its
-own order.  So the bids inside each group of equal prices are then put
-in agent-id order, duplicate ids in input order (a tie repair): one
-sort of those bids alone, on an integer that packs each one's group,
-agent id and input row (ids too far apart to pack fall back to a
-two-key lexsort).  That makes the order, and every byte of the curve,
-the same on every CPU.  0.0 and -0.0 compare equal and share a group,
-so the sorted prices are gathered after the repair: a group's price is
-that of its lowest agent id.  Clearing is one binary search of the target among
-the group ends plus the nearer-prefix rule.  The prefix sums add left
-to right, exactly as a running `acc += q` loop does, so every sum is
-the same bits on any Python and NumPy; device ratings are multiples of
-2**-10 kW, which makes those sums exact besides.
+A cycle's bids travel as one `BidBatch` of parallel arrays; a bid is
+its price, quantity and on state, and carries no identity.  Clearing
+depends only on the distinct prices and the quantity at each, so the
+curve holds price levels: the distinct prices descending, each level's
+quantity summed in bid order, and the running sum of those totals.  Its
+bytes do not depend on the sort kernel NumPy picks for the CPU, nor, as
+device ratings are multiples of 2**-10 kW and so sum exactly, on the
+bids' order; 0.0 and -0.0 form one level, priced +0.0.  Clearing is one
+binary search of the target among the level ends plus the nearer-prefix
+rule.
 
 Prices are normalized temperature states in [-1, 1]; the sentinel
 prices +2 / -2 sit outside that range and encode "everyone off" /
@@ -55,24 +47,24 @@ class ClearingKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class BidBatch:
-    """One cycle's bids as four parallel arrays, one row per device: all a
+    """One cycle's bids as three parallel arrays, one row per device: all a
     device tells the coordinator, and no comfort setting."""
 
     price: np.ndarray     # float, normalized temperature states in [-1, 1]
     quantity: np.ndarray  # float, kW
     on_state: np.ndarray  # bool
-    agent_id: np.ndarray  # int
 
     def __post_init__(self):
-        for name, dtype in (("price", float), ("quantity", float),
-                            ("on_state", bool), ("agent_id", np.int64)):
+        for name, dtype in (("price", float), ("quantity", float), ("on_state", bool)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = len(self.price)
-        if any(a.shape != (n,) for a in (self.quantity, self.on_state, self.agent_id)):
+        if any(a.shape != (n,) for a in (self.quantity, self.on_state)):
             raise ValueError("bid columns must be one-dimensional and of equal length")
-        bad = ~(self.quantity > 0)
-        if bad.any():
-            raise ValueError(f"bid quantity must be positive, got {self.quantity[bad][0]}")
+        with np.errstate(over="ignore"):
+            total = np.add.reduce(self.quantity)  # inf past the largest float, NaN on NaN
+        if not ((self.quantity > 0).all() and total < np.inf):
+            raise ValueError(f"bid quantities must be positive with a finite sum, got "
+                             f"min {self.quantity.min()} and sum {total}")
         bad = ~((self.price >= -1.0) & (self.price <= 1.0))
         if bad.any():
             raise ValueError(f"bid price must be in [-1, 1], got {self.price[bad][0]}")
@@ -92,17 +84,11 @@ def sequential_sum(values: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DemandCurve:
-    """Bid prices sorted descending (ties by agent id) with the running
-    cumulative quantity in that order.
-
-    `group_price` / `group_end` collapse each run of equal prices to the
-    price of its first step and the cumulative quantity at its last.
-    """
+    """The distinct bid prices, descending, with the running sum of each
+    price level's quantity from the top level down."""
 
     price: np.ndarray
     cumulative: np.ndarray
-    group_price: np.ndarray
-    group_end: np.ndarray
 
     @property
     def total_quantity(self) -> float:
@@ -117,44 +103,21 @@ class ClearingOutcome:
 
 
 def build_demand_curve(batch: BidBatch) -> DemandCurve:
-    """Sort bids price-descending (ties by agent id) and accumulate quantity."""
+    """Sum each price level's quantity in bid order and accumulate the
+    levels price-descending."""
     if not batch:
         raise EmptyMarketError("cannot build a demand curve from zero bids")
-    order = np.argsort(-batch.price)  # unstable: equal prices in any order
-    price = batch.price[order]
-    start = np.ones(len(price) + 1, dtype=bool)  # where each equal-price group starts
-    np.not_equal(price[1:], price[:-1], out=start[1:-1])
-    first = last = slice(None)  # every group one bid
-    if not start.all():  # order each group of several bids by agent id
-        tied = np.flatnonzero(~(start[:-1] & start[1:]))
-        rows = order[tied]
-        ids = batch.agent_id[rows]
-        low = int(ids.min())
-        id_bits = (int(ids.max()) - low).bit_length()
-        row_bits = (len(price) - 1).bit_length()
-        group = np.cumsum(start[tied], dtype=np.int64)  # numbered from 1 along the curve
-        if int(group[-1]).bit_length() + id_bits + row_bits <= 63:
-            # one sort of (group, id, input row) packed in an integer: duplicate
-            # ids keep input order, as in a stable sort
-            key = (group << (id_bits + row_bits)) | ((ids - low) << row_bits) | rows
-            order[tied] = np.sort(key) & ((1 << row_bits) - 1)
-        else:  # ids too far apart to pack: the same order from two keys
-            rows = np.sort(rows)
-            order[tied] = rows[np.lexsort((batch.agent_id[rows], -batch.price[rows]))]
-        price = batch.price[order]  # 0.0 and -0.0 share a group: gather again
-        cut = np.flatnonzero(start)
-        first, last = cut[:-1], cut[1:] - 1
-    cumulative = np.cumsum(batch.quantity[order])
-    return DemandCurve(price=price, cumulative=cumulative,
-                       group_price=price[first], group_end=cumulative[last])
+    levels, level = np.unique(-batch.price, return_inverse=True)
+    quantity = np.bincount(level, weights=batch.quantity, minlength=len(levels))
+    return DemandCurve(price=0.0 - levels, cumulative=np.cumsum(quantity))  # +0.0 for +-0
 
 
 def clear_market(curve: DemandCurve, target: float) -> ClearingOutcome:
     """Clear the curve against a target power.
 
     Saturated targets return sentinel outcomes.  A target exactly on a
-    group boundary commits that prefix; a target inside a group commits
-    whichever bracketing prefix lands closer (ties include the group).
+    level's end commits that prefix; a target inside a level commits
+    whichever bracketing prefix lands closer (ties include the level).
     The price is the midpoint of the prices across the chosen boundary,
     with virtual prices +2 above the top of the curve and -2 below the
     bottom; when those two are adjacent doubles the midpoint rounds onto
@@ -166,14 +129,14 @@ def clear_market(curve: DemandCurve, target: float) -> ClearingOutcome:
     if target >= total:
         return ClearingOutcome(SENTINEL_ALL_ON, total, ClearingKind.ALL_ON)
 
-    ends = curve.group_end
-    g = int(np.searchsorted(ends, target))  # first group ending at or past the target
+    ends = curve.cumulative
+    g = int(np.searchsorted(ends, target))  # first level ending at or past the target
     prev_end = float(ends[g - 1]) if g else 0.0
     j = g + 1 if float(ends[g]) - target <= target - prev_end else g
 
     committed = float(ends[j - 1]) if j else 0.0
-    p_hi = float(curve.group_price[j - 1]) if j else SENTINEL_ALL_OFF
-    p_lo = float(curve.group_price[j]) if j < len(ends) else SENTINEL_ALL_ON
+    p_hi = float(curve.price[j - 1]) if j else SENTINEL_ALL_OFF
+    p_lo = float(curve.price[j]) if j < len(ends) else SENTINEL_ALL_ON
     p_star = 0.5 * (p_hi + p_lo)
     if p_star >= p_hi:  # adjacent doubles: the midpoint rounded onto p_hi
         p_star = p_lo

@@ -28,7 +28,7 @@ import io
 
 from handmade import etp_of
 from test_engine import run_audited
-from test_market import brute_force_clear, price_order, rows_of
+from test_market import brute_force_clear, price_levels, rows_of
 from test_thermal import advance, equilibrium_temperature, random_table_geometry, thermal_fleet
 
 
@@ -130,7 +130,7 @@ class BidDraws:
 
     def __call__(self, n):
         draws = self.gen.uniform(self.low[:2 * n], self.high[:2 * n])
-        return BidBatch(draws[0::2], draws[1::2], np.zeros(n, dtype=bool), np.arange(n))
+        return BidBatch(draws[0::2], draws[1::2], np.zeros(n, dtype=bool))
 
 
 def test_criterion_2_clearing_oracle_and_conservation():
@@ -141,7 +141,7 @@ def test_criterion_2_clearing_oracle_and_conservation():
     for _ in range(100000):
         bids = draw_bids(int(gen.integers(1, 13)))
         rows = rows_of(bids)
-        total = sum(quantity for _, quantity, _, _ in rows)
+        total = sum(quantity for _, quantity, _ in rows)
         target = float(gen.uniform(-0.5, total + 0.5))
         outcome = clear_market(build_demand_curve(bids), target)
         expected = brute_force_clear(rows, target)
@@ -171,7 +171,7 @@ def test_criterion_3_disaggregation_contract(paired):
         if abs(p_star) > 1.0:
             continue  # sentinel
         running = 0.0
-        for price, quantity, _, _ in sorted(rows_of(bids), key=price_order):
+        for price, quantity in price_levels(rows_of(bids)):
             if price > p_star:
                 running += quantity
             else:
@@ -262,8 +262,7 @@ def test_criterion_7_power_balance(bundle, paired):
         truth = float(traces.p_load_kw[j]) - float(traces.p_wind_kw[j])
         est_ok &= rec.net_load - truth == 0.0
     # and on a constructed batch
-    bids = BidBatch([0.5, -0.25, 0.0], [2.5, 3.125, 1.0078125], [True, True, False],
-                    [0, 1, 2])
+    bids = BidBatch([0.5, -0.25, 0.0], [2.5, 3.125, 1.0078125], [True, True, False])
     est_ok &= estimate_net_load(400.25 + 2.5 + 3.125, bids) - 400.25 == 0.0
     report(7, balance_ok and est_ok,
            f"balance exact={balance_ok}, net-load estimate exact={est_ok} "

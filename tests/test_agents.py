@@ -129,7 +129,6 @@ class TestMakeBid:
         assert batches
         for batch in batches:
             assert batch.quantity.tolist() == rated
-            assert batch.agent_id.tolist() == list(range(len(houses)))
 
     def test_off_device(self, audited_run):
         # an off device still offers its full rating and says it is off
@@ -143,14 +142,14 @@ class TestMakeBid:
     def test_identical_state_identical_bid(self, audited_run):
         _, batches, rerun = audited_run
         for a, b in zip(batches, rerun(), strict=True):
-            for name in ("price", "quantity", "on_state", "agent_id"):
+            for name in ("price", "quantity", "on_state"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_privacy_boundary(self, audited_run):
-        # the message carries exactly the three scalars plus the opaque id;
-        # no comfort preference travels with it
+        # the message carries exactly the three scalars and no identity; no
+        # comfort preference travels with it
         _, batches, _ = audited_run
-        fields = {"price", "quantity", "on_state", "agent_id"}
+        fields = {"price", "quantity", "on_state"}
         assert {f.name for f in dataclasses.fields(BidBatch)} == fields
         for batch in batches:
             assert set(vars(batch)) == fields

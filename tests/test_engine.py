@@ -29,7 +29,7 @@ from tiesmooth.traces import (TraceSet, generate_traces, generate_training_trace
                               peak_weather, quantize_kw)
 
 from handmade import controller, etp, house_rows, population_of
-from test_market import price_order, rows_of
+from test_market import price_levels, rows_of
 
 
 def small_cfg(**overrides):
@@ -412,7 +412,7 @@ class TestPowerBalance:
         assert normal, "expected at least one non-sentinel clearing"
         for bids, p_star, committed in normal:
             running = 0.0
-            for price, quantity, _, _ in sorted(rows_of(bids), key=price_order):
+            for price, quantity in price_levels(rows_of(bids)):
                 if price <= p_star:
                     break
                 running += quantity

@@ -13,76 +13,77 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiesmooth
-from tiesmooth.market import (BidBatch, ClearingKind, DemandCurve, EmptyMarketError,
-                              build_demand_curve, clear_market,
-                              committed_power_at_price, estimate_net_load)
+from tiesmooth.market import (BidBatch, ClearingKind, EmptyMarketError, build_demand_curve,
+                              clear_market, committed_power_at_price, estimate_net_load)
 from tiesmooth.rng import substream
 
 
 def rows_of(batch):
-    """The bids of a batch as (price, quantity, on_state, agent_id) tuples."""
-    return list(zip(batch.price.tolist(), batch.quantity.tolist(),
-                    batch.on_state.tolist(), batch.agent_id.tolist()))
+    """The bids of a batch as (price, quantity, on_state) tuples."""
+    return list(zip(batch.price.tolist(), batch.quantity.tolist(), batch.on_state.tolist()))
 
 
 def batch_of(rows):
-    """The batch of (price, quantity, on_state, agent_id) tuples."""
+    """The batch of (price, quantity, on_state) tuples."""
     return BidBatch(*(list(column) for column in zip(*rows)))
 
 
-def price_order(row):
-    """Demand-curve order: price descending, ties by agent id."""
-    return -row[0], row[3]
+def price_order(level):
+    """Demand-curve order: price descending."""
+    return -level[0]
+
+
+def price_levels(rows):
+    """(price, quantity) per distinct price of the (price, quantity,
+    on_state) tuples, price-descending; each level's quantity is summed
+    in bid order.  0.0 and -0.0 are one level."""
+    levels = {}
+    for price, quantity, _ in rows:
+        levels[price] = levels.get(price, 0.0) + quantity
+    return sorted(levels.items(), key=price_order)
 
 
 def brute_force_clear(rows, target):
     """Independent oracle: enumerate every price-representable prefix.
 
-    Bids, as (price, quantity, on_state, agent_id) tuples, are sorted
-    price-descending (ties by id) and grouped by equal price; the
-    candidate commitments are the group-boundary prefixes, scored by
+    Bids, as (price, quantity, on_state) tuples, are summed per price
+    level and the levels accumulated price-descending; the candidate
+    commitments are the level-boundary prefixes, scored by
     |power - target| with ties toward committing more.  The price is the
     midpoint across the boundary, with virtual prices +2 / -2 beyond the
     ends, or the lower price when the midpoint rounds onto the upper one.
     """
-    ordered = sorted(rows, key=price_order)
-    total = sum(quantity for _, quantity, _, _ in ordered)
+    level_prices, level_ends = [], []
+    running = 0.0
+    for price, quantity in price_levels(rows):
+        running += quantity
+        level_prices.append(price)
+        level_ends.append(running)
     if target <= 0:
         return 2.0, 0.0, "all_off"
-    if target >= total:
-        return -2.0, total, "all_on"
+    if target >= running:
+        return -2.0, running, "all_on"
 
-    group_prices, group_ends = [], []
-    running = 0.0
-    for price, quantity, _, _ in ordered:
-        running += quantity
-        if group_prices and price == group_prices[-1]:
-            group_ends[-1] = running
-        else:
-            group_prices.append(price)
-            group_ends.append(running)
-
-    candidates = [0.0] + group_ends  # commitment after 0..G groups
+    candidates = [0.0] + level_ends  # commitment after 0..L levels
     best_j, best_err = 0, abs(target)
     for j, power in enumerate(candidates):
         err = abs(power - target)
         if err < best_err or (err == best_err and j > best_j):
             best_j, best_err = j, err
     committed = candidates[best_j]
-    hi = group_prices[best_j - 1] if best_j > 0 else 2.0
-    lo = group_prices[best_j] if best_j < len(group_prices) else -2.0
+    hi = level_prices[best_j - 1] if best_j > 0 else 2.0
+    lo = level_prices[best_j] if best_j < len(level_prices) else -2.0
     mid = (hi + lo) / 2.0
     return (mid if mid < hi else lo), committed, "normal"
 
 
-def bid(price, quantity, on=False, agent_id=0):
-    return price, quantity, on, agent_id
+def bid(price, quantity, on=False):
+    return price, quantity, on
 
 
 class TestBuildDemandCurve:
     def test_sorting_and_cumulative(self):
-        bids = [bid(0.1, 2, agent_id=0), bid(0.9, 2, agent_id=1),
-                bid(0.5, 3, agent_id=2)]
+        bids = [bid(0.1, 2), bid(0.9, 2), bid(0.5, 3)]
         curve = build_demand_curve(batch_of(bids))
         assert curve.price.tolist() == [0.9, 0.5, 0.1]
         assert list(curve.cumulative) == [2, 5, 7]
@@ -93,21 +94,28 @@ class TestBuildDemandCurve:
         assert len(curve.price) == 1
         assert curve.total_quantity == 4.5
 
-    def test_equal_prices_ordered_by_agent_id(self):
-        bids = [bid(0.5, 1, agent_id=9), bid(0.5, 2, agent_id=3),
-                bid(0.5, 4, agent_id=5)]
+    def test_equal_prices_form_one_level(self):
+        bids = [bid(0.5, 1), bid(-0.0, 2), bid(0.5, 4), bid(0.0, 8)]
         curve = build_demand_curve(batch_of(bids))
-        assert curve.cumulative.tolist() == [2, 6, 7]  # quantities of ids 3, 5, 9
-        assert curve.total_quantity == 7
+        assert curve.price.tolist() == [0.5, 0.0] and not np.signbit(curve.price[1])
+        assert curve.cumulative.tolist() == [5, 15]
+
+    def test_levels_sum_in_bid_order(self):
+        # off the 2**-10 kW quantum a sum's order shows: 1.0 + 2**-53
+        # rounds back to 1.0, while the small quantities first add up
+        bids = [bid(0.5 if i % 2 else -0.5, 1.0 if i < 2 else 2.0 ** -53) for i in range(400)]
+        for rows in (bids, bids[::-1]):
+            expected = np.cumsum([q for _, q in price_levels(rows)]).tolist()
+            assert build_demand_curve(batch_of(rows)).cumulative.tolist() == expected
+        assert expected != [1.0, 2.0]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyMarketError):
-            build_demand_curve(BidBatch([], [], [], []))
+            build_demand_curve(BidBatch([], [], []))
 
 
 class TestClearMarket:
-    ROWS = [bid(p, q, agent_id=i)
-            for i, (p, q) in enumerate(zip([0.9, 0.5, 0.1, -0.4], [2.0, 3.0, 2.0, 3.0]))]
+    ROWS = [bid(p, q) for p, q in zip([0.9, 0.5, 0.1, -0.4], [2.0, 3.0, 2.0, 3.0])]
 
     def curve(self):
         return build_demand_curve(batch_of(self.ROWS))
@@ -145,8 +153,7 @@ class TestClearMarket:
     def test_equal_price_group_is_atomic(self):
         # a price boundary cannot split equal-price devices, so the
         # committed set stays reproducible from the broadcast price alone
-        bids = [bid(0.5, 2, agent_id=0), bid(0.5, 2, agent_id=1),
-                bid(0.2, 2, agent_id=2)]
+        bids = [bid(0.5, 2), bid(0.5, 2), bid(0.2, 2)]
         curve = build_demand_curve(batch_of(bids))
         out = clear_market(curve, 2.0)  # inside the first (grouped) block
         assert out.committed_power in (0.0, 4.0)
@@ -157,7 +164,7 @@ class TestClearMarket:
         # the midpoint of two adjacent doubles rounds onto one of them; the
         # broadcast price must still turn on exactly the committed bids
         p_lo = float(np.nextafter(p_hi, -np.inf))
-        rows = [bid(p_hi, 1.0, agent_id=0), bid(p_lo, 1.0, agent_id=1)]
+        rows = [bid(p_hi, 1.0), bid(p_lo, 1.0)]
         curve = build_demand_curve(batch_of(rows))
         out = clear_market(curve, 1.0)
         assert out.committed_power == 1.0
@@ -172,8 +179,7 @@ class TestClearMarket:
             st.floats(-1.0, 1.0, allow_nan=False), min_size=n, max_size=n))
         quantities = data.draw(st.lists(
             st.floats(0.5, 5.0, allow_nan=False), min_size=n, max_size=n))
-        bids = [bid(p, q, agent_id=i)
-                for i, (p, q) in enumerate(zip(prices, quantities))]
+        bids = [bid(p, q) for p, q in zip(prices, quantities)]
         total = sum(quantities)
         target = data.draw(st.floats(-1.0, total + 1.0, allow_nan=False))
         curve = build_demand_curve(batch_of(bids))
@@ -189,17 +195,14 @@ class TestClearMarket:
             if len(set(prices)) == n:
                 assert abs(out.committed_power - target) <= max(quantities)
             else:
-                by_price = {}
-                for price, quantity, _, _ in bids:
-                    by_price[price] = by_price.get(price, 0.0) + quantity
                 assert abs(out.committed_power - target) \
-                    <= max(by_price.values()) / 2.0 + 1e-12
+                    <= max(q for _, q in price_levels(bids)) / 2.0 + 1e-12
         if out.kind is ClearingKind.NORMAL:
             assert committed_power_at_price(curve, out.p_star) == out.committed_power
 
     def test_monotone_in_target(self):
         gen = substream(5, 17)
-        bids = [bid(float(gen.uniform(-1, 1)), float(gen.uniform(1, 3)), agent_id=i)
+        bids = [bid(float(gen.uniform(-1, 1)), float(gen.uniform(1, 3)))
                 for i in range(40)]
         curve = build_demand_curve(batch_of(bids))
         committed = [clear_market(curve, t).committed_power
@@ -208,7 +211,7 @@ class TestClearMarket:
 
     def test_order_invariance(self):
         gen = substream(6, 18)
-        bids = [bid(float(gen.uniform(-1, 1)), float(gen.uniform(1, 3)), agent_id=i)
+        bids = [bid(float(gen.uniform(-1, 1)), float(gen.uniform(1, 3)))
                 for i in range(25)]
         out1 = clear_market(build_demand_curve(batch_of(bids)), 20.0)
         out2 = clear_market(build_demand_curve(batch_of(list(reversed(bids)))), 20.0)
@@ -218,58 +221,63 @@ class TestClearMarket:
         assert out1 == out2 == out3
 
 
-# Fleet-like price pool: signed zeros, the bounds and adjacent-double pairs,
-# so equal-price groups are large and midpoints can round onto a price.
+# Fleet-like prices: signed zeros (equal, but of different bits), the
+# bounds, adjacent doubles and a few dyadic steps between, so levels hold
+# many bids and midpoints can round onto a price.
 _ADJACENT = [0.5, float(np.nextafter(0.5, -np.inf)), 5e-324, -5e-324,
              float(np.nextafter(1.0, -np.inf)), float(np.nextafter(-1.0, np.inf))]
-PRICE_POOL = [0.0, -0.0, 1.0, -1.0, 0.25, -0.75] + _ADJACENT
+TIE_POOL = [0.0, -0.0, 1.0, -1.0, *_ADJACENT, *(k / 8.0 for k in range(-7, 8) if k)]
 
 
 @st.composite
 def fleet_batches(draw):
     n = draw(st.integers(1, 300))
-    price = draw(st.lists(st.sampled_from(PRICE_POOL), min_size=n, max_size=n))
-    # multiples of 2**-10 kW, like device ratings: prefix sums are exact
+    price = draw(st.lists(st.sampled_from(TIE_POOL), min_size=n, max_size=n))
+    # multiples of 2**-10 kW, like device ratings: every sum is exact
     quantity = [q / 1024.0 for q in draw(st.lists(
         st.integers(1, 6 * 1024), min_size=n, max_size=n))]
     on_state = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    agent_id = draw(st.permutations(range(n)))
-    return BidBatch(price, quantity, on_state, agent_id)
+    return BidBatch(price, quantity, on_state)
+
+
+def outcome_bits(out):
+    return out.p_star.hex(), out.committed_power.hex(), out.kind
 
 
 class TestBidBatch:
-    @pytest.mark.parametrize("price, quantity", [
-        (0.5, 0.0), (0.5, -1.0), (1.5, 1.0), (-1.0000001, 1.0), (float("nan"), 1.0)])
-    def test_rejects_invalid_bids(self, price, quantity):
+    @pytest.mark.parametrize("price, quantity, first", [
+        (0.5, 0.0, 1.0), (0.5, -1.0, 1.0), (1.5, 1.0, 1.0), (-1.0000001, 1.0, 1.0),
+        (float("nan"), 1.0, 1.0), (0.5, float("inf"), 1.0), (0.5, float("nan"), 1.0),
+        (0.5, 1e308, 1e308)])
+    def test_rejects_invalid_bids(self, price, quantity, first):
         with pytest.raises(ValueError):
-            BidBatch([0.1, price], [1.0, quantity], [False, True], [0, 1])
+            BidBatch([0.1, price], [first, quantity], [False, True])
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError):
-            BidBatch([0.1, 0.2], [1.0], [False, True], [0, 1])
+            BidBatch([0.1, 0.2], [1.0], [False, True])
 
     def test_rows_and_length(self):
-        batch = BidBatch([0.25, -0.5], [2.5, 1.0], [True, False], [4, 9])
+        batch = BidBatch([0.25, -0.5], [2.5, 1.0], [True, False])
         assert len(batch) == 2
-        assert rows_of(batch) == [bid(0.25, 2.5, on=True, agent_id=4),
-                                  bid(-0.5, 1.0, on=False, agent_id=9)]
-        assert [a.dtype for a in (batch.price, batch.quantity, batch.on_state,
-                                  batch.agent_id)] == [float, float, bool, np.int64]
+        assert rows_of(batch) == [bid(0.25, 2.5, on=True), bid(-0.5, 1.0, on=False)]
+        assert [a.dtype for a in (batch.price, batch.quantity, batch.on_state)] \
+            == [float, float, bool]
 
     @settings(max_examples=150, deadline=None)
     @given(fleet_batches(), st.data())
     def test_fleet_shapes_match_oracle(self, batch, data):
         curve = build_demand_curve(batch)
         rows = rows_of(batch)
-        ordered = sorted(rows, key=price_order)
-        assert curve.price.tolist() == [price for price, *_ in ordered]
-        assert curve.cumulative.tolist() == np.cumsum([q for _, q, *_ in ordered]).tolist()
+        levels = price_levels(rows)
+        assert curve.price.tolist() == [price for price, _ in levels]
+        assert curve.cumulative.tolist() == np.cumsum([q for _, q in levels]).tolist()
         total = curve.total_quantity
-        # a target on a step end, halfway between two group ends (exact:
+        # a target on a level end, halfway between two level ends (exact:
         # dyadic sums, so the nearer-prefix rule ties) or anywhere
-        ends = [0.0] + curve.group_end.tolist()
+        ends = [0.0] + curve.cumulative.tolist()
         target = data.draw(st.one_of(
-            st.sampled_from([0.0] + curve.cumulative.tolist()),
+            st.sampled_from(ends),
             st.sampled_from([(a + b) / 2.0 for a, b in zip(ends, ends[1:])]),
             st.floats(-1.0, total + 1.0, allow_nan=False)))
         out = clear_market(curve, target)
@@ -277,125 +285,61 @@ class TestBidBatch:
             == brute_force_clear(rows, target)
         if out.kind is ClearingKind.NORMAL:
             running = 0.0
-            for price, quantity, _, _ in rows:
+            for price, quantity, _ in rows:
                 if price > out.p_star:
                     running += quantity
             assert running == out.committed_power
             assert committed_power_at_price(curve, out.p_star) == out.committed_power
 
-
-def lexsort_curve(batch):
-    """The curve as one stable two-key sort builds it: the oracle of the
-    tie order, bit for bit."""
-    order = np.lexsort((batch.agent_id, -batch.price))
-    price = batch.price[order]
-    cumulative = np.cumsum(batch.quantity[order])
-    last = np.flatnonzero(np.append(price[1:] != price[:-1], True))
-    first = np.append(0, last[:-1] + 1)
-    return DemandCurve(price=price, cumulative=cumulative,
-                       group_price=price[first], group_end=cumulative[last])
-
-
-CURVE_FIELDS = ("price", "cumulative", "group_price", "group_end")
-
-
-def assert_same_curve(curve, expected):
-    for name in CURVE_FIELDS:
-        got, want = getattr(curve, name), getattr(expected, name)
-        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
-
-
-def curve_digest(batch):
-    digest = hashlib.sha256()
-    for name in CURVE_FIELDS:
-        digest.update(getattr(build_demand_curve(batch), name).tobytes())
-    return digest.hexdigest()
-
-
-# Ties everywhere: signed zeros (equal, but of different bits), the bounds,
-# adjacent doubles and a few dyadic steps between.
-TIE_POOL = [0.0, -0.0, 1.0, -1.0, *_ADJACENT, *(k / 8.0 for k in range(-7, 8) if k)]
-
-
-@st.composite
-def tied_batches(draw):
-    n = draw(st.integers(1, 300))
-    price = draw(st.lists(st.sampled_from(TIE_POOL), min_size=n, max_size=n))
-    quantity = [q / 1024.0 for q in draw(st.lists(
-        st.integers(1, 6 * 1024), min_size=n, max_size=n))]
-    # ids with gaps, in shuffled order, so no id equals its input position
-    agent_id = draw(st.permutations(range(7, 7 + 3 * n, 3)))
-    return BidBatch(price, quantity, [False] * n, agent_id)
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_batches(), st.data())
+    def test_any_bid_order_gives_the_same_levels(self, batch, data):
+        order = data.draw(st.permutations(range(len(batch))))
+        curve = build_demand_curve(batch)
+        other = build_demand_curve(BidBatch(batch.price[order], batch.quantity[order],
+                                            batch.on_state[order]))
+        assert curve.price.tobytes() == other.price.tobytes()
+        assert curve.cumulative.tobytes() == other.cumulative.tobytes()
+        assert not np.signbit(curve.price[curve.price == 0.0]).any()
+        ends = [0.0] + curve.cumulative.tolist()
+        for target in data.draw(st.lists(st.one_of(
+                st.sampled_from([(a + b) / 2.0 for a, b in zip(ends, ends[1:])]),
+                st.floats(-1.0, curve.total_quantity + 1.0, allow_nan=False)),
+                min_size=1, max_size=4)):
+            assert outcome_bits(clear_market(curve, target)) \
+                == outcome_bits(clear_market(other, target))
 
 
 def long_run_batch(n=5000):
     """Runs of hundreds of bids at +-1, both zeros and a few other prices
-    between; shuffled ids with gaps."""
+    between."""
     gen = np.random.default_rng(12)
     price = gen.choice([1.0, -1.0, 1.0, -1.0, 0.0, -0.0, 0.5, -0.25], size=n)
     quantity = gen.integers(1, 6 * 1024, size=n) / 1024.0
-    return BidBatch(price, quantity, np.zeros(n, dtype=bool),
-                    gen.permutation(np.arange(n) * 3 + 5))
+    return BidBatch(price, quantity, np.zeros(n, dtype=bool))
 
 
-class TestTieOrder:
-    """The curve sorts with an unstable sort and then orders each group of
-    equal prices by agent id; every array must be the stable sort's bytes."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(tied_batches())
-    def test_same_bytes_as_the_stable_sort(self, batch):
-        assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
-
-    def test_long_runs(self):
-        batch = long_run_batch()
-        assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
-
-    @pytest.mark.parametrize("ids", [[5, 1], [1, 5]])
-    @pytest.mark.parametrize("prices", [[0.0, -0.0], [-0.0, 0.0]])
-    def test_signed_zero_group_takes_the_first_id_sign(self, prices, ids):
-        # 0.0 == -0.0: one group, whose price is that of the smallest id
-        batch = BidBatch(prices + [0.5], [1.0, 2.0, 4.0], [False] * 3, ids + [0])
-        curve = build_demand_curve(batch)
-        assert_same_curve(curve, lexsort_curve(batch))
-        assert np.signbit(curve.group_price[1]) == np.signbit(prices[ids.index(1)])
-
-    def test_duplicate_ids_keep_input_order(self):
-        batch = BidBatch([0.5, -1.0, 0.5, 0.5, -1.0], [1.0, 2.0, 4.0, 8.0, 16.0],
-                         [False] * 5, [3, 3, 2, 3, 3])
-        curve = build_demand_curve(batch)
-        assert_same_curve(curve, lexsort_curve(batch))
-        assert curve.cumulative.tolist() == [4.0, 5.0, 13.0, 15.0, 31.0]
-
-    def test_distinct_prices(self):
-        gen = substream(8, 3)
-        batch = BidBatch(gen.uniform(-1.0, 1.0, 5000), gen.uniform(1.0, 3.0, 5000),
-                         np.zeros(5000, dtype=bool), gen.permutation(5000))
-        assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
+def market_digest(batch):
+    """sha256 of the batch's curve and of its clearing at 21 targets, the
+    two sentinels among them."""
+    curve = build_demand_curve(batch)
+    digest = hashlib.sha256(curve.price.tobytes() + curve.cumulative.tobytes())
+    for target in np.linspace(-1.0, curve.total_quantity + 1.0, 21).tolist():
+        digest.update(repr(outcome_bits(clear_market(curve, target))).encode())
+    return digest.hexdigest()
 
 
-@pytest.mark.parametrize("ids", [[7, 2**62, 0, -2**62, -5, 7], [7, 2**62, 0, 1, 5, 7]],
-                         ids=["span_2_63", "span_2_62"])
-def test_ids_too_far_apart_to_pack_take_the_same_order(ids):
-    # ids spanning more bits than the packed tie key holds take the
-    # two-key path; the curve is the stable sort's all the same, with
-    # the duplicate id 7 in input order
-    batch = BidBatch([0.5, 0.5, -0.0, 0.0, 0.5, 0.5], [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-                     [False] * 6, ids)
-    assert_same_curve(build_demand_curve(batch), lexsort_curve(batch))
-
-
-# The child builds the long-run batch's curve on the CPU features it was
-# left with and reports them with the curve's digest.
+# The child clears the long-run batch on the CPU features it was left
+# with and reports them with the digest of its curve and clearings.
 _KERNEL_CHILD = """
 import json
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # NumPy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-from test_market import curve_digest, long_run_batch
+from test_market import long_run_batch, market_digest
 print(json.dumps({"features": sorted(f for f in __cpu_dispatch__ if __cpu_features__[f]),
-                  "sha256": curve_digest(long_run_batch())}))
+                  "sha256": market_digest(long_run_batch())}))
 """
 
 
@@ -411,14 +355,15 @@ def _run_kernel_child(disabled):
 
 class TestKernelDeterminism:
     """NumPy picks its sort kernel by CPU feature, and each kernel leaves
-    equal keys in its own order; the curve must not show which ran."""
+    equal keys in its own order; the curve and its clearing must not show
+    which ran."""
 
     @pytest.fixture(scope="class")
     def default_kernel(self):
         proc = _run_kernel_child(())
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["sha256"] == curve_digest(long_run_batch())  # as in this process
+        assert report["sha256"] == market_digest(long_run_batch())  # as in this process
         return report
 
     # NumPy 2.4's names: the AVX-512 and AVX2 kernels switched off in turn
@@ -459,6 +404,5 @@ class TestEstimateNetLoad:
         on = [True, False, True, True]
         true_net = 412.375
         p_g = sum(q for q, s in zip(quantities, on) if s) + true_net
-        bids = [bid(0.1 * i, q, on=s, agent_id=i)
-                for i, (q, s) in enumerate(zip(quantities, on))]
+        bids = [bid(0.1 * i, q, on=s) for i, (q, s) in enumerate(zip(quantities, on))]
         assert estimate_net_load(p_g, batch_of(bids)) - true_net == 0.0

@@ -27,9 +27,9 @@ def cfg():
 
 
 def priced(prices, quantity=1.0):
-    """Off devices of one rating bidding these prices, ids in order."""
+    """Off devices of one rating bidding these prices."""
     n = len(prices)
-    return BidBatch(prices, [quantity] * n, [False] * n, range(n))
+    return BidBatch(prices, [quantity] * n, [False] * n)
 
 
 class TestLpf:
@@ -134,7 +134,7 @@ class TestComputeTargetPower:
 
 def golden_inputs():
     bids = BidBatch([0.6, 0.2, -0.3, 0.8], [2.0, 3.0, 2.5, 1.5],
-                    [True, False, False, True], [0, 1, 2, 3])
+                    [True, False, False, True])
     model = BaselineModel(coefficients=(6.0, 0, 0, 0, 0, 0, 0, 0))
     corr = CorrectionState(p_adj_prev=0.5)
     lpf = LpfState(p_g_lpf_prev=505.0, initialized=True)
