@@ -245,13 +245,17 @@ def outcome_bits(out):
 
 
 class TestBidBatch:
-    @pytest.mark.parametrize("price, quantity, first", [
-        (0.5, 0.0, 1.0), (0.5, -1.0, 1.0), (1.5, 1.0, 1.0), (-1.0000001, 1.0, 1.0),
-        (float("nan"), 1.0, 1.0), (0.5, float("inf"), 1.0), (0.5, float("nan"), 1.0),
-        (0.5, 1e308, 1e308)])
-    def test_rejects_invalid_bids(self, price, quantity, first):
+    @pytest.mark.parametrize("price, quantity", [
+        (0.5, 0.0), (0.5, -1.0), (1.5, 1.0), (-1.0000001, 1.0), (float("nan"), 1.0),
+        (0.5, float("inf")), (0.5, float("nan"))])
+    def test_rejects_invalid_bids(self, price, quantity):
         with pytest.raises(ValueError):
-            BidBatch([0.1, price], [first, quantity], [False, True])
+            BidBatch([0.1, price], [1.0, quantity], [False, True])
+
+    def test_rejects_a_quantity_sum_past_the_largest_float(self):
+        # each quantity is finite, their sum is not
+        with pytest.raises(ValueError):
+            BidBatch([0.1, 0.5], [1e308, 1e308], [False, True])
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError):
@@ -308,6 +312,55 @@ class TestBidBatch:
                 min_size=1, max_size=4)):
             assert outcome_bits(clear_market(curve, target)) \
                 == outcome_bits(clear_market(other, target))
+
+
+class TestTieLevels:
+    """Equal prices form one level whose quantity is summed in bid order."""
+
+    def test_long_runs(self):
+        batch = long_run_batch()
+        curve = build_demand_curve(batch)
+        levels = price_levels(rows_of(batch))
+        assert curve.price.tolist() == [1.0, 0.5, 0.0, -0.25, -1.0]
+        assert curve.price.tolist() == [price for price, _ in levels]
+        assert curve.cumulative.tolist() == np.cumsum([q for _, q in levels]).tolist()
+
+    def test_distinct_prices(self):
+        # no ties: one level per bid, in price-descending order
+        gen = substream(8, 3)
+        batch = BidBatch(gen.uniform(-1.0, 1.0, 5000), gen.uniform(1.0, 3.0, 5000),
+                         np.zeros(5000, dtype=bool))
+        order = np.argsort(-batch.price, kind="stable")
+        curve = build_demand_curve(batch)
+        assert len(np.unique(batch.price)) == 5000
+        assert curve.price.tobytes() == batch.price[order].tobytes()
+        assert curve.cumulative.tobytes() == np.cumsum(batch.quantity[order]).tobytes()
+
+    @pytest.mark.parametrize("prices", [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]],
+                             ids=["pos_neg", "neg_pos", "neg_neg", "pos_pos"])
+    def test_signed_zero_level_is_positive_zero(self, prices):
+        # 0.0 == -0.0: one level, priced +0.0 whichever zeros it holds
+        curve = build_demand_curve(BidBatch(prices + [0.5], [1.0, 2.0, 4.0], [False] * 3))
+        assert curve.price.tolist() == [0.5, 0.0] and not np.signbit(curve.price[1])
+        assert curve.cumulative.tolist() == [4.0, 7.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_quantities_sum_in_bid_order(self, data):
+        # quantities off the 2**-10 kW quantum, whose sums depend on order
+        n = data.draw(st.integers(1, 60))
+        price = data.draw(st.lists(st.sampled_from(TIE_POOL[:6]), min_size=n, max_size=n))
+        quantity = data.draw(st.lists(st.floats(2.0 ** -60, 1e6, allow_nan=False),
+                                      min_size=n, max_size=n))
+        batch = BidBatch(price, quantity, [False] * n)
+        levels = price_levels(rows_of(batch))
+        running, ends = 0.0, []
+        for _, level_quantity in levels:
+            running += level_quantity
+            ends.append(running)
+        curve = build_demand_curve(batch)
+        assert curve.price.tolist() == [p for p, _ in levels]
+        assert curve.cumulative.tolist() == ends
 
 
 def long_run_batch(n=5000):
