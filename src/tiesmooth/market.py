@@ -60,11 +60,10 @@ class BidBatch:
         n = len(self.price)
         if any(a.shape != (n,) for a in (self.quantity, self.on_state)):
             raise ValueError("bid columns must be one-dimensional and of equal length")
-        with np.errstate(over="ignore"):
-            total = np.add.reduce(self.quantity)  # inf past the largest float, NaN on NaN
-        if not ((self.quantity > 0).all() and total < np.inf):
-            raise ValueError(f"bid quantities must be positive with a finite sum, got "
-                             f"min {self.quantity.min()} and sum {total}")
+        with np.errstate(over="ignore"):  # summed only when positive, so it can only overflow
+            if not ((self.quantity > 0).all() and np.add.reduce(self.quantity) < np.inf):
+                raise ValueError("bid quantities must be positive with a finite sum, got "
+                                 f"min {self.quantity.min()} and max {self.quantity.max()}")
         bad = ~((self.price >= -1.0) & (self.price <= 1.0))
         if bad.any():
             raise ValueError(f"bid price must be in [-1, 1], got {self.price[bad][0]}")

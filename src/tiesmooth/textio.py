@@ -66,8 +66,9 @@ def read_table(fh: TextIO, header: str, ints: Sequence[str] = ()) -> dict[str, n
     names = header.split(",")
     dtype = [(name, np.int64 if name in ints else float) for name in names]
     try:
-        with warnings.catch_warnings():  # a table of no rows is a table
+        with warnings.catch_warnings():  # a table of no rows is a table; 1.5 is no int
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            warnings.filterwarnings("error", "loadtxt.*integer via a float", DeprecationWarning)
             table = np.loadtxt((line for line in fh if not line.isspace()), dtype=dtype,
                                delimiter=",", comments=None, ndmin=1)  # NumPy's C parser
     except (ValueError, OverflowError) as exc:

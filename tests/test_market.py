@@ -257,6 +257,13 @@ class TestBidBatch:
         with pytest.raises(ValueError):
             BidBatch([0.1, 0.5], [1e308, 1e308], [False, True])
 
+    @pytest.mark.parametrize("quantity", [[np.inf, -np.inf], [1e308, 1e308, -np.inf]],
+                             ids=["inf_minus_inf", "overflow_then_minus_inf"])
+    def test_rejects_infinite_quantities_before_summing(self, quantity):
+        # a sum taken first would warn of inf - inf, an error under the test settings
+        with pytest.raises(ValueError):
+            BidBatch(np.linspace(0.1, 0.5, len(quantity)), quantity, [False] * len(quantity))
+
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError):
             BidBatch([0.1, 0.2], [1.0], [False, True])
