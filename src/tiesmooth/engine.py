@@ -25,18 +25,17 @@ on its own.
 One rule uses a second CPU when this process may run on two, and it
 changes no byte.  A free run, training's segmented runs included, whose
 houses [n2:] number `WORKER_MIN_HOUSES` or more, with n2 = n // 2 less
-its remainder mod 8, starts a worker, a fresh interpreter (`_worker`).
-This process steps every house until the worker reports that it has
-imported tiesmooth, then, at the next record row, streams it the houses
-[n2:] with their state and steps only [:n2]; the worker steps [n2:] to
-the end (`_step_tail`).  Each side keeps raw sums (`_Sums`): each
-record's power per segment, devices on and `np.add.reduce` of its bid
-prices, each step's houses outside comfort.  Power sums are exact,
-counts are integers, and NumPy's pairwise sum splits a row of more than
-128 prices exactly at n2, so the sums add to the one-process sums bit
-for bit; the floats are finished once, after the loop, in step order.  A
-controlled run needs the whole fleet at every control cycle, so it steps
-every house in this process.
+its remainder mod 8, forks once its fleet is built (`_forked`), on
+Linux and only while no other Python thread runs.  The child steps the
+houses [n2:] from the first step to the end (`_step_tail`) and this
+process steps [:n2].  Each side keeps raw sums (`_Sums`): each record's
+power per segment, devices on and `np.add.reduce` of its bid prices,
+each step's houses outside comfort.  Power sums are exact, counts are
+integers, and NumPy's pairwise sum splits a row of more than 128 prices
+exactly at n2, so the sums add to the one-process sums bit for bit; the
+floats are finished once, after the loop, in step order.  A controlled
+run needs the whole fleet at every control cycle, so it steps every
+house in this process.
 
 Every array a kernel reads or writes starts on a 64-byte boundary,
 where NumPy's SIMD loops run about twice as fast as on the 16-byte
@@ -47,8 +46,9 @@ and never copies, are made there by `generate_population` and
 `Workspace` its buffers and thresholds; and the kernels,
 `seed_fleet_states` and `_respond_to_price` write into those arrays
 rather than rebind them.  Only the bid prices are a fresh aligned array
-at seeding and at each bid, since a bid batch keeps them.  A worker
-copies the arrays it is streamed into aligned ones.
+at seeding and at each bid, since a bid batch keeps them.  A forked
+child steps its houses where they lie: n2 is a multiple of 8, so its
+half of each float array starts on a 64-byte boundary too.
 
 The tie-line power at any instant is fleet electrical power plus
 uncontrollable load minus wind (lossless balance).  Device ratings and
@@ -64,7 +64,8 @@ import copy
 import os
 import pickle
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -285,29 +286,24 @@ def _advance_slice(fleet: Fleet, ws: Workspace) -> None:
     np.add(t_air, np.multiply(fleet.m1, b0, out=y), out=t_air)
 
 
-def _with_arrays(obj, fn):
-    """A copy of a Fleet or Workspace that holds `fn` of each of its arrays."""
+def _part(obj, houses: slice):
+    """A copy of a Fleet or Workspace whose arrays are views of `houses`."""
     part = copy.copy(obj)
-    vars(part).update((name, fn(value)) for name, value in vars(obj).items()
+    vars(part).update((name, value[houses]) for name, value in vars(obj).items()
                       if isinstance(value, np.ndarray))
     return part
 
 
-def _part(obj, houses: slice):
-    """A copy of a Fleet or Workspace whose arrays are views of `houses`."""
-    return _with_arrays(obj, lambda value: value[houses])
-
-
 @dataclass
 class _Houses:
-    """The houses one process steps: a fleet or part of one, its workspace
-    (None in transit to a worker), its segments as slices of it, where
-    each segment's metering starts, each segment's weather (a column per
-    segment, a row per trace row) and, in a run that is not segmented,
-    the buffer each record's bid prices go to."""
+    """The houses one process steps: a fleet or part of one, its
+    workspace, its segments as slices of it, where each segment's
+    metering starts, each segment's weather (a column per segment, a row
+    per trace row) and, in a run that is not segmented, the buffer each
+    record's bid prices go to."""
 
     fleet: Fleet
-    ws: Optional[Workspace]
+    ws: Workspace
     segments: list
     starts: np.ndarray
     t_outs: np.ndarray
@@ -316,7 +312,7 @@ class _Houses:
 
     def split(self, n2: int) -> tuple["_Houses", "_Houses"]:
         """Houses [:n2] and [n2:], views of these; a segment across n2 is
-        in both, and the second has no workspace."""
+        in both."""
         first = int(np.searchsorted(self.starts, n2))  # segments that start before n2
         across = int(np.searchsorted(self.starts, n2, "right")) - 1  # the one n2 is in
         prices = (None, None) if self.s_prices is None else \
@@ -324,7 +320,8 @@ class _Houses:
         head = _Houses(_part(self.fleet, slice(None, n2)), _part(self.ws, slice(None, n2)),
                        self.segments[:first], self.starts[:first],
                        self.t_outs[:, :first], self.solars[:, :first], prices[0])
-        tail = _Houses(_part(self.fleet, slice(n2, None)), None,
+        tail = _Houses(_part(self.fleet, slice(n2, None)),
+                       _part(self.ws, slice(n2, None)),
                        [slice(max(s.start - n2, 0), s.stop - n2)
                         for s in self.segments[across:]],
                        np.maximum(self.starts[across:] - n2, 0),
@@ -348,13 +345,12 @@ class _Sums:
         self.s = np.zeros(n_rows)
         self.outside = np.zeros(cfg.total_s // cfg.sim_step_s, np.int64)
 
-    def add(self, other: "_Sums", cfg: ScenarioConfig, t: int) -> None:
-        """Adds `other`'s sums from time t on."""
-        row, i = t // cfg.record_cycle_s, t // cfg.sim_step_s
-        self.kw[row:, self.kw.shape[1] - other.kw.shape[1]:] += other.kw[row:]
-        self.n_on[row:] += other.n_on[row:]
-        self.s[row:] += other.s[row:]  # np.add.reduce splits a row of prices where n2 does
-        self.outside[i:] += other.outside[i:]
+    def add(self, other: "_Sums") -> None:
+        """Adds `other`'s sums, those of the houses after these."""
+        self.kw[:, self.kw.shape[1] - other.kw.shape[1]:] += other.kw
+        self.n_on += other.n_on
+        self.s += other.s  # np.add.reduce splits a row of prices where n2 does
+        self.outside += other.outside
 
 
 def _step(houses: _Houses, cfg: ScenarioConfig, t: int, sums: _Sums) -> None:
@@ -383,18 +379,13 @@ def _step(houses: _Houses, cfg: ScenarioConfig, t: int, sums: _Sums) -> None:
             + np.count_nonzero(np.less(fleet.t_air, ws.comfort_low, out=ws.mask)))
 
 
-def _step_tail(errors: dict, cfg: ScenarioConfig, t0: int, houses: _Houses) -> _Sums:
-    """A worker's share of a free run: steps `houses`, which arrive
-    without a workspace, from time t0 to the end under the NumPy error
-    state `errors`.  Returns their sums."""
-    with np.errstate(**errors):
-        fleet = _with_arrays(houses.fleet, aligned)  # unpickled arrays start anywhere
-        houses = replace(houses, fleet=fleet, ws=Workspace(fleet),
-                         s_prices=None if houses.s_prices is None else aligned(fleet.n))
-        sums = _Sums(cfg, houses.t_outs.shape[1])
-        for t in range(t0, cfg.total_s, cfg.sim_step_s):
-            _step(houses, cfg, t, sums)
-        _check_finite(fleet, cfg.total_s // cfg.control_cycle_s)
+def _step_tail(houses: _Houses, cfg: ScenarioConfig) -> _Sums:
+    """A forked child's share of a free run: steps `houses` from the
+    first step to the end.  Returns their sums."""
+    sums = _Sums(cfg, houses.t_outs.shape[1])
+    for t in range(0, cfg.total_s, cfg.sim_step_s):
+        _step(houses, cfg, t, sums)
+    _check_finite(houses.fleet, cfg.total_s // cfg.control_cycle_s)
     return sums
 
 
@@ -456,9 +447,12 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
 
     A controlled run clears the market every control cycle after the
     first, on the bids collected `bid_lead_s` before it.  Every house
-    steps in this process, except that, when this process may run on two
-    CPUs, a free run whose houses [n2:] number `WORKER_MIN_HOUSES` or
-    more hands them to a worker process once it is ready (`_worker`).
+    steps in this process, except that, on Linux when this process may
+    run on two CPUs and no other Python thread runs, a free run whose
+    houses [n2:] number `WORKER_MIN_HOUSES` or more forks a child that
+    steps them from the first step to the end (`_forked`).  The child
+    runs under the caller's NumPy error state and warning filters; what
+    it raises is raised here with its type.
 
     `_segments` runs training's free fleets at once: the houses are
     segments of these sizes laid end to end, every `traces` series holds
@@ -474,11 +468,6 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     if len(traces) * traces.cadence_s < cfg.total_s:
         raise ValueError("traces shorter than the requested run")
 
-    n2 = len(houses) // 2 - len(houses) // 2 % 8  # where np.add.reduce splits a row of prices
-    # a worker cannot take an error callback along
-    join = (not controlled and len(houses) - n2 >= WORKER_MIN_HOUSES and _cpus() >= 2
-            and np.geterrcall() is None)
-
     lpf = LpfState()
     corr = CorrectionState()
     records: list[CycleRecord] = []
@@ -491,22 +480,25 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     p_g0_ref = col()
     p_g_lpf = col()
     p_ac_target = col()
-    joined_at = joined = None
 
-    # the worker imports while the fleet is built
-    with _worker() if join else nullcontext() as worker:
-        fleet = build_fleet(houses, cfg.sim_step_s)
-        seed_fleet_states(fleet, cfg.seed, _segments)
-        ws = Workspace(fleet)
-        total_rated = float(np.sum(fleet.rated_kw))
-        sizes = [fleet.n] if _segments is None else list(_segments)
-        starts = np.cumsum([0, *sizes[:-1]])
-        ours = _Houses(fleet, ws, [slice(start, start + size)
-                                   for start, size in zip(starts.tolist(), sizes)], starts,
-                       traces.t_out_c.reshape(len(traces), -1),  # a column per segment
-                       traces.solar_wm2.reshape(len(traces), -1),
-                       aligned(fleet.n) if _segments is None else None)
-        sums = _Sums(cfg, len(sizes))
+    fleet = build_fleet(houses, cfg.sim_step_s)
+    seed_fleet_states(fleet, cfg.seed, _segments)
+    ws = Workspace(fleet)
+    total_rated = float(np.sum(fleet.rated_kw))
+    sizes = [fleet.n] if _segments is None else list(_segments)
+    starts = np.cumsum([0, *sizes[:-1]])
+    ours = _Houses(fleet, ws, [slice(start, start + size)
+                               for start, size in zip(starts.tolist(), sizes)], starts,
+                   traces.t_out_c.reshape(len(traces), -1),  # a column per segment
+                   traces.solar_wm2.reshape(len(traces), -1),
+                   aligned(fleet.n) if _segments is None else None)
+    sums = _Sums(cfg, len(sizes))
+    n2 = fleet.n // 2 - fleet.n // 2 % 8  # where np.add.reduce splits a row of prices
+    # a fork with another thread running may deadlock, and a child's error
+    # callback would act on the child's copies
+    fork = (not controlled and fleet.n - n2 >= WORKER_MIN_HOUSES and _cpus() >= 2
+            and threading.active_count() == 1 and np.geterrcall() is None)
+    with _forked(ours, n2, cfg) if fork else nullcontext((ours, None)) as (ours, child):
         for t in range(0, cfg.total_s, cfg.sim_step_s):
             idx = t // traces.cadence_s
             record = t % cfg.record_cycle_s == 0
@@ -533,11 +525,6 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                 _respond_to_price(fleet, ws, p_star)
                 _check_finite(fleet, k)
 
-            if worker is not None and record and worker.ready():
-                ours, theirs = ours.split(n2)
-                worker.start(_step_tail, np.geterr(), cfg, t, theirs)
-                joined_at, joined, worker = t, worker, None
-
             _step(ours, cfg, t, sums)
             if controlled and record:
                 row = t // cfg.record_cycle_s
@@ -545,8 +532,8 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                 p_g_lpf[row] = latest_lpf
                 p_ac_target[row] = latest_target
 
-        if joined is not None:
-            sums.add(joined.result(), cfg, joined_at)
+        if child is not None:
+            sums.add(child())
     _check_finite(ours.fleet, cfg.total_s // cfg.control_cycle_s)
 
     # the sums are finished in step order, as one process would
@@ -634,99 +621,75 @@ def check_run_cadence(run: RunResult) -> None:
                          f"at {run.control_cycle_s} s a cycle")
 
 
-# A free run hands its houses [n2:] to a worker when they number at least
-# this many.  A fresh interpreter takes 0.3-0.45 s to import NumPy and
-# tiesmooth, which this process spends stepping every house, and below
-# the crossover the half it then takes off this process saves less.  A
-# free run of the default 26 h scenario on a 2-vCPU Xeon, median of 3
-# alternating runs, one process -> late join: n = 4 000: 1.50 -> 1.58 s;
-# 4 500: 1.63 -> 1.55 s; 5 000: 1.93 -> 1.65 s; 8 000: 2.44 -> 1.93 s.
-# Only 26 h runs set it: a 6 h free run (2 h warm-up + 4 h) at n = 5 000
-# took 0.43 s in one process and 0.52 s with the worker (median of 6).
-WORKER_MIN_HOUSES = 2500
-
-# The worker's main program.  It takes the parent's sys.path before it
-# imports tiesmooth, reports on stdout that it has, and then runs the one
-# job it is sent.
-_WORKER_MAIN = """\
-import pickle, sys
-sys.path[:] = pickle.load(sys.stdin.buffer)
-import tiesmooth.engine
-sys.stdout.buffer.write(b"."); sys.stdout.buffer.flush()
-try:
-    fn, args = pickle.load(sys.stdin.buffer)
-    result = True, fn(*args)
-except Exception as exc:
-    result = False, exc
-pickle.dump(result, sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
-"""
-
-
-class _Worker:
-    """A fresh interpreter that runs one job once it is ready."""
-
-    def __init__(self, proc):
-        self.proc = proc
-
-    def ready(self, timeout: Optional[float] = 0.0) -> bool:
-        """Whether the worker has imported tiesmooth and waits for its job,
-        after up to `timeout` seconds (None: as long as that takes).  Raises
-        RuntimeError for a worker that exited first."""
-        import select  # here, so that importing the CLI does not pay for it
-        if not select.select([self.proc.stdout], [], [], timeout)[0]:
-            return False
-        if not self.proc.stdout.read(1):
-            self._exited()
-        return True
-
-    def start(self, fn, *args) -> None:
-        """Streams the job `fn(*args)` to the ready worker."""
-        with suppress(BrokenPipeError):  # a worker gone reports no result below
-            pickle.dump((fn, args), self.proc.stdin, pickle.HIGHEST_PROTOCOL)
-            self.proc.stdin.close()
-
-    def result(self):
-        """Waits for the worker and returns what its job returned, or
-        raises what it raised."""
-        data = self.proc.stdout.read()  # to EOF before the wait: a large result cannot stall
-        if self.proc.wait() != 0 or not data:
-            self._exited()
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    def _exited(self):
-        raise RuntimeError(f"the worker exited with status {self.proc.wait()} and no result")
+# A free run forks a child for its houses [n2:] when they number at
+# least this many.  Below the crossover the fork loses: the two halves
+# step slower side by side than either alone, and halving a small fleet
+# saves little, since each of a step's ufunc calls costs about 1 us
+# whatever its length.  Free runs of the default scenario on a 2-vCPU
+# Xeon, seed 42, median of 7 alternating runs, one process -> forked:
+# 26 h: n = 2 000: 1.19 -> 1.28 s; 2 500: 1.30 -> 1.30 s; 3 500: 1.28 ->
+# 1.32 s; 4 000: 1.53 -> 1.43 s; 5 000: 1.71 -> 1.53 s.  6 h (2 h
+# warm-up + 4 h): 3 500: 0.32 -> 0.34 s; 4 000: 0.34 -> 0.35 s; 4 500:
+# 0.38 -> 0.36 s; 5 000: 0.40 -> 0.36 s.  The floor forks from
+# n = 4 500, above both crossovers.
+WORKER_MIN_HOUSES = 2250
 
 
 @contextmanager
-def _worker():
-    """Yields a `_Worker` started in a fresh interpreter: not forked,
-    because this process already runs a BLAS thread, nor a
-    `multiprocessing` child, whose resource tracker can outlive this
-    process.  A worker that has not returned its result when the block
-    ends, raise as it may, is killed; no worker outlives the block."""
-    import subprocess  # here, so that importing the CLI does not pay for it
-    flags = [f"-W{option}" for option in sys.warnoptions]
-    with subprocess.Popen([sys.executable, *flags, "-c", _WORKER_MAIN],
-                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+def _forked(houses: _Houses, n2: int, cfg: ScenarioConfig):
+    """Forks a child that steps houses [n2:] of `houses` (`_step_tail`),
+    and yields houses [:n2] with a function that waits for the child and
+    returns its sums, or raises what it raised.
+
+    The child holds the arrays where this process holds them, and leaves
+    only through `os._exit`, so it runs none of this process's exit
+    handlers and flushes none of its buffers.  A child not yet waited for
+    when the block ends, raise as it may, is killed; none outlives the
+    block."""
+    import signal  # here, so that importing the CLI does not pay for it
+    head, tail = houses.split(n2)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe, open(write_end, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                try:
+                    result = True, _step_tail(tail, cfg)
+                except Exception as exc:  # raised again in the parent
+                    result = False, exc
+                pickle.dump(result, sink, pickle.HIGHEST_PROTOCOL)
+                sink.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        sink.close()  # the child's copy alone keeps the pipe open
+        reaped = False
+
+        def result() -> _Sums:
+            nonlocal reaped
+            data = pipe.read()  # to EOF before the wait: a large result cannot stall
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped = True
+            if status != 0 or not data:
+                raise RuntimeError(f"the child exited with status {status} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            return value
+
         try:
-            with suppress(BrokenPipeError):  # a worker gone at once says so in ready()
-                proc.stdin.write(pickle.dumps(sys.path))
-                proc.stdin.flush()
-            yield _Worker(proc)
+            yield head, result
         finally:
-            if proc.returncode is None:
-                proc.kill()
-                proc.wait()
-            with suppress(BrokenPipeError):  # data the worker never read
-                proc.stdin.close()
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+    """The CPUs this process may run on, on Linux; 1 elsewhere, where no
+    run forks."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
 def _step_days(cfg: ScenarioConfig, houses: Population,
@@ -756,8 +719,8 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Population,
     stays identifiable.  Houses step independently and initial states
     come from one stream, so the days of one trace length run as one
     fleet of prefixes, each segment under its own day's weather, and
-    each segment steps bit for bit like a run of its own; a worker may
-    join that run late, as it may any free run (`run_scenario`).
+    each segment steps bit for bit like a run of its own; that run may
+    fork, as any free run may (`run_scenario`).
     Samples come back in day order.
     """
     if not houses:

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import pickle
 import platform
 import re
 import shutil
@@ -693,8 +692,8 @@ def test_cli_loads_only_numpy_and_the_standard_library():
 
 
 def test_cli_import_starts_no_thread_and_no_process():
-    # `train` starts its worker when it runs, and imports `subprocess`
-    # only then; a BLAS's own native threads are not Python threads
+    # a run forks only when it runs, and no module imports `subprocess`;
+    # a BLAS's own native threads are not Python threads
     code = ("import os, sys, threading; import tiesmooth.cli\n"
             "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n"
             "    print('no-child')\n"
@@ -702,36 +701,6 @@ def test_cli_import_starts_no_thread_and_no_process():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120)
     assert proc.stdout.split() == ["no-child", "1", "False"]
-
-
-def test_training_worker_loads_only_numpy_and_the_standard_library():
-    from tiesmooth import engine
-    from tiesmooth.population import generate_population
-    from tiesmooth.scenario import ScenarioConfig
-    from tiesmooth.traces import TraceSet
-
-    cfg = ScenarioConfig(n_acl=4, seed=3, duration_s=120, warmup_s=60)
-    n = cfg.total_s // 10
-    day = TraceSet(time_s=np.arange(n, dtype=np.int64) * 10, t_out_c=np.full(n, 32.0),
-                   solar_wm2=np.full(n, 500.0), p_load_kw=np.full(n, 8.0),
-                   p_wind_kw=np.full(n, 2.0), cadence_s=10)
-    houses = generate_population(cfg.population_spec(), cfg.seed)
-    job = (engine._step_days, (cfg, houses, [(day, 4), (day, 3)]))
-    # the worker's own program between a snapshot of sys.modules and a report
-    code = ("import sys; before = set(sys.modules)\n" + engine._WORKER_MAIN
-            + "print(' '.join(sorted({name.partition('.')[0] "
-              "for name in set(sys.modules) - before})), file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          input=pickle.dumps(sys.path) + pickle.dumps(job),
-                          capture_output=True, check=True, timeout=120)
-    assert proc.stdout[:1] == b"."  # ready, before the job's result
-    ok, powers = pickle.loads(proc.stdout[1:])
-    assert ok and powers.shape == (cfg.duration_s // 10, 2)
-    # numpy.random's Cython extensions register the Cython runtime modules
-    loaded = {name for name in proc.stderr.decode().split()
-              if not (name == "cython_runtime" or name.startswith("_cython_"))}
-    assert {"numpy", "tiesmooth"} <= loaded
-    assert loaded - set(sys.stdlib_module_names) - {"numpy", "tiesmooth"} == set()
 
 
 def test_console_entry_point():

@@ -1,13 +1,11 @@
-"""Free runs whose houses [n2:] a worker process joins late: same bytes,
-no process and no pipe left.
+"""Free runs whose houses [n2:] a forked child steps: same bytes, no
+process and no pipe left.
 
-`run_scenario` starts a fresh interpreter for a free run, training's
-segmented runs included, once the run's second half is large enough,
-and hands it that half at the first record row after it has imported.
-These tests wait for the worker at a chosen record row, so the handover
-happens there, and compare every output with the run stepped in one
-process.  They use about 2 500 houses and short hand-made days, so each
-test takes about a second.
+`run_scenario` forks a child for a free run, training's segmented runs
+included, once the run's second half is large enough; the child steps
+that half from the first step to the end.  These tests compare every
+output with the run stepped in one process.  They use about 2 500 houses
+and short hand-made days, so each test takes about a second.
 """
 
 import json
@@ -16,6 +14,8 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
+from contextlib import suppress
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -39,8 +39,8 @@ WAIT_S = 120
 
 @pytest.fixture(autouse=True)
 def time_limit():
-    """Every wait in these tests, the worker's own included, ends in WAIT_S:
-    a hung worker fails the test instead of blocking the suite."""
+    """Every wait in these tests ends in WAIT_S: a hung child fails the
+    test instead of blocking the suite."""
     def expire(signum, frame):
         raise TimeoutError(f"still waiting after {WAIT_S} s")
 
@@ -98,46 +98,50 @@ def free_run(cfg, houses, cold):
     return one_process(run_scenario, cfg, houses, cold, None, False)
 
 
+class Children:
+    """The pid of every child forked, and the exit status of every child
+    waited for, by pid."""
+
+    def __init__(self):
+        self.pids = []
+        self.status = {}
+
+
 @pytest.fixture
-def workers(monkeypatch):
-    """Every worker Popen started while the test runs, on two CPUs, with a
-    floor low enough that a free run of N_HOUSES houses starts one."""
-    started = []
+def children(monkeypatch):
+    """Every child forked while the test runs, on two CPUs, with a floor
+    low enough that a free run of N_HOUSES houses forks."""
+    seen, fork, waitpid = Children(), os.fork, os.waitpid
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            seen.pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    def recorded_waitpid(pid, options):
+        got, status = waitpid(pid, options)
+        if got:
+            seen.status[got] = os.waitstatus_to_exitcode(status)
+        return got, status
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
     monkeypatch.setattr(engine, "_cpus", lambda: 2)
     monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", N_HOUSES - N2)
-    yield started
-    for proc in started:  # a test that failed early leaves no process either
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=WAIT_S)
+    yield seen
+    for pid in seen.pids:  # a test that failed early leaves no process either
+        with suppress(ChildProcessError):  # reaped already
+            if waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                waitpid(pid, 0)
 
 
-def join_at(monkeypatch, poll):
-    """Workers take their half at record row `poll` of the run: until then
-    they are reported not ready, and there the run waits for them.
-    Returns the times of the handovers."""
-    ready, joined = engine._Worker.ready, []
-
-    def ready_at_poll(self, timeout=0.0):
-        polls = vars(self).setdefault("polls", [])
-        polls.append(None)
-        return len(polls) > poll and ready(self, None)
-
-    def start(self, fn, *args):
-        joined.append(args[2])
-        return start_job(self, fn, *args)
-
-    start_job = engine._Worker.start
-    monkeypatch.setattr(engine._Worker, "ready", ready_at_poll)
-    monkeypatch.setattr(engine._Worker, "start", start)
-    return joined
+def blazing(houses, sunlit):
+    """`houses` with a solar aperture only in the `sunlit` ones."""
+    lit = np.zeros(N_HOUSES)
+    lit[sunlit] = houses.columns["solar_aperture"][sunlit]
+    return Population(houses.house_index, {**houses.columns, "solar_aperture": aligned(lit)})
 
 
 def assert_no_child():
@@ -180,121 +184,112 @@ def segmented_columns(cfg, houses, days):
         for k, (d, n) in enumerate(zip(days, sizes))))]
 
 
-@pytest.mark.parametrize("poll", [0, 7], ids=["first_row", "later_row"])
-def test_free_run_gives_the_bytes_of_one_part(cfg, houses, cold, free_run, workers,
-                                              monkeypatch, poll):
-    joined = join_at(monkeypatch, poll)
+def test_free_run_gives_the_bytes_of_one_part(cfg, houses, cold, free_run, children):
     result = run_scenario(cfg, houses, cold, None, controlled=False)
-    assert joined == [poll * cfg.record_cycle_s]
-    assert len(workers) == 1 and workers[0].returncode == 0
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: 0}
     assert result.comfort_violation_acl_min > 0.0 and result.n_on.max() > 0
     assert_same_bytes(result, free_run)
     assert_no_child()
 
 
-def test_columns_are_the_bytes_of_one_segmented_run(cfg, houses, days, workers,
+def test_columns_are_the_bytes_of_one_segmented_run(cfg, houses, days, children,
                                                     monkeypatch):
     # three days of 2 500, 2 226 and 2 341 houses: n2 falls inside the
     # second, which both processes meter
     monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", 2000)
-    joined = join_at(monkeypatch, 3)
     samples = run_training_simulation(cfg, houses, days)
-    assert joined == [3 * cfg.record_cycle_s]
-    assert len(workers) == 1 and workers[0].returncode == 0
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: 0}
     expected = segmented_columns(cfg, houses, days)
     assert len(samples.p_ac_free) == 3 * (cfg.duration_s // 10)
     assert max(samples.p_ac_free) > 0.0
     for got, want in zip(samples, expected):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert_no_child()
 
 
-def test_small_shares_stay_in_this_process(cfg, houses, cold, free_run, workers,
+def test_small_shares_stay_in_this_process(cfg, houses, cold, free_run, children,
                                            monkeypatch):
     monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", N_HOUSES - N2 + 1)
     assert_same_bytes(run_scenario(cfg, houses, cold, None, controlled=False), free_run)
     monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", N_HOUSES - N2)
     monkeypatch.setattr(engine, "_cpus", lambda: 1)
     assert_same_bytes(run_scenario(cfg, houses, cold, None, controlled=False), free_run)
-    assert workers == []
+    assert children.pids == []
 
 
-def test_controlled_runs_start_no_worker(cfg, houses, days, workers):
+def test_only_linux_counts_its_cpus(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert engine._cpus() == 1
+
+
+def test_run_beside_another_thread_forks_no_child(cfg, houses, cold, free_run, children):
+    # a fork while another thread runs may deadlock in the child
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait, args=(WAIT_S,))
+    waiting.start()
+    try:
+        result = run_scenario(cfg, houses, cold, None, controlled=False)
+    finally:
+        stop.set()
+        waiting.join(WAIT_S)
+    assert not waiting.is_alive()
+    assert children.pids == []
+    assert_same_bytes(result, free_run)
+
+
+def test_controlled_runs_fork_no_child(cfg, houses, days, children):
     model = BaselineModel(coefficients=(3000.0, 0, 0, 0, 0, 0, 0, 0))
     run_scenario(cfg, houses, days[0], model)
-    assert workers == []
+    assert children.pids == []
 
 
-def test_worker_share_aborts_with_its_cycle(cfg, houses, cold, workers, monkeypatch):
-    # only houses of the worker's half go non-finite, before the handover
-    join_at(monkeypatch, 5)
-    lit = np.zeros(N_HOUSES)
-    lit[-10:] = houses.columns["solar_aperture"][-10:]
-    blazing = Population(houses.house_index, {**houses.columns, "solar_aperture": aligned(lit)})
+def test_child_share_aborts_with_its_cycle(cfg, houses, cold, children):
+    # only houses of the child's half go non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericAbortError) as err:
-            run_scenario(cfg, blazing, replace(cold, solar_wm2=np.full(len(cold), 1e308)),
+            run_scenario(cfg, blazing(houses, slice(-10, None)),
+                         replace(cold, solar_wm2=np.full(len(cold), 1e308)),
                          None, controlled=False)
     assert err.value.cycle == cfg.total_s // cfg.control_cycle_s
-    assert len(workers) == 1 and workers[0].returncode == 0
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: 0}
     assert_no_child()
 
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt(), NumericAbortError(7)],
                          ids=["interrupt", "numeric_abort"])
-def test_worker_killed_when_own_share_raises(cfg, houses, cold, workers, monkeypatch, error):
-    joined = join_at(monkeypatch, 2)
-    thermostat, calls = engine._thermostat_slice, []
+def test_child_killed_when_own_share_raises(cfg, houses, cold, children, monkeypatch,
+                                            error):
+    thermostat, calls, parent = engine._thermostat_slice, [], os.getpid()
 
-    def failing(fleet, ws):  # in this process only, after the handover
-        calls.append(fleet.n)
-        if len(calls) == 10:
-            raise error
+    def failing(fleet, ws):  # in this process only
+        if os.getpid() == parent:
+            calls.append(fleet.n)
+            if len(calls) == 10:
+                raise error
         thermostat(fleet, ws)
 
     monkeypatch.setattr(engine, "_thermostat_slice", failing)
     with pytest.raises(type(error)):
         run_scenario(cfg, houses, cold, None, controlled=False)
-    assert joined == [20] and calls[-1] == N2
-    assert len(workers) == 1
-    assert workers[0].poll() is not None  # killed and reaped, not left running
-    assert workers[0].returncode in (0, -signal.SIGKILL)
-    assert_no_child()
-
-
-def test_run_that_ends_before_the_worker_is_ready(cfg, houses, cold, free_run, workers,
-                                                  monkeypatch):
-    monkeypatch.setattr(engine._Worker, "ready", lambda self, timeout=0.0: False)
-    assert_same_bytes(run_scenario(cfg, houses, cold, None, controlled=False), free_run)
-    assert len(workers) == 1 and workers[0].returncode == -signal.SIGKILL
-    assert_no_child()
-
-
-def test_run_whose_worker_exits_before_it_is_ready(cfg, houses, cold, workers,
-                                                   monkeypatch):
-    monkeypatch.setattr(engine, "_WORKER_MAIN", "import os; os._exit(5)")
-    join_at(monkeypatch, 0)
-    with pytest.raises(RuntimeError, match="exited with status 5 and no result"):
-        run_scenario(cfg, houses, cold, None, controlled=False)
-    assert len(workers) == 1 and workers[0].returncode == 5
+    assert calls == [N2] * 10
+    assert len(children.pids) == 1  # killed and reaped, not left running
+    assert children.status[children.pids[0]] in (0, -signal.SIGKILL)
     assert_no_child()
 
 
 @pytest.mark.parametrize("sunlit", [slice(0, 10), slice(-10, None)],
-                         ids=["own_half", "worker_half"])
-def test_floating_point_error_under_the_callers_errstate(cfg, houses, cold, workers,
-                                                         monkeypatch, sunlit):
+                         ids=["own_half", "child_half"])
+def test_floating_point_error_under_the_callers_errstate(cfg, houses, cold, children,
+                                                         sunlit):
     # only the sunlit houses have an aperture, and the sun overflows it
-    # from the record row after the handover on
-    join_at(monkeypatch, 2)
-    lit = np.zeros(N_HOUSES)
-    lit[sunlit] = houses.columns["solar_aperture"][sunlit]
-    blazing = Population(houses.house_index, {**houses.columns, "solar_aperture": aligned(lit)})
+    # from record row 3 on
     solar = cold.solar_wm2.copy()
     solar[3:] = 1e308
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            run_scenario(cfg, blazing, replace(cold, solar_wm2=solar), None, controlled=False)
-    assert len(workers) == 1 and workers[0].poll() is not None
+            run_scenario(cfg, blazing(houses, sunlit), replace(cold, solar_wm2=solar), None,
+                         controlled=False)
+    assert len(children.pids) == 1 and children.pids[0] in children.status
     assert_no_child()
 
 
@@ -303,40 +298,46 @@ def test_floating_point_error_under_the_callers_errstate(cfg, houses, cold, work
     ValueError("trace cadence must equal the record cycle"),
     PopulationError("house 3: no valid draw in 100 attempts"), MemoryError(),
 ], ids=lambda e: type(e).__name__)
-def test_worker_exception_raised_with_its_type(workers, error):
-    with engine._worker() as worker:
-        assert worker.ready(None)
-        worker.start(exec, "raise error", {"error": error})
-        with pytest.raises(type(error)) as err:
-            worker.result()
+def test_child_exception_raised_with_its_type(cfg, houses, cold, children, monkeypatch,
+                                              error):
+    def fail(houses, cfg):
+        raise error
+
+    monkeypatch.setattr(engine, "_step_tail", fail)
+    with pytest.raises(type(error)) as err:
+        run_scenario(cfg, houses, cold, None, controlled=False)
     assert str(err.value) == str(error)
     assert getattr(err.value, "cycle", None) == getattr(error, "cycle", None)
-    assert len(workers) == 1 and workers[0].poll() == 0
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: 0}
+    assert_no_child()
 
 
-def test_worker_without_a_result_is_an_error(workers):
-    with engine._worker() as worker:
-        assert worker.ready(None)
-        worker.start(os._exit, 3)
-        with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
-            worker.result()
-    assert workers[0].poll() == 3
+def test_child_without_a_result_is_an_error(cfg, houses, cold, children, monkeypatch):
+    monkeypatch.setattr(engine, "_step_tail", lambda houses, cfg: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
+        run_scenario(cfg, houses, cold, None, controlled=False)
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: 3}
+    assert_no_child()
 
 
-def test_worker_gone_before_reading_its_inputs(workers, monkeypatch):
-    monkeypatch.setattr(engine, "_WORKER_MAIN", "import os; os._exit(5)")
-    with engine._worker() as worker:
-        with pytest.raises(RuntimeError, match="exited with status 5 and no result"):
-            worker.ready(None)
-    assert workers[0].poll() == 5
+def test_result_larger_than_a_pipe(cfg, houses, cold, free_run, children, monkeypatch):
+    step_tail, add, received = engine._step_tail, engine._Sums.add, []
 
+    def padded(houses, cfg):
+        sums = step_tail(houses, cfg)
+        sums.padding = np.arange(200_000)  # 1.6 MB, beyond a pipe's buffer
+        return sums
 
-def test_result_larger_than_a_pipe(workers):
-    with engine._worker() as worker:
-        assert worker.ready(None)
-        worker.start(np.arange, 200_000)
-        assert np.array_equal(worker.result(), np.arange(200_000))
-    assert workers[0].poll() == 0
+    def recorded(self, other):
+        received.append(other)
+        add(self, other)
+
+    monkeypatch.setattr(engine, "_step_tail", padded)
+    monkeypatch.setattr(engine._Sums, "add", recorded)
+    assert_same_bytes(run_scenario(cfg, houses, cold, None, controlled=False), free_run)
+    assert np.array_equal(received[0].padding, np.arange(200_000))
+    assert children.status == {children.pids[0]: 0}
+    assert_no_child()
 
 
 def test_numeric_abort_survives_pickling():
@@ -402,8 +403,8 @@ class TestPairwiseSplit:
 
 @pytest.mark.skipif(sys.flags.dev_mode, reason="already running under -X dev")
 def test_module_under_dev_mode_closes_every_pipe():
-    # an unclosed pipe or a Popen dropped while its process runs warns
-    # only from a finalizer; under these flags that fails the run
+    # an unclosed pipe end warns only from a finalizer; under these flags
+    # that fails the run
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest",
          "-q", "-p", "no:cacheprovider", "-W", "error::pytest.PytestUnraisableExceptionWarning",
