@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from contextlib import suppress
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -192,6 +193,17 @@ def test_free_run_gives_the_bytes_of_one_part(cfg, houses, cold, free_run, child
     assert_no_child()
 
 
+def test_run_of_one_record_gives_the_bytes_of_one_part(cfg, houses, children):
+    # the shortest run: no warm-up, two steps, one record row
+    short = replace(cfg, duration_s=cfg.record_cycle_s, warmup_s=0)
+    day = day_traces(short.total_s, 33.0, 700.0)
+    want = one_process(run_scenario, short, houses, day, None, False)
+    assert len(want.time_s) == 1 and want.n_on.max() > 0
+    assert_same_bytes(run_scenario(short, houses, day, None, controlled=False), want)
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: 0}
+    assert_no_child()
+
+
 def test_columns_are_the_bytes_of_one_segmented_run(cfg, houses, days, children,
                                                     monkeypatch):
     # three days of 2 500, 2 226 and 2 341 houses: n2 falls inside the
@@ -234,6 +246,15 @@ def test_run_beside_another_thread_forks_no_child(cfg, houses, cold, free_run, c
         waiting.join(WAIT_S)
     assert not waiting.is_alive()
     assert children.pids == []
+    assert_same_bytes(result, free_run)
+
+
+def test_run_under_an_error_callback_forks_no_child(cfg, houses, cold, free_run, children):
+    # the callback would act on the child's copies, never on the caller's
+    calls = []
+    with np.errstate(call=lambda kind, flag: calls.append(kind), over="call"):
+        result = run_scenario(cfg, houses, cold, None, controlled=False)
+    assert children.pids == [] and calls == []
     assert_same_bytes(result, free_run)
 
 
@@ -293,6 +314,20 @@ def test_floating_point_error_under_the_callers_errstate(cfg, houses, cold, chil
     assert_no_child()
 
 
+def test_warning_filters_reach_the_child(cfg, houses, cold, children):
+    # only the child's houses overflow, and the caller's filter turns
+    # NumPy's RuntimeWarning into the error the child raises
+    solar = cold.solar_wm2.copy()
+    solar[3:] = 1e308
+    with warnings.catch_warnings(), np.errstate(over="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run_scenario(cfg, blazing(houses, slice(-10, None)),
+                         replace(cold, solar_wm2=solar), None, controlled=False)
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: 0}
+    assert_no_child()
+
+
 @pytest.mark.parametrize("error", [
     NumericAbortError(1560), ContractError("a hysteresis band starts at or above"),
     ValueError("trace cadence must equal the record cycle"),
@@ -317,6 +352,16 @@ def test_child_without_a_result_is_an_error(cfg, houses, cold, children, monkeyp
     with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
         run_scenario(cfg, houses, cold, None, controlled=False)
     assert len(children.pids) == 1 and children.status == {children.pids[0]: 3}
+    assert_no_child()
+
+
+def test_child_killed_by_a_signal_is_an_error(cfg, houses, cold, children, monkeypatch):
+    # as when the kernel's out-of-memory killer ends the child
+    monkeypatch.setattr(engine, "_step_tail",
+                        lambda houses, cfg: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL} and no"):
+        run_scenario(cfg, houses, cold, None, controlled=False)
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: -signal.SIGKILL}
     assert_no_child()
 
 
