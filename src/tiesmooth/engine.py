@@ -65,6 +65,7 @@ import os
 import pickle
 import sys
 import threading
+import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -451,8 +452,9 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     run on two CPUs and no other Python thread runs, a free run whose
     houses [n2:] number `WORKER_MIN_HOUSES` or more forks a child that
     steps them from the first step to the end (`_forked`).  The child
-    runs under the caller's NumPy error state and warning filters; what
-    it raises is raised here with its type.
+    runs under the caller's NumPy error state and warning filters; the
+    warnings it records are issued here, and what it raises is raised
+    here with its type.
 
     `_segments` runs training's free fleets at once: the houses are
     segments of these sizes laid end to end, every `traces` series holds
@@ -638,14 +640,17 @@ WORKER_MIN_HOUSES = 2250
 @contextmanager
 def _forked(houses: _Houses, n2: int, cfg: ScenarioConfig):
     """Forks a child that steps houses [n2:] of `houses` (`_step_tail`),
-    and yields houses [:n2] with a function that waits for the child and
-    returns its sums, or raises what it raised.
+    and yields houses [:n2] with a function that waits for the child,
+    issues here the warnings it recorded, and returns its sums or raises
+    what it raised.
 
     The child holds the arrays where this process holds them, and leaves
     only through `os._exit`, so it runs none of this process's exit
-    handlers and flushes none of its buffers.  A child not yet waited for
-    when the block ends, raise as it may, is killed; none outlives the
-    block."""
+    handlers and flushes none of its buffers.  It records its warnings
+    under the caller's filters, and each is issued again here, by its
+    category, text and place, under this process's filters.  A child not
+    yet waited for when the block ends, raise as it may, is killed; none
+    outlives the block."""
     import signal  # here, so that importing the CLI does not pay for it
     head, tail = houses.split(n2)
     read_end, write_end = os.pipe()
@@ -654,11 +659,13 @@ def _forked(houses: _Houses, n2: int, cfg: ScenarioConfig):
         if pid == 0:
             status = 1
             try:
-                try:
-                    result = True, _step_tail(tail, cfg)
-                except Exception as exc:  # raised again in the parent
-                    result = False, exc
-                pickle.dump(result, sink, pickle.HIGHEST_PROTOCOL)
+                with warnings.catch_warnings(record=True) as caught:
+                    try:
+                        result = True, _step_tail(tail, cfg)
+                    except Exception as exc:  # raised again in the parent
+                        result = False, exc
+                warned = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+                pickle.dump((*result, warned), sink, pickle.HIGHEST_PROTOCOL)
                 sink.flush()
                 status = 0
             finally:
@@ -673,7 +680,9 @@ def _forked(houses: _Houses, n2: int, cfg: ScenarioConfig):
             reaped = True
             if status != 0 or not data:
                 raise RuntimeError(f"the child exited with status {status} and no result")
-            ok, value = pickle.loads(data)
+            ok, value, caught = pickle.loads(data)
+            for category, text, filename, lineno in caught:
+                warnings.warn_explicit(text, category, filename, lineno)
             if not ok:
                 raise value
             return value

@@ -19,7 +19,6 @@ the fast fluctuation ends up in the fleet adjustment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -195,12 +194,3 @@ def read_cycle_records(fh: TextIO) -> list[CycleRecord]:
     except ContractError as exc:
         raise ValueError(f"malformed cycle ledger: {exc}") from None
 
-
-def lpf_sinusoid_gain(cfg: ScenarioConfig, period_s: float) -> float:
-    """Analytic steady-state amplitude gain of the discrete filter for a
-    sampled sinusoid of the given period."""
-    a = lpf_alpha(cfg)
-    omega = 2.0 * math.pi / period_s
-    z = complex(math.cos(omega * cfg.control_cycle_s),
-                -math.sin(omega * cfg.control_cycle_s))
-    return abs((1.0 - a) / (1.0 - a * z))

@@ -2,16 +2,16 @@
 
 Each house owns a dedicated random substream keyed by its index, so
 house i is byte-identical no matter how many houses are drawn around it.
-Draws violating the type invariants are retried (capped), which at the
-default distribution tables happens to about 2 % of houses, nearly all
-of them for a normal draw past its 3-sigma truncation.
+A house whose draws violate the type invariants takes its next attempt
+(capped); at the default distribution tables none of 50 000 houses
+needs one (seeds 42 and 7).
 
 The fleet is a `Population` of columns, one float array per field:
 the drawn geometry, the derived thermal parameters and the controller.
-Houses are drawn DRAW_CHUNK at a time by one walk over their streams'
-outputs (`rng.Streams`), a position per house: each field in canonical
-order as `Dist.draw` takes it, and the whole house again, from where it
-stopped, while a check fails.  The values, their checks
+Every field of an attempt is one Philox output, so attempt a of every
+house reads the same four counters of its stream (`rng.philox_raw`),
+and houses are drawn DRAW_CHUNK at a time, an array pass per attempt
+over the houses still failing.  The values, their checks
 (`thermal.geometry_faults`, `thermal.etp_faults`,
 `agents.controller_faults`) and everything derived from them are array
 expressions that also take one house's floats.
@@ -36,8 +36,8 @@ from .thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, DerivationConstants,
                       derive_etp_terms, etp_faults, geometry_faults)
 
 MAX_REDRAWS = 100
-# houses per walk: 64 KiB per float array of the walk (Philox computes
-# their outputs rng.PHILOX_PASS streams at a time)
+# houses per attempt: 64 KiB per float array of the attempt (Philox
+# computes their outputs rng.PHILOX_PASS streams at a time)
 DRAW_CHUNK = 8192
 
 # thermal parameters: J/degC, J/degC, W/degC, W/degC, m^2, W thermal, W electrical
@@ -145,52 +145,35 @@ def generate_population(spec: PopulationSpec, seed: int,
                         epsilon_margin: float = 0.05) -> Population:
     """Draw the fleet; identical (spec, seed) gives an identical fleet.
 
-    House i reads its stream from the start, each field as `Dist.draw`
-    takes it (a normal past its truncation drawn again in place), and
-    walks on to its next attempt while its columns fail a check:
-    PopulationError after MAX_REDRAWS attempts.  A uniform whose range
-    overflows raises NumPy's OverflowError, naming house 0.
+    Attempt a of house i reads outputs 16a, ..., 16a + 15 of its stream
+    (counters 4a + 1 to 4a + 4), and field j of HOUSE_FIELDS +
+    CONTROLLER_FIELDS takes output j: a uniform as `rng.uniforms` makes
+    it, a normal as `rng.truncated_normals` makes it from that uniform,
+    each through `Dist.value`.  A house whose columns fail a check takes
+    its next attempt: PopulationError after MAX_REDRAWS attempts.
     """
     dists = [(name, spec.distributions[name]) for name in HOUSE_FIELDS + CONTROLLER_FIELDS]
-    gen = rng.house_stream(seed, 0)
-    try:  # NumPy's own check, which house 0 meets first
-        for _, d in dists:
-            if spec.n and d.kind == "uniform":
-                gen.uniform(d.a, d.b)
-    except OverflowError as exc:
-        raise OverflowError(f"house 0: {exc}") from None
+    normal = [j for j, (_, d) in enumerate(dists) if d.kind == "normal"]
     columns = {name: aligned(spec.n) for name in COLUMNS}
     # house 0 alone first, so that a spec no house meets fails after its attempts
     edges = [0, *range(1, spec.n, DRAW_CHUNK), spec.n] if spec.n else []
-    # a house whose arithmetic overflows fails a check and is drawn again
+    # a house whose arithmetic overflows fails a check and takes its next attempt
     with np.errstate(all="ignore"):
         for lo, hi in zip(edges, edges[1:]):
-            rows = np.arange(hi - lo)
-            # windows a block longer than an attempt, so few houses move theirs
-            streams = rng.Streams(seed, rng.HOUSE_STREAM_BASE + np.uint64(lo) + rows.astype(np.uint64),
-                                  len(dists) // 4 + 2)
-            pos = np.zeros(len(rows), dtype=np.intp)  # each house's next output
-            for _ in range(MAX_REDRAWS):
-                draws = {}
-                for name, d in dists:
-                    if d.kind == "uniform":
-                        draws[name], pos = d.value(streams.uniforms(rows, pos)), pos + 1
-                        continue
-                    std, pos = streams.standard_normals(rows, pos, gen)
-                    draws[name] = value = d.value(std)
-                    out = np.flatnonzero(np.logical_not(d.kept(value)))
-                    while len(out):  # drawn again in place, as Dist.draw does
-                        std, pos[out] = streams.standard_normals(rows[out], pos[out], gen)
-                        value[out] = d.value(std)
-                        out = out[np.logical_not(d.kept(value[out]))]
+            rows = np.arange(lo, hi)
+            for attempt in range(MAX_REDRAWS):
+                std = rng.uniforms(rng.philox_raw(
+                    seed, rng.HOUSE_STREAM_BASE + rows.astype(np.uint64), 4, 4 * attempt + 1))
+                std[:, normal] = rng.truncated_normals(std[:, normal])
+                draws = {name: d.value(std[:, j]) for j, (name, d) in enumerate(dists)}
                 values, fault = _assemble(draws, consts, epsilon_margin)
                 for name, column in columns.items():  # a later attempt overwrites a failed one
-                    column[lo + rows] = values[name]
-                rows, pos = rows[fault], pos[fault]
+                    column[rows] = values[name]
+                rows = rows[fault]
                 if not len(rows):
                     break
             else:
-                raise PopulationError(f"house {lo + rows[0]}: no valid draw in "
+                raise PopulationError(f"house {rows[0]}: no valid draw in "
                                       f"{MAX_REDRAWS} attempts")
     return Population(np.arange(spec.n), columns)
 

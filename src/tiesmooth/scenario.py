@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import TextIO
 
-import numpy as np
-
 from .baseline import CorrectionParams
 from .textio import fmt, parse, read_keyvals, write_keyvals
 from .thermal import DerivationConstants
@@ -36,27 +34,17 @@ class Dist:
             raise ValueError(f"distribution parameters must be finite, got {self.a}, {self.b}")
         if self.kind == "uniform" and self.a >= self.b:
             raise ValueError(f"uniform bounds out of order: {self.a}, {self.b}")
+        if self.kind == "uniform" and not math.isfinite(self.b - self.a):
+            raise ValueError(f"uniform width b - a must be finite, got {self.a}, {self.b}")
         if self.kind == "normal" and self.b <= 0:
             raise ValueError(f"normal std must be positive, got {self.b}")
 
-    def draw(self, gen: np.random.Generator) -> float:
-        if self.kind == "uniform":
-            return float(gen.uniform(self.a, self.b))
-        while True:
-            x = float(gen.normal(self.a, self.b))
-            if self.kept(x):
-                return x
-
     def value(self, std):
-        """What `draw` makes of a uniform on [0, 1) or a standard normal,
-        as NumPy's `uniform` and `normal` compute it; floats or arrays."""
+        """The draw a uniform on [0, 1) or a standard normal makes, as
+        NumPy's `uniform` and `normal` compute it; floats or arrays."""
         if self.kind == "uniform":
             return self.a + (self.b - self.a) * std
         return self.a + self.b * std
-
-    def kept(self, x):
-        """True where a normal draw lies inside its truncation; floats or arrays."""
-        return abs(x - self.a) <= 3.0 * self.b
 
     def format(self) -> str:
         return f"{self.kind} {fmt(self.a)} {fmt(self.b)}"

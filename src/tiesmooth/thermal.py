@@ -164,11 +164,14 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
     conservative system.  Raises ValueError where a house's square
     overflows or any entry of its matrices is not finite.
 
-    The square and the exponentials run per house on Python floats:
-    `pow(d, 2)` is libm's pow, whose last bit can differ from `d * d`, and
-    NumPy's exp gives different bits on different CPUs.  Everything else is
-    elementwise IEEE arithmetic, so each house gets the bits a scalar
-    evaluation of the same expressions gives.
+    The square and the exponentials run per house on Python floats, so
+    each house gets the bits a scalar evaluation of the same expressions
+    gives: `pow(d, 2)` is libm's pow, whose last bit can differ from
+    `d * d`, and `math.exp` and `math.expm1` are libm's too, not NumPy's
+    SIMD loops.  Everything else is elementwise IEEE arithmetic.  Those
+    libm calls are not the same bits on every CPU, though: glibc picks an
+    FMA or a non-FMA variant of `exp`, `expm1` and `pow` by CPU, and the
+    variants differ in the last bit of some results.
     """
     # a house whose arithmetic overflows fails the finite check below
     with np.errstate(all="ignore"):

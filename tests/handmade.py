@@ -1,4 +1,4 @@
-"""Hand-made houses for the tests.
+"""Hand-made houses for the tests, and the filter's analytic gain.
 
 A row is one house's fields as Python floats, by the names of the
 population's columns.  Each constructor asserts that the fault function
@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from tiesmooth.agents import controller_faults
+from tiesmooth.mgcc import lpf_alpha
 from tiesmooth.population import COLUMNS, ETP_FIELDS, Population
 from tiesmooth.thermal import DEFAULT_DERIVATION, derive_etp_terms, etp_faults, geometry_faults
 
@@ -68,3 +69,13 @@ def house_rows(houses: Population):
     columns = [houses.columns[name].tolist() for name in COLUMNS]
     return [SimpleNamespace(index=index, **dict(zip(COLUMNS, values)))
             for index, values in zip(houses.house_index.tolist(), zip(*columns))]
+
+
+def lpf_sinusoid_gain(cfg, period_s: float) -> float:
+    """Analytic steady-state amplitude gain of the discrete filter for a
+    sampled sinusoid of the given period."""
+    a = lpf_alpha(cfg)
+    omega = 2.0 * math.pi / period_s
+    z = complex(math.cos(omega * cfg.control_cycle_s),
+                -math.sin(omega * cfg.control_cycle_s))
+    return abs((1.0 - a) / (1.0 - a * z))

@@ -18,7 +18,7 @@ from tiesmooth.engine import run_scenario, run_training_simulation, write_result
 from tiesmooth.market import (BidBatch, build_demand_curve, clear_market,
                               estimate_net_load)
 from tiesmooth.metrics import compute_metrics
-from tiesmooth.mgcc import LpfState, lpf_sinusoid_gain, lpf_step
+from tiesmooth.mgcc import LpfState, lpf_step
 from tiesmooth.population import estimate_free_peak_kw, generate_population
 from tiesmooth.rng import substream
 from tiesmooth.scenario import ScenarioConfig
@@ -26,7 +26,7 @@ from tiesmooth.traces import generate_traces, generate_training_traces, peak_wea
 
 import io
 
-from handmade import etp_of
+from handmade import etp_of, lpf_sinusoid_gain
 from test_engine import run_audited
 from test_market import brute_force_clear, price_levels, rows_of
 from test_thermal import advance, equilibrium_temperature, random_table_geometry, thermal_fleet

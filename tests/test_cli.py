@@ -528,9 +528,9 @@ class TestPopulation:
          "house 0: no valid draw in 100 attempts"),
         # net_wall / r_wall overflows in every attempt, first and redrawn
         ({"r_wall": "uniform 1e-320 2e-320"}, "house 0: no valid draw in 100 attempts"),
-        # both bounds finite, but NumPy's uniform cannot span them
+        # both bounds finite, but not their distance
         ({"floor_area": "uniform -1e308 1e308"},
-         "house 0: high - low range exceeds valid bounds"),
+         "uniform width b - a must be finite, got -1e+308, 1e+308"),
     ], ids=["wwr_above_one", "vanishing_deadband", "overflowing_wall", "overflowing_range"])
     def test_undrawable_population_is_io_error(self, workspace, tmp_path, capsys,
                                                edits, message):
@@ -552,9 +552,9 @@ class TestPopulation:
         assert not (scen / "model.txt").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edits", [
-        # the truncation loop of a normal with a NaN mean never returns
+        # a NaN parameter would fail every attempt's checks; the load
+        # names it instead
         {"air_change_rate": "normal nan 0.06"},
-        # NumPy's uniform raises OverflowError on a NaN bound
         {"floor_area": "uniform nan 176.0"},
     ], ids=["nan_mean", "nan_low"])
     def test_non_finite_distribution_is_io_error(self, tmp_path, capsys, edits):

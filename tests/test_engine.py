@@ -222,25 +222,25 @@ class TestBuildFleet:
         fleet = build_fleet(houses, cfg.sim_step_s)
         digests = {name: hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
                    for name, value in vars(fleet).items() if isinstance(value, np.ndarray)}
-        t_set = "83838c9b73de09b9c39f1b8fdb207742132150d54606b30d00d9897cc4f54e61"
+        t_set = "a5faeda529d1bb6ad34bb0a328edf78b0d9d38982555097fedfb90807a25d144"
         assert digests == {
-            "rated_kw": "cad7d22f27599d174372b026d969b776196245466565b864c0b2f3b180cad615",
+            "rated_kw": "2ffcbf97e6e4652f901de801c66768667be196bb1e3d3c7c7c44621055207f44",
             "t_set": t_set,
-            "half_deadband": "74e6bc932e04e9e0c5e51422f280c0513732b3804c344e61d791a57bd6675d28",
-            "t_min": "32bb87f32d2065e8f36ae391c084f2905e3ee64dce85d3226ad02d5e730aa934",
-            "t_max": "4f8e73df02f030b16db103f0de966f56f0b1daea7f54b3455533f53d8098c68b",
-            "epsilon": "8f2c408b2c606d5606f2f7dd070cbbc256893b3970a4fd672cf41043b3b729a6",
-            "t_high": "6b0b864c63c267cf25b7b051514718bcde1e4ff9436568b54a270d151c969811",
-            "t_low": "6bd98478c58f7440478f634b1967b7c2f9b1fcb06ef45b0e438e2b80ad214f03",
-            "ad11": "fef936bad4ed7717e7be1b981b1aa7e9082befa4daa1a225252d0b4a61de2f2a",
-            "ad12": "dac4aa3aa4232110ba7e84437db3dd68894c7935a2b91dee75d90f93457b1f60",
-            "ad21": "2724ef420401dc00a90a96cf190dd105305da6fa8a6f0e018cf16192055d4184",
-            "ad22": "001827cd528e533bd8dfb9cb7092f2fc5f9c170732674ecdeefd63f216ee3cb4",
-            "m1": "8d9ec380233fb71952028fd65168cda9ed9f2c208c9aab041595080adc055d8f",
-            "m2": "f21e5ab209399d58e24c25b41ef52befa046eb60547b0b5b08f4df5a67b31291",
-            "ua": "b82fcc0a59618e0cbd2c1755fff4f01a01c183bfe9d92c7e7ba176086261dee7",
-            "aperture": "5b85548f770c1409674132a6c5877be1acab504477459ad1337e5afb7e79e623",
-            "cap_w": "8c9a312845b5e846bf02dc94d532482f77249dafd3542151a3c67a8dee984cf3",
+            "half_deadband": "961355bcac0a1920c945f0892794ae384ed79c4028ac791233a3f19cdc5f53f8",
+            "t_min": "82aa8de7b44cecd508944a18ea0bb7dcbf80179550a19674af4ec706544c4736",
+            "t_max": "68df88328d563ba40f2b2f8d5a43ce8c8a3e0512bc820e366271b3b339dd6c66",
+            "epsilon": "7b9312b3433a3852bafb7e9d404b3cca7905517404e8109001aa8b543e99bee3",
+            "t_high": "f24aa52bc254d76bb71c1a75a8d92e1a1b7d94849a4cd91193769fe733f57a26",
+            "t_low": "7e0d6a3505acdefe2c80c7d0b52aa1065fd34ca3a308f7f8b256c2d21785ef40",
+            "ad11": "2dd3d2293be9768fd070e2ab6543a6f386957ef57d9c699b2e8b3c7456c42df6",
+            "ad12": "69707cdb33013138a2e0c22cd22013ecc88d26503ba87635e5c99c60dcf34034",
+            "ad21": "575e2024bb1f754e373a019bfafd1a061588b3307ccdfb043bdf78635b735e5d",
+            "ad22": "303be0e27eda7a1701e026557e200cb800cc576e0cdabd8d766b2c4cbbc9e980",
+            "m1": "d64b6d3ac5d1cc6819417b9bdfe91ed51bb6a82cce82f23132f3cb25ad0fa9d8",
+            "m2": "4dcc08276b8aef2a51133a6696f952752cbdd8682a6fc6fe52c6d96df532e8ee",
+            "ua": "e6809dcc408d1a7048c9636e958efae791a4df35a29a4f10a4b56e3f6ba2d39f",
+            "aperture": "84123f66519fc4eb00d9ec468ac43dabaf2e1c38cbd643f8e01344cb2b80db35",
+            "cap_w": "6db47001e02450ea4276a09409e2a2a39c075f62ed03c29e06098e930be7751e",
             "c_air": "7f736fb93e20f8a89898a06d7d57979a6519554168e4ec4a9c5607b629ca4040",
             "t_air": t_set, "t_mass": t_set, "active_setpoint": t_set,
             "on": "2da42fb1d7bd8524e83d5a1e332bad697c8769ba430770a19bec630eb8ffcaa8",
@@ -736,9 +736,9 @@ class TestGoldenHashes:
         assert normal / len(result.cycle_records) > 0.9  # the market really clears
         write_run_dir(tmp_path, result)
         assert self.run_digests(tmp_path) == {
-            "results.csv": "98d8d10aa5e3abcb1614b1bbc3db992e69eb532ce18e6b7e2fbf643fcff07a5e",
-            "cycles.csv": "6252207f63dffef578adeffd1a0a41db9f6545d47dbb0376eca5fe7735527c61",
-            "summary.txt": "c42c3262ce25d0c859835808b05ea2072923cf4daa08909ecfee17fdc4ed727e"}
+            "results.csv": "537fc68d2252227a1dda5efe34056e7afd4a05d4a063e2c616f1862c2d91b799",
+            "cycles.csv": "9ba41a5c5d275f36e4b53381d4edc26029100622ee409fc6a60163f74688c0a6",
+            "summary.txt": "d8ee352c6d6ff56d4a843887babd9ccf189a7cae5bcdf04ac722d42edaea98a9"}
 
     def test_training_columns_and_free_run_bytes(self, tmp_path):
         cfg, houses, free_peak = self.small_scenario()
@@ -752,18 +752,18 @@ class TestGoldenHashes:
         table = np.column_stack(columns).astype(float)
         assert table.shape == (4320, 4)
         assert hashlib.sha256(table.tobytes()).hexdigest() == \
-            "21e558f8222479affad7ee7b5aab7761bd1a006283cd329ee12c3de0220e4759"
+            "122946c4ca6e7443f681bbfe10f975e639a71cf6cb2d055656eb92672ce187ff"
 
         traces = generate_traces(cfg.seed, free_peak, warmup_s=cfg.warmup_s)
         write_run_dir(tmp_path, run_scenario(cfg, houses, traces, None, controlled=False))
         assert self.run_digests(tmp_path) == {
-            "results.csv": "51653f51303bc10b554869e7f869d0d808585ee2411f2515392aa42cfab76031",
+            "results.csv": "6cbf2df74e03128af9045fd6652a4487560c9e85c777148040602247825fd944",
             "cycles.csv": "4ba663fa54a353befa747e08159761884e7d748246efe5207ab21e3bb4d9ded3",
-            "summary.txt": "334878ced03ad1eed0ad16034d4f8adc0501db67f8b8aa02681c3784eb3f66c8"}
+            "summary.txt": "b2d425c04e6ee99841292318ac122ec433de958cbb2e0efa39ff1e218530b76c"}
 
     @pytest.mark.parametrize("controlled, digest", [
-        (True, "056bad4bd1ea6aae0b8a8e5a42ef15db58dfc3b866b830601f09d165816dd7f9"),
-        (False, "832dea89f373be4411dddd37363c064541cbd066f8d7cce1dc91bf715aa92505"),
+        (True, "2be1d4c6179f5533361edd05cb8407aad550a36fb5a1c69bdb23881dea910ce2"),
+        (False, "db23c0dbc3a3e96a5cc23bb0a8b6f01fed83514eaff4f94c23a443a9c72c45ca"),
     ], ids=["controlled", "free"])
     def test_cool_night_summary_bytes(self, tmp_path, controlled, digest):
         # 8 degC cooler, houses drift below their comfort band with the

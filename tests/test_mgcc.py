@@ -16,9 +16,10 @@ from tiesmooth.baseline import BaselineModel, CorrectionState
 from tiesmooth.market import BidBatch
 from tiesmooth.mgcc import (CYCLE_CSV_HEADER, ContractError, CycleRecord, LpfState,
                             compute_aggregate_soa, compute_target_power, lpf_alpha,
-                            lpf_sinusoid_gain, lpf_step, run_control_cycle,
-                            write_cycle_records)
+                            lpf_step, run_control_cycle, write_cycle_records)
 from tiesmooth.scenario import ScenarioConfig
+
+from handmade import lpf_sinusoid_gain
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """Fleet synthesis and input-trace generation."""
 
-import collections
 import functools
 import hashlib
+import importlib.util
+import inspect
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +69,28 @@ class TestGeneratePopulation:
             assert h.rated_electrical_power \
                 == pytest.approx(h.cooling_capacity / h.eer, rel=1e-12)
 
+    def test_fields_follow_their_distributions(self):
+        # a fleet of the default tables, every field against its own law;
+        # no house of it needs a second attempt, so none is conditioned
+        stats = pytest.importorskip("scipy.stats")
+        houses = generate_population(PopulationSpec(n=5000), 42)
+        for name, d in default_population_distributions().items():
+            x = houses.columns[name]
+            if d.kind == "uniform":
+                result = stats.kstest((x - d.a) / (d.b - d.a), stats.uniform.cdf)
+            else:
+                result = stats.kstest((x - d.a) / d.b, stats.truncnorm(-3.0, 3.0).cdf)
+            assert result.pvalue > 1e-3, name
+
+    def test_draws_without_numpy_generators(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a NumPy generator was made")
+
+        expected = generate_population(PopulationSpec(n=50), 42)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        assert generate_population(PopulationSpec(n=50), 42) == expected
+
     def test_quantize_power(self):
         assert quantize_power_kw(2.73072) * 1024 == round(2.73072 * 1024)
         assert quantize_power_kw(0.0) == 0.0
@@ -76,20 +100,49 @@ class TestHouseStream:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_is_checked(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            rng.house_stream(seed, 0)
+            generate_population(PopulationSpec(n=1), seed)
+
+
+def pure_statistics():
+    """The stdlib's `statistics` as its Python source defines it: loaded
+    afresh with `_statistics` blocked, so that the C build's arithmetic
+    (which a compiler may contract into FMAs) cannot enter the reference."""
+    spec = importlib.util.find_spec("statistics")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.modules.get("_statistics")
+    sys.modules["_statistics"] = None  # its import raises ImportError
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        if saved is None:
+            del sys.modules["_statistics"]
+        else:
+            sys.modules["_statistics"] = saved
+    assert inspect.isfunction(module._normal_dist_inv_cdf)
+    return module
+
+
+NormalDist = pure_statistics().NormalDist
+# Phi(-3) and Phi(3)
+P_LO, P_HI = 0.0013498980316301035, 0.9986501019683699
 
 
 def per_house_columns(spec, seed, consts=DEFAULT_DERIVATION, epsilon_margin=0.05):
     """The per-house synthesis the columns replace, as columns: a fresh
-    generator per house, each field drawn by `Dist.draw`, the fault
-    functions checked on Python floats stage by stage, the rating rounded
-    by Python's `round`, the whole house drawn again while a check fails."""
+    generator per house, 16 raw outputs an attempt with field j from
+    output j, a normal from the pure-Python `NormalDist(a, b).inv_cdf`,
+    the fault functions checked on Python floats stage by stage, the
+    rating rounded by Python's `round`, the next attempt while a check
+    fails."""
     rows = []
     for i in range(spec.n):
-        gen = rng.house_stream(seed, i)
+        gen = rng.substream(seed, rng.HOUSE_STREAM_BASE + i)
         for _ in range(MAX_REDRAWS):
-            values = {name: spec.distributions[name].draw(gen)
-                      for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
+            values = {}
+            for name, raw in zip(ALL_FIELDS, gen.bit_generator.random_raw(16).tolist()):
+                d, u = spec.distributions[name], (raw >> 11) * 2.0**-53
+                values[name] = (d.a + (d.b - d.a) * u if d.kind == "uniform"
+                                else NormalDist(d.a, d.b).inv_cdf(P_LO + (P_HI - P_LO) * u))
             geometry = {name: values[name] for name in HOUSE_FIELDS}
             if geometry_faults(geometry):
                 continue
@@ -124,12 +177,11 @@ CHUNK = 700  # a walk's houses in tests, so that several walks stay small
 ALL_FIELDS = HOUSE_FIELDS + CONTROLLER_FIELDS
 ORACLE_SPECS = {
     "default": {},
-    # every field normal, so more attempts draw a field past its truncation
+    # every field a truncated normal
     "truncation-heavy": {"floor_area": "normal 132.0 15.0", "shgc": "normal 0.36 0.04",
                          "eer": "normal 3.5 0.15", "deadband": "normal 0.3 0.03",
                          "t_high": "normal 2.5 0.15", "t_low": "normal 2.5 0.15"},
     # a wall fraction past 1 fails a check: houses take several attempts
-    # and read past their first 20 outputs
     "wwr-replays": {"window_wall_ratio": "normal 0.5 0.3"},
     # a deadband as wide as the band fails the controller checks, and a
     # wide uniform field drives the attempts
@@ -157,31 +209,31 @@ class TestColumns:
         assert digests == {
             "index": "55f385cf2332d9056aaed6f496e7bebd2df52c6a9547ce2144b309432d4b0290",
             "floor_area": "32132174921aa9731f25b1fd4ea54aeca9f6315946654eb511d1f0b7bdd8bb33",
-            "air_change_rate": "7de0a5854059949f14062ff0f2ea480d582a8ef1efc61c74097cbe4df78e9405",
+            "air_change_rate": "d25b23042d96c64b9712986da1e1a6fa0a5a4653c22b54a98539ae47bf06f05c",
             "window_wall_ratio":
-                "d144bcd24354d79f7c7c472d32455af9bf41ac98d921f89be4ef944a6e58b744",
-            "shgc": "79ddf5af1a8a62ab2246bc0421bfa4c57d54c63954a15fccee84586724ef35d2",
-            "eer": "d65a795fa69e8eb2be4bde7b7a2c44f2f0ae2757c0c38e32bb0749185ad0d653",
-            "r_roof": "947a7789e2a99a93cae1f3464c43c9d7fb35a108827eed543cdbe2d62ba50f9b",
-            "r_wall": "4b50a4c0939bbe4d90bddd8a65fad68ee11417e44e3cca4b1f688fee2f19bc02",
-            "r_floor": "89bf3e710cc98323a37775b802cfa2cf58567133711a387cf48f2ed6cb03d076",
-            "r_window": "6a9e79a8aa48cfaa29902d1538ee1801141990be986403f8e91298d051b86e97",
-            "r_door": "045d3331551c46ea26e6d3f938b24de74d66a451d91b9870eff2213d8f8aab67",
+                "4961cda3447bd5653eafc5734e20575868b5a109ba72636d53da3720b8382755",
+            "shgc": "649c7d4d08ab9866faf06410deb953c6d962dc05b0224324c11d92e587708b4f",
+            "eer": "1d39e568b24b016e9a9e2d958ceb9b26117883433e6d11dd9e52153fc9fc7af1",
+            "r_roof": "3da0b66eea2ea62cfdd13cd580c605f7fe66950cc95e166b6388925c9ad042e6",
+            "r_wall": "e47a3dec9bb53fd0fe66739e26b36dd507f16ea5b0710d43a0bb15242f6be774",
+            "r_floor": "f617c1e52f51b5eac720b035e8220abc00017181514533f96443a4ec0ddf7083",
+            "r_window": "9ca8503036b69ec27c1973bc1fc44ad14f108f6cbf96573a9c4eb8745e1cb8f2",
+            "r_door": "a313e7f5c2cf5fc80dfe6de20983c384bfabcbfb9fe2939e57f09c477654b477",
             "c_air": "7f736fb93e20f8a89898a06d7d57979a6519554168e4ec4a9c5607b629ca4040",
             "c_mass": "63d9fcb12c0bbdf5110050d28cc86e2fbdc574093a9f848403e701eadc89d2df",
-            "ua_envelope": "b82fcc0a59618e0cbd2c1755fff4f01a01c183bfe9d92c7e7ba176086261dee7",
-            "h_mass": "b1b08ce993719c5fb4a7f9233271de38974967fd0423ca8387d9c98dcb6b8cc2",
-            "solar_aperture": "5b85548f770c1409674132a6c5877be1acab504477459ad1337e5afb7e79e623",
+            "ua_envelope": "e6809dcc408d1a7048c9636e958efae791a4df35a29a4f10a4b56e3f6ba2d39f",
+            "h_mass": "144723c24f1044c0e21a35edb3a3df14689a3414a3e3b879e5e44c62d0fce98f",
+            "solar_aperture": "84123f66519fc4eb00d9ec468ac43dabaf2e1c38cbd643f8e01344cb2b80db35",
             "cooling_capacity":
-                "8c9a312845b5e846bf02dc94d532482f77249dafd3542151a3c67a8dee984cf3",
+                "6db47001e02450ea4276a09409e2a2a39c075f62ed03c29e06098e930be7751e",
             "rated_electrical_power":
-                "a09609dd6e3417bf4d28ab4bc3bb3bf2c4115e34fffa2834d9be2163151660d3",
-            "t_set": "83838c9b73de09b9c39f1b8fdb207742132150d54606b30d00d9897cc4f54e61",
-            "deadband": "a3641a7dcdbdb0fdc974b429e38657e5047720c537bd9657373283dc7f600948",
-            "t_high": "6b0b864c63c267cf25b7b051514718bcde1e4ff9436568b54a270d151c969811",
-            "t_low": "6bd98478c58f7440478f634b1967b7c2f9b1fcb06ef45b0e438e2b80ad214f03",
-            "rated_power": "cad7d22f27599d174372b026d969b776196245466565b864c0b2f3b180cad615",
-            "epsilon": "8f2c408b2c606d5606f2f7dd070cbbc256893b3970a4fd672cf41043b3b729a6"}
+                "c3ba8b6b5e18ac57ec9fcafd79c9ef3a314e2c6b0fdebaa221a127d83420560a",
+            "t_set": "a5faeda529d1bb6ad34bb0a328edf78b0d9d38982555097fedfb90807a25d144",
+            "deadband": "43ae120762a20a0ccc24fa321dc2249a82a0e91e20caa85a9d5a506eb69398ce",
+            "t_high": "f24aa52bc254d76bb71c1a75a8d92e1a1b7d94849a4cd91193769fe733f57a26",
+            "t_low": "7e0d6a3505acdefe2c80c7d0b52aa1065fd34ca3a308f7f8b256c2d21785ef40",
+            "rated_power": "2ffcbf97e6e4652f901de801c66768667be196bb1e3d3c7c7c44621055207f44",
+            "epsilon": "7b9312b3433a3852bafb7e9d404b3cca7905517404e8109001aa8b543e99bee3"}
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK + 1])
     @pytest.mark.parametrize("seed", [42, 7, 2**64 - 1])
@@ -196,37 +248,7 @@ class TestColumns:
             assert houses.columns[column].tobytes() == values[:n].tobytes(), column
         assert np.array_equal(houses.house_index, np.arange(n))
 
-    def test_every_path_runs(self, monkeypatch):
-        rng.ziggurat_normals(np.zeros(1, dtype=np.uint64), rng.house_stream(0, 0))  # the table
-        seen = collections.Counter()
-
-        def count(owner, name, tally):
-            method = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *args: tally(method(*args), *args))
-
-        def normals(result, streams, rows, pos, gen):
-            taken = result[1] - pos
-            seen["one-draw normal"] += np.count_nonzero(taken == 1)
-            seen["NumPy normal"] += np.count_nonzero(taken > 1)
-            return result
-        count(rng.Streams, "standard_normals", normals)
-        count(rng, "_position", lambda result, gen: seen.update(["count read"]) or result)
-        count(Dist, "kept", lambda result, *args: seen.update(
-            {"truncated": np.count_nonzero(~result)}) or result)
-        count(population, "_assemble", lambda result, *args: seen.update(
-            {"next attempt": np.count_nonzero(result[1])}) or result)
-        count(rng, "philox_raw", lambda result, seed, ids, blocks, first=1: seen.update(
-            {"next block": np.count_nonzero(np.asarray(first) > 1)}) or result)
-        monkeypatch.setattr(population, "DRAW_CHUNK", CHUNK)
-        spec = spec_with(2000, **ORACLE_SPECS["wwr-replays"])
-        houses = generate_population(spec, 42, epsilon_margin=0.07)
-        assert houses == generate_population(spec, 42, epsilon_margin=0.07)
-        assert set(seen) == {"one-draw normal", "NumPy normal", "count read", "truncated",
-                             "next attempt", "next block"}
-        # the NumPy draws whose count was read are few
-        assert 0 < seen["count read"] < seen["NumPy normal"] / 5
-
-    @pytest.mark.parametrize("seed, house", [(0, 0), (5, 5)])
+    @pytest.mark.parametrize("seed, house", [(0, 2), (5, 0)])
     def test_exhausted_redraws_name_the_same_house(self, seed, house):
         # about 1 % of these draws leave a wall, so some house runs out
         spec = spec_with(40, window_wall_ratio="uniform 0.0 100.0")
@@ -249,15 +271,6 @@ class TestColumns:
             generate_population(spec_with(5000, window_wall_ratio="uniform 1.5 2.0"), 42)
         assert walked == [1] * MAX_REDRAWS
 
-    def test_overflowing_range_raises_as_the_per_house_loop(self):
-        # every drawn t_low is +inf, which no controller check rejects, so
-        # only the finiteness flag sends the houses to the per-house loop
-        spec = spec_with(10, t_low="uniform -1e308 1e308")
-        with pytest.raises(OverflowError, match="range exceeds valid bounds"):
-            generate_population(spec, 3)
-        with pytest.raises(OverflowError, match="range exceeds valid bounds"):
-            per_house_columns(spec, 3)
-
     def test_take_and_read_only(self):
         houses = generate_population(PopulationSpec(n=30), 4)
         some = houses.take(slice(3, 9))
@@ -270,154 +283,42 @@ class TestColumns:
             houses.columns["t_set"][0] = 0.0  # read-only
 
 
-def position(gen):
-    """How many outputs a Philox generator has taken, from its counter
-    and buffer position."""
-    state = gen.bit_generator.state
-    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
-
-
-def per_house_draws(spec, seed):
-    """Each house's first-attempt standard variates, one scalar draw per
-    field from a fresh generator on the house's stream, and how many
-    outputs each house took."""
-    std, taken = np.empty((spec.n, len(ALL_FIELDS))), np.empty(spec.n, dtype=np.intp)
-    for i, row in enumerate(std):
-        gen = rng.house_stream(seed, i)
-        for j, name in enumerate(ALL_FIELDS):
-            uniform = spec.distributions[name].kind == "uniform"
-            row[j] = gen.random() if uniform else gen.standard_normal()
-        taken[i] = position(gen)
-    return std, taken
-
-
-def drawn_from(seed, stream_id, block):
-    """`standard_normal` on a stream whose first four outputs are `block`,
-    how many outputs it took and the output after them."""
-    gen = rng.substream(seed, stream_id)
-    state = gen.bit_generator.state
-    state["buffer"], state["buffer_pos"] = np.array(block, dtype=np.uint64), 0
-    state["state"]["counter"] = np.array([1, 0, 0, 0], dtype=np.uint64)
-    gen.bit_generator.state = state
-    x = gen.standard_normal()
-    return x, position(gen), int(gen.bit_generator.random_raw())
-
-
-def word(strip, magnitude, sign=0):
-    return magnitude << 9 | sign << 8 | strip
-
-
-TOP = 2**52 - 1  # the largest magnitude: off every strip's one-draw path
-
-
 class TestArrayDraws:
+    def test_quantiles_are_the_bits_of_the_stdlib(self):
+        # AS241 as `statistics` spells it in Python, on p spread over the
+        # truncated range, on the p a uniform's extremes give, and at and
+        # beside the edges of the central branch
+        gen = np.random.default_rng(29)
+        edges = [0.075, 0.925, 0.5]
+        p = np.concatenate([
+            P_LO + (P_HI - P_LO) * gen.random(100_000),
+            P_LO + (P_HI - P_LO) * np.array([0.0, 1.0 - 2.0**-53]),
+            [P_LO, math.nextafter(P_LO, 1.0), math.nextafter(P_HI, 0.0), P_HI], edges,
+            [math.nextafter(e, d) for e in edges for d in (0.0, 1.0)]])
+        assert P_LO <= p.min() and p.max() <= P_HI
+        got = rng.normal_quantiles(p)
+        want = [NormalDist().inv_cdf(v) for v in p.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert (rng.PHI_LO, rng.PHI_HI) == (P_LO, P_HI)
+        # the literals are Phi(-3) and Phi(3), whose erf libm may round
+        assert (NormalDist().cdf(-3.0), NormalDist().cdf(3.0)) == pytest.approx((P_LO, P_HI),
+                                                                              rel=1e-15)
+
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
     def test_philox_matches_random_raw(self, seed):
         ids = [rng.HOUSE_STREAM_BASE + i for i in (0, CHUNK - 1, CHUNK, CHUNK + 1)] + [2**64 - 1]
         raw = rng.philox_raw(seed, np.array(ids, dtype=np.uint64), 4)
         assert raw.shape == (len(ids), 16) and raw.dtype == np.uint64
-        first = np.array([1, 2, 5, 9, 33], dtype=np.uint64)  # a first counter per stream
-        later = rng.philox_raw(seed, np.array(ids, dtype=np.uint64), 2, first)
-        for row, next_row, stream_id, at in zip(raw, later, ids, first.tolist()):
-            expected = rng.substream(seed, stream_id).bit_generator.random_raw(max(16, 4 * at + 4))
+        later = rng.philox_raw(seed, np.array(ids, dtype=np.uint64), 2, 9)  # counters 9 and 10
+        for row, next_row, stream_id in zip(raw, later, ids):
+            expected = rng.substream(seed, stream_id).bit_generator.random_raw(40)
             assert np.array_equal(row, expected[:16]), stream_id
-            assert np.array_equal(next_row, expected[4 * at - 4:4 * at + 4]), stream_id
+            assert np.array_equal(next_row, expected[32:40]), stream_id
         assert rng.philox_raw(seed, np.array([], dtype=np.uint64), 3).shape == (0, 12)
         many = rng.philox_raw(seed, rng.HOUSE_STREAM_BASE + np.arange(4100, dtype=np.uint64), 1)
         for i in (0, 2047, 2048, 4099):  # across the passes of 2 048 streams
-            assert np.array_equal(many[i], rng.house_stream(seed, i).bit_generator.random_raw(4))
-
-    def test_bound_never_certifies_a_slow_draw(self):
-        gen = rng.house_stream(0, 0)
-        rng.ziggurat_normals(np.zeros(1, dtype=np.uint64), gen)  # reads the table
-        wi, k = (table[:256] for table in rng._ZIGGURAT)
-        assert np.flatnonzero(k == 0).tolist() == [1]
-        assert np.array_equal(rng._ZIGGURAT[0][256:], -wi) and np.array_equal(rng._ZIGGURAT[1][256:], k)
-        for idx in range(256):
-            for rabs in {max(int(k[idx]) - 1, 0), int(k[idx]), int(k[idx]) + 1}:
-                for sign in (0, 1):
-                    raw = word(idx, rabs, sign)
-                    x, over = rng.ziggurat_normals(np.array([raw], dtype=np.uint64), gen)
-                    assert over[0] == rabs - k[idx], raw
-                    # certified below the bound, and NumPy takes one output
-                    # there; above it NumPy takes more (its limit is k or k + 1)
-                    value, taken, _ = drawn_from(0, rng.HOUSE_STREAM_BASE, [raw, 0, 0, 0])
-                    if over[0] < 0:
-                        assert (taken, value.hex()) == (1, x[0].hex()), raw
-                    elif over[0] > 0:
-                        assert taken > 1, raw
-
-    @pytest.mark.parametrize("seed", [3, 2**64 - 1])
-    def test_slow_draws_take_what_numpy_takes(self, seed):
-        cases = {
-            # strip 0's tail: accepted by the first pair of uniforms, or not
-            "tail accepts": [word(0, TOP), 0, 2**64 - 1, 0],
-            "tail accepts, negative": [word(0, TOP, 1), 0, 2**64 - 1, 0],
-            "tail rejects": [word(0, TOP), 2**64 - 1, 0, 2**64 - 1],
-            "tail rejects, negative": [word(0, TOP, 1), 2**64 - 1, 0, 7],
-            # strip 1 is never on the one-draw path
-            "strip 1": [word(1, 0), 2**64 - 1, 0, 0],
-            "strip 1, negative": [word(1, 3, 1), 0, 0, 0],
-            # a wedge accepted, or rejected before a one-draw value, or
-            # before another wedge (a chain)
-            "wedge accepts": [word(100, TOP), 0, 0, 0],
-            "wedge rejects": [word(100, TOP), 2**64 - 1, word(7, 5), 0],
-            "wedge rejects, negative": [word(250, TOP, 1), 2**64 - 1, word(7, 5, 1), 0],
-            "rejects, rejects": [word(100, TOP), 2**64 - 1, word(200, TOP), 2**64 - 1],
-            "rejects, accepts": [word(3, TOP), 2**64 - 1, word(200, TOP, 1), 0],
-            "rejects, then the tail": [word(40, TOP), 2**64 - 1, word(0, TOP), 0],
-            "strip 1 value again": [word(2, TOP), 2**64 - 1, word(1, 0), 0],
-            # accepted or rejected before a one-draw value equal to the
-            # first (1.3408...)
-            "accepts, same value next": [word(100, 4481155737199612), 0,
-                                         word(200, 2870735716381794), 0],
-            "rejects, same value": [word(100, 4481155737199612), 2**64 - 1,
-                                    word(200, 2870735716381794), 0],
-        }
-        # at the bound k itself, NumPy's own limit decides: on some strips
-        # it takes one output there
-        gen = rng.house_stream(seed, 0)
-        rng.ziggurat_normals(np.zeros(1, dtype=np.uint64), gen)  # reads the table
-        k = rng._ZIGGURAT[1]
-        one = next(idx for idx in range(2, 256) if drawn_from(
-            seed, rng.HOUSE_STREAM_BASE, [word(idx, int(k[idx])), 0, 0, 0])[1] == 1)
-        cases["one output at the bound"] = [word(one, int(k[one])), 0, 0, 0]
-        cases["more at the bound"] = [word(2, int(k[2])), 2**64 - 1, word(7, 5), 0]
-        ids = rng.HOUSE_STREAM_BASE + np.arange(len(cases), dtype=np.uint64)
-        streams = rng.Streams(seed, ids)
-        streams.raw[:, :4] = np.array(list(cases.values()), dtype=np.uint64)  # counter 1
-        rows, start = np.arange(len(cases)), np.zeros(len(cases), dtype=np.intp)
-        x, pos = streams.standard_normals(rows, start, gen)
-        after = streams.raw[rows, streams.columns(rows, pos)]
-        counts = set()
-        for i, (name, block) in enumerate(cases.items()):
-            value, taken, next_word = drawn_from(seed, int(ids[i]), block)
-            assert (x[i].hex(), pos[i], int(after[i])) == (value.hex(), taken, next_word), name
-            counts.add(taken)
-        assert {1, 2, 3}.issubset(counts) and max(counts) > 4
-
-    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
-    @pytest.mark.parametrize("seed", [42, 2**64 - 1])
-    @pytest.mark.parametrize("spec", [
-        lambda n: PopulationSpec(n=n),
-        lambda n: spec_with(n, **dict.fromkeys(ALL_FIELDS, "uniform 0.0 1.0")),
-        lambda n: spec_with(n, **dict.fromkeys(ALL_FIELDS, "normal 0.0 1.0")),
-    ], ids=["default", "uniform", "normal"])
-    def test_rows_match_the_per_house_loop(self, spec, seed, n):
-        # one walk over the houses' streams, field by field, as the
-        # population's first attempts read them
-        spec, gen = spec(n), rng.house_stream(seed, 0)
-        streams = rng.Streams(seed, rng.HOUSE_STREAM_BASE + np.arange(n, dtype=np.uint64))
-        rows, pos = np.arange(n), np.zeros(n, dtype=np.intp)
-        std = np.empty((n, len(ALL_FIELDS)))
-        for j, name in enumerate(ALL_FIELDS):
-            if spec.distributions[name].kind == "uniform":
-                std[:, j], pos = streams.uniforms(rows, pos), pos + 1
-            else:
-                std[:, j], pos = streams.standard_normals(rows, pos, gen)
-        expected, taken = per_house_draws(spec, seed)
-        assert std.tobytes() == expected.tobytes()
-        assert np.array_equal(pos, taken)
+            assert np.array_equal(many[i], rng.substream(
+                seed, rng.HOUSE_STREAM_BASE + i).bit_generator.random_raw(4))
 
 
 def per_house_free_peak(houses, t_out, solar):

@@ -113,7 +113,9 @@ class TestStrict:
             load(f"[scenario]\n{line}\n")
 
     @pytest.mark.parametrize("text", ["normal nan 0.06", "normal 0.5 nan", "uniform nan 176.0",
-                                      "uniform 88.0 inf", "normal -inf 1.0"])
+                                      "uniform 88.0 inf", "normal -inf 1.0",
+                                      # both bounds finite, but not their distance
+                                      "uniform -1e308 1e308"])
     def test_non_finite_distribution_rejected(self, text):
         with pytest.raises(ValueError, match="must be finite"):
             load(f"[population]\nfloor_area = {text}\n")

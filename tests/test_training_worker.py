@@ -328,6 +328,25 @@ def test_warning_filters_reach_the_child(cfg, houses, cold, children):
     assert_no_child()
 
 
+def test_child_warnings_reach_a_recording_caller(cfg, houses, cold, children):
+    # only the child's houses overflow: a caller that records every
+    # warning records the same ones as when one process steps every house
+    solar = cold.solar_wm2.copy()
+    solar[3:] = 1e308
+    args = cfg, blazing(houses, slice(-10, None)), replace(cold, solar_wm2=solar), None, False
+    recorded = []
+    for run in (one_process, lambda fn, *args: fn(*args)):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn"):
+            warnings.simplefilter("always")
+            with pytest.raises(NumericAbortError):
+                run(run_scenario, *args)
+        recorded.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    assert len(recorded[0]) > 0 and recorded[1] == recorded[0]
+    assert {category for category, *_ in recorded[0]} == {RuntimeWarning}
+    assert len(children.pids) == 1 and children.status == {children.pids[0]: 0}
+    assert_no_child()
+
+
 @pytest.mark.parametrize("error", [
     NumericAbortError(1560), ContractError("a hysteresis band starts at or above"),
     ValueError("trace cadence must equal the record cycle"),
