@@ -140,6 +140,16 @@ def _assemble(draws: dict[str, np.ndarray], consts: DerivationConstants,
     return {**{name: draws[name] for name in HOUSE_FIELDS}, **etp, **agent}, fault
 
 
+def standard_draws(seed: int, rows: np.ndarray, attempt: int, normal: list[int]) -> np.ndarray:
+    """Attempt `attempt`'s 16 standard variates of each house in `rows`, a
+    row each: outputs 16 * attempt, ..., 16 * attempt + 15 of its stream as
+    `rng.uniforms`, and in the columns `normal` as `rng.truncated_normals`."""
+    std = rng.uniforms(rng.philox_raw(
+        seed, rng.HOUSE_STREAM_BASE + rows.astype(np.uint64), 4, 4 * attempt + 1))
+    std[:, normal] = rng.truncated_normals(std[:, normal])
+    return std
+
+
 def generate_population(spec: PopulationSpec, seed: int,
                         consts: DerivationConstants = DEFAULT_DERIVATION,
                         epsilon_margin: float = 0.05) -> Population:
@@ -162,9 +172,7 @@ def generate_population(spec: PopulationSpec, seed: int,
         for lo, hi in zip(edges, edges[1:]):
             rows = np.arange(lo, hi)
             for attempt in range(MAX_REDRAWS):
-                std = rng.uniforms(rng.philox_raw(
-                    seed, rng.HOUSE_STREAM_BASE + rows.astype(np.uint64), 4, 4 * attempt + 1))
-                std[:, normal] = rng.truncated_normals(std[:, normal])
+                std = standard_draws(seed, rows, attempt, normal)
                 draws = {name: d.value(std[:, j]) for j, (name, d) in enumerate(dists)}
                 values, fault = _assemble(draws, consts, epsilon_margin)
                 for name, column in columns.items():  # a later attempt overwrites a failed one

@@ -1,5 +1,6 @@
 """Fleet synthesis and input-trace generation."""
 
+import collections
 import functools
 import hashlib
 import importlib.util
@@ -248,6 +249,32 @@ class TestColumns:
             assert houses.columns[column].tobytes() == values[:n].tobytes(), column
         assert np.array_equal(houses.house_index, np.arange(n))
 
+    def test_every_path_runs(self, monkeypatch):
+        seen = collections.Counter()
+
+        def count(owner, name, tally):
+            method = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: tally(method(*args), *args))
+
+        def quantiles(result, p):
+            tail = np.abs(p - 0.5) > 0.425
+            seen.update({"central quantile": np.count_nonzero(~tail),
+                         "tail quantile": np.count_nonzero(tail)})
+            return result
+        count(rng, "normal_quantiles", quantiles)
+        count(population, "_assemble", lambda result, *args: seen.update(
+            {"next attempt": np.count_nonzero(result[1])}) or result)
+        count(rng, "philox_raw", lambda result, seed, ids, blocks, first=1: seen.update(
+            {"later counters": len(ids) if first > 1 else 0}) or result)
+        monkeypatch.setattr(population, "DRAW_CHUNK", CHUNK)
+        spec = spec_with(2000, **ORACLE_SPECS["wwr-replays"])
+        houses = generate_population(spec, 42, epsilon_margin=0.07)
+        assert houses == generate_population(spec, 42, epsilon_margin=0.07)
+        assert set(+seen) == {"central quantile", "tail quantile", "next attempt",
+                              "later counters"}
+        # every house a check sent back reads its next counters
+        assert seen["later counters"] == seen["next attempt"]
+
     @pytest.mark.parametrize("seed, house", [(0, 2), (5, 0)])
     def test_exhausted_redraws_name_the_same_house(self, seed, house):
         # about 1 % of these draws leave a wall, so some house runs out
@@ -319,6 +346,34 @@ class TestArrayDraws:
         for i in (0, 2047, 2048, 4099):  # across the passes of 2 048 streams
             assert np.array_equal(many[i], rng.substream(
                 seed, rng.HOUSE_STREAM_BASE + i).bit_generator.random_raw(4))
+
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("seed", [42, 2**64 - 1])
+    @pytest.mark.parametrize("spec", [
+        lambda n: PopulationSpec(n=n),
+        lambda n: spec_with(n, **dict.fromkeys(ALL_FIELDS, "uniform 0.0 1.0")),
+        lambda n: spec_with(n, **dict.fromkeys(ALL_FIELDS, "normal 0.0 1.0")),
+    ], ids=["default", "uniform", "normal"])
+    def test_rows_match_the_per_house_loop(self, spec, seed, n):
+        # each attempt of every house in one array pass, against a
+        # generator per house read output by output through its attempts
+        spec = spec(n)
+        normal = [j for j, name in enumerate(ALL_FIELDS)
+                  if spec.distributions[name].kind == "normal"]
+        got = [population.standard_draws(seed, np.arange(n), attempt, normal)
+               for attempt in range(3)]
+        expected = np.empty((3, n, 16))  # outputs 14 and 15 unused
+        for i in range(n):
+            gen = rng.substream(seed, rng.HOUSE_STREAM_BASE + i)
+            for attempt in range(3):
+                for j, raw in enumerate(gen.bit_generator.random_raw(16).tolist()):
+                    u = (raw >> 11) * 2.0**-53
+                    expected[attempt, i, j] = (NormalDist().inv_cdf(P_LO + (P_HI - P_LO) * u)
+                                               if j in normal else u)
+        for attempt in range(3):
+            assert got[attempt].shape == (n, 16)
+            assert got[attempt].tobytes() == expected[attempt].tobytes(), attempt
 
 
 def per_house_free_peak(houses, t_out, solar):
