@@ -24,7 +24,7 @@ on its own.
 
 One rule uses a second CPU when this process may run on two, and it
 changes no byte.  A free run, training's segmented runs included, whose
-houses [n2:] number `WORKER_MIN_HOUSES` or more, with n2 = n // 2 less
+houses [n2:] number `FORK_MIN_HOUSES` or more, with n2 = n // 2 less
 its remainder mod 8, forks once its fleet is built (`_forked`), on
 Linux and only while no other Python thread runs.  The child steps the
 houses [n2:] from the first step to the end (`_step_tail`) and this
@@ -75,7 +75,7 @@ import numpy as np
 
 from . import rng
 from .baseline import BaselineModel, CorrectionState, TrainingColumns
-from .market import BidBatch
+from .market import BidBatch, sequential_sum
 from .mgcc import (ContractError, CycleRecord, LpfState, read_cycle_records,
                    run_control_cycle, write_cycle_records)
 from .population import Population, aligned
@@ -164,8 +164,8 @@ def seed_fleet_states(fleet: Fleet, seed: int,
     bids never touches.
     """
     sizes = [fleet.n] if segments is None else segments
-    gen = rng.substream(seed, rng.INITIAL_STATE_STREAM)
-    draws = gen.uniform(-1.0, 1.0, max(sizes))
+    # uniforms on [-1, 1) as lo + (hi - lo) * u
+    draws = -1.0 + 2.0 * rng.stream_uniforms(seed, rng.INITIAL_STATE_STREAM, max(sizes))
     offsets = np.concatenate([draws[:size] for size in sizes]) * fleet.half_deadband
     np.add(fleet.t_set, offsets, out=fleet.t_air)
     fleet.t_mass[...] = fleet.t_air
@@ -450,7 +450,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     first, on the bids collected `bid_lead_s` before it.  Every house
     steps in this process, except that, on Linux when this process may
     run on two CPUs and no other Python thread runs, a free run whose
-    houses [n2:] number `WORKER_MIN_HOUSES` or more forks a child that
+    houses [n2:] number `FORK_MIN_HOUSES` or more forks a child that
     steps them from the first step to the end (`_forked`).  The child
     runs under the caller's NumPy error state and warning filters; the
     warnings it records are issued here, and what it raises is raised
@@ -473,20 +473,14 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     lpf = LpfState()
     corr = CorrectionState()
     records: list[CycleRecord] = []
-    latest_p_g0 = float("nan")
-    latest_lpf = float("nan")
-    latest_target = float("nan")
 
     n_rows = cfg.total_s // cfg.record_cycle_s
     col = lambda: np.full(n_rows, np.nan)
-    p_g0_ref = col()
-    p_g_lpf = col()
-    p_ac_target = col()
 
     fleet = build_fleet(houses, cfg.sim_step_s)
     seed_fleet_states(fleet, cfg.seed, _segments)
     ws = Workspace(fleet)
-    total_rated = float(np.sum(fleet.rated_kw))
+    total_rated = sequential_sum(fleet.rated_kw)
     sizes = [fleet.n] if _segments is None else list(_segments)
     starts = np.cumsum([0, *sizes[:-1]])
     ours = _Houses(fleet, ws, [slice(start, start + size)
@@ -498,12 +492,11 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     n2 = fleet.n // 2 - fleet.n // 2 % 8  # where np.add.reduce splits a row of prices
     # a fork with another thread running may deadlock, and a child's error
     # callback would act on the child's copies
-    fork = (not controlled and fleet.n - n2 >= WORKER_MIN_HOUSES and _cpus() >= 2
+    fork = (not controlled and fleet.n - n2 >= FORK_MIN_HOUSES and _cpus() >= 2
             and threading.active_count() == 1 and np.geterrcall() is None)
     with _forked(ours, n2, cfg) if fork else nullcontext((ours, None)) as (ours, child):
         for t in range(0, cfg.total_s, cfg.sim_step_s):
             idx = t // traces.cadence_s
-            record = t % cfg.record_cycle_s == 0
 
             if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
                 _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
@@ -523,16 +516,10 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                     k, bids, p_g_meas, bid_t_out, bid_solar, total_rated, model, corr, lpf,
                     cfg)
                 records.append(rec)
-                latest_p_g0, latest_lpf, latest_target = rec.p_g0, rec.p_g_lpf, rec.p_ac_target
                 _respond_to_price(fleet, ws, p_star)
                 _check_finite(fleet, k)
 
             _step(ours, cfg, t, sums)
-            if controlled and record:
-                row = t // cfg.record_cycle_s
-                p_g0_ref[row] = latest_p_g0
-                p_g_lpf[row] = latest_lpf
-                p_ac_target[row] = latest_target
 
         if child is not None:
             sums.add(child())
@@ -551,8 +538,15 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
         for outside in sums.outside[cfg.warmup_s // cfg.sim_step_s:].tolist():
             comfort_viol_min += outside * step_minutes
             total_acl_min += fleet.n * step_minutes
-    if not controlled:
-        p_g0_ref = p_g.copy()
+    time_s = np.arange(n_rows, dtype=np.int64) * cfg.record_cycle_s
+    if controlled:  # each record holds the last cycle cleared at or before it
+        last = np.searchsorted(np.array([rec.k for rec in records], dtype=np.int64)
+                               * cfg.control_cycle_s, time_s, "right")
+        p_g0_ref, p_g_lpf, p_ac_target = (
+            np.array([np.nan] + [getattr(rec, name) for rec in records])[last]
+            for name in ("p_g0", "p_g_lpf", "p_ac_target"))
+    else:
+        p_g0_ref, p_g_lpf, p_ac_target = p_g.copy(), col(), col()
 
     return RunResult(
         controlled=controlled,
@@ -560,7 +554,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
         control_cycle_s=cfg.control_cycle_s,
         warmup_s=cfg.warmup_s,
         total_rated_kw=total_rated,
-        time_s=np.arange(n_rows, dtype=np.int64) * cfg.record_cycle_s,
+        time_s=time_s,
         p_g=p_g, p_g0_reference=p_g0_ref, p_g_lpf=p_g_lpf,
         p_ac_actual=p_ac_actual, p_ac_target=p_ac_target,
         s_aggregate=s_agg, n_on=sums.n_on,
@@ -634,7 +628,7 @@ def check_run_cadence(run: RunResult) -> None:
 # warm-up + 4 h): 3 500: 0.32 -> 0.34 s; 4 000: 0.34 -> 0.35 s; 4 500:
 # 0.38 -> 0.36 s; 5 000: 0.40 -> 0.36 s.  The floor forks from
 # n = 4 500, above both crossovers.
-WORKER_MIN_HOUSES = 2250
+FORK_MIN_HOUSES = 2250
 
 
 @contextmanager
@@ -734,12 +728,13 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Population,
     """
     if not houses:
         raise ValueError("cannot train on an empty population")
-    enroll_gen = rng.substream(cfg.seed, rng.ENROLLMENT_STREAM)
+    # day d >= 1 enrolls by output d - 1 of its stream
+    fractions = [1.0] + (0.7 + (1.0 - 0.7) * rng.stream_uniforms(
+        cfg.seed, rng.ENROLLMENT_STREAM, max(len(day_traces) - 1, 0))).tolist()
     days: list[tuple[TraceSet, int]] = []
-    for day, traces in enumerate(day_traces):
+    for traces, fraction in zip(day_traces, fractions):
         if traces.cadence_s != cfg.record_cycle_s:
             raise ValueError("trace cadence must equal the record cycle")
-        fraction = float(enroll_gen.uniform(0.7, 1.0)) if day > 0 else 1.0
         if len(traces) * traces.cadence_s <= cfg.warmup_s:
             continue
         days.append((traces, max(1, int(round(fraction * len(houses))))))
@@ -753,7 +748,7 @@ def run_training_simulation(cfg: ScenarioConfig, houses: Population,
     for i, (traces, n) in enumerate(days):
         rows = slice(cfg.warmup_s // cfg.record_cycle_s, len(traces))
         columns.append((traces.t_out_c[rows], traces.solar_wm2[rows],
-                        np.full(len(p_ac[i]), float(np.sum(rated[:n]))), p_ac[i]))
+                        np.full(len(p_ac[i]), sequential_sum(rated[:n])), p_ac[i]))
     # the empty tail keeps the columns well-typed when every day was too short
     return TrainingColumns(*(np.concatenate([c[k] for c in columns] + [np.empty(0)])
                              for k in range(4)))

@@ -32,12 +32,12 @@ from . import rng
 from .agents import controller_faults, default_epsilon
 from .market import sequential_sum
 from .scenario import CONTROLLER_FIELDS, HOUSE_FIELDS, PopulationSpec
-from .thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, DerivationConstants,
-                      derive_etp_terms, etp_faults, geometry_faults)
+from .thermal import (DEFAULT_DERIVATION, DerivationConstants, derive_etp_terms, etp_faults,
+                      geometry_faults, quantize_kw)
 
 MAX_REDRAWS = 100
-# houses per attempt: 64 KiB per float array of the attempt (Philox
-# computes their outputs rng.PHILOX_PASS streams at a time)
+# houses per attempt: 64 KiB per float array of the attempt, and the
+# streams of one `rng.philox_raw` pass
 DRAW_CHUNK = 8192
 
 # thermal parameters: J/degC, J/degC, W/degC, W/degC, m^2, W thermal, W electrical
@@ -112,11 +112,6 @@ class Population:
                         for name, col in self.columns.items()))
 
 
-def quantize_power_kw(value_kw):
-    """Snap floats or arrays to the dyadic power quantum (2^-10 kW ~ 1 W)."""
-    return np.rint(value_kw / POWER_QUANTUM_KW) * POWER_QUANTUM_KW
-
-
 def _rating_fault(rated_kw):
     """True where a quantized rating is not a positive finite power."""
     return np.logical_not((0 < rated_kw) & (rated_kw < math.inf))
@@ -129,7 +124,7 @@ def _assemble(draws: dict[str, np.ndarray], consts: DerivationConstants,
     capacity restated from it, so rated power stays exactly capacity / EER.
     """
     raw = derive_etp_terms(draws, consts)
-    rated_kw = quantize_power_kw(raw["rated_electrical_power"] / 1000.0)
+    rated_kw = quantize_kw(raw["rated_electrical_power"] / 1000.0)
     etp = {**{name: raw[name] for name in ETP_FIELDS},
            "cooling_capacity": rated_kw * 1000.0 * draws["eer"],
            "rated_electrical_power": rated_kw * 1000.0}

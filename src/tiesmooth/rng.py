@@ -9,14 +9,17 @@ to generate or step in parallel.
 
 A Philox stream is fixed by its key and counter alone (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
-`philox_raw` computes the same counters of many streams in array
-passes, with no `Generator` behind them.  A house's variates are made
-from those outputs by arithmetic this module spells out: a uniform on
-[0, 1) from the top 53 bits of one output (`uniforms`), and a standard
-normal truncated at 3 sigma from one uniform by inversion
+`philox_raw` computes the same counters of many streams in one array
+pass, with no `Generator` behind it.  Every variate is made from those
+outputs by arithmetic this module spells out: a uniform on [0, 1) from
+the top 53 bits of one output (`uniforms`; `stream_uniforms` reads one
+stream from its start), scaled to [lo, hi) as lo + (hi - lo) * u, and a
+standard normal truncated at 3 sigma from one uniform by inversion
 (`truncated_normals`, by Wichura's AS241 as Python's
-`statistics.NormalDist.inv_cdf` computes it).  So no variate depends on
-how a NumPy version draws, and each takes exactly one output.
+`statistics.NormalDist.inv_cdf` computes it).  So houses, initial
+states, enrollment and the training days' weather do not depend on how
+a NumPy version draws, and each variate takes exactly one output.  The
+trace noise alone is still NumPy's `standard_normal` on a `substream`.
 """
 
 from __future__ import annotations
@@ -52,17 +55,13 @@ def substream(seed: int, stream_id: int) -> np.random.Generator:
 _M0, _M1, _W0, _W1 = (0xD2E7470EE14C6C93, 0xCA5A826395121157,
                       0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# streams per pass of `philox_raw`: at 4 blocks a temporary holds 64 KiB,
-# below the size from which malloc maps memory afresh for each one
-PHILOX_PASS = 2048
 
 
 def philox_raw(seed: int, stream_ids: np.ndarray, blocks: int, first: int = 1) -> np.ndarray:
     """4 * `blocks` outputs of `random_raw` on the substreams of `seed`
     named in `stream_ids` (uint64), a row each: Philox4x64-10 at key
     (seed, stream id) and counters `first`, ..., `first` + `blocks` - 1
-    (counter 1 holds a stream's first four outputs).  PHILOX_PASS streams
-    at a time."""
+    (counter 1 holds a stream's first four outputs), in one array pass."""
     _check_seed(seed)
 
     def mulhilo(m, x):  # the high and low words of m * x, from 32-bit halves
@@ -70,25 +69,27 @@ def philox_raw(seed: int, stream_ids: np.ndarray, blocks: int, first: int = 1) -
         mid = x_hi * m_lo
         cross = (x_lo * m_lo >> _32) + (mid & _LOW) + x_lo * m_hi
         return x_hi * m_hi + (mid >> _32) + (cross >> _32), x * np.uint64(m)
-    counters = np.tile(np.arange(first, first + blocks, dtype=np.uint64), PHILOX_PASS)
-    raw = np.empty((len(stream_ids), 4 * blocks), dtype=np.uint64)
-    for lo in range(0, len(stream_ids), PHILOX_PASS):
-        at = slice(lo, lo + PHILOX_PASS)
-        k1 = np.repeat(stream_ids[at], blocks)
-        c0 = counters[:len(k1)]
-        c1 = c2 = c3 = np.zeros_like(c0)
-        for r in range(10):
-            (hi0, lo0), (hi1, lo1) = mulhilo(_M0, c0), mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64((seed + r * _W0) % 2**64), lo1, hi0 ^ c3 ^ k1, lo0
-            k1 = k1 + np.uint64(_W1)
-        raw[at] = np.stack((c0, c1, c2, c3), axis=1).reshape(-1, 4 * blocks)
-    return raw
+    k1 = np.repeat(stream_ids, blocks)
+    c0 = np.tile(np.arange(first, first + blocks, dtype=np.uint64), len(stream_ids))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        (hi0, lo0), (hi1, lo1) = mulhilo(_M0, c0), mulhilo(_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64((seed + r * _W0) % 2**64), lo1, hi0 ^ c3 ^ k1, lo0
+        k1 = k1 + np.uint64(_W1)
+    return np.stack((c0, c1, c2, c3), axis=1).reshape(len(stream_ids), 4 * blocks)
 
 
 def uniforms(raw: np.ndarray) -> np.ndarray:
     """The uniform on [0, 1) NumPy's `random()` makes of each raw output:
     its top 53 bits, times 2^-53."""
     return (raw >> np.uint64(11)) * 2.0**-53
+
+
+def stream_uniforms(seed: int, stream_id: int, count: int) -> np.ndarray:
+    """The `uniforms` of outputs 0, ..., `count` - 1 of one substream, in
+    counter order: the draws of `substream(seed, stream_id).random(count)`."""
+    raw = philox_raw(seed, np.array([stream_id], dtype=np.uint64), -(-count // 4))
+    return uniforms(raw[0, :count])
 
 
 # Phi(-3) and Phi(3): the standard normal's mass below -3 and below 3

@@ -107,9 +107,14 @@ class DerivationConstants:
 DEFAULT_DERIVATION = DerivationConstants()
 
 # Electrical powers are snapped to this granularity (kW) when houses are
-# built for a fleet, so sums and differences of device powers are exact
-# in binary floating point.  See population.quantize_power_kw.
+# drawn and traces generated, so sums and differences of device, load and
+# wind powers are exact in binary floating point.
 POWER_QUANTUM_KW = 1.0 / 1024.0
+
+
+def quantize_kw(value_kw):
+    """Snap floats or arrays to the dyadic power quantum (2^-10 kW ~ 1 W)."""
+    return np.rint(value_kw / POWER_QUANTUM_KW) * POWER_QUANTUM_KW
 
 
 def derive_etp_terms(g, consts: DerivationConstants = DEFAULT_DERIVATION) -> dict:

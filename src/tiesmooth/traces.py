@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .textio import read_table, write_table
-from .thermal import POWER_QUANTUM_KW
+from .thermal import quantize_kw
 
 DAY_S = 86400
 
@@ -84,24 +84,19 @@ class TraceSet:
         return len(self.time_s)
 
 
-def _ou_series(gen: np.random.Generator, n: int, dt: float, tau: float,
-               sigma: float) -> np.ndarray:
-    """Stationary mean-reverting noise (zero mean, std sigma).
-
-    Takes n + 1 normals from `gen` in one call, which draws what n + 1
-    single draws would, and steps the recursion on Python floats.
+def _ou_series(z: np.ndarray, dt: float, tau: float, sigma: float) -> np.ndarray:
+    """Stationary mean-reverting noise (zero mean, std sigma): len(z) - 1
+    values driven by the standard normals `z`, stepped on Python floats.
+    The last normal would drive the step past the end, so it is unused.
     """
     decay = math.exp(-dt / tau)
     scale = sigma * math.sqrt(1.0 - decay * decay)
-    z = gen.standard_normal(n + 1).tolist()
+    z = z.tolist()
+    n = len(z) - 1
     out = [sigma * z[0]]
     for step in z[1:n]:
         out.append(decay * out[-1] + scale * step)
     return np.array(out[:n])
-
-
-def quantize_kw(values: np.ndarray) -> np.ndarray:
-    return np.round(values / POWER_QUANTUM_KW) * POWER_QUANTUM_KW
 
 
 def peak_weather() -> tuple[float, float]:
@@ -129,9 +124,10 @@ def generate_traces(seed: int, acl_free_peak_kw: float,
         raise ValueError("acl_free_peak_kw must be positive")
     if not 0 < acl_peak_share < 1:
         raise ValueError("acl_peak_share must be in (0, 1)")
-    gen = rng.substream(seed, stream)
     total_s = warmup_s + days * DAY_S
     n = total_s // cadence_s
+    # the normals of the temperature, load, wind level and fast wind noise
+    z = rng.substream(seed, stream).standard_normal(4 * (n + 1)).reshape(4, n + 1)
     t = np.arange(n, dtype=np.int64) * cadence_s
     tod = ((t - warmup_s) % DAY_S).astype(float)
 
@@ -141,7 +137,7 @@ def generate_traces(seed: int, acl_free_peak_kw: float,
 
     t_out = (tout_mean_c
              + tout_swing_c * np.cos(2.0 * math.pi * (tod - TOUT_PEAK_HOUR * 3600.0) / DAY_S)
-             + _ou_series(gen, n, cadence_s, TOUT_NOISE_TAU_S, TOUT_NOISE_STD_C))
+             + _ou_series(z[0], cadence_s, TOUT_NOISE_TAU_S, TOUT_NOISE_STD_C))
 
     daylight = np.sin(math.pi * (tod / 3600.0 - SOLAR_SUNRISE_HOUR)
                       / (SOLAR_SUNSET_HOUR - SOLAR_SUNRISE_HOUR))
@@ -150,14 +146,13 @@ def generate_traces(seed: int, acl_free_peak_kw: float,
     shape = (LOAD_SHAPE_FLOOR
              + (1.0 - LOAD_SHAPE_FLOOR)
              * 0.5 * (1.0 + np.cos(2.0 * math.pi * (tod - LOAD_PEAK_HOUR * 3600.0) / DAY_S)))
-    load = load_peak * shape * (1.0 + _ou_series(gen, n, cadence_s,
+    load = load_peak * shape * (1.0 + _ou_series(z[1], cadence_s,
                                                  LOAD_NOISE_TAU_S, LOAD_NOISE_STD_FRAC))
 
     level = wind_capacity * np.clip(
-        WIND_LEVEL_MEAN + _ou_series(gen, n, cadence_s, WIND_LEVEL_TAU_S, WIND_LEVEL_STD),
+        WIND_LEVEL_MEAN + _ou_series(z[2], cadence_s, WIND_LEVEL_TAU_S, WIND_LEVEL_STD),
         0.04, 0.92)
-    fast = wind_capacity * _ou_series(gen, n, cadence_s, WIND_FAST_TAU_S,
-                                      WIND_FAST_STD_FRAC)
+    fast = wind_capacity * _ou_series(z[3], cadence_s, WIND_FAST_TAU_S, WIND_FAST_STD_FRAC)
     wind = np.clip(level + fast, 0.0, wind_capacity)
 
     return TraceSet(time_s=t, t_out_c=t_out, solar_wm2=solar,
@@ -173,14 +168,14 @@ def generate_training_traces(seed: int, acl_free_peak_kw: float, days: int,
     """One trace set per training day, each with distinct weather.
 
     Day-level weather parameters are drawn from a dedicated substream so
-    the regression sees a spread of hot and mild days.
+    the regression sees a spread of hot and mild days: day d's mean
+    temperature, swing and solar peak take outputs 3d, 3d + 1 and 3d + 2.
     """
-    day_gen = rng.substream(seed, rng.TRAINING_TRACE_STREAM)
+    low, high = np.array([29.5, 2.2, 660.0]), np.array([32.5, 4.2, 840.0])
+    weather = low + (high - low) * rng.stream_uniforms(
+        seed, rng.TRAINING_TRACE_STREAM, 3 * days).reshape(days, 3)
     out = []
-    for day in range(days):
-        mean_c = float(day_gen.uniform(29.5, 32.5))
-        swing_c = float(day_gen.uniform(2.2, 4.2))
-        solar_peak = float(day_gen.uniform(660.0, 840.0))
+    for day, (mean_c, swing_c, solar_peak) in enumerate(weather.tolist()):
         out.append(generate_traces(
             seed, acl_free_peak_kw,
             wind_capacity_ratio=wind_capacity_ratio,

@@ -23,10 +23,10 @@ from tiesmooth.market import sequential_sum
 from tiesmooth.mgcc import ContractError, CycleRecord
 from tiesmooth.population import (Population, aligned, estimate_free_peak_kw,
                                   generate_population, total_rated_power_kw)
-from tiesmooth.rng import ENROLLMENT_STREAM, substream
+from tiesmooth.rng import ENROLLMENT_STREAM, INITIAL_STATE_STREAM, substream
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
-from tiesmooth.traces import (TraceSet, generate_traces, generate_training_traces,
-                              peak_weather, quantize_kw)
+from tiesmooth.thermal import quantize_kw
+from tiesmooth.traces import TraceSet, generate_traces, generate_training_traces, peak_weather
 
 from handmade import controller, etp, house_rows, population_of
 from test_market import price_levels, rows_of
@@ -586,6 +586,22 @@ class TestTrainingSimulation:
         assert len(fused.p_ac_free) > 0
         for got, want in zip(fused, expected):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_seeding_and_enrollment_make_no_numpy_generator(self, population, monkeypatch):
+        # the initial states are NumPy's `uniform(-1, 1)` draws, and the
+        # enrolled prefixes those of `per_day_training_columns`, with no
+        # generator made
+        cfg = small_cfg(duration_s=3600, warmup_s=1200, training_days=3)
+        days = [make_traces(cfg, seed=100 + d) for d in range(3)]
+        expected = per_day_training_columns(cfg, population, days)
+        fleet = build_fleet(population, 5.0)
+        offsets = substream(9, INITIAL_STATE_STREAM).uniform(-1.0, 1.0, fleet.n)
+        monkeypatch.setattr(np.random, "Generator", lambda *args, **kwargs: pytest.fail(
+            "a NumPy generator was made"))
+        seed_fleet_states(fleet, 9)
+        assert fleet.t_air.tobytes() == (fleet.t_set + offsets * fleet.half_deadband).tobytes()
+        for got, want in zip(run_training_simulation(cfg, population, days), expected):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRunDirRoundTrip:

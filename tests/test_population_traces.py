@@ -18,17 +18,20 @@ from tiesmooth import rng
 from tiesmooth.agents import controller_faults
 from tiesmooth.population import (COLUMNS, ETP_FIELDS, MAX_REDRAWS, PEAK_COINCIDENCE,
                                   Population, PopulationError, estimate_free_peak_kw,
-                                  generate_population, quantize_power_kw,
-                                  total_rated_power_kw)
+                                  generate_population, total_rated_power_kw)
 from tiesmooth.scenario import (CONTROLLER_FIELDS, HOUSE_FIELDS, Dist, PopulationSpec,
                                 ScenarioConfig, default_population_distributions)
 from tiesmooth.thermal import (DEFAULT_DERIVATION, POWER_QUANTUM_KW, derive_etp_terms,
-                               etp_faults, geometry_faults)
+                               etp_faults, geometry_faults, quantize_kw)
 from tiesmooth.traces import (TRACE_CSV_HEADER, generate_traces,
                               generate_training_traces, peak_weather,
                               read_traces, write_traces)
 
 from handmade import house_rows
+
+
+def refuse_generator(*args, **kwargs):
+    raise AssertionError("a NumPy generator was made")
 
 
 class TestGeneratePopulation:
@@ -84,17 +87,14 @@ class TestGeneratePopulation:
             assert result.pvalue > 1e-3, name
 
     def test_draws_without_numpy_generators(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a NumPy generator was made")
-
         expected = generate_population(PopulationSpec(n=50), 42)
-        monkeypatch.setattr(np.random, "Generator", refuse)
-        monkeypatch.setattr(np.random, "Philox", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse_generator)
+        monkeypatch.setattr(np.random, "Philox", refuse_generator)
         assert generate_population(PopulationSpec(n=50), 42) == expected
 
     def test_quantize_power(self):
-        assert quantize_power_kw(2.73072) * 1024 == round(2.73072 * 1024)
-        assert quantize_power_kw(0.0) == 0.0
+        assert quantize_kw(2.73072) * 1024 == round(2.73072 * 1024)
+        assert quantize_kw(0.0) == 0.0
 
 
 class TestHouseStream:
@@ -343,9 +343,26 @@ class TestArrayDraws:
             assert np.array_equal(next_row, expected[32:40]), stream_id
         assert rng.philox_raw(seed, np.array([], dtype=np.uint64), 3).shape == (0, 12)
         many = rng.philox_raw(seed, rng.HOUSE_STREAM_BASE + np.arange(4100, dtype=np.uint64), 1)
-        for i in (0, 2047, 2048, 4099):  # across the passes of 2 048 streams
+        for i in (0, 2047, 2048, 4099):
             assert np.array_equal(many[i], rng.substream(
                 seed, rng.HOUSE_STREAM_BASE + i).bit_generator.random_raw(4))
+        long = rng.philox_raw(seed, np.array([rng.INITIAL_STATE_STREAM], dtype=np.uint64), 2500)
+        assert np.array_equal(long[0], rng.substream(
+            seed, rng.INITIAL_STATE_STREAM).bit_generator.random_raw(10_000))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 4, 5, 13_500])
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
+    def test_stream_uniforms_are_numpys_uniform(self, seed, m):
+        # the ranges of the initial states, the enrollment and the
+        # training days' mean temperature, swing and solar peak
+        for stream_id, lo, hi in ((rng.INITIAL_STATE_STREAM, -1.0, 1.0),
+                                  (rng.ENROLLMENT_STREAM, 0.7, 1.0),
+                                  (rng.TRAINING_TRACE_STREAM, 29.5, 32.5),
+                                  (rng.TRAINING_TRACE_STREAM, 2.2, 4.2),
+                                  (rng.TRAINING_TRACE_STREAM, 660.0, 840.0)):
+            got = lo + (hi - lo) * rng.stream_uniforms(seed, stream_id, m)
+            want = rng.substream(seed, stream_id).uniform(lo, hi, m)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
@@ -452,6 +469,27 @@ class TestGenerateTraces:
         peaks = [float(np.max(d.t_out_c)) for d in days]
         assert len(set(peaks)) == 3
 
+    def test_training_weather_takes_three_outputs_a_day(self, monkeypatch):
+        # day d's mean, swing and solar peak are outputs 3d, 3d + 1 and
+        # 3d + 2: what three `uniform` calls a day on one generator draw
+        gen = rng.substream(21, rng.TRAINING_TRACE_STREAM)
+        want = [(gen.uniform(29.5, 32.5), gen.uniform(2.2, 4.2), gen.uniform(660.0, 840.0))
+                for _ in range(4)]
+        seen = []
+        monkeypatch.setattr(traces, "generate_traces", lambda *args, **kw: seen.append(
+            (kw["tout_mean_c"], kw["tout_swing_c"], kw["solar_peak_wm2"])))
+        monkeypatch.setattr(np.random, "Generator", refuse_generator)
+        generate_training_traces(21, 800.0, days=4)
+        assert seen == want
+
+    @pytest.mark.parametrize("n", [0, 1, 9360])
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
+    def test_one_noise_call_draws_what_four_did(self, seed, n):
+        one, four = (rng.substream(seed, rng.TRACE_STREAM) for _ in range(2))
+        rows = one.standard_normal(4 * (n + 1)).reshape(4, n + 1)
+        assert rows.tobytes() == b"".join(four.standard_normal(n + 1).tobytes()
+                                          for _ in range(4))
+
 
 def scalar_ou_series(gen, n, dt, tau, sigma):
     """The OU recursion with one draw per step, as traces first wrote it."""
@@ -472,7 +510,7 @@ class TestOuSeries:
                                   (9000, 10, traces.TOUT_NOISE_TAU_S, traces.TOUT_NOISE_STD_C),
                                   (777, 5, traces.WIND_FAST_TAU_S, 0.3)):
             gen, oracle = (rng.substream(seed, rng.TRACE_STREAM) for _ in range(2))
-            got = traces._ou_series(gen, n, dt, tau, sigma)
+            got = traces._ou_series(gen.standard_normal(n + 1), dt, tau, sigma)
             want = scalar_ou_series(oracle, n, dt, tau, sigma)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert gen.standard_normal() == oracle.standard_normal()

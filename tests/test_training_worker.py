@@ -31,7 +31,8 @@ from tiesmooth.mgcc import ContractError
 from tiesmooth.population import Population, PopulationError, aligned, generate_population
 from tiesmooth.rng import ENROLLMENT_STREAM, substream
 from tiesmooth.scenario import PopulationSpec, ScenarioConfig
-from tiesmooth.traces import TraceSet, quantize_kw
+from tiesmooth.thermal import quantize_kw
+from tiesmooth.traces import TraceSet
 
 N_HOUSES = 2500
 N2 = 1248  # N_HOUSES // 2 less its remainder mod 8
@@ -129,7 +130,7 @@ def children(monkeypatch):
     monkeypatch.setattr(os, "fork", recorded_fork)
     monkeypatch.setattr(os, "waitpid", recorded_waitpid)
     monkeypatch.setattr(engine, "_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", N_HOUSES - N2)
+    monkeypatch.setattr(engine, "FORK_MIN_HOUSES", N_HOUSES - N2)
     yield seen
     for pid in seen.pids:  # a test that failed early leaves no process either
         with suppress(ChildProcessError):  # reaped already
@@ -208,7 +209,7 @@ def test_columns_are_the_bytes_of_one_segmented_run(cfg, houses, days, children,
                                                     monkeypatch):
     # three days of 2 500, 2 226 and 2 341 houses: n2 falls inside the
     # second, which both processes meter
-    monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", 2000)
+    monkeypatch.setattr(engine, "FORK_MIN_HOUSES", 2000)
     samples = run_training_simulation(cfg, houses, days)
     assert len(children.pids) == 1 and children.status == {children.pids[0]: 0}
     expected = segmented_columns(cfg, houses, days)
@@ -221,9 +222,9 @@ def test_columns_are_the_bytes_of_one_segmented_run(cfg, houses, days, children,
 
 def test_small_shares_stay_in_this_process(cfg, houses, cold, free_run, children,
                                            monkeypatch):
-    monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", N_HOUSES - N2 + 1)
+    monkeypatch.setattr(engine, "FORK_MIN_HOUSES", N_HOUSES - N2 + 1)
     assert_same_bytes(run_scenario(cfg, houses, cold, None, controlled=False), free_run)
-    monkeypatch.setattr(engine, "WORKER_MIN_HOUSES", N_HOUSES - N2)
+    monkeypatch.setattr(engine, "FORK_MIN_HOUSES", N_HOUSES - N2)
     monkeypatch.setattr(engine, "_cpus", lambda: 1)
     assert_same_bytes(run_scenario(cfg, houses, cold, None, controlled=False), free_run)
     assert children.pids == []
