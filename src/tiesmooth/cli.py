@@ -1,10 +1,18 @@
 """Command-line pipeline: scenario generation, training, runs, metrics.
 
-Exit codes are a stable contract: 0 success, 2 unreadable or malformed
-input (I/O problems, a malformed run directory, an unknown scenario key
-or a bad scenario value, a population that cannot be drawn, traces
-shorter than the run), 3 baseline fit failure, 4 numeric abort inside a
-run, 5 incomparable run pair.
+Exit codes are a stable contract, and `main` alone sets them, from the
+exception a command raises (the first match wins):
+
+    4  NumericAbortError      a numeric abort inside a run
+    3  RankDeficientError     a baseline fit failure
+    5  IncomparableRunsError  an incomparable run pair
+    2  any other OSError or ValueError: unreadable or malformed input
+       (I/O problems, a malformed run directory, an unknown scenario key
+       or a bad scenario value, a population that cannot be drawn,
+       traces shorter than the run)
+
+0 is success.  Each failure prints one `error:` line on stderr; any
+other exception is a fault of the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from .baseline import (BaselineModel, RankDeficientError, build_features,
                        fit_baseline_model)
 from .engine import (NumericAbortError, check_run_cadence, load_run_dir, run_scenario,
                      run_training_simulation, write_run_dir)
-from .metrics import (compute_metrics, write_fluctuation_csv, write_report,
-                      write_s_trajectory_csv, write_smoothing_csv)
+from .metrics import (IncomparableRunsError, compute_metrics, write_fluctuation_csv,
+                      write_report, write_s_trajectory_csv, write_smoothing_csv)
 from .population import estimate_free_peak_kw, generate_population
 from .scenario import ScenarioConfig, load_scenario, save_scenario, with_overrides
 from .textio import read_keyvals, write_keyvals
@@ -87,80 +95,52 @@ def _population(cfg: ScenarioConfig):
                                epsilon_margin=cfg.epsilon_margin_c)
 
 
-def cmd_gen_scenario(args) -> int:
+def cmd_gen_scenario(args) -> None:
     out = Path(args.out)
-    try:
-        if args.days < 1:
-            raise ValueError(f"--days must be >= 1, got {args.days}")
-        cfg = ScenarioConfig(n_acl=args.n_acl, seed=args.seed, duration_s=args.days * 86400,
-                             training_days=args.training_days)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "scenario.txt", "w") as fh:
-            save_scenario(cfg, fh)
+    if args.days < 1:
+        raise ValueError(f"--days must be >= 1, got {args.days}")
+    cfg = ScenarioConfig(n_acl=args.n_acl, seed=args.seed, duration_s=args.days * 86400,
+                         training_days=args.training_days)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "scenario.txt", "w") as fh:
+        save_scenario(cfg, fh)
 
-        houses = _population(cfg)
-        t_peak, solar_peak = peak_weather()
-        free_peak = estimate_free_peak_kw(houses, t_peak, solar_peak)
+    houses = _population(cfg)
+    t_peak, solar_peak = peak_weather()
+    free_peak = estimate_free_peak_kw(houses, t_peak, solar_peak)
 
-        traces = generate_traces(cfg.seed, free_peak,
-                                 wind_capacity_ratio=cfg.wind_capacity_ratio,
-                                 acl_peak_share=cfg.acl_peak_share,
-                                 days=args.days, warmup_s=cfg.warmup_s)
-        with open(out / "traces.csv", "w") as fh:
-            write_traces(fh, traces)
+    traces = generate_traces(cfg.seed, free_peak,
+                             wind_capacity_ratio=cfg.wind_capacity_ratio,
+                             acl_peak_share=cfg.acl_peak_share,
+                             days=args.days, warmup_s=cfg.warmup_s)
+    with open(out / "traces.csv", "w") as fh:
+        write_traces(fh, traces)
 
-        for day, day_traces in enumerate(generate_training_traces(
-                cfg.seed, free_peak, cfg.training_days,
-                wind_capacity_ratio=cfg.wind_capacity_ratio,
-                acl_peak_share=cfg.acl_peak_share, warmup_s=cfg.warmup_s)):
-            with open(out / f"train_day{day}.csv", "w") as fh:
-                write_traces(fh, day_traces)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for day, day_traces in enumerate(generate_training_traces(
+            cfg.seed, free_peak, cfg.training_days,
+            wind_capacity_ratio=cfg.wind_capacity_ratio,
+            acl_peak_share=cfg.acl_peak_share, warmup_s=cfg.warmup_s)):
+        with open(out / f"train_day{day}.csv", "w") as fh:
+            write_traces(fh, day_traces)
     print(f"scenario written to {out} (n_acl={cfg.n_acl}, seed={cfg.seed}, "
           f"estimated free peak {free_peak:.1f} kW)")
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     scenario_path = Path(args.scenario)
-    try:
-        with open(scenario_path) as fh:
-            cfg = load_scenario(fh)
-        if cfg.training_days < 2:
-            raise ValueError("training_days must be >= 2: day 0 enrolls the whole fleet, "
-                             "so one day leaves the rated-power regressor constant")
-        base = scenario_path.parent
-        day_traces = []
-        for day in range(cfg.training_days):
-            with open(base / f"train_day{day}.csv") as fh:
-                day_traces.append(read_traces(fh, cfg.record_cycle_s))
-        houses = _population(cfg)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        samples = run_training_simulation(cfg, houses, day_traces)
-    except NumericAbortError as exc:
-        print(f"error: numeric abort in training at control cycle {exc.cycle}",
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:  # houses whose thermal step cannot be discretized
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        model = fit_baseline_model(samples)
-    except RankDeficientError as exc:
-        print(f"error: baseline fit failed: {exc}", file=sys.stderr)
-        return EXIT_FIT
-
-    try:
-        model.save(args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(scenario_path) as fh:
+        cfg = load_scenario(fh)
+    if cfg.training_days < 2:
+        raise ValueError("training_days must be >= 2: day 0 enrolls the whole fleet, "
+                         "so one day leaves the rated-power regressor constant")
+    base = scenario_path.parent
+    day_traces = []
+    for day in range(cfg.training_days):
+        with open(base / f"train_day{day}.csv") as fh:
+            day_traces.append(read_traces(fh, cfg.record_cycle_s))
+    samples = run_training_simulation(cfg, _population(cfg), day_traces)
+    model = fit_baseline_model(samples)
+    model.save(args.out)
 
     predicted = np.clip(build_features(samples.t_out, samples.solar, samples.total_rated)
                         @ np.array(model.coefficients), 0.0, samples.total_rated)
@@ -168,85 +148,58 @@ def cmd_train(args) -> int:
     peak = float(np.max(samples.p_ac_free))
     print(f"fitted on {len(samples.p_ac_free)} samples; in-sample RMSE {rmse:.2f} kW "
           f"({100.0 * rmse / peak:.1f}% of free-power peak {peak:.1f} kW)")
-    return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     scenario_path = Path(args.scenario)
     out = Path(args.out)
-    try:
-        with open(scenario_path) as fh:
-            cfg = load_scenario(fh)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.no_soa_feedback:
-            overrides["soa_feedback_enabled"] = False
-        if args.baseline_bias is not None:
-            overrides["baseline_bias"] = args.baseline_bias
-        if overrides:
-            cfg = with_overrides(cfg, **overrides)
+    with open(scenario_path) as fh:
+        cfg = load_scenario(fh)
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.no_soa_feedback:
+        overrides["soa_feedback_enabled"] = False
+    if args.baseline_bias is not None:
+        overrides["baseline_bias"] = args.baseline_bias
+    if overrides:
+        cfg = with_overrides(cfg, **overrides)
 
-        trace_path = Path(args.traces) if args.traces else scenario_path.parent / "traces.csv"
-        with open(trace_path) as fh:
-            traces = read_traces(fh, cfg.record_cycle_s)
-        model = None
-        model_path = None
-        if not args.uncontrolled:
-            model_path = Path(args.model) if args.model else scenario_path.parent / "model.txt"
-            model = BaselineModel.load(model_path)
-        houses = _population(cfg)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    trace_path = Path(args.traces) if args.traces else scenario_path.parent / "traces.csv"
+    with open(trace_path) as fh:
+        traces = read_traces(fh, cfg.record_cycle_s)
+    model = None
+    model_path = None
+    if not args.uncontrolled:
+        model_path = Path(args.model) if args.model else scenario_path.parent / "model.txt"
+        model = BaselineModel.load(model_path)
+    result = run_scenario(cfg, _population(cfg), traces, model,
+                          controlled=not args.uncontrolled)
 
-    try:
-        result = run_scenario(cfg, houses, traces, model,
-                              controlled=not args.uncontrolled)
-    except NumericAbortError as exc:
-        print(f"error: numeric abort at control cycle {exc.cycle}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:  # traces that do not cover the run
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        write_run_dir(out, result)
-        _write_manifest(out, scenario_path, trace_path, model_path, cfg, {
-            "uncontrolled": args.uncontrolled,
-            "baseline_bias": cfg.baseline_bias,
-            "soa_feedback_enabled": cfg.soa_feedback_enabled,
-            "results_sha256": _sha256_files([out / "results.csv"]),
-        })
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_run_dir(out, result)
+    _write_manifest(out, scenario_path, trace_path, model_path, cfg, {
+        "uncontrolled": args.uncontrolled,
+        "baseline_bias": cfg.baseline_bias,
+        "soa_feedback_enabled": cfg.soa_feedback_enabled,
+        "results_sha256": _sha256_files([out / "results.csv"]),
+    })
     kind = "uncontrolled" if args.uncontrolled else "controlled"
     print(f"{kind} run complete: {len(result.time_s)} records, "
           f"{len(result.cycle_records)} cycles")
-    return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> None:
     cdir, udir = Path(args.controlled), Path(args.uncontrolled)
     out = Path(args.out)
-    try:
-        man_c, man_u = _read_manifest(cdir), _read_manifest(udir)
-        controlled, uncontrolled = load_run_dir(cdir), load_run_dir(udir)
-        check_run_cadence(controlled)
-        check_run_cadence(uncontrolled)
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    man_c, man_u = _read_manifest(cdir), _read_manifest(udir)
+    controlled, uncontrolled = load_run_dir(cdir), load_run_dir(udir)
+    check_run_cadence(controlled)
+    check_run_cadence(uncontrolled)
+    out.mkdir(parents=True, exist_ok=True)
 
-    try:
-        if man_c.get("traces_sha256") != man_u.get("traces_sha256"):
-            raise ValueError("they were produced from different traces")
-        report = compute_metrics(controlled, uncontrolled)
-    except ValueError as exc:
-        print(f"error: runs cannot be compared: {exc}", file=sys.stderr)
-        return EXIT_INCOMPARABLE
+    if man_c.get("traces_sha256") != man_u.get("traces_sha256"):
+        raise IncomparableRunsError("they were produced from different traces")
+    report = compute_metrics(controlled, uncontrolled)
 
     with open(out / "metrics.txt", "w") as fh:
         write_report(fh, report)
@@ -261,7 +214,6 @@ def cmd_metrics(args) -> int:
           f"vs uncontrolled {report.max_fluct_uncontrolled_kw:.1f} kW "
           f"({report.max_fluct_reduction_pct:.1f}% reduction); "
           f"not-worse at {100.0 * report.frac_instants_not_worse:.1f}% of instants")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,8 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs one command and returns its exit code: the one place where a
+    failure becomes a code and one `error:` line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+        return EXIT_OK
+    except NumericAbortError as exc:
+        where = " in training" if args.command == "train" else ""
+        code, message = EXIT_NUMERIC, f"numeric abort{where} at control cycle {exc.cycle}"
+    except RankDeficientError as exc:
+        code, message = EXIT_FIT, f"baseline fit failed: {exc}"
+    except IncomparableRunsError as exc:
+        code, message = EXIT_INCOMPARABLE, f"runs cannot be compared: {exc}"
+    except (OSError, ValueError) as exc:
+        code, message = EXIT_IO, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -136,7 +136,7 @@ def build_fleet(houses: Population, sim_step_s: float) -> Fleet:
     c = houses.columns
     n = len(houses)
     t_set, t_high, t_low = c["t_set"], c["t_high"], c["t_low"]
-    ((ad11, ad12), (ad21, ad22)), ((m1, _), (m2, _)) = discretize(
+    ((ad11, ad12), (ad21, ad22)), (m1, m2) = discretize(
         c["ua_envelope"], c["h_mass"], c["c_air"], c["c_mass"], float(sim_step_s))
     fleet = Fleet(
         n=n, rated_kw=c["rated_power"], t_set=t_set,
@@ -300,8 +300,9 @@ class _Houses:
     """The houses one process steps: a fleet or part of one, its
     workspace, its segments as slices of it, where each segment's
     metering starts, each segment's weather (a column per segment, a row
-    per trace row) and, in a run that is not segmented, the buffer each
-    record's bid prices go to."""
+    per trace row) and whether it meters the states: in a run that is
+    not segmented, each record's devices on and bid prices (in `ws.x`)
+    and each step's houses outside comfort."""
 
     fleet: Fleet
     ws: Workspace
@@ -309,24 +310,22 @@ class _Houses:
     starts: np.ndarray
     t_outs: np.ndarray
     solars: np.ndarray
-    s_prices: Optional[np.ndarray]
+    meters_states: bool
 
     def split(self, n2: int) -> tuple["_Houses", "_Houses"]:
         """Houses [:n2] and [n2:], views of these; a segment across n2 is
         in both."""
         first = int(np.searchsorted(self.starts, n2))  # segments that start before n2
         across = int(np.searchsorted(self.starts, n2, "right")) - 1  # the one n2 is in
-        prices = (None, None) if self.s_prices is None else \
-            (self.s_prices[:n2], self.s_prices[n2:])
         head = _Houses(_part(self.fleet, slice(None, n2)), _part(self.ws, slice(None, n2)),
                        self.segments[:first], self.starts[:first],
-                       self.t_outs[:, :first], self.solars[:, :first], prices[0])
+                       self.t_outs[:, :first], self.solars[:, :first], self.meters_states)
         tail = _Houses(_part(self.fleet, slice(n2, None)),
                        _part(self.ws, slice(n2, None)),
                        [slice(max(s.start - n2, 0), s.stop - n2)
                         for s in self.segments[across:]],
                        np.maximum(self.starts[across:] - n2, 0),
-                       self.t_outs[:, across:], self.solars[:, across:], prices[1])
+                       self.t_outs[:, across:], self.solars[:, across:], self.meters_states)
         head.fleet.n, tail.fleet.n = n2, self.fleet.n - n2
         return head, tail
 
@@ -359,7 +358,7 @@ def _step(houses: _Houses, cfg: ScenarioConfig, t: int, sums: _Sums) -> None:
     A record row is also a trace row, so the weather changes only there.
     The kernels are looked up by their module names, where a tracer may
     wrap them."""
-    fleet, ws, s_prices = houses.fleet, houses.ws, houses.s_prices
+    fleet, ws = houses.fleet, houses.ws
     row, offset = divmod(t, cfg.record_cycle_s)
     record = offset == 0
     if record:
@@ -370,11 +369,11 @@ def _step(houses: _Houses, cfg: ScenarioConfig, t: int, sums: _Sums) -> None:
     if record:
         kw = np.add.reduceat(np.multiply(fleet.rated_kw, fleet.on, out=ws.y), houses.starts)
         sums.kw[row, :len(kw)] = kw
-        if s_prices is not None:
+        if houses.meters_states:
             sums.n_on[row] = np.count_nonzero(fleet.on)
-            sums.s[row] = np.add.reduce(fleet_soa(fleet, ws, s_prices))
+            sums.s[row] = np.add.reduce(fleet_soa(fleet, ws))
     _advance_slice(fleet, ws)
-    if s_prices is not None and t >= cfg.warmup_s:
+    if houses.meters_states and t >= cfg.warmup_s:
         sums.outside[t // cfg.sim_step_s] = (
             np.count_nonzero(np.greater(fleet.t_air, ws.comfort_high, out=ws.mask))
             + np.count_nonzero(np.less(fleet.t_air, ws.comfort_low, out=ws.mask)))
@@ -487,7 +486,7 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                                for start, size in zip(starts.tolist(), sizes)], starts,
                    traces.t_out_c.reshape(len(traces), -1),  # a column per segment
                    traces.solar_wm2.reshape(len(traces), -1),
-                   aligned(fleet.n) if _segments is None else None)
+                   _segments is None)
     sums = _Sums(cfg, len(sizes))
     n2 = fleet.n // 2 - fleet.n // 2 % 8  # where np.add.reduce splits a row of prices
     # a fork with another thread running may deadlock, and a child's error
@@ -602,10 +601,12 @@ def load_run_dir(rundir) -> RunResult:
 
 
 def check_run_cadence(run: RunResult) -> None:
-    """Raise ValueError unless the records lie on the record grid from 0
-    and the cycles k increase from 1 with k * control_cycle_s inside the
-    run, so that windowed metrics span the time they claim."""
+    """Raise ValueError unless the records lie on a positive record grid
+    from 0 and the cycles k increase from 1 with k * control_cycle_s
+    inside the run, so that windowed metrics span the time they claim."""
     step = run.record_cycle_s
+    if step <= 0:
+        raise ValueError(f"record_cycle_s must be positive, got {step}")
     end_s = len(run.time_s) * step
     if not np.array_equal(run.time_s, np.arange(len(run.time_s)) * step):
         raise ValueError(f"record times are not the {step} s grid from 0 that the "

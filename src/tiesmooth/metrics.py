@@ -20,13 +20,21 @@ from .textio import write_keyvals, write_table
 WINDOW_S = 600
 
 
-class WindowError(ValueError):
-    """Requested fluctuation window reaches before the series start."""
+class IncomparableRunsError(ValueError):
+    """A controlled run and a free run that cannot be compared."""
+
+
+class WindowError(IncomparableRunsError):
+    """Requested fluctuation window reaches before the series start, so
+    the run has nothing to compare."""
 
 
 def fluctuation_series(p_g: np.ndarray, record_cycle_s: int) -> np.ndarray:
     """Fluctuation rate at every sample with a full trailing window."""
     w = WINDOW_S // record_cycle_s
+    if w < 1:
+        raise WindowError(f"a {record_cycle_s} s record cycle is longer than the "
+                          f"{WINDOW_S} s window")
     if len(p_g) < w:
         raise WindowError("series shorter than one window")
     view = np.lib.stride_tricks.sliding_window_view(p_g, w)
@@ -61,17 +69,17 @@ class MetricsReport:
                      "rmse_tie_tracking_kw", "rmse_acl_tracking_kw",
                      "comfort_violation_acl_min", "total_acl_min"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and nonnegative")
+                raise IncomparableRunsError(f"{name} must be finite and nonnegative")
         if not -math.inf < self.max_fluct_reduction_pct <= 100:
-            raise ValueError("max_fluct_reduction_pct must be finite and at most 100")
+            raise IncomparableRunsError("max_fluct_reduction_pct must be finite and at most 100")
 
 
 def compute_metrics(controlled: RunResult, uncontrolled: RunResult) -> MetricsReport:
     """Compare a controlled run against its paired uncontrolled run."""
     if len(controlled.time_s) != len(uncontrolled.time_s):
-        raise ValueError("runs have different lengths and cannot be compared")
+        raise IncomparableRunsError("runs have different lengths and cannot be compared")
     if controlled.record_cycle_s != uncontrolled.record_cycle_s:
-        raise ValueError("runs have different record cadences")
+        raise IncomparableRunsError("runs have different record cadences")
 
     sl = controlled.metric_slice()
     rc = controlled.record_cycle_s

@@ -160,14 +160,15 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
     """Exact discrete-time update matrices of many houses for one step of length dt.
 
     Takes one value per house of each parameter, as float arrays, and
-    returns (ad, m): the state propagator exp(A*dt) and the input
-    integral  m = integral_0^dt exp(A*s) ds, both as nested 2x2 tuples
-    of per-house arrays.  The state matrix always has two distinct real
-    eigenvalues (the off-diagonal product h^2/(c_air*c_mass) is
-    positive), so the eigendecomposition is taken in closed form.  Valid
-    for ua_envelope >= 0; ua = 0 gives one zero eigenvalue and a
-    conservative system.  Raises ValueError where a house's square
-    overflows or any entry of its matrices is not finite.
+    returns (ad, m): the state propagator exp(A*dt) as a nested 2x2 tuple
+    of per-house arrays, and the first column of the input integral
+    integral_0^dt exp(A*s) ds, the response to heat put into the air
+    node (the only input), as a pair of them.  The state matrix always
+    has two distinct real eigenvalues (the off-diagonal product
+    h^2/(c_air*c_mass) is positive), so the eigendecomposition is taken
+    in closed form.  Valid for ua_envelope >= 0; ua = 0 gives one zero
+    eigenvalue and a conservative system.  Raises ValueError where a
+    house's square overflows or any entry it returns is not finite.
 
     The square and the exponentials run per house on Python floats, so
     each house gets the bits a scalar evaluation of the same expressions
@@ -210,17 +211,18 @@ def discretize(ua, h_mass, c_air, c_mass, dt: float):
 
         (e1, f1), (e2, f2) = exp_and_phi(lam1), exp_and_phi(lam2)
 
-        def transform(d1, d2):
-            # V diag(d1,d2) V^-1 written out for the 2x2 case
-            m11 = (v1 * d1 * a21 - v2 * d2 * a21) / det
-            m12 = (-v1 * d1 * v2 + v2 * d2 * v1) / det
-            m21 = (a21 * d1 * a21 - a21 * d2 * a21) / det
-            m22 = (-a21 * d1 * v2 + a21 * d2 * v1) / det
-            return ((m11, m12), (m21, m22))
+        # V diag(d1,d2) V^-1 written out for the 2x2 case, by columns
+        def first_column(d1, d2):
+            return ((v1 * d1 * a21 - v2 * d2 * a21) / det,
+                    (a21 * d1 * a21 - a21 * d2 * a21) / det)
 
-        ad, m = transform(e1, e2), transform(f1, f2)
-    if not all(np.all(np.isfinite(entry)) for matrix in (ad, m) for row in matrix
-               for entry in row):
+        def second_column(d1, d2):
+            return ((-v1 * d1 * v2 + v2 * d2 * v1) / det,
+                    (-a21 * d1 * v2 + a21 * d2 * v1) / det)
+
+        ad = tuple(zip(first_column(e1, e2), second_column(e1, e2)))
+        m = first_column(f1, f2)
+    if not all(np.all(np.isfinite(entry)) for entry in (*ad[0], *ad[1], *m)):
         raise ValueError("a house's thermal step matrices are not finite: its parameters "
                          "are too small or too large to discretize")
     return ad, m

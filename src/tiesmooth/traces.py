@@ -69,8 +69,6 @@ class TraceSet:
     p_load_kw: np.ndarray
     p_wind_kw: np.ndarray
     cadence_s: int
-    wind_capacity_kw: float = 0.0
-    system_peak_kw: float = 0.0
 
     def __post_init__(self):
         n = len(self.time_s)
@@ -157,8 +155,7 @@ def generate_traces(seed: int, acl_free_peak_kw: float,
 
     return TraceSet(time_s=t, t_out_c=t_out, solar_wm2=solar,
                     p_load_kw=quantize_kw(load), p_wind_kw=quantize_kw(wind),
-                    cadence_s=cadence_s, wind_capacity_kw=wind_capacity,
-                    system_peak_kw=system_peak)
+                    cadence_s=cadence_s)
 
 
 def generate_training_traces(seed: int, acl_free_peak_kw: float, days: int,

@@ -17,7 +17,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import tiesmooth.cli as cli
+from tiesmooth.baseline import RankDeficientError
 from tiesmooth.cli import main
+from tiesmooth.engine import NumericAbortError
+from tiesmooth.metrics import IncomparableRunsError, WindowError
+from tiesmooth.mgcc import ContractError
+from tiesmooth.population import PopulationError
 from tiesmooth.scenario import ScenarioConfig, save_scenario
 from tiesmooth.textio import read_keyvals
 
@@ -462,6 +468,18 @@ class TestMetrics:
         assert main(["metrics", "--controlled", str(runs[0]), "--uncontrolled",
                      str(runs[1]), "--out", str(tmp_path / "m")]) == 2
 
+    def test_summary_cadence_of_zero_is_io_error(self, workspace, tmp_path, capsys):
+        # every record at 0 s lies on a 0 s grid
+        run = tmp_path / "zero"
+        shutil.copytree(workspace / "run_u", run)
+        header, *rows = (run / "results.csv").read_text().splitlines()
+        (run / "results.csv").write_text(
+            "\n".join([header] + ["0," + row.partition(",")[2] for row in rows]) + "\n")
+        edit_line(run / "summary.txt", 1, lambda line: "record_cycle_s = 0")
+        assert main(["metrics", "--controlled", str(run), "--uncontrolled", str(run),
+                     "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err == "error: record_cycle_s must be positive, got 0\n"
+
     @pytest.mark.parametrize("index, k", [(1, "0"),         # before the first cycle
                                           (3, "1"),         # not increasing
                                           (-1, "1000000")])  # after the run ends
@@ -518,6 +536,29 @@ class TestMetrics:
                      "--uncontrolled", str(workspace / "run_u"),
                      "--out", str(tmp_path / "m2")]) == 2
 
+    def test_unwritable_output_is_io_error(self, workspace, tmp_path, capsys):
+        # a directory stands where metrics.txt goes
+        (tmp_path / "m" / "metrics.txt").mkdir(parents=True)
+        assert main(["metrics", "--controlled", str(workspace / "run_c"),
+                     "--uncontrolled", str(workspace / "run_u"),
+                     "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "metrics.txt" in err[0]
+
+    def test_record_cycle_longer_than_the_window_is_incomparable(self, workspace, tmp_path,
+                                                                  capsys):
+        # a well-formed free run keeping every 120th record, 1 200 s apart
+        run = tmp_path / "sparse"
+        shutil.copytree(workspace / "run_u", run)
+        header, *rows = (run / "results.csv").read_text().splitlines()
+        (run / "results.csv").write_text("\n".join(
+            [header] + [row for row in rows if int(row.split(",")[0]) % 1200 == 0]) + "\n")
+        edit_line(run / "summary.txt", 1, lambda line: "record_cycle_s = 1200")
+        assert main(["metrics", "--controlled", str(run), "--uncontrolled", str(run),
+                     "--out", str(tmp_path / "m")]) == 5
+        assert capsys.readouterr().err == ("error: runs cannot be compared: a 1200 s record "
+                                           "cycle is longer than the 600 s window\n")
+
 
 class TestPopulation:
     @pytest.mark.parametrize("edits, message", [
@@ -571,6 +612,44 @@ class TestPopulation:
         assert err.count("error: distribution parameters must be finite") == 2
         assert "Traceback" not in err
         assert not (scen / "model.txt").exists() and not (tmp_path / "out").exists()
+
+
+COMMAND_ARGS = {"gen-scenario": ["--out", "o"], "train": ["--scenario", "s", "--out", "o"],
+                "run": ["--scenario", "s", "--out", "o"],
+                "metrics": ["--controlled", "c", "--uncontrolled", "u", "--out", "o"]}
+
+
+@pytest.mark.parametrize("command, error, code, line", [
+    ("run", NumericAbortError(12), 4, "numeric abort at control cycle 12"),
+    ("train", NumericAbortError(12), 4, "numeric abort in training at control cycle 12"),
+    ("train", RankDeficientError(["solar"]), 3, "baseline fit failed: feature matrix is "
+                                                "rank deficient; degenerate columns: solar"),
+    ("metrics", IncomparableRunsError("of x"), 5, "runs cannot be compared: of x"),
+    ("metrics", WindowError("of x"), 5, "runs cannot be compared: of x"),
+    ("metrics", IsADirectoryError("of x"), 2, "of x"),
+    ("gen-scenario", ValueError("of x"), 2, "of x"),
+    ("run", PopulationError("of x"), 2, "of x"),
+])
+def test_main_maps_each_failure_to_its_exit_code(monkeypatch, capsys, command, error, code,
+                                                 line):
+    def fail(args):
+        print("partial output")
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), fail)
+    assert main([command, *COMMAND_ARGS[command]]) == code
+    out, err = capsys.readouterr()
+    assert out == "partial output\n" and err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_main_passes_other_errors_through(monkeypatch, command):
+    def fail(args):
+        raise ContractError("a broken invariant")
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), fail)
+    with pytest.raises(ContractError):
+        main([command, *COMMAND_ARGS[command]])
 
 
 def cut_trace(path, start, rows):

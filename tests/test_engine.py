@@ -804,12 +804,15 @@ class TestScenarioRatios:
         from tiesmooth.population import estimate_free_peak_kw
         from tiesmooth.traces import peak_weather
         free_peak_est = estimate_free_peak_kw(houses, *peak_weather())
-        traces = generate_traces(cfg.seed, free_peak_est, warmup_s=cfg.warmup_s)
+        traces = generate_traces(cfg.seed, free_peak_est,
+                                 wind_capacity_ratio=cfg.wind_capacity_ratio,
+                                 acl_peak_share=cfg.acl_peak_share, warmup_s=cfg.warmup_s)
         free = run_scenario(cfg, houses, traces, None, controlled=False)
         sl = free.metric_slice()
         system = free.p_g + traces.p_wind_kw[(free.time_s // 10).astype(int)]
         system_peak = float(np.max(system[sl]))
         acl_peak = float(np.max(free.p_ac_actual[sl]))
         assert acl_peak / system_peak == pytest.approx(cfg.acl_peak_share, rel=0.10)
-        assert traces.wind_capacity_kw / system_peak \
+        wind_capacity = cfg.wind_capacity_ratio * (free_peak_est / cfg.acl_peak_share)
+        assert wind_capacity / system_peak \
             == pytest.approx(cfg.wind_capacity_ratio, rel=0.10)

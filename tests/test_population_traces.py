@@ -1,6 +1,7 @@
 """Fleet synthesis and input-trace generation."""
 
 import collections
+import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -447,9 +448,10 @@ class TestGenerateTraces:
         assert 0.0 < rho < 1.0
 
     def test_wind_within_capacity(self):
-        t = generate_traces(4, 800.0)
+        t = generate_traces(4, 800.0, wind_capacity_ratio=0.27, acl_peak_share=0.40)
+        capacity = 0.27 * (800.0 / 0.40)  # a share of the system peak
         assert np.all(t.p_wind_kw >= 0.0)
-        assert np.all(t.p_wind_kw <= t.wind_capacity_kw)
+        assert np.all(t.p_wind_kw <= capacity)
 
     def test_powers_quantized(self):
         t = generate_traces(3, 800.0)
@@ -528,6 +530,23 @@ class TestTraceCsv:
         buf2 = io.StringIO()
         write_traces(buf2, loaded)
         assert buf2.getvalue() == text
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_traces(13, 900.0, days=2, warmup_s=3600),
+        lambda: generate_training_traces(5, 700.0, days=2)[1]])
+    def test_round_trip_keeps_every_field(self, make):
+        # a set read back from its file is the set that was written
+        t = make()
+        buf = io.StringIO()
+        write_traces(buf, t)
+        loaded = read_traces(io.StringIO(buf.getvalue()), t.cadence_s)
+        for field in dataclasses.fields(traces.TraceSet):
+            got, want = getattr(loaded, field.name), getattr(t, field.name)
+            assert type(got) is type(want), field.name
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+            else:
+                assert got == want, field.name
 
     def test_cadence_check(self):
         t = generate_traces(13, 900.0)

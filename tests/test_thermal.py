@@ -62,8 +62,9 @@ def equilibrium_temperature(p, t_out: float, solar: float, cooling_on: bool) -> 
 
 
 def scalar_discretize(ua, h_mass, c_air, c_mass, dt):
-    """One house's step matrices evaluated on Python floats: the reference
-    whose bits the array `discretize` must give for every house."""
+    """One house's propagator and the first column of its input integral,
+    evaluated on Python floats: the reference whose bits the array
+    `discretize` must give for every house."""
     a11 = -(ua + h_mass) / c_air
     a12 = h_mass / c_air
     a21 = h_mass / c_mass
@@ -84,8 +85,8 @@ def scalar_discretize(ua, h_mass, c_air, c_mass, dt):
                 ((a21 * d1 * a21 - a21 * d2 * a21) / det,
                  (-a21 * d1 * v2 + a21 * d2 * v1) / det))
 
-    return (transform(math.exp(lam1 * dt), math.exp(lam2 * dt)),
-            transform(phi(lam1), phi(lam2)))
+    (m11, _), (m21, _) = transform(phi(lam1), phi(lam2))
+    return transform(math.exp(lam1 * dt), math.exp(lam2 * dt)), (m11, m21)
 
 
 def thermal_fleet(params, dt, t_air, t_mass=None):
@@ -215,14 +216,16 @@ class TestEtpStep:
             g = random_table_geometry(gen)
             p = etp_of(g)
             dt = float(gen.uniform(1.0, 60.0))
-            ad, m = (np.array(mat)[:, :, 0] for mat in discretize(
-                *(np.array([v]) for v in (p.ua_envelope, p.h_mass, p.c_air, p.c_mass)), dt))
+            ad, m = discretize(
+                *(np.array([v]) for v in (p.ua_envelope, p.h_mass, p.c_air, p.c_mass)), dt)
+            ad, m = np.array(ad)[:, :, 0], np.array(m)[:, 0]
             a = np.array([[-(p.ua_envelope + p.h_mass) / p.c_air, p.h_mass / p.c_air],
                           [p.h_mass / p.c_mass, -p.h_mass / p.c_mass]])
             expm = sla.expm(a * dt)
-            assert np.allclose(np.array(ad), expm, rtol=0, atol=1e-12)
+            assert np.allclose(ad, expm, rtol=0, atol=1e-12)
             integral = np.linalg.solve(a, expm - np.eye(2))
-            assert np.allclose(np.array(m), integral, rtol=1e-9, atol=1e-9)
+            # the air node's input column: heat enters the air node only
+            assert np.allclose(m, integral[:, 0], rtol=1e-9, atol=1e-9)
 
     def test_array_discretization_has_the_scalar_bits(self):
         gen = substream(5, 17)
@@ -241,10 +244,10 @@ class TestEtpStep:
                 column[20 + i] = value
         for dt in (5.0, 37.5):
             ad, m = discretize(*columns, dt)
-            got = np.stack([np.array(ad).reshape(4, n), np.array(m).reshape(4, n)])
-            want = np.array([np.array(scalar_discretize(*house, dt)).reshape(2, 4)
-                             for house in zip(*(c.tolist() for c in columns))])
-            assert got.transpose(2, 0, 1).tobytes() == want.tobytes()
+            got = np.concatenate([np.array(ad).reshape(4, n), np.array(m)])
+            want = np.array([[*ad_s[0], *ad_s[1], *m_s] for ad_s, m_s in (
+                scalar_discretize(*house, dt) for house in zip(*(c.tolist() for c in columns)))])
+            assert got.T.tobytes() == want.tobytes()
 
     def test_dt_bounds_enforced(self):
         # a run's step is bounded to (0, 60] s where the scenario is built
