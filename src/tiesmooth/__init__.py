@@ -15,7 +15,7 @@ from .engine import (RunResult, run_scenario, run_training_simulation)
 from .market import (BidBatch, ClearingKind, ClearingOutcome, DemandCurve,
                      build_demand_curve, clear_market, estimate_net_load)
 from .metrics import MetricsReport, compute_metrics
-from .mgcc import (ContractError, CycleRecord, LpfState, compute_aggregate_soa,
+from .mgcc import (ContractError, CycleRecord, compute_aggregate_soa,
                    compute_target_power, lpf_step, run_control_cycle)
 from .population import generate_population
 from .scenario import PopulationSpec, ScenarioConfig, load_scenario, save_scenario

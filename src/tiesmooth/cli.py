@@ -5,7 +5,9 @@ exception a command raises (the first match wins):
 
     4  NumericAbortError      a numeric abort inside a run
     3  RankDeficientError     a baseline fit failure
-    5  IncomparableRunsError  an incomparable run pair
+    5  IncomparableRunsError  an incomparable run pair (other traces,
+                              lengths or cadences, or not a controlled
+                              run and a free one)
     2  any other OSError or ValueError: unreadable or malformed input
        (I/O problems, a malformed run directory, an unknown scenario key
        or a bad scenario value, a population that cannot be drawn,
@@ -146,8 +148,9 @@ def cmd_train(args) -> None:
                         @ np.array(model.coefficients), 0.0, samples.total_rated)
     rmse = float(np.sqrt(np.mean((predicted - samples.p_ac_free) ** 2)))
     peak = float(np.max(samples.p_ac_free))
+    share = f"{100.0 * rmse / peak:.1f}% of " if peak > 0 else ""  # a fleet that never ran
     print(f"fitted on {len(samples.p_ac_free)} samples; in-sample RMSE {rmse:.2f} kW "
-          f"({100.0 * rmse / peak:.1f}% of free-power peak {peak:.1f} kW)")
+          f"({share}free-power peak {peak:.1f} kW)")
 
 
 def cmd_run(args) -> None:
@@ -195,6 +198,9 @@ def cmd_metrics(args) -> None:
     controlled, uncontrolled = load_run_dir(cdir), load_run_dir(udir)
     check_run_cadence(controlled)
     check_run_cadence(uncontrolled)
+    if not (controlled.controlled and not uncontrolled.controlled):
+        raise IncomparableRunsError("--controlled must name a controlled run and "
+                                    "--uncontrolled a free one")
     out.mkdir(parents=True, exist_ok=True)
 
     if man_c.get("traces_sha256") != man_u.get("traces_sha256"):

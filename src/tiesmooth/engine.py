@@ -1,9 +1,10 @@
 """Discrete-time simulation harness and the fleet's control kernels.
 
-Houses advance on the simulation step, records land on the record
-cadence, and the market runs once per control cycle with bids collected
-a fixed lead before the cycle boundary.  House state lives in flat
-arrays and every per-house update is elementwise, so houses step
+Houses advance on the simulation step and records land on the record
+cadence.  The market runs once per control cycle: it clears as soon as
+the bids are collected, `bid_lead_s` before the cycle boundary, and the
+devices respond to its price at the boundary.  House state lives in
+flat arrays and every per-house update is elementwise, so houses step
 independently of one another.
 
 The device controller and the thermal stepper exist only here, as
@@ -46,9 +47,9 @@ and never copies, are made there by `generate_population` and
 `Workspace` its buffers and thresholds; and the kernels,
 `seed_fleet_states` and `_respond_to_price` write into those arrays
 rather than rebind them.  Only the bid prices are a fresh aligned array
-at seeding and at each bid, since a bid batch keeps them.  A forked
-child steps its houses where they lie: n2 is a multiple of 8, so its
-half of each float array starts on a 64-byte boundary too.
+at each bid, since the bid batch keeps them until the broadcast.  A
+forked child steps its houses where they lie: n2 is a multiple of 8, so
+its half of each float array starts on a 64-byte boundary too.
 
 The tie-line power at any instant is fleet electrical power plus
 uncontrollable load minus wind (lossless balance).  Device ratings and
@@ -76,8 +77,8 @@ import numpy as np
 from . import rng
 from .baseline import BaselineModel, CorrectionState, TrainingColumns
 from .market import BidBatch, sequential_sum
-from .mgcc import (ContractError, CycleRecord, LpfState, read_cycle_records,
-                   run_control_cycle, write_cycle_records)
+from .mgcc import (ContractError, CycleRecord, read_cycle_records, run_control_cycle,
+                   write_cycle_records)
 from .population import Population, aligned
 from .scenario import ScenarioConfig
 from .textio import parse, read_keyvals, read_table, write_keyvals, write_table
@@ -125,7 +126,6 @@ class Fleet:
     t_mass: np.ndarray
     on: np.ndarray
     active_setpoint: np.ndarray
-    soa_bid: np.ndarray
 
 
 def build_fleet(houses: Population, sim_step_s: float) -> Fleet:
@@ -149,7 +149,7 @@ def build_fleet(houses: Population, sim_step_s: float) -> Fleet:
         ua=c["ua_envelope"], aperture=c["solar_aperture"], cap_w=c["cooling_capacity"],
         c_air=c["c_air"],
         t_air=aligned(t_set), t_mass=aligned(t_set), on=aligned(n, bool),
-        active_setpoint=aligned(t_set), soa_bid=aligned(n))
+        active_setpoint=aligned(t_set))
     return fleet
 
 
@@ -160,8 +160,6 @@ def seed_fleet_states(fleet: Fleet, seed: int,
 
     A fleet of `segments` (sizes laid end to end) seeds each segment with
     the first draws of one stream, as if each were a fleet of its own.
-    The bid prices start as fresh zeros, whose pages a run that never
-    bids never touches.
     """
     sizes = [fleet.n] if segments is None else segments
     # uniforms on [-1, 1) as lo + (hi - lo) * u
@@ -171,7 +169,6 @@ def seed_fleet_states(fleet: Fleet, seed: int,
     fleet.t_mass[...] = fleet.t_air
     np.greater(fleet.t_air, fleet.t_set, out=fleet.on)
     fleet.active_setpoint[...] = fleet.t_set
-    fleet.soa_bid = aligned(fleet.n)
 
 
 class Workspace:
@@ -245,15 +242,17 @@ def fleet_soa(fleet: Fleet, ws: Workspace, out: Optional[np.ndarray] = None) -> 
     return np.add(high, low, out=high)
 
 
-def _respond_to_price(fleet: Fleet, ws: Workspace, p_star: float) -> None:
-    """Setpoint response to the broadcast price, then fresh thresholds.
+def _respond_to_price(fleet: Fleet, ws: Workspace, price: np.ndarray,
+                      p_star: float) -> None:
+    """Setpoint response to the broadcast price of the bids at `price`,
+    then fresh thresholds.
 
     Outbid devices (bid price <= p_star; ties too, as clearing commits
     only prices above p_star) drift off toward the upper limit, the rest
     are driven on toward the lower one.  epsilon keeps the override band
     inside the comfort limits until the next broadcast.
     """
-    fleet.active_setpoint[...] = np.where(fleet.soa_bid > p_star,
+    fleet.active_setpoint[...] = np.where(price > p_star,
                                           fleet.t_min + fleet.epsilon,
                                           fleet.t_max - fleet.epsilon)
     ws.set_thresholds(fleet)
@@ -435,20 +434,16 @@ def _check_finite(fleet: Fleet, cycle: int) -> None:
         raise NumericAbortError(cycle)
 
 
-def _tie_line_kw(fleet_kw: float, traces: TraceSet, idx: int) -> float:
-    """The tie-line power that metered fleet power implies at trace row idx."""
-    return fleet_kw + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx])
-
-
 def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
                  model: Optional[BaselineModel], controlled: bool = True, *,
                  _segments: Optional[Sequence[int]] = None) -> RunResult:
     """Execute one full run (controlled or free) over the given traces.
 
-    A controlled run clears the market every control cycle after the
-    first, on the bids collected `bid_lead_s` before it.  Every house
-    steps in this process, except that, on Linux when this process may
-    run on two CPUs and no other Python thread runs, a free run whose
+    A controlled run clears the market for every control cycle after the
+    first as soon as it collects the bids, `bid_lead_s` before the cycle
+    starts, and the devices respond to the price at the start.  Every
+    house steps in this process, except that, on Linux when this process
+    may run on two CPUs and no other Python thread runs, a free run whose
     houses [n2:] number `FORK_MIN_HOUSES` or more forks a child that
     steps them from the first step to the end (`_forked`).  The child
     runs under the caller's NumPy error state and warning filters; the
@@ -469,7 +464,6 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
     if len(traces) * traces.cadence_s < cfg.total_s:
         raise ValueError("traces shorter than the requested run")
 
-    lpf = LpfState()
     corr = CorrectionState()
     records: list[CycleRecord] = []
 
@@ -495,29 +489,23 @@ def run_scenario(cfg: ScenarioConfig, houses: Population, traces: TraceSet,
             and threading.active_count() == 1 and np.geterrcall() is None)
     with _forked(ours, n2, cfg) if fork else nullcontext((ours, None)) as (ours, child):
         for t in range(0, cfg.total_s, cfg.sim_step_s):
-            idx = t // traces.cadence_s
-
-            if controlled and (t + cfg.bid_lead_s) % cfg.control_cycle_s == 0:
-                _check_finite(fleet, (t + cfg.bid_lead_s) // cfg.control_cycle_s)
-                # the batch outlives the bid lead, so it holds its own copies of
-                # the bid-time states
-                fleet.soa_bid = fleet_soa(fleet, ws, aligned(fleet.n))
-                bids = BidBatch(fleet.soa_bid, fleet.rated_kw, fleet.on.copy())
-                fleet_kw = float(np.add.reduce(np.multiply(fleet.rated_kw, fleet.on,
-                                                           out=ws.y)))
-                bid = (bids, _tie_line_kw(fleet_kw, traces, idx),
-                       float(traces.t_out_c[idx]), float(traces.solar_wm2[idx]))
-
-            if controlled and t > 0 and t % cfg.control_cycle_s == 0:
-                k = t // cfg.control_cycle_s
-                bids, p_g_meas, bid_t_out, bid_solar = bid
-                p_star, rec, corr, lpf = run_control_cycle(
-                    k, bids, p_g_meas, bid_t_out, bid_solar, total_rated, model, corr, lpf,
-                    cfg)
-                records.append(rec)
-                _respond_to_price(fleet, ws, p_star)
+            k, early = divmod(t + cfg.bid_lead_s, cfg.control_cycle_s)
+            if controlled and early == 0 and k * cfg.control_cycle_s < cfg.total_s:
                 _check_finite(fleet, k)
-
+                # the batch keeps the prices until the broadcast, and its own
+                # copy of the bid-time on states
+                bids = BidBatch(fleet_soa(fleet, ws, aligned(fleet.n)), fleet.rated_kw,
+                                fleet.on.copy())
+                idx = t // traces.cadence_s
+                tie_kw = (float(np.add.reduce(np.multiply(fleet.rated_kw, fleet.on, out=ws.y)))
+                          + float(traces.p_load_kw[idx]) - float(traces.p_wind_kw[idx]))
+                p_star, rec, corr = run_control_cycle(
+                    k, bids, tie_kw, float(traces.t_out_c[idx]), float(traces.solar_wm2[idx]),
+                    total_rated, model, corr, records[-1].p_g_lpf if records else None, cfg)
+                records.append(rec)
+            if controlled and t > 0 and t % cfg.control_cycle_s == 0:
+                _respond_to_price(fleet, ws, bids.price, p_star)
+                _check_finite(fleet, t // cfg.control_cycle_s)
             _step(ours, cfg, t, sums)
 
         if child is not None:

@@ -11,6 +11,12 @@ Once per control cycle the coordinator
   5. clears the virtual market against that target and broadcasts the
      clearing price.
 
+It does all of that when the bids are collected, `bid_lead_s` before
+the cycle boundary; the devices act on the price at the boundary
+(`engine`).  The bid batch holds the bid prices until then, and the
+cycle's `CycleRecord` keeps the rest: its `p_g_lpf` is the filter's
+memory for the next cycle, and there is no other filter state.
+
 The low-pass filter is the discrete first-order recursion
 p[k] = alpha * p[k-1] + (1 - alpha) * u[k] with alpha = tau/(tau + dt);
 its DC gain is exactly one, so constant inputs pass untouched and only
@@ -19,8 +25,8 @@ the fast fluctuation ends up in the fleet adjustment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, TextIO
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence, TextIO
 
 from .baseline import BaselineModel, CorrectionState, correct_baseline, predict_baseline
 from .market import (BidBatch, ClearingKind, build_demand_curve, clear_market,
@@ -42,23 +48,17 @@ def lpf_alpha(cfg: ScenarioConfig) -> float:
     return cfg.tau_s / (cfg.tau_s + cfg.control_cycle_s)
 
 
-@dataclass(frozen=True)
-class LpfState:
-    p_g_lpf_prev: float = 0.0
-    initialized: bool = False
-
-
-def lpf_step(state: LpfState, p_g0: float, cfg: ScenarioConfig) -> tuple[float, LpfState]:
-    """Advance the filter one cycle; the first sample seeds the memory.
+def lpf_step(prev: Optional[float], p_g0: float, cfg: ScenarioConfig) -> float:
+    """The filter's output this cycle, from its last output `prev` (None
+    before the first cycle, when the first sample seeds the memory).
 
     Evaluated in increment form (prev + (1-alpha) * (input - prev)), the
     same recursion but with constant inputs exact fixed points in
     floating point, not just approximate ones.
     """
-    if not state.initialized:
-        return p_g0, LpfState(p_g_lpf_prev=p_g0, initialized=True)
-    out = state.p_g_lpf_prev + (1.0 - lpf_alpha(cfg)) * (p_g0 - state.p_g_lpf_prev)
-    return out, LpfState(p_g_lpf_prev=out, initialized=True)
+    if prev is None:
+        return p_g0
+    return prev + (1.0 - lpf_alpha(cfg)) * (p_g0 - prev)
 
 
 def compute_aggregate_soa(bids: BidBatch) -> float:
@@ -72,8 +72,8 @@ def compute_aggregate_soa(bids: BidBatch) -> float:
     return sequential_sum(bids.price) / len(bids)
 
 
-def compute_target_power(p_base: float, net_load: float, lpf: LpfState,
-                         cfg: ScenarioConfig) -> tuple[float, float, float, LpfState]:
+def compute_target_power(p_base: float, net_load: float, lpf_prev: Optional[float],
+                         cfg: ScenarioConfig) -> tuple[float, float, float]:
     """Fleet target power for one cycle.
 
     Reconstructs the free tie-line power as baseline + net load, filters
@@ -83,15 +83,14 @@ def compute_target_power(p_base: float, net_load: float, lpf: LpfState,
     covers the shortfall).
     """
     p_g0 = p_base + net_load
-    p_g_lpf, lpf_next = lpf_step(lpf, p_g0, cfg)
-    delta = p_g_lpf - p_g0
-    p_ac_target = max(0.0, p_base + delta)
-    return p_ac_target, p_g0, p_g_lpf, lpf_next
+    p_g_lpf = lpf_step(lpf_prev, p_g0, cfg)
+    return max(0.0, p_base + (p_g_lpf - p_g0)), p_g0, p_g_lpf
 
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Full ledger of one control cycle."""
+    """Full ledger of one control cycle, a `cycles.csv` row: its fields
+    are the file's columns."""
 
     k: int
     p_g_measured: float
@@ -100,7 +99,6 @@ class CycleRecord:
     p_base: float
     p_g0: float
     p_g_lpf: float
-    delta_p_ac: float
     p_ac_target: float
     s_aggregate: float
     p_star: float
@@ -117,6 +115,11 @@ class CycleRecord:
             raise ContractError(f"cycle {self.k}: s_aggregate {self.s_aggregate!r} "
                                 f"outside [-1, 1]")
 
+    @property
+    def delta_p_ac(self) -> float:
+        """The fleet adjustment: filtered minus free tie-line power."""
+        return self.p_g_lpf - self.p_g0
+
 
 def run_control_cycle(
     k: int,
@@ -127,12 +130,14 @@ def run_control_cycle(
     total_rated: float,
     model: BaselineModel,
     corr_state: CorrectionState,
-    lpf_state: LpfState,
+    lpf_prev: Optional[float],
     cfg: ScenarioConfig,
-) -> tuple[float, CycleRecord, CorrectionState, LpfState]:
-    """One bid -> clear -> broadcast cycle.
+) -> tuple[float, CycleRecord, CorrectionState]:
+    """Clears cycle k on its bids and returns (broadcast price, record,
+    correction state).
 
-    Returns (broadcast price, record, correction state, filter state).
+    `lpf_prev` is the filter's memory, the last record's `p_g_lpf` (None
+    before the first cycle).
     The raw prediction is scaled by 1 + `cfg.baseline_bias` (deliberate
     error injection for robustness experiments).
     """
@@ -146,8 +151,7 @@ def run_control_cycle(
     else:
         p_base, corr_next = p_base0, corr_state
 
-    p_ac_target, p_g0, p_g_lpf, lpf_next = compute_target_power(
-        p_base, net_load, lpf_state, cfg)
+    p_ac_target, p_g0, p_g_lpf = compute_target_power(p_base, net_load, lpf_prev, cfg)
 
     curve = build_demand_curve(bids)
     outcome = clear_market(curve, p_ac_target)
@@ -167,17 +171,15 @@ def run_control_cycle(
         p_base=p_base,
         p_g0=p_g0,
         p_g_lpf=p_g_lpf,
-        delta_p_ac=p_g_lpf - p_g0,
         p_ac_target=p_ac_target,
         s_aggregate=s_aggregate,
         p_star=outcome.p_star,
         committed_power=outcome.committed_power,
     )
-    return outcome.p_star, record, corr_next, lpf_next
+    return outcome.p_star, record, corr_next
 
 
-CYCLE_CSV_HEADER = ("k,p_g_measured,net_load,p_base0,p_base,p_g0,p_g_lpf,"
-                    "p_ac_target,s_aggregate,p_star,committed_power")
+CYCLE_CSV_HEADER = ",".join(f.name for f in fields(CycleRecord))
 
 
 def write_cycle_records(fh: TextIO, records: Sequence[CycleRecord]) -> None:
@@ -190,7 +192,7 @@ def read_cycle_records(fh: TextIO) -> list[CycleRecord]:
     cols = read_table(fh, CYCLE_CSV_HEADER, ints=("k",))
     rows = (dict(zip(cols, values)) for values in zip(*(c.tolist() for c in cols.values())))
     try:
-        return [CycleRecord(**row, delta_p_ac=row["p_g_lpf"] - row["p_g0"]) for row in rows]
+        return [CycleRecord(**row) for row in rows]
     except ContractError as exc:
         raise ValueError(f"malformed cycle ledger: {exc}") from None
 

@@ -152,8 +152,8 @@ class ScenarioConfig:
         if not 0 <= self.wind_capacity_ratio < math.inf:
             raise ValueError(f"wind_capacity_ratio must be finite and >= 0, "
                              f"got {self.wind_capacity_ratio}")
-        if not -1 < self.baseline_bias < math.inf:
-            raise ValueError(f"baseline_bias must be finite and > -1, got {self.baseline_bias}")
+        if not -1 < self.baseline_bias <= 1:
+            raise ValueError(f"baseline_bias must be in (-1, 1], got {self.baseline_bias}")
         if not 0 <= self.epsilon_margin_c < math.inf:
             raise ValueError(f"epsilon_margin_c must be finite and >= 0, "
                              f"got {self.epsilon_margin_c}")

@@ -50,8 +50,7 @@ def soa(cfg, t_air):
 def respond(cfg, bid_price, p_star):
     """The setpoint a device that bid `bid_price` takes for the broadcast p_star."""
     fleet, ws = fleet_of(cfg, cfg.t_set)
-    fleet.soa_bid = np.array([bid_price])
-    _respond_to_price(fleet, ws, p_star)
+    _respond_to_price(fleet, ws, np.array([bid_price]), p_star)
     assert thresholds_fresh(fleet, ws)
     return float(fleet.active_setpoint[0])
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from tiesmooth.mgcc import ContractError
 from tiesmooth.population import PopulationError
 from tiesmooth.scenario import ScenarioConfig, save_scenario
 from tiesmooth.textio import read_keyvals
+from tiesmooth.traces import read_traces, write_traces
 
 
 def edit_scenario(path, **replacements):
@@ -190,6 +192,24 @@ class TestTrain:
         assert main(["train", "--scenario", str(scen / "scenario.txt"),
                      "--out", str(scen / "model.txt")]) == 2
 
+    def test_fleet_that_never_runs_prints_no_share(self, tmp_path, capsys):
+        # training days 40 degC colder, with almost no sun: no compressor
+        # starts, so the in-sample RMSE has no peak to be a share of
+        scen = tmp_path / "scen"
+        assert main(["gen-scenario", "--out", str(scen), "--n-acl", "20"]) == 0
+        for day in range(3):
+            with open(scen / f"train_day{day}.csv") as fh:
+                traces = read_traces(fh, 10)
+            with open(scen / f"train_day{day}.csv", "w") as fh:
+                write_traces(fh, replace(traces, t_out_c=traces.t_out_c - 40.0,
+                                         solar_wm2=traces.solar_wm2 * 0.001))
+        capsys.readouterr()
+        assert main(["train", "--scenario", str(scen / "scenario.txt"),
+                     "--out", str(scen / "model.txt")]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("(free-power peak 0.0 kW)\n") and "%" not in out, out
+        assert err == "" and (scen / "model.txt").exists()
+
     def test_model_reload_identical_predictions(self, workspace):
         from tiesmooth.baseline import BaselineModel, predict_baseline
         path = workspace / "scen" / "model.txt"
@@ -290,8 +310,9 @@ class TestRun:
         ("acl_peak_share", "1.5", "acl_peak_share must be in (0, 1], got 1.5"),
         ("wind_capacity_ratio", "nan", "wind_capacity_ratio must be finite and >= 0"),
         ("wind_capacity_ratio", "-0.1", "wind_capacity_ratio must be finite and >= 0"),
-        ("baseline_bias", "-2.0", "baseline_bias must be finite and > -1, got -2.0"),
-        ("baseline_bias", "nan", "baseline_bias must be finite and > -1, got nan"),
+        ("baseline_bias", "-2.0", "baseline_bias must be in (-1, 1], got -2.0"),
+        ("baseline_bias", "nan", "baseline_bias must be in (-1, 1], got nan"),
+        ("baseline_bias", "1.5", "baseline_bias must be in (-1, 1], got 1.5"),
         ("gamma", "nan", "gamma must be positive, got nan"),
         ("epsilon_margin_c", "inf", "epsilon_margin_c must be finite and >= 0, got inf"),
         ("epsilon_margin_c", "-0.01", "epsilon_margin_c must be finite and >= 0"),
@@ -304,7 +325,7 @@ class TestRun:
                                     "design_indoor_c (23.0), got inf"),
     ], ids=["acl_peak_share_nan", "acl_peak_share_zero", "acl_peak_share_above_one",
             "wind_capacity_ratio_nan", "wind_capacity_ratio_negative", "baseline_bias_minus_2",
-            "baseline_bias_nan", "gamma_nan", "epsilon_margin_c_inf",
+            "baseline_bias_nan", "baseline_bias_above_one", "gamma_nan", "epsilon_margin_c_inf",
             "epsilon_margin_c_negative", "mass_coupling_ratio_inf", "air_density_negative",
             "c_air_multiplier_zero", "c_mass_air_ratio_negative", "design_indoor_c_nan",
             "design_outdoor_c_inf"])
@@ -326,7 +347,7 @@ class TestRun:
     def test_out_of_range_bias_flag_is_io_error(self, workspace, tmp_path, capsys):
         assert main(["run", "--scenario", str(workspace / "scen" / "scenario.txt"),
                      "--baseline-bias", "-1.0", "--out", str(tmp_path / "out")]) == 2
-        assert "baseline_bias must be finite and > -1" in capsys.readouterr().err
+        assert "baseline_bias must be in (-1, 1]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -387,13 +408,17 @@ class TestMetrics:
             if " = " in line:
                 float(line.split(" = ", 1)[1])  # builtin floats, no np.float64(...)
 
-    def test_self_comparison_zero_reduction(self, workspace):
-        out = workspace / "metrics_self"
-        assert main(["metrics", "--controlled", str(workspace / "run_u"),
-                     "--uncontrolled", str(workspace / "run_u"),
-                     "--out", str(out)]) == 0
-        text = (out / "metrics.txt").read_text()
-        assert "max_fluct_reduction_pct = 0.0" in text
+    @pytest.mark.parametrize("controlled, uncontrolled", [
+        ("run_u", "run_c"), ("run_u", "run_u"), ("run_c", "run_c")])
+    def test_runs_of_the_wrong_kinds_are_incomparable(self, workspace, tmp_path, capsys,
+                                                      controlled, uncontrolled):
+        assert main(["metrics", "--controlled", str(workspace / controlled),
+                     "--uncontrolled", str(workspace / uncontrolled),
+                     "--out", str(tmp_path / "m")]) == 5
+        assert capsys.readouterr().err == (
+            "error: runs cannot be compared: --controlled must name a controlled run "
+            "and --uncontrolled a free one\n")
+        assert not (tmp_path / "m").exists()
 
     def test_different_traces_incomparable(self, workspace, tmp_path):
         other_scen = tmp_path / "scen2"
@@ -547,14 +572,15 @@ class TestMetrics:
 
     def test_record_cycle_longer_than_the_window_is_incomparable(self, workspace, tmp_path,
                                                                   capsys):
-        # a well-formed free run keeping every 120th record, 1 200 s apart
-        run = tmp_path / "sparse"
-        shutil.copytree(workspace / "run_u", run)
-        header, *rows = (run / "results.csv").read_text().splitlines()
-        (run / "results.csv").write_text("\n".join(
-            [header] + [row for row in rows if int(row.split(",")[0]) % 1200 == 0]) + "\n")
-        edit_line(run / "summary.txt", 1, lambda line: "record_cycle_s = 1200")
-        assert main(["metrics", "--controlled", str(run), "--uncontrolled", str(run),
+        # a well-formed pair of runs keeping every 120th record, 1 200 s apart
+        runs = []
+        for name in ("run_c", "run_u"):
+            runs.append(shutil.copytree(workspace / name, tmp_path / name))
+            header, *rows = (runs[-1] / "results.csv").read_text().splitlines()
+            (runs[-1] / "results.csv").write_text("\n".join(
+                [header] + [row for row in rows if int(row.split(",")[0]) % 1200 == 0]) + "\n")
+            edit_line(runs[-1] / "summary.txt", 1, lambda line: "record_cycle_s = 1200")
+        assert main(["metrics", "--controlled", str(runs[0]), "--uncontrolled", str(runs[1]),
                      "--out", str(tmp_path / "m")]) == 5
         assert capsys.readouterr().err == ("error: runs cannot be compared: a 1200 s record "
                                            "cycle is longer than the 600 s window\n")
@@ -707,7 +733,7 @@ PROBED_EDITS = [[("air_change_rate", 1, "nan")], [("t_set", 2, "nan")],
                 [("wind_capacity_ratio", None, "nan")], [("gamma", None, "nan")],
                 [("baseline_bias", None, "nan")], [("baseline_bias", None, "-2.0")],
                 [("dp3", None, "1e308")], [("c_air_multiplier", None, "1e-300")],
-                [("mass_coupling_ratio", None, "5e-324")]]
+                [("mass_coupling_ratio", None, "5e-324")], [("baseline_bias", None, "1e308")]]
 
 
 def probed(test):

@@ -68,9 +68,9 @@ def run_audited(cfg, houses, traces, model):
     audit = []
 
     def audited(k, bids, *args):
-        p_star, rec, corr, lpf = mgcc.run_control_cycle(k, bids, *args)
+        p_star, rec, corr = mgcc.run_control_cycle(k, bids, *args)
         audit.append((k, bids, p_star, rec.committed_power))
-        return p_star, rec, corr, lpf
+        return p_star, rec, corr
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "run_control_cycle", audited)
@@ -243,8 +243,7 @@ class TestBuildFleet:
             "cap_w": "6db47001e02450ea4276a09409e2a2a39c075f62ed03c29e06098e930be7751e",
             "c_air": "7f736fb93e20f8a89898a06d7d57979a6519554168e4ec4a9c5607b629ca4040",
             "t_air": t_set, "t_mass": t_set, "active_setpoint": t_set,
-            "on": "2da42fb1d7bd8524e83d5a1e332bad697c8769ba430770a19bec630eb8ffcaa8",
-            "soa_bid": "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997"}
+            "on": "2da42fb1d7bd8524e83d5a1e332bad697c8769ba430770a19bec630eb8ffcaa8"}
 
 
 def misaligned(arrays):
@@ -336,8 +335,9 @@ class TestOneProcess:
         run_scenario(cfg, houses, traces, self.MODEL)
         steps = cfg.total_s // cfg.sim_step_s
         assert len(callers["_thermostat_slice"]) == len(callers["_advance_slice"]) == steps
-        records, bids = cfg.total_s // cfg.record_cycle_s, cfg.total_s // cfg.control_cycle_s
-        assert len(callers["fleet_soa"]) == records + bids
+        # a bid is taken only for a cycle that clears inside the run
+        records, cycles = cfg.total_s // cfg.record_cycle_s, cfg.total_s // cfg.control_cycle_s - 1
+        assert len(callers["fleet_soa"]) == records + cycles
         assert {ident for seen in callers.values() for ident in seen} == {threading.get_ident()}
         assert threads == []
 
@@ -366,6 +366,36 @@ class TestScheduling:
         assert len(result.cycle_records) == expected_cycles
         assert [r.k for r in result.cycle_records] \
             == list(range(1, expected_cycles + 1))
+
+    def test_clears_at_bid_time_and_responds_at_the_boundary(self, population, monkeypatch):
+        # cycle k clears bid_lead_s before k * control_cycle_s, and at the
+        # boundary the devices respond to its price against its own bids
+        cfg = small_cfg(duration_s=3600, warmup_s=0)
+        advance, clear = engine._advance_slice, engine.run_control_cycle
+        respond, steps, events, batches = engine._respond_to_price, [], [], []
+
+        def stepped(fleet, ws):
+            steps.append(None)
+            advance(fleet, ws)
+
+        def cleared(k, bids, *args):
+            events.append(("clear", k, len(steps) * cfg.sim_step_s))
+            batches.append(bids)
+            return clear(k, bids, *args)
+
+        def responded(fleet, ws, price, p_star):
+            assert price is batches[-1].price
+            events.append(("respond", len(batches), len(steps) * cfg.sim_step_s))
+            respond(fleet, ws, price, p_star)
+
+        for name, wrapper in (("_advance_slice", stepped), ("run_control_cycle", cleared),
+                              ("_respond_to_price", responded)):
+            monkeypatch.setattr(engine, name, wrapper)
+        run_scenario(cfg, population, make_traces(cfg), flat_model(20.0))
+        period = cfg.control_cycle_s
+        assert events == [event for k in range(1, cfg.total_s // period)
+                          for event in (("clear", k, k * period - cfg.bid_lead_s),
+                                        ("respond", k, k * period))]
 
     def test_records_on_cadence(self, population):
         cfg = small_cfg()
@@ -657,11 +687,11 @@ def hand_built_run(**overrides) -> RunResult:
         n_on=np.array([0, 450, 2**62], dtype=np.int64),
         cycle_records=[
             CycleRecord(k=2**40, p_g_measured=1e-05, net_load=-0.0, p_base0=1e300,
-                        p_base=0.5, p_g0=0.5, p_g_lpf=0.25, delta_p_ac=-0.25,
+                        p_base=0.5, p_g0=0.5, p_g_lpf=0.25,
                         p_ac_target=0.25, s_aggregate=-0.0, p_star=np.nan,
                         committed_power=5e-324),
             CycleRecord(k=2, p_g_measured=np.nan, net_load=1.5, p_base0=-np.inf,
-                        p_base=3.0, p_g0=4.5, p_g_lpf=np.inf, delta_p_ac=np.inf,
+                        p_base=3.0, p_g0=4.5, p_g_lpf=np.inf,
                         p_ac_target=np.inf, s_aggregate=1.0, p_star=-2.0,
                         committed_power=0.0)],
         comfort_violation_acl_min=0.0, total_acl_min=648000.0)

@@ -14,7 +14,7 @@ import pytest
 from tiesmooth import mgcc
 from tiesmooth.baseline import BaselineModel, CorrectionState
 from tiesmooth.market import BidBatch
-from tiesmooth.mgcc import (CYCLE_CSV_HEADER, ContractError, CycleRecord, LpfState,
+from tiesmooth.mgcc import (CYCLE_CSV_HEADER, ContractError, CycleRecord,
                             compute_aggregate_soa, compute_target_power, lpf_alpha,
                             lpf_step, run_control_cycle, write_cycle_records)
 from tiesmooth.scenario import ScenarioConfig
@@ -35,28 +35,26 @@ def priced(prices, quantity=1.0):
 
 class TestLpf:
     def test_constant_is_fixed_point(self, cfg):
-        state = LpfState(p_g_lpf_prev=100.0, initialized=True)
+        out = 100.0
         for _ in range(50):
-            out, state = lpf_step(state, 100.0, cfg)
+            out = lpf_step(out, 100.0, cfg)
             assert out == 100.0
 
     def test_table_coefficient_substitution(self, cfg):
         # alpha = 3000 / 3060 = 50/51
         assert lpf_alpha(cfg) == pytest.approx(50.0 / 51.0, rel=1e-15)
-        out, _ = lpf_step(LpfState(0.0, True), 51.0, cfg)
+        out = lpf_step(0.0, 51.0, cfg)
         assert out == pytest.approx(1.0, rel=1e-12)
 
     def test_seeding_on_first_sample(self, cfg):
-        out, state = lpf_step(LpfState(), 437.5, cfg)
-        assert out == 437.5
-        assert state.initialized and state.p_g_lpf_prev == 437.5
+        assert lpf_step(None, 437.5, cfg) == 437.5
 
     def test_step_response_geometric(self, cfg):
         # closed form: y[k] = u * (1 - alpha^k) from a zero initial state
         a = lpf_alpha(cfg)
-        state = LpfState(0.0, True)
+        out = 0.0
         for k in range(1, 200):
-            out, state = lpf_step(state, 100.0, cfg)
+            out = lpf_step(out, 100.0, cfg)
             assert out == pytest.approx(100.0 * (1.0 - a ** k), rel=1e-9)
 
     def test_sinusoid_gain_matches_analytic(self, cfg):
@@ -64,11 +62,11 @@ class TestLpf:
         # steady amplitude with a least-squares sin/cos basis
         period = 600.0
         omega = 2.0 * math.pi / period
-        state = LpfState(0.0, True)
+        out = 0.0
         outputs, times = [], []
         for k in range(1, 1501):
             t = k * cfg.control_cycle_s
-            out, state = lpf_step(state, math.sin(omega * t), cfg)
+            out = lpf_step(out, math.sin(omega * t), cfg)
             outputs.append(out)
             times.append(t)
         tail_t = np.array(times[-300:])
@@ -110,8 +108,7 @@ class TestAggregateSoa:
 class TestComputeTargetPower:
     def test_hand_chain(self, cfg):
         # independent arithmetic: p_g0 = 500, filter pulls toward 480
-        lpf = LpfState(480.0, True)
-        target, p_g0, p_g_lpf, _ = compute_target_power(200.0, 300.0, lpf, cfg)
+        target, p_g0, p_g_lpf = compute_target_power(200.0, 300.0, 480.0, cfg)
         expected_lpf = (50.0 * 480.0 + 500.0) / 51.0
         assert p_g0 == 500.0
         assert p_g_lpf == pytest.approx(expected_lpf, rel=1e-12)
@@ -119,15 +116,13 @@ class TestComputeTargetPower:
         assert target == pytest.approx(180.392156862745, abs=1e-9)
 
     def test_no_fluctuation_no_adjustment(self, cfg):
-        lpf = LpfState(500.0, True)
-        target, p_g0, p_g_lpf, _ = compute_target_power(200.0, 300.0, lpf, cfg)
+        target, p_g0, p_g_lpf = compute_target_power(200.0, 300.0, 500.0, cfg)
         assert p_g_lpf == 500.0 == p_g0
         assert target == 200.0
 
     def test_negative_target_clamped(self, cfg):
         # prev chosen so the filtered value sits 50 below the free power
-        lpf = LpfState(259.0, True)
-        target, p_g0, p_g_lpf, _ = compute_target_power(10.0, 300.0, lpf, cfg)
+        target, p_g0, p_g_lpf = compute_target_power(10.0, 300.0, 259.0, cfg)
         assert p_g0 == 310.0
         assert p_g_lpf == pytest.approx(260.0, rel=1e-12)
         assert target == 0.0
@@ -138,16 +133,15 @@ def golden_inputs():
                     [True, False, False, True])
     model = BaselineModel(coefficients=(6.0, 0, 0, 0, 0, 0, 0, 0))
     corr = CorrectionState(p_adj_prev=0.5)
-    lpf = LpfState(p_g_lpf_prev=505.0, initialized=True)
-    return bids, model, corr, lpf
+    return bids, model, corr, 505.0
 
 
 class TestRunControlCycle:
     def test_golden_cycle_hand_executed(self, cfg):
         bids, model, corr, lpf = golden_inputs()
-        p_star, rec, corr2, lpf2 = run_control_cycle(
+        p_star, rec, corr2 = run_control_cycle(
             k=7, bids=bids, p_g_measured=500.0, t_out=33.0, solar=600.0,
-            total_rated=9.0, model=model, corr_state=corr, lpf_state=lpf,
+            total_rated=9.0, model=model, corr_state=corr, lpf_prev=lpf,
             cfg=cfg)
 
         # every intermediate recomputed with independent scalar arithmetic
@@ -173,19 +167,18 @@ class TestRunControlCycle:
         assert p_star == pytest.approx((-0.3 + -2.0) / 2.0)
         assert rec.k == 7 and rec.p_star == p_star
         assert corr2.p_adj_prev == pytest.approx(p_adj, rel=1e-12)
-        assert lpf2.p_g_lpf_prev == pytest.approx(p_g_lpf, rel=1e-12)
 
     def test_feedback_disabled_bypasses_correction(self, cfg):
         bids, model, corr, lpf = golden_inputs()
         off = replace(cfg, soa_feedback_enabled=False)
-        _, rec, corr2, _ = run_control_cycle(
+        _, rec, corr2 = run_control_cycle(
             1, bids, 500.0, 33.0, 600.0, 9.0, model, corr, lpf, off)
         assert rec.p_base == rec.p_base0
         assert corr2 is corr
 
     def test_baseline_bias_injects_error(self, cfg):
         bids, model, corr, lpf = golden_inputs()
-        _, rec, _, _ = run_control_cycle(
+        _, rec, _ = run_control_cycle(
             1, bids, 500.0, 33.0, 600.0, 9.0, model, CorrectionState(0.0), lpf,
             replace(cfg, baseline_bias=0.10))
         assert rec.p_base0 == pytest.approx(6.0 * 1.10, rel=1e-12)
@@ -201,10 +194,9 @@ class TestRunControlCycle:
         # target equals the baseline and clearing commits nearest power
         bids = priced([0.0] * 5, quantity=2.0)
         model = BaselineModel(coefficients=(6.0, 0, 0, 0, 0, 0, 0, 0))
-        lpf = LpfState(506.0, True)
-        p_star, rec, _, _ = run_control_cycle(
+        p_star, rec, _ = run_control_cycle(
             1, bids, 500.0, 33.0, 600.0, 10.0, model, CorrectionState(0.0),
-            lpf, cfg)
+            506.0, cfg)
         assert rec.p_ac_target == rec.p_base == 6.0
         assert rec.delta_p_ac == 0.0
         # 6.0 splits the single price group 0/10 -> closest is all on
@@ -214,7 +206,7 @@ class TestRunControlCycle:
 class TestCycleRecordCsv:
     def test_header_and_round_trip(self, cfg):
         bids, model, corr, lpf = golden_inputs()
-        _, rec, _, _ = run_control_cycle(3, bids, 500.0, 33.0, 600.0, 9.0,
+        _, rec, _ = run_control_cycle(3, bids, 500.0, 33.0, 600.0, 9.0,
                                          model, corr, lpf, cfg)
         buf = io.StringIO()
         write_cycle_records(buf, [rec])
@@ -232,7 +224,7 @@ class TestCycleRecordCsv:
     def test_record_identities_enforced(self):
         with pytest.raises(ContractError):
             CycleRecord(k=0, p_g_measured=1.0, net_load=1.0, p_base0=1.0,
-                        p_base=1.0, p_g0=99.0, p_g_lpf=1.0, delta_p_ac=0.0,
+                        p_base=1.0, p_g0=99.0, p_g_lpf=1.0,
                         p_ac_target=1.0, s_aggregate=0.0, p_star=0.0,
                         committed_power=0.0)
 
@@ -242,7 +234,7 @@ class TestCycleRecordCsv:
         code = ("from tiesmooth.mgcc import ContractError, CycleRecord\n"
                 "try:\n"
                 "    CycleRecord(k=0, p_g_measured=1.0, net_load=1.0, p_base0=1.0,\n"
-                "                p_base=1.0, p_g0=99.0, p_g_lpf=1.0, delta_p_ac=0.0,\n"
+                "                p_base=1.0, p_g0=99.0, p_g_lpf=1.0,\n"
                 "                p_ac_target=1.0, s_aggregate=0.0, p_star=0.0,\n"
                 "                committed_power=0.0)\n"
                 "except ContractError:\n"

@@ -50,7 +50,7 @@ def configs(draw):
         warmup_s=record * draw(st.integers(0, 10**5 // record)),
         wind_capacity_ratio=draw(st.floats(0.0, 1e300)),
         acl_peak_share=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        baseline_bias=draw(st.floats(-1.0, 1e300, exclude_min=True)),
+        baseline_bias=draw(st.floats(-1.0, 1.0, exclude_min=True)),
         soa_feedback_enabled=draw(st.booleans()),
         training_days=draw(st.integers(1, 30)),
         epsilon_margin_c=draw(st.floats(0.0, 1e300)), tau_s=draw(st.floats(1e-3, 1e9)),
@@ -123,7 +123,7 @@ class TestStrict:
     @pytest.mark.parametrize("section, key, values", [
         ("scenario", "acl_peak_share", ["nan", "0.0", "-0.0", "1.0000001", "inf"]),
         ("scenario", "wind_capacity_ratio", ["nan", "-1e-300", "inf"]),
-        ("scenario", "baseline_bias", ["nan", "-1.0", "-2.0", "inf"]),
+        ("scenario", "baseline_bias", ["nan", "-1.0", "-2.0", "1.0000001", "1e308", "inf"]),
         ("scenario", "epsilon_margin_c", ["nan", "-0.01", "inf"]),
         ("mgcc", "gamma", ["nan", "0.0", "-1.0"]),
         ("thermal", "mass_coupling_ratio", ["nan", "0.0", "-1.0", "inf"]),
@@ -142,6 +142,7 @@ class TestStrict:
 
     @pytest.mark.parametrize("line", ["acl_peak_share = 1.0", "acl_peak_share = 5e-324",
                                       "wind_capacity_ratio = 0.0", "baseline_bias = -0.999",
+                                      "baseline_bias = 1.0",
                                       "epsilon_margin_c = 0.0"])
     def test_range_ends_accepted(self, line):
         load(f"[scenario]\n{line}\n")
