@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .domains import check
 from .textio import fmt, parse
 
 FEATURE_NAMES = ("1", "t_out", "solar", "total_rated",
@@ -137,13 +138,7 @@ class CorrectionParams:
     gamma: float = 0.02  # per-cycle decay exponent of the carried correction
 
     def __post_init__(self):
-        if not 0 < self.s1 < self.s2 < self.s3 <= 1:
-            raise ValueError("breakpoints must satisfy 0 < s1 < s2 < s3 <= 1")
-        # at most the whole baseline a cycle; NaN and inf fail too
-        if not 0 < self.dp1 <= self.dp2 <= self.dp3 <= 100:
-            raise ValueError("steps must satisfy 0 < dp1 <= dp2 <= dp3 <= 100")
-        if not self.gamma > 0:  # NaN fails too
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        check(vars(self))
 
 
 @dataclass(frozen=True)

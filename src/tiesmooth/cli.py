@@ -9,9 +9,9 @@ exception a command raises (the first match wins):
                               lengths or cadences, or not a controlled
                               run and a free one)
     2  any other OSError or ValueError: unreadable or malformed input
-       (I/O problems, a malformed run directory, an unknown scenario key
-       or a bad scenario value, a population that cannot be drawn,
-       traces shorter than the run)
+       (I/O problems, a malformed run directory, an unknown scenario key,
+       a value outside its domain in `domains`, a population that cannot
+       be drawn, traces shorter than the run)
 
 0 is success.  Each failure prints one `error:` line on stderr; any
 other exception is a fault of the program and ends in a traceback.
@@ -99,8 +99,6 @@ def _population(cfg: ScenarioConfig):
 
 def cmd_gen_scenario(args) -> None:
     out = Path(args.out)
-    if args.days < 1:
-        raise ValueError(f"--days must be >= 1, got {args.days}")
     cfg = ScenarioConfig(n_acl=args.n_acl, seed=args.seed, duration_s=args.days * 86400,
                          training_days=args.training_days)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,11 +199,11 @@ def cmd_metrics(args) -> None:
     if not (controlled.controlled and not uncontrolled.controlled):
         raise IncomparableRunsError("--controlled must name a controlled run and "
                                     "--uncontrolled a free one")
-    out.mkdir(parents=True, exist_ok=True)
-
     if man_c.get("traces_sha256") != man_u.get("traces_sha256"):
         raise IncomparableRunsError("they were produced from different traces")
     report = compute_metrics(controlled, uncontrolled)
+
+    out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "metrics.txt", "w") as fh:
         write_report(fh, report)

@@ -76,6 +76,7 @@ import numpy as np
 
 from . import rng
 from .baseline import BaselineModel, CorrectionState, TrainingColumns
+from .domains import check
 from .market import BidBatch, sequential_sum
 from .mgcc import (ContractError, CycleRecord, read_cycle_records, run_control_cycle,
                    write_cycle_records)
@@ -593,8 +594,7 @@ def check_run_cadence(run: RunResult) -> None:
     from 0 and the cycles k increase from 1 with k * control_cycle_s
     inside the run, so that windowed metrics span the time they claim."""
     step = run.record_cycle_s
-    if step <= 0:
-        raise ValueError(f"record_cycle_s must be positive, got {step}")
+    check({"record_cycle_s": step})
     end_s = len(run.time_s) * step
     if not np.array_equal(run.time_s, np.arange(len(run.time_s)) * step):
         raise ValueError(f"record times are not the {step} s grid from 0 that the "

@@ -96,20 +96,16 @@ def compute_metrics(controlled: RunResult, uncontrolled: RunResult) -> MetricsRe
         not_worse = float(np.mean(fluct_c <= fluct_u))
 
         lpf = controlled.p_g_lpf[sl]
-        pg = controlled.p_g[sl]
-        valid = np.isfinite(lpf)
-        rmse_tie = float(np.sqrt(np.mean((pg[valid] - lpf[valid]) ** 2))) \
-            if np.any(valid) else 0.0
-
         target = controlled.p_ac_target[sl]
-        actual = controlled.p_ac_actual[sl]
-        valid_t = np.isfinite(target)
-        rmse_acl = float(np.sqrt(np.mean((actual[valid_t] - target[valid_t]) ** 2))) \
-            if np.any(valid_t) else 0.0
-
-        cycles = [r.s_aggregate for r in controlled.cycle_records
-                  if r.k * controlled.control_cycle_s >= controlled.warmup_s]
-        s_abs = np.abs(np.array(cycles)) if cycles else np.zeros(1)
+        valid, valid_t = np.isfinite(lpf), np.isfinite(target)
+        s_abs = np.abs(np.array([r.s_aggregate for r in controlled.cycle_records
+                                 if r.k * controlled.control_cycle_s >= controlled.warmup_s]))
+        if not (valid.any() and valid_t.any() and len(s_abs)):
+            raise IncomparableRunsError("the controlled run cleared no cycle inside its "
+                                        "measured window")
+        rmse_tie = float(np.sqrt(np.mean((controlled.p_g[sl][valid] - lpf[valid]) ** 2)))
+        rmse_acl = float(np.sqrt(np.mean(
+            (controlled.p_ac_actual[sl][valid_t] - target[valid_t]) ** 2)))
 
         pct = (100.0 * controlled.comfort_violation_acl_min / controlled.total_acl_min
                if controlled.total_acl_min > 0 else 0.0)

@@ -25,6 +25,7 @@ the fast fluctuation ends up in the fleet adjustment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, TextIO
 
@@ -90,7 +91,7 @@ def compute_target_power(p_base: float, net_load: float, lpf_prev: Optional[floa
 @dataclass(frozen=True)
 class CycleRecord:
     """Full ledger of one control cycle, a `cycles.csv` row: its fields
-    are the file's columns."""
+    are the file's columns, every one finite."""
 
     k: int
     p_g_measured: float
@@ -105,6 +106,9 @@ class CycleRecord:
     committed_power: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ContractError(f"cycle {self.k}: {name} {value!r} is not finite")
         if self.p_g0 != self.p_base + self.net_load:
             raise ContractError(f"cycle {self.k}: p_g0 {self.p_g0!r} is not "
                                 f"p_base + net_load")

@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from .domains import check
+
 # Fixed stream-id layout.  Streams below HOUSE_STREAM_BASE are scenario
 # level; per-house streams start high enough to never collide.
 TRACE_STREAM = 1
@@ -37,14 +39,9 @@ INITIAL_STATE_STREAM = 4
 HOUSE_STREAM_BASE = 2**32
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in uint64, got {seed}")
-
-
 def substream(seed: int, stream_id: int) -> np.random.Generator:
     """Return the generator for one named substream of `seed`."""
-    _check_seed(seed)
+    check({"seed": seed})
     if not 0 <= stream_id < 2**64:
         raise ValueError(f"stream_id must fit in uint64, got {stream_id}")
     key = np.array([seed, stream_id], dtype=np.uint64)
@@ -62,7 +59,7 @@ def philox_raw(seed: int, stream_ids: np.ndarray, blocks: int, first: int = 1) -
     named in `stream_ids` (uint64), a row each: Philox4x64-10 at key
     (seed, stream id) and counters `first`, ..., `first` + `blocks` - 1
     (counter 1 holds a stream's first four outputs), in one array pass."""
-    _check_seed(seed)
+    check({"seed": seed})
 
     def mulhilo(m, x):  # the high and low words of m * x, from 32-bit halves
         m_lo, m_hi, x_lo, x_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), x & _LOW, x >> _32

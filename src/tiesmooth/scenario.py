@@ -11,10 +11,11 @@ does not have is an error, not a silent default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TextIO
 
 from .baseline import CorrectionParams
+from .domains import DOMAINS, INTERVALS, check, contains
 from .textio import fmt, parse, read_keyvals, write_keyvals
 from .thermal import DerivationConstants
 
@@ -45,6 +46,10 @@ class Dist:
         if self.kind == "uniform":
             return self.a + (self.b - self.a) * std
         return self.a + self.b * std
+
+    def span(self) -> tuple[float, float]:
+        """The lowest and highest draw; a uniform never draws b itself."""
+        return tuple(map(self.value, (0.0, 1.0) if self.kind == "uniform" else (-3.0, 3.0)))
 
     def format(self) -> str:
         return f"{self.kind} {fmt(self.a)} {fmt(self.b)}"
@@ -118,45 +123,12 @@ class ScenarioConfig:
     population: dict[str, Dist] = field(default_factory=default_population_distributions)
 
     def __post_init__(self):
-        if self.n_acl < 1:
-            raise ValueError("n_acl must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        # the stepper is checked against half-steps up to 60 s (criterion 8)
-        if not 0 < self.sim_step_s <= 60:
-            raise ValueError(f"sim_step_s must be in (0, 60] s, got {self.sim_step_s}")
-        if not (self.record_cycle_s > 0 and self.control_cycle_s > 0):
-            raise ValueError("record_cycle_s and control_cycle_s must be positive")
-        if self.record_cycle_s % self.sim_step_s != 0:
-            raise ValueError("sim_step_s must divide record_cycle_s")
-        if self.control_cycle_s % self.record_cycle_s != 0:
-            raise ValueError("record_cycle_s must divide control_cycle_s")
-        if not 0 < self.bid_lead_s < self.control_cycle_s:
-            raise ValueError("bid_lead_s must be inside the control cycle")
-        if self.bid_lead_s % self.sim_step_s != 0:
-            raise ValueError("bid_lead_s must align with the simulation step")
-        if self.duration_s <= 0 or self.warmup_s < 0:
-            raise ValueError("duration_s must be positive and warmup_s >= 0")
-        # records fall on this grid from 0, so both ends of the measured
-        # window must too
-        if self.duration_s % self.record_cycle_s or self.warmup_s % self.record_cycle_s:
-            raise ValueError(f"duration_s and warmup_s must be multiples of "
-                             f"record_cycle_s ({self.record_cycle_s} s)")
-        if self.training_days < 1:
-            raise ValueError("training_days must be >= 1")
-        if not self.tau_s > 0:
-            raise ValueError(f"tau_s must be positive, got {self.tau_s}")
-        # each range is a positive check, so that NaN fails it
-        if not 0 < self.acl_peak_share <= 1:
-            raise ValueError(f"acl_peak_share must be in (0, 1], got {self.acl_peak_share}")
-        if not 0 <= self.wind_capacity_ratio < math.inf:
-            raise ValueError(f"wind_capacity_ratio must be finite and >= 0, "
-                             f"got {self.wind_capacity_ratio}")
-        if not -1 < self.baseline_bias <= 1:
-            raise ValueError(f"baseline_bias must be in (-1, 1], got {self.baseline_bias}")
-        if not 0 <= self.epsilon_margin_c < math.inf:
-            raise ValueError(f"epsilon_margin_c must be finite and >= 0, "
-                             f"got {self.epsilon_margin_c}")
+        check({key: getattr(self, key) for key in (*DOMAINS["scenario"], "tau_s")})
+        for name, dist in self.population.items():
+            if name in DOMAINS["population"] and not all(
+                    contains(name, end) for end in dist.span()):
+                raise ValueError(f"{name} draws must be in {INTERVALS[name]}, "
+                                 f"got {dist.format()}")
 
     @property
     def total_s(self) -> int:
@@ -167,18 +139,13 @@ class ScenarioConfig:
 
 
 def _sections(cfg: ScenarioConfig) -> dict[str, dict[str, object]]:
-    """The values of each file section, in file order."""
-    nested = ("tau_s", "correction", "thermal", "population")
-    return {
-        "scenario": {f.name: getattr(cfg, f.name) for f in fields(cfg)
-                     if f.name not in nested},
-        "mgcc": {"tau_s": cfg.tau_s, **{f.name: getattr(cfg.correction, f.name)
-                                        for f in fields(CorrectionParams)}},
-        "thermal": {f.name: getattr(cfg.thermal, f.name)
-                    for f in fields(DerivationConstants)},
-        "population": {name: cfg.population[name]
-                       for name in HOUSE_FIELDS + CONTROLLER_FIELDS},
-    }
+    """The values of each file section, in file order: the domain table's
+    keys, then the population's fields."""
+    values = {**vars(cfg), **vars(cfg.correction), **vars(cfg.thermal)}
+    return {**{section: {key: values[key] for key in DOMAINS[section]}
+               for section in ("scenario", "mgcc", "thermal")},
+            "population": {name: cfg.population[name]
+                           for name in HOUSE_FIELDS + CONTROLLER_FIELDS}}
 
 
 def save_scenario(cfg: ScenarioConfig, fh: TextIO) -> None:

@@ -29,6 +29,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .domains import check
+
 
 # Every house has this ceiling height (m) and door area (m^2).
 CEILING_HEIGHT = 2.5
@@ -88,20 +90,7 @@ class DerivationConstants:
     design_solar_wm2: float = 800.0
 
     def __post_init__(self):
-        # each range is a positive check, so that NaN fails it
-        for name in ("air_density", "air_heat_capacity", "c_air_multiplier",
-                     "c_mass_air_ratio", "mass_coupling_ratio", "oversize_factor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got "
-                                 f"{getattr(self, name)}")
-        if not 0 <= self.design_solar_wm2 < math.inf:
-            raise ValueError(f"design_solar_wm2 must be finite and >= 0, got "
-                             f"{self.design_solar_wm2}")
-        if not -math.inf < self.design_indoor_c < math.inf:
-            raise ValueError(f"design_indoor_c must be finite, got {self.design_indoor_c}")
-        if not self.design_indoor_c < self.design_outdoor_c < math.inf:
-            raise ValueError(f"design_outdoor_c must be finite and above design_indoor_c "
-                             f"({self.design_indoor_c}), got {self.design_outdoor_c}")
+        check(vars(self))
 
 
 DEFAULT_DERIVATION = DerivationConstants()

@@ -25,6 +25,7 @@ from typing import TextIO
 import numpy as np
 
 from . import rng
+from .domains import INTERVALS, check, contains
 from .textio import read_table, write_table
 from .thermal import quantize_kw
 
@@ -75,8 +76,6 @@ class TraceSet:
         for name in ("t_out_c", "solar_wm2", "p_load_kw", "p_wind_kw"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
-        if np.any(self.solar_wm2 < 0) or np.any(self.p_wind_kw < 0):
-            raise ValueError("solar and wind must be nonnegative")
 
     def __len__(self) -> int:
         return len(self.time_s)
@@ -120,8 +119,7 @@ def generate_traces(seed: int, acl_free_peak_kw: float,
     """
     if acl_free_peak_kw <= 0:
         raise ValueError("acl_free_peak_kw must be positive")
-    if not 0 < acl_peak_share < 1:
-        raise ValueError("acl_peak_share must be in (0, 1)")
+    check({"wind_capacity_ratio": wind_capacity_ratio, "acl_peak_share": acl_peak_share})
     total_s = warmup_s + days * DAY_S
     n = total_s // cadence_s
     # the normals of the temperature, load, wind level and fast wind noise
@@ -191,6 +189,12 @@ def write_traces(fh: TextIO, traces: TraceSet) -> None:
 
 def read_traces(fh: TextIO, cadence_s: int | None = None) -> TraceSet:
     cols = read_table(fh, TRACE_CSV_HEADER, ints=("time_s",))
+    for name, column in cols.items():
+        bad = ~contains(name, column)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"trace column {name} must be in {INTERVALS[name]}, "
+                             f"got {column[row]} in data row {row + 1}")
     time_s = cols.pop("time_s")
     if len(time_s) < 2:
         raise ValueError("trace file needs at least two rows")
@@ -201,6 +205,4 @@ def read_traces(fh: TextIO, cadence_s: int | None = None) -> TraceSet:
         raise ValueError(f"trace cadence {cad}s does not match expected {cadence_s}s")
     if np.any(np.diff(time_s) != cad):
         raise ValueError("trace time grid is not uniform")
-    if not all(np.all(np.isfinite(c)) for c in cols.values()):
-        raise ValueError("trace file holds non-finite values")
     return TraceSet(time_s=time_s, cadence_s=cad, **cols)

@@ -19,14 +19,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tiesmooth.cli as cli
-from tiesmooth.baseline import RankDeficientError
+from tiesmooth.baseline import CorrectionParams, RankDeficientError
 from tiesmooth.cli import main
+from tiesmooth.domains import DOMAINS, check, contains
 from tiesmooth.engine import NumericAbortError
 from tiesmooth.metrics import IncomparableRunsError, WindowError
 from tiesmooth.mgcc import ContractError
 from tiesmooth.population import PopulationError
-from tiesmooth.scenario import ScenarioConfig, save_scenario
-from tiesmooth.textio import read_keyvals
+from tiesmooth.scenario import Dist, ScenarioConfig, save_scenario
+from tiesmooth.textio import parse, read_keyvals
+from tiesmooth.thermal import DerivationConstants
 from tiesmooth.traces import read_traces, write_traces
 
 
@@ -39,10 +41,11 @@ def edit_scenario(path, **replacements):
     path.write_text(text)
 
 
-def set_trace_column(path, column, value, start=1):
-    """Overwrite one column of a trace CSV from data row `start` on."""
+def set_trace_column(path, column, value, start=1, stop=None):
+    """Overwrite one column of a trace CSV in data rows `start` to `stop`
+    (exclusive; the end of the file if None)."""
     lines = path.read_text().splitlines()
-    for i in range(start, len(lines)):
+    for i in range(start, stop or len(lines)):
         cols = lines[i].split(",")
         cols[column] = value
         lines[i] = ",".join(cols)
@@ -167,15 +170,6 @@ class TestTrain:
         assert "training_days must be >= 2" in capsys.readouterr().err
         assert not (scen / "model.txt").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_training_weather_is_numeric_abort(self, tmp_path):
-        scen = tmp_path / "scen"
-        assert main(["gen-scenario", "--out", str(scen), "--seed", "3",
-                     "--n-acl", "8"]) == 0
-        set_trace_column(scen / "train_day0.csv", 1, "1e308", start=1000)
-        assert main(["train", "--scenario", str(scen / "scenario.txt"),
-                     "--out", str(scen / "model.txt")]) == 4
-
     def test_nan_training_trace_is_io_error(self, tmp_path):
         scen = tmp_path / "scen"
         assert main(["gen-scenario", "--out", str(scen), "--seed", "3",
@@ -281,14 +275,16 @@ class TestRun:
                      "--out", str(tmp_path / "out")]) == 2
         assert main(["train", "--scenario", str(scen),
                      "--out", str(tmp_path / "model.txt")]) == 2
-        assert capsys.readouterr().err.count("sim_step_s must be in (0, 60] s") == 2
+        assert capsys.readouterr().err.count("sim_step_s must be in (0, 60], got 120") == 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("record_cycle_s", "0", "record_cycle_s and control_cycle_s must be positive"),
-        ("tau_s", "0.0", "tau_s must be positive"),
-        ("duration_s", "7205", "must be multiples of record_cycle_s (10 s)"),
-        ("warmup_s", "1805", "must be multiples of record_cycle_s (10 s)"),
+        ("record_cycle_s", "0", "record_cycle_s must be in (0, inf), got 0"),
+        ("tau_s", "0.0", "tau_s must be in (0, inf), got 0.0"),
+        ("duration_s", "7205", "record_cycle_s | duration_s must hold, got "
+                               "record_cycle_s = 10, duration_s = 7205"),
+        ("warmup_s", "1805", "record_cycle_s | warmup_s must hold, got "
+                             "record_cycle_s = 10, warmup_s = 1805"),
     ], ids=["record_cycle_s", "tau_s", "duration_s_off_grid", "warmup_s_off_grid"])
     def test_bad_scenario_value_is_io_error(self, workspace, tmp_path, capsys,
                                             key, value, message):
@@ -308,27 +304,28 @@ class TestRun:
         ("acl_peak_share", "nan", "acl_peak_share must be in (0, 1], got nan"),
         ("acl_peak_share", "0.0", "acl_peak_share must be in (0, 1], got 0.0"),
         ("acl_peak_share", "1.5", "acl_peak_share must be in (0, 1], got 1.5"),
-        ("wind_capacity_ratio", "nan", "wind_capacity_ratio must be finite and >= 0"),
-        ("wind_capacity_ratio", "-0.1", "wind_capacity_ratio must be finite and >= 0"),
+        ("wind_capacity_ratio", "nan", "wind_capacity_ratio must be in [0, inf), got nan"),
+        ("wind_capacity_ratio", "-0.1", "wind_capacity_ratio must be in [0, inf), got -0.1"),
         ("baseline_bias", "-2.0", "baseline_bias must be in (-1, 1], got -2.0"),
         ("baseline_bias", "nan", "baseline_bias must be in (-1, 1], got nan"),
         ("baseline_bias", "1.5", "baseline_bias must be in (-1, 1], got 1.5"),
-        ("gamma", "nan", "gamma must be positive, got nan"),
-        ("epsilon_margin_c", "inf", "epsilon_margin_c must be finite and >= 0, got inf"),
-        ("epsilon_margin_c", "-0.01", "epsilon_margin_c must be finite and >= 0"),
-        ("mass_coupling_ratio", "inf", "mass_coupling_ratio must be finite and positive, got inf"),
-        ("air_density", "-1.2", "air_density must be finite and positive, got -1.2"),
-        ("c_air_multiplier", "0.0", "c_air_multiplier must be finite and positive, got 0.0"),
-        ("c_mass_air_ratio", "-1.0", "c_mass_air_ratio must be finite and positive, got -1.0"),
-        ("design_indoor_c", "nan", "design_indoor_c must be finite, got nan"),
-        ("design_outdoor_c", "inf", "design_outdoor_c must be finite and above "
-                                    "design_indoor_c (23.0), got inf"),
+        ("gamma", "nan", "gamma must be in (0, inf], got nan"),
+        ("epsilon_margin_c", "inf", "epsilon_margin_c must be in [0, inf), got inf"),
+        ("epsilon_margin_c", "-0.01", "epsilon_margin_c must be in [0, inf), got -0.01"),
+        ("mass_coupling_ratio", "inf", "mass_coupling_ratio must be in (0, inf), got inf"),
+        ("air_density", "-1.2", "air_density must be in (0, inf), got -1.2"),
+        ("c_air_multiplier", "0.0", "c_air_multiplier must be in (0, inf), got 0.0"),
+        ("c_mass_air_ratio", "-1.0", "c_mass_air_ratio must be in (0, inf), got -1.0"),
+        ("design_indoor_c", "nan", "design_indoor_c must be in (-inf, inf), got nan"),
+        ("design_outdoor_c", "inf", "design_outdoor_c must be in (-inf, inf), got inf"),
+        ("design_outdoor_c", "23.0", "design_indoor_c < design_outdoor_c must hold, got "
+                                     "design_indoor_c = 23.0, design_outdoor_c = 23.0"),
     ], ids=["acl_peak_share_nan", "acl_peak_share_zero", "acl_peak_share_above_one",
             "wind_capacity_ratio_nan", "wind_capacity_ratio_negative", "baseline_bias_minus_2",
             "baseline_bias_nan", "baseline_bias_above_one", "gamma_nan", "epsilon_margin_c_inf",
             "epsilon_margin_c_negative", "mass_coupling_ratio_inf", "air_density_negative",
             "c_air_multiplier_zero", "c_mass_air_ratio_negative", "design_indoor_c_nan",
-            "design_outdoor_c_inf"])
+            "design_outdoor_c_inf", "design_outdoor_c_at_indoor"])
     def test_out_of_range_value_is_io_error_before_any_work(self, workspace, tmp_path, capsys,
                                                             key, value, message):
         scen = tmp_path / "scen"
@@ -420,7 +417,7 @@ class TestMetrics:
             "and --uncontrolled a free one\n")
         assert not (tmp_path / "m").exists()
 
-    def test_different_traces_incomparable(self, workspace, tmp_path):
+    def test_different_traces_incomparable(self, workspace, tmp_path, capsys):
         other_scen = tmp_path / "scen2"
         assert main(["gen-scenario", "--out", str(other_scen), "--seed", "99",
                      "--n-acl", "12"]) == 0
@@ -432,6 +429,9 @@ class TestMetrics:
         assert main(["metrics", "--controlled", str(workspace / "run_c"),
                      "--uncontrolled", str(other_run),
                      "--out", str(tmp_path / "m")]) == 5
+        assert capsys.readouterr().err == ("error: runs cannot be compared: they were "
+                                           "produced from different traces\n")
+        assert not (tmp_path / "m").exists()  # made only for an accepted pair
 
     @pytest.mark.parametrize("name, index, edit", [
         ("results.csv", 0, lambda line: line.replace("p_g,", "p_grid,")),
@@ -442,6 +442,9 @@ class TestMetrics:
         ("cycles.csv", 0, lambda line: line.replace("k,", "cycle,", 1)),
         ("cycles.csv", 3, lambda line: line.rsplit(",", 1)[0]),
         ("cycles.csv", 3, lambda line: line.replace(",", ",,", 1)),
+        # a NaN p_g_lpf, which once passed both identities
+        ("cycles.csv", 3, lambda line: ",".join(
+            v if j != 6 else "nan" for j, v in enumerate(line.split(",")))),
         # p_g0 no longer equals p_base + net_load
         ("cycles.csv", 3, lambda line: ",".join(
             v if j != 5 else repr(float(v) + 1.0) for j, v in enumerate(line.split(",")))),
@@ -503,7 +506,7 @@ class TestMetrics:
         edit_line(run / "summary.txt", 1, lambda line: "record_cycle_s = 0")
         assert main(["metrics", "--controlled", str(run), "--uncontrolled", str(run),
                      "--out", str(tmp_path / "m")]) == 2
-        assert capsys.readouterr().err == "error: record_cycle_s must be positive, got 0\n"
+        assert capsys.readouterr().err == "error: record_cycle_s must be in (0, inf), got 0\n"
 
     @pytest.mark.parametrize("index, k", [(1, "0"),         # before the first cycle
                                           (3, "1"),         # not increasing
@@ -702,18 +705,41 @@ def small_scenario(tmp_path_factory):
     return scen
 
 
-def scenario_slots():
-    """(key, slot) of every value in the default scenario file: slot None
-    for a scalar, else the position of a field in a distribution line."""
+def default_values():
+    """The text of every value in the default scenario file, by key."""
     text = io.StringIO()
     save_scenario(ScenarioConfig(), text)
     text.seek(0)
+    return {key.rpartition(".")[2]: value for key, value in read_keyvals(text).items()}
+
+
+def scenario_slots():
+    """(key, slot) of every value in the default scenario file: slot None
+    for a scalar, else the position of a field in a distribution line."""
     slots = []
-    for key, value in read_keyvals(text).items():
-        key = key.rpartition(".")[2]
+    for key, value in default_values().items():
         slots += [(key, i) for i in range(3)] if value.startswith(("uniform", "normal")) \
             else [(key, None)]
     return slots
+
+
+def out_of_domain(edits) -> bool:
+    """Whether the domain table, a value's type or a distribution's shape
+    refuses the default scenario with these edits."""
+    texts = default_values()
+    for key, slot, value in edits:
+        texts[key] = value if slot is None else " ".join(
+            value if i == slot else old for i, old in enumerate(texts[key].split()))
+    defaults = {**vars(ScenarioConfig()), **vars(CorrectionParams()),
+                **vars(DerivationConstants())}
+    scalars = [key for section in ("scenario", "mgcc", "thermal") for key in DOMAINS[section]]
+    try:
+        check({key: parse(texts[key], type(defaults[key])) for key in scalars})
+        dists = {key: Dist.parse(text) for key, text in texts.items() if key not in scalars}
+    except ValueError:
+        return True
+    return not all(contains(key, end) for key in DOMAINS["population"]
+                   for end in dists[key].span())
 
 
 def replace_value(path, key, slot, value):
@@ -733,7 +759,17 @@ PROBED_EDITS = [[("air_change_rate", 1, "nan")], [("t_set", 2, "nan")],
                 [("wind_capacity_ratio", None, "nan")], [("gamma", None, "nan")],
                 [("baseline_bias", None, "nan")], [("baseline_bias", None, "-2.0")],
                 [("dp3", None, "1e308")], [("c_air_multiplier", None, "1e-300")],
-                [("mass_coupling_ratio", None, "5e-324")], [("baseline_bias", None, "1e308")]]
+                [("mass_coupling_ratio", None, "5e-324")], [("baseline_bias", None, "1e308")],
+                [("tau_s", None, "inf")], [("t_set", 1, "-1")], [("t_high", 2, "1e308")]]
+
+
+def test_out_of_domain_follows_the_table():
+    # the two thermal constants lie in their rows and fail as the step matrices are made
+    assert ([out_of_domain(edits) for edits in PROBED_EDITS]
+            == [True] * 9 + [False] * 2 + [True] * 4)
+    assert not any(out_of_domain(edits) for edits in (
+        [], [("seed", None, "0")], [("tau_s", None, "1e308")], [("t_set", 2, "1e-300")],
+        [("r_roof", 1, "1e308")]))
 
 
 def probed(test):
@@ -762,8 +798,47 @@ def test_bad_scenario_values_exit_with_a_documented_code(small_scenario, edits):
             with time_limit(20.0), contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
                 codes.append(main([*command, "--scenario", str(scen / "scenario.txt")]))
-    assert set(codes) <= ({2} if edits in PROBED_EDITS else {0, 2, 3, 4}), err.getvalue()
+    assert set(codes) <= ({2} if edits in PROBED_EDITS or out_of_domain(edits)
+                          else {0, 2, 3, 4}), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def refuse_population(*args, **kwargs):
+    raise AssertionError("a population was drawn")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"tau_s": "inf"}, "tau_s must be in (0, inf), got inf"),
+    ((1, "1e308", 500, 501), "trace column t_out_c must be in [-90, 60], got 1e+308 in data "
+                             "row 500"),
+    ((1, "-1e308", 500, 501), "trace column t_out_c must be in [-90, 60], got -1e+308 in "
+                              "data row 500"),
+    ((2, "-1e6", 500, 501), "trace column solar_wm2 must be in [0, 1500], got -1000000.0 in "
+                            "data row 500"),
+    ((3, "1e308", 500, 520), "trace column p_load_kw must be in [0, 2**40], got 1e+308 in "
+                             "data row 500"),
+], ids=["tau_s_inf", "t_out_c_1e308", "t_out_c_minus_1e308", "solar_wm2_minus_1e6",
+        "p_load_kw_1e308"])
+def test_out_of_domain_input_exits_2_before_any_house_is_drawn(small_scenario, tmp_path,
+                                                               capsys, monkeypatch, edit,
+                                                               message):
+    # each of these once ran: tau_s = inf to NaN targets and an all-off fleet
+    # that every command passed, the traces to an overflow or p* = -2
+    scen = shutil.copytree(small_scenario, tmp_path / "scen")
+    if isinstance(edit, dict):
+        edit_scenario(scen / "scenario.txt", **edit)
+    else:
+        for name in ("traces.csv", "train_day0.csv"):
+            set_trace_column(scen / name, *edit)
+    monkeypatch.setattr(cli, "generate_population", refuse_population)
+    capsys.readouterr()
+    for command in (["train", "--out", str(tmp_path / "model.txt")],
+                    ["run", "--uncontrolled", "--out", str(tmp_path / "free")],
+                    ["run", "--model", str(scen / "model.txt"),
+                     "--out", str(tmp_path / "ctrl")]):
+        assert main([*command, "--scenario", str(scen / "scenario.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n" * 3
+    assert not any((tmp_path / name).exists() for name in ("model.txt", "free", "ctrl"))
 
 
 def test_subnormal_thermal_constant_prints_only_the_error(small_scenario, tmp_path, capsys):

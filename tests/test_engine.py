@@ -672,7 +672,8 @@ class TestRunDirRoundTrip:
 
 
 def hand_built_run(**overrides) -> RunResult:
-    """Three records and two cycles holding every awkward value, no simulation."""
+    """Three records and two cycles holding every awkward value their files
+    may hold (a cycle only finite ones), no simulation."""
     big = 9007199254740993  # 2**53 + 1, not a float
     fields = dict(
         controlled=True, record_cycle_s=10, control_cycle_s=60, warmup_s=0,
@@ -688,11 +689,11 @@ def hand_built_run(**overrides) -> RunResult:
         cycle_records=[
             CycleRecord(k=2**40, p_g_measured=1e-05, net_load=-0.0, p_base0=1e300,
                         p_base=0.5, p_g0=0.5, p_g_lpf=0.25,
-                        p_ac_target=0.25, s_aggregate=-0.0, p_star=np.nan,
+                        p_ac_target=0.25, s_aggregate=-0.0, p_star=-5e-324,
                         committed_power=5e-324),
-            CycleRecord(k=2, p_g_measured=np.nan, net_load=1.5, p_base0=-np.inf,
-                        p_base=3.0, p_g0=4.5, p_g_lpf=np.inf,
-                        p_ac_target=np.inf, s_aggregate=1.0, p_star=-2.0,
+            CycleRecord(k=2, p_g_measured=-1e300, net_load=1.5,
+                        p_base0=1.7976931348623157e308, p_base=3.0, p_g0=4.5, p_g_lpf=2.25,
+                        p_ac_target=0.75, s_aggregate=1.0, p_star=-2.0,
                         committed_power=0.0)],
         comfort_violation_acl_min=0.0, total_acl_min=648000.0)
     fields.update(overrides)
@@ -709,8 +710,8 @@ class TestRunDirFormat:
         "cycles.csv": (
             "k,p_g_measured,net_load,p_base0,p_base,p_g0,p_g_lpf,p_ac_target,"
             "s_aggregate,p_star,committed_power\n"
-            "1099511627776,1e-05,-0.0,1e+300,0.5,0.5,0.25,0.25,-0.0,nan,5e-324\n"
-            "2,nan,1.5,-inf,3.0,4.5,inf,inf,1.0,-2.0,0.0\n"),
+            "1099511627776,1e-05,-0.0,1e+300,0.5,0.5,0.25,0.25,-0.0,-5e-324,5e-324\n"
+            "2,-1e+300,1.5,1.7976931348623157e+308,3.0,4.5,2.25,0.75,1.0,-2.0,0.0\n"),
         "summary.txt": (
             "controlled = true\n"
             "record_cycle_s = 10\n"

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tiesmooth.engine import run_scenario
-from tiesmooth.metrics import (WINDOW_S, WindowError, compute_metrics,
+from tiesmooth.baseline import BaselineModel
+from tiesmooth.metrics import (WINDOW_S, IncomparableRunsError, WindowError, compute_metrics,
                                fluctuation_series, write_fluctuation_csv,
                                write_report, write_s_trajectory_csv,
                                write_smoothing_csv)
@@ -73,7 +74,6 @@ def paired_runs():
     cfg = ScenarioConfig(n_acl=15, seed=5, duration_s=3 * 3600, warmup_s=1800)
     houses = generate_population(PopulationSpec(n=15), 5)
     traces = generate_traces(5, 40.0, warmup_s=1800)
-    from tiesmooth.baseline import BaselineModel
     model = BaselineModel(coefficients=(25.0, 0, 0, 0, 0, 0, 0, 0))
     controlled = run_scenario(cfg, houses, traces, model)
     uncontrolled = run_scenario(cfg, houses, traces, None, controlled=False)
@@ -82,8 +82,8 @@ def paired_runs():
 
 class TestComputeMetrics:
     def test_self_comparison_is_neutral(self, paired_runs):
-        _, free = paired_runs
-        report = compute_metrics(free, free)
+        controlled, _ = paired_runs
+        report = compute_metrics(controlled, controlled)
         assert report.max_fluct_reduction_pct == 0.0
         assert report.frac_instants_not_worse == 1.0
         assert report.max_fluct_controlled_kw == report.max_fluct_uncontrolled_kw
@@ -112,6 +112,18 @@ class TestComputeMetrics:
         expected = 100.0 * (1.0 - np.max(fc) / np.max(fu))
         assert report.max_fluct_reduction_pct == pytest.approx(expected)
         assert report.frac_instants_not_worse == pytest.approx(float(np.mean(fc <= fu)))
+
+    def test_controlled_run_without_a_cycle_is_incomparable(self, paired_runs):
+        # a 4 h cycle never clears inside the 3.5 h run, so nothing was tracked
+        _, free = paired_runs
+        cfg = ScenarioConfig(n_acl=15, seed=5, duration_s=3 * 3600, warmup_s=1800,
+                             control_cycle_s=4 * 3600)
+        idle = run_scenario(cfg, generate_population(PopulationSpec(n=15), 5),
+                            generate_traces(5, 40.0, warmup_s=1800),
+                            BaselineModel(coefficients=(25.0, 0, 0, 0, 0, 0, 0, 0)))
+        assert idle.cycle_records == [] and np.isnan(idle.p_g_lpf).all()
+        with pytest.raises(IncomparableRunsError, match="cleared no cycle inside its"):
+            compute_metrics(idle, free)
 
     def test_mismatched_lengths_rejected(self, paired_runs):
         controlled, free = paired_runs

@@ -228,6 +228,15 @@ class TestCycleRecordCsv:
                         p_ac_target=1.0, s_aggregate=0.0, p_star=0.0,
                         committed_power=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", CYCLE_CSV_HEADER.split(",")[1:])
+    def test_non_finite_field_refused(self, cfg, name, value):
+        # a NaN filter output once passed both identities as max(0.0, nan) = 0.0
+        bids, model, corr, lpf = golden_inputs()
+        _, rec, _ = run_control_cycle(3, bids, 500.0, 33.0, 600.0, 9.0, model, corr, lpf, cfg)
+        with pytest.raises(ContractError, match=f"^cycle 3: {name} {value!r} is not finite$"):
+            replace(rec, **{name: value})
+
     def test_record_identities_survive_optimize_flag(self):
         # python -O strips assert statements; the identities must still raise
         src = Path(mgcc.__file__).resolve().parents[1]

@@ -562,7 +562,8 @@ class TestTraceCsv:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_values_rejected(self, value):
         text = f"{TRACE_CSV_HEADER}\n0,30.0,0.0,100.0,5.0\n10,30.0,{value},100.0,5.0\n"
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"solar_wm2 must be in .*, got {value} in data "
+                                             f"row 2"):
             read_traces(io.StringIO(text))
 
     def test_short_rows_rejected(self):

@@ -1,6 +1,7 @@
 """Scenario files: strict sections and keys, typed values, save/load round trip."""
 
 import io
+import re
 from dataclasses import fields
 
 import pytest
@@ -27,11 +28,21 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def dists(draw):
-    a = draw(st.floats(-1e6, 1e6))
-    if draw(st.booleans()):
-        return Dist("uniform", a, draw(st.floats(a, 2e6, exclude_min=True)))
-    return Dist("normal", a, draw(st.floats(0.0, 1e6, exclude_min=True)))
+def dists(draw, low=-1e6, high=1e6):
+    """Distributions whose every draw lies in [low, high]."""
+    a = draw(st.floats(low, high, exclude_max=True))
+    std_max = min(a - low, high - a) / 4  # so that mean +- 3 std rounds inside too
+    if std_max == 0 or draw(st.booleans()):
+        return Dist("uniform", a, draw(st.floats(a, high, exclude_min=True)))
+    return Dist("normal", a, draw(st.floats(0.0, std_max, exclude_min=True)))
+
+
+def population_dists(draw):
+    """A table in the comfort rows' domains: 16 <= t_set draws <= 32 and
+    0 < t_high, t_low draws <= 5."""
+    comfort = {"t_set": (16.0, 32.0), "t_high": (1e-3, 5.0), "t_low": (1e-3, 5.0)}
+    return {name: draw(dists(*comfort.get(name, (-1e6, 1e6))))
+            for name in HOUSE_FIELDS + CONTROLLER_FIELDS}
 
 
 @st.composite
@@ -62,7 +73,7 @@ def configs(draw):
             "design_solar_wm2": draw(st.floats(0.0, 1e300)),
             **dict(zip(("design_indoor_c", "design_outdoor_c"),
                        sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))))}),
-        population={name: draw(dists()) for name in HOUSE_FIELDS + CONTROLLER_FIELDS})
+        population=population_dists(draw))
 
 
 class TestRoundTrip:
@@ -133,12 +144,19 @@ class TestStrict:
         ("thermal", "oversize_factor", ["nan", "0.0"]),
         ("thermal", "design_solar_wm2", ["nan", "-1.0", "inf"]),
         ("thermal", "design_indoor_c", ["nan", "-inf", "inf"]),
-        ("thermal", "design_outdoor_c", ["nan", "inf", "-inf", "23.0", "22.0"]),
+        ("thermal", "design_outdoor_c", ["nan", "inf", "-inf"]),
     ])
     def test_out_of_range_values_rejected(self, section, key, values):
         for value in values:
             with pytest.raises(ValueError, match=f"{key} must be"):
                 load(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["23.0", "22.0"])
+    def test_design_outdoor_at_or_below_indoor_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"design_indoor_c < design_outdoor_c must hold, got design_indoor_c = 23.0, "
+                f"design_outdoor_c = {value}")):
+            load(f"[thermal]\ndesign_outdoor_c = {value}\n")
 
     @pytest.mark.parametrize("line", ["acl_peak_share = 1.0", "acl_peak_share = 5e-324",
                                       "wind_capacity_ratio = 0.0", "baseline_bias = -0.999",
